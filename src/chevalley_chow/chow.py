@@ -19,7 +19,6 @@ from .descriptors import (
     AttributeReport,
     GroupDescriptor,
     SubgroupDescriptor,
-    SubgroupRestriction,
     derived_attributes,
     descended_coroot,
     restriction_to_subgroup,
@@ -29,7 +28,6 @@ from .invariants import (
     TruncatedQuotient,
     full_algebra,
     invariant_algebra,
-    invariant_slice,
     linear_poly,
     restrict_symmetric,
     truncated_quotient,
@@ -46,8 +44,8 @@ from .lattice import (
     vstack,
 )
 from .qlinalg import SpanBuilder
-from .rootdata import flag_picard_map, root_system, simple_reflection
-from .schubert import SchubertExpansion, chevalley_multiply
+from .rootdata import flag_picard_map, reflection, root_system
+from .schubert import SchubertExpansion, chevalley_multiply, coinvariant_ideal_generators
 
 
 @dataclass(frozen=True)
@@ -89,15 +87,6 @@ class PicardReport:
     presentation: PicardSequence
 
 
-def _sigma_quotient(gd: GroupDescriptor) -> Presentation:
-    glue = gd.gluing
-    if glue.xd.relations.nrows or glue.sigma_kernel_gens.nrows:
-        rel = vstack(glue.xd.relations, glue.sigma_kernel_gens)
-    else:
-        rel = IntMatrix((), glue.xd.ngens)
-    return Presentation(glue.xd.ngens, rel)
-
-
 def picard_group(gd: GroupDescriptor) -> PicardReport:
     """Pic(G) split into NS(G) = NS(A) + Pic(G_aff) and a formal Pic0 part.
 
@@ -112,7 +101,7 @@ def picard_group(gd: GroupDescriptor) -> PicardReport:
         x_g_group=FGAbelianGroup(att.ker_gamma.nrows),
         x_gaff=att.x_gaff,
         gamma_matrix=gd.gluing.v_matrix @ att.x_gaff.transpose(),
-        gamma_target=_sigma_quotient(gd),
+        gamma_target=gd.gluing.sigma_quotient(),
         pic_gaff=pic_gaff,
     )
     return PicardReport(ns, pic0, seq)
@@ -149,19 +138,6 @@ class GradedPresentation:
         return f"A*(A_{self.abelian_g}){tag}"
 
 
-def _weyl_reflections(rd):
-    return tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
-
-
-def _invariant_ideal_gens(rd, max_degree, cap):
-    """W-invariants of positive degree up to max_degree, as polynomials."""
-    refl = _weyl_reflections(rd)
-    gens = []
-    for e in range(1, max_degree + 1):
-        gens.extend(invariant_slice(rd.rank, refl, e, cap=cap))
-    return gens
-
-
 def chow_presentation(gd: GroupDescriptor, max_degree: int, cap: int = DEFAULT_CAP) -> GradedPresentation:
     """Integral presentation data for A*(G).
 
@@ -172,7 +148,7 @@ def chow_presentation(gd: GroupDescriptor, max_degree: int, cap: int = DEFAULT_C
     """
     rd = gd.rd
     concrete = truncated_quotient(
-        full_algebra(rd.rank), _invariant_ideal_gens(rd, max_degree, cap), max_degree)
+        full_algebra(rd.rank), coinvariant_ideal_generators(rd, max_degree, cap), max_degree)
     pairs = []
     for j in range(rd.rank):
         chi = tuple(1 if i == j else 0 for i in range(rd.rank))
@@ -191,11 +167,8 @@ def chow_presentation(gd: GroupDescriptor, max_degree: int, cap: int = DEFAULT_C
 def _independent_formal_generators(gd: GroupDescriptor, att: AttributeReport):
     """Characters of G_aff whose images form a Q-basis of im(gamma_A)."""
     glue = gd.gluing
-    ambient = glue.xd.ngens
-    rel = vstack(glue.xd.relations, glue.sigma_kernel_gens) \
-        if glue.xd.relations.nrows or glue.sigma_kernel_gens.nrows \
-        else IntMatrix((), ambient)
-    sb = SpanBuilder(ambient)
+    rel = glue.sigma_quotient().relations
+    sb = SpanBuilder(glue.xd.ngens)
     if rel.nrows:
         for row in saturate_rows(rel).rows:
             sb.add(row)
@@ -248,19 +221,10 @@ def _effective_contains_ant(gd: GroupDescriptor, hd: SubgroupDescriptor) -> bool
 def _subgroup_reflections(gd: GroupDescriptor, hd: SubgroupDescriptor):
     """Reflections of the symmetric subgroup roots, acting on X(T_H)."""
     rs = root_system(gd.rd)
-    out = []
-    h = hd.h_rank
-    for i in hd.symmetric_root_indices():
-        beta = hd.q_matrix.apply(rs.positive[i].vector)
-        beta_cov = descended_coroot(gd, hd, i)
-        out.append(IntMatrix(
-            tuple(
-                tuple((1 if r == c else 0) - beta[r] * beta_cov[c] for c in range(h))
-                for r in range(h)
-            ),
-            h,
-        ))
-    return tuple(out)
+    return tuple(
+        reflection(hd.q_matrix.apply(rs.positive[i].vector), descended_coroot(gd, hd, i))
+        for i in hd.symmetric_root_indices()
+    )
 
 
 def gamma_j_rank(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DEFAULT_CAP) -> int:
@@ -289,7 +253,7 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
     gens = _subgroup_reflections(gd, hd) + hd.component_generators
     ambient = invariant_algebra(hd.h_rank, gens, cap=cap)
     ideal = []
-    for f in _invariant_ideal_gens(rd, max_degree, cap):
+    for f in coinvariant_ideal_generators(rd, max_degree, cap):
         rf = restrict_symmetric(hd.q_matrix, f)
         if rf:
             ideal.append(rf)

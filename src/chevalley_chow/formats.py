@@ -80,7 +80,10 @@ def _int(value, path) -> int:
     if isinstance(value, str):
         body = value[1:] if value[:1] in "+-" else value
         if body.isdigit():
-            return int(value)
+            try:
+                return int(value)
+            except ValueError as e:  # non-ASCII digits, or past the int/str digit limit
+                raise SchemaError(path, f"not an integer string: {e}")
         raise SchemaError(path, f"not an integer string: {value!r}")
     raise SchemaError(path, "expected an integer (or a decimal string)")
 
@@ -252,6 +255,10 @@ def parse_descriptor(data: bytes | str) -> DescriptorDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DescriptorSyntaxError(e.lineno, e.colno, e.msg)
+    except RecursionError:
+        raise DescriptorSyntaxError(1, 1, "nesting is too deep to parse")
+    except ValueError as e:  # an integer literal past the int/str digit limit
+        raise DescriptorSyntaxError(1, 1, str(e))
     top = _object(doc, "", ("group",), ("subgroups",))
     gobj = _object(top["group"], "group",
                    ("root_datum", "abelian", "gluing"), ("name",))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import GroupTooLarge, IllFormedHom, TorsionDomain
 
@@ -96,9 +97,9 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = other.columns()
+        cols = tuple(zip(*other.rows)) if other.nrows else ((),) * other.ncols
         return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows),
+            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows),
             other.ncols,
         )
 
@@ -334,20 +335,16 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     ((2, -1),)
     """
     _, s, v = smith_normal_form(m)
-    rank = len(invariant_factors_from_smith(s))
-    cols = [v.column(j) for j in range(rank, m.ncols)]
+    # x = V @ y is in the kernel iff S @ y == 0, i.e. y lives on the zero columns of S
+    cols = [v.column(j) for j in range(m.ncols) if not any(s.column(j))]
     return hermite_row_basis(IntMatrix(tuple(cols), m.ncols))
-
-
-def invariant_factors_from_smith(s: IntMatrix) -> tuple[int, ...]:
-    return tuple(s.rows[i][i] for i in range(min(s.nrows, s.ncols)) if s.rows[i][i] != 0)
 
 
 def integer_kernel_by_columns(m: IntMatrix) -> IntMatrix:
     """Same lattice as :func:`integer_kernel`, by plain column reduction.
 
-    Kept as an independent second path so higher layers can cross-check the
-    Smith route against it.
+    A test oracle: it shares no code with the Smith route, so the tests
+    compare the two.  Production code uses :func:`integer_kernel`.
     """
     a = [list(r) for r in m.rows]
     nr, nc = m.nrows, m.ncols
@@ -450,7 +447,7 @@ def intersect_rows(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
     stacked = hstack(m1.transpose(), -m2.transpose())
     ker = integer_kernel(stacked)  # rows are (a, b) with a @ m1 == b @ m2
     rows = tuple(m1.transpose().apply(r[: m1.nrows]) for r in ker.rows)
-    return hermite_row_basis(IntMatrix(rows, m1.ncols) if rows else IntMatrix((), m1.ncols))
+    return hermite_row_basis(IntMatrix(rows, m1.ncols))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +497,7 @@ class FGAbelianGroup:
         rel = [[0] * (len(self.torsion) + len(other.torsion)) for _ in range(len(self.torsion) + len(other.torsion))]
         for i, t in enumerate(self.torsion + other.torsion):
             rel[i][i] = t
-        merged = group_from_relations(len(rel), IntMatrix(rel, len(rel)) if rel else IntMatrix((), 0))
+        merged = group_from_relations(len(rel), IntMatrix(rel, len(rel)))
         return FGAbelianGroup(self.rank + other.rank + merged.rank, merged.torsion)
 
     def describe(self) -> str:
@@ -543,8 +540,7 @@ def quotient_group(sup: IntMatrix, sub: IntMatrix) -> FGAbelianGroup:
         coeffs = solve_integer(bt, r)
         assert coeffs is not None, "sublattice escaped its own span"
         rel_rows.append(coeffs)
-    rels = IntMatrix(tuple(rel_rows), basis.nrows) if rel_rows else IntMatrix((), basis.nrows)
-    return group_from_relations(basis.nrows, rels)
+    return group_from_relations(basis.nrows, IntMatrix(tuple(rel_rows), basis.nrows))
 
 
 @dataclass(frozen=True)
@@ -619,8 +615,7 @@ class GroupHom:
         """
         if self.domain.relations.nrows and not self.domain.is_free:
             raise TorsionDomain("kernel lattice of a torsion domain is not a lattice")
-        rel = hermite_row_basis(self.codomain.relations) if self.codomain.relations.nrows \
-            else IntMatrix((), self.codomain.ngens)
+        rel = hermite_row_basis(self.codomain.relations)
         if rel.nrows:
             stacked = hstack(self.matrix, -rel.transpose())
             ker = integer_kernel(stacked)
@@ -634,19 +629,16 @@ class GroupHom:
 
     def image_group(self) -> FGAbelianGroup:
         """Isomorphism type of the image subgroup of the codomain."""
-        img = self.matrix.transpose()  # rows are images of domain generators
         rel = self.codomain.relations
-        sup = vstack(img, rel) if rel.nrows else img
-        return quotient_group(sup, rel if rel.nrows else IntMatrix((), self.codomain.ngens))
+        # rows of the transpose are the images of the domain generators
+        return quotient_group(vstack(self.matrix.transpose(), rel), rel)
 
     def cokernel_group(self) -> FGAbelianGroup:
-        rels = vstack(self.matrix.transpose(), self.codomain.relations) \
-            if self.codomain.relations.nrows else self.matrix.transpose()
+        rels = vstack(self.matrix.transpose(), self.codomain.relations)
         return group_from_relations(self.codomain.ngens, rels)
 
     def cokernel_presentation(self) -> Presentation:
-        rels = vstack(self.matrix.transpose(), self.codomain.relations) \
-            if self.codomain.relations.nrows else self.matrix.transpose()
+        rels = vstack(self.matrix.transpose(), self.codomain.relations)
         return Presentation(self.codomain.ngens, hermite_row_basis(rels))
 
     def is_surjective(self) -> bool:
@@ -680,23 +672,34 @@ def enumerate_matrix_group(gens, cap: int = 1_000_000) -> tuple[IntMatrix, ...]:
             raise ValueError("generators must be square of equal size")
         if g.det() not in (1, -1):
             raise ValueError("generator is not invertible over Z")
+    return tuple(group_closure(gens, n, cap)[0])
+
+
+def group_closure(gens, n: int, cap: int) -> tuple[list[IntMatrix], list[int]]:
+    """Breadth-first closure of n x n matrices under right multiplication.
+
+    Returns ``(elements, steps)``: the identity first, then the elements in
+    discovery order; ``steps[k] = pos * len(gens) + i`` records that element
+    k was first reached as ``elements[pos] @ gens[i]`` (``steps[0]`` is -1).
+    Raises :class:`GroupTooLarge` beyond ``cap`` elements.
+    """
     ident = IntMatrix.identity(n)
+    elements = [ident]
+    steps = [-1]
     seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m @ g
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        raise GroupTooLarge(f"matrix group exceeds cap {cap}")
-                    seen.add(prod)
-                    order.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return tuple(order)
+    # the element list doubles as the BFS queue: iteration reaches what is appended
+    for pos, m in enumerate(elements):
+        step = pos * len(gens)
+        for g in gens:
+            prod = m @ g
+            if prod not in seen:
+                if len(seen) >= cap:
+                    raise GroupTooLarge(f"matrix group exceeds cap {cap}")
+                seen.add(prod)
+                elements.append(prod)
+                steps.append(step)
+            step += 1
+    return elements, steps
 
 
 def fixed_sublattice(gens, n: int, cap: int = 1_000_000) -> IntMatrix:

@@ -23,8 +23,9 @@ from .lattice import (
     IntMatrix,
     Presentation,
     Vec,
+    group_closure,
     hermite_row_basis,
-    integer_kernel_by_columns,
+    integer_kernel,
 )
 from .qlinalg import qrank, qsolve
 
@@ -224,26 +225,25 @@ def validate_root_datum(rd: RootDatum) -> CartanType:
     return CartanType(tuple(components), rd.rank - k)
 
 
+def reflection(vec, cov) -> IntMatrix:
+    """Matrix of x |-> x - <x, cov> vec (column action).
+
+    With (vec, cov) a root and its coroot this is the reflection of X(T);
+    swapped, it is the same reflection acting on the dual lattice Y(T).
+
+    >>> reflection((2,), (1,)).rows
+    ((-1,),)
+    """
+    n = len(vec)
+    return IntMatrix(
+        tuple(tuple((1 if r == c else 0) - vec[r] * cov[c] for c in range(n)) for r in range(n)),
+        n,
+    )
+
+
 def simple_reflection(rd: RootDatum, i: int) -> IntMatrix:
     """Matrix of s_i on X(T): x - <x, alpha_i^vee> alpha_i (column action)."""
-    alpha = rd.simple_roots.rows[i]
-    cov = rd.simple_coroots.rows[i]
-    n = rd.rank
-    return IntMatrix(
-        tuple(tuple((1 if r == c else 0) - alpha[r] * cov[c] for c in range(n)) for r in range(n)),
-        n,
-    )
-
-
-def dual_simple_reflection(rd: RootDatum, i: int) -> IntMatrix:
-    """Matrix of s_i on the dual lattice Y(T): y - <alpha_i, y> alpha_i^vee."""
-    alpha = rd.simple_roots.rows[i]
-    cov = rd.simple_coroots.rows[i]
-    n = rd.rank
-    return IntMatrix(
-        tuple(tuple((1 if r == c else 0) - cov[r] * alpha[c] for c in range(n)) for r in range(n)),
-        n,
-    )
+    return reflection(rd.simple_roots.rows[i], rd.simple_coroots.rows[i])
 
 
 class WeylGroup:
@@ -284,31 +284,16 @@ def weyl_group(rd: RootDatum, cap: int = 1_000_000) -> WeylGroup:
     if expected > cap:
         raise GroupTooLarge(f"|W| = {expected} exceeds cap {cap}")
     gens = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
-    ident = IntMatrix.identity(rd.rank)
-    elements = [ident]
-    lengths = [0]
-    words: list[tuple[int, ...]] = [()]
-    seen = {ident: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for pos in frontier:
-            for i, g in enumerate(gens):
-                prod = elements[pos] @ g
-                if prod not in seen:
-                    if len(elements) >= cap:
-                        raise GroupTooLarge(f"Weyl enumeration exceeds cap {cap}")
-                    seen[prod] = len(elements)
-                    elements.append(prod)
-                    lengths.append(lengths[pos] + 1)
-                    words.append(words[pos] + (i,))
-                    nxt.append(len(elements) - 1)
-        frontier = nxt
+    elements, steps = group_closure(gens, rd.rank, cap)
     if len(elements) != expected:
         raise InvalidCartan(
             f"enumerated {len(elements)} Weyl elements but type {ctype.describe()} has {expected}"
         )
-    return WeylGroup(elements, lengths, words, gens)
+    words: list[tuple[int, ...]] = [()]
+    for step in steps[1:]:
+        pos, i = divmod(step, len(gens))
+        words.append(words[pos] + (i,))
+    return WeylGroup(elements, map(len, words), words, gens)
 
 
 @dataclass(frozen=True)
@@ -353,11 +338,10 @@ def root_system(rd: RootDatum) -> RootSystem:
     (2,)
     """
     validate_root_datum(rd)
-    gens = [simple_reflection(rd, i) for i in range(rd.nsimple)]
-    dual_gens = [dual_simple_reflection(rd, i) for i in range(rd.nsimple)]
-    pairs = {
-        (rd.simple_roots.rows[i], rd.simple_coroots.rows[i]) for i in range(rd.nsimple)
-    }
+    simple = list(zip(rd.simple_roots.rows, rd.simple_coroots.rows))
+    gens = [reflection(vec, cov) for vec, cov in simple]
+    dual_gens = [reflection(cov, vec) for vec, cov in simple]
+    pairs = set(simple)
     frontier = list(pairs)
     while frontier:
         nxt = []
@@ -380,13 +364,8 @@ def root_system(rd: RootDatum) -> RootSystem:
     records.sort(key=lambda rec: (rec[0], rec[1]))
     positive = []
     by_vector = {}
-    n = rd.rank
     for idx, (height, coords, vec, cov) in enumerate(records):
-        refl = IntMatrix(
-            tuple(tuple((1 if r == c else 0) - vec[r] * cov[c] for c in range(n)) for r in range(n)),
-            n,
-        )
-        positive.append(PositiveRoot(idx, vec, cov, coords, height, refl))
+        positive.append(PositiveRoot(idx, vec, cov, coords, height, reflection(vec, cov)))
         by_vector[vec] = (idx, 1)
         by_vector[tuple(-x for x in vec)] = (idx, -1)
     return RootSystem(positive, by_vector)
@@ -395,17 +374,14 @@ def root_system(rd: RootDatum) -> RootSystem:
 def characters_of_group(rd: RootDatum) -> IntMatrix:
     """Basis of X(G_aff) = {chi in X(T) : <chi, alpha^vee> = 0 for all alpha}.
 
-    Computed by column reduction, deliberately not via Smith form, so that
-    the agreement with ``flag_picard_map(rd).hom.kernel_lattice()`` is a real
-    cross-check of two code paths.
+    The integer kernel of the simple coroots, by the Smith route; the tests
+    check it against the column-reduction oracle.
 
     >>> gl2 = RootDatum(2, IntMatrix(((1, -1),)), IntMatrix(((1, -1),)))
     >>> characters_of_group(gl2).rows
     ((1, 1),)
     """
-    if rd.nsimple == 0:
-        return IntMatrix.identity(rd.rank)
-    return integer_kernel_by_columns(rd.simple_coroots)
+    return integer_kernel(rd.simple_coroots)
 
 
 @dataclass(frozen=True)

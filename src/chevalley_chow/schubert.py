@@ -24,14 +24,12 @@ from .invariants import (
     invariant_slice,
     linear_poly,
     poly_mul,
-    poly_scale,
     poly_sub,
     substitute,
     sym_basis,
 )
-from .lattice import Vec
 from .qlinalg import SpanBuilder, qsolve
-from .rootdata import RootDatum, root_system, weyl_group
+from .rootdata import RootDatum, root_system, simple_reflection, weyl_group
 
 
 @dataclass(frozen=True)
@@ -162,14 +160,23 @@ def schubert_representatives(rd: RootDatum, max_degree: int | None = None, cap: 
     }
 
 
+def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = 1_000_000) -> list[Poly]:
+    """Basis polynomials of the W-invariants of degrees 1..max_degree.
+
+    They generate the coinvariant ideal up to that degree.  Built from the
+    simple reflections, so no full Weyl enumeration is started here.
+    """
+    refl = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+    gens: list[Poly] = []
+    for e in range(1, max_degree + 1):
+        gens.extend(invariant_slice(rd.rank, refl, e, cap=cap))
+    return gens
+
+
 @lru_cache(maxsize=None)
 def _coinvariant_reducer(rd: RootDatum, d: int, cap: int = 1_000_000):
     """SpanBuilder primed with the degree-d slice of the coinvariant ideal."""
-    gens: list[Poly] = []
-    refl = weyl_group(rd, cap=cap).generators
-    for e in range(1, d + 1):
-        gens.extend(invariant_slice(rd.rank, refl, e, cap=cap))
-    slice_basis = ideal_slice(full_algebra(rd.rank), gens, d) if gens else []
+    slice_basis = ideal_slice(full_algebra(rd.rank), coinvariant_ideal_generators(rd, d, cap), d)
     builder = SpanBuilder(len(sym_basis(rd.rank, d)))
     for p in slice_basis:
         builder.add(coeff_vector(p, rd.rank, d))

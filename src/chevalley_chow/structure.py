@@ -29,7 +29,6 @@ from .lattice import (
     saturate_rows,
     smith_normal_form,
     solve_integer,
-    vstack,
 )
 from .rootdata import (
     contains_borel,

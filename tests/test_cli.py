@@ -1,6 +1,8 @@
 """Command line interface: subcommands, formats, exit codes."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -153,6 +155,19 @@ def test_schema_error_exits_3(tmp_path, capsys):
     assert "abelian" in err
 
 
+@pytest.mark.parametrize("blob", [
+    b'{"group": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    b'{"group": {"abelian": {"g": "' + b"1" * 5000 + b'"}}}',
+], ids=["deep-nesting", "huge-decimal"])
+def test_pathological_input_exits_3(tmp_path, capsys, blob):
+    p = tmp_path / "bad.json"
+    p.write_bytes(blob)
+    code, out, err = run_cli(capsys, "picard", str(p))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_invalid_group_exits_2(tmp_path, capsys):
     bad = {
         "group": {
@@ -188,10 +203,25 @@ def test_cap_exceeded_exits_2(capsys):
     assert "cap" in err or "large" in err
 
 
+def test_version_matches_pyproject():
+    import re
+
+    import chevalley_chow
+
+    pyproject = (z.FIXTURE_DIR.parent / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert declared is not None
+    assert chevalley_chow.__version__ == declared.group(1)
+
+
 def test_console_script_end_to_end():
+    # the child must import the same package as this process, installed or not
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "chevalley_chow.cli", "ns", SL2, "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["ns"] == {"rank": 1, "torsion": []}

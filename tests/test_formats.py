@@ -58,6 +58,21 @@ def test_syntax_error_positions():
         parse_descriptor(b"\xff\xfe garbage")
 
 
+def test_parser_is_total_on_pathological_input():
+    # nesting past the recursion limit of the JSON decoder
+    with pytest.raises(DescriptorSyntaxError):
+        parse_descriptor(b'{"group": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")
+    # an integer literal past CPython's int/str digit limit
+    with pytest.raises(DescriptorSyntaxError):
+        parse_descriptor(b'{"group": ' + b"1" * 5000 + b"}")
+    # a decimal string past the same limit
+    expect_schema_error(mutate(lambda d: d["group"]["abelian"].update(g="1" * 5000)),
+                        "abelian.g")
+    # a string str.isdigit accepts but int() does not
+    expect_schema_error(mutate(lambda d: d["group"]["abelian"].update(g="\u00b2")),
+                        "abelian.g")
+
+
 MINIMAL = {
     "group": {
         "root_datum": {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},

@@ -15,7 +15,6 @@ from __future__ import annotations
 import io
 import json
 import pathlib
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -50,18 +49,19 @@ def cases() -> list[tuple[str, list[str]]]:
 CASES = cases()
 
 
-def _load() -> dict:
+@pytest.fixture(scope="module")
+def golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-def test_golden_covers_every_case():
+def test_golden_covers_every_case(golden):
     assert len(CASES) == 250
-    assert sorted(_load()) == sorted(case_id for case_id, _ in CASES)
+    assert sorted(golden) == sorted(case_id for case_id, _ in CASES)
 
 
 @pytest.mark.parametrize("case_id,argv", CASES, ids=[c for c, _ in CASES])
-def test_cli_output_matches_golden(capsysbinary, case_id, argv):
-    want = _load()[case_id]
+def test_cli_output_matches_golden(capsysbinary, golden, case_id, argv):
+    want = golden[case_id]
     code = cli.main(argv)
     out = capsysbinary.readouterr().out
     assert code == want["code"]

@@ -4,7 +4,12 @@ import pytest
 
 import helpers as z
 from chevalley_chow.errors import GroupTooLarge, InvalidCartan
-from chevalley_chow.lattice import FGAbelianGroup, IntMatrix
+from chevalley_chow.lattice import (
+    FGAbelianGroup,
+    IntMatrix,
+    enumerate_matrix_group,
+    integer_kernel_by_columns,
+)
 from chevalley_chow.rootdata import (
     RootDatum,
     cartan_matrix,
@@ -14,6 +19,7 @@ from chevalley_chow.rootdata import (
     factorial_cover_with_basis,
     flag_picard_map,
     fundamental_weights_q,
+    reflection,
     root_system,
     simple_reflection,
     validate_root_datum,
@@ -61,6 +67,56 @@ def test_weyl_orders():
         weyl_group(z.sl4, cap=10)
 
 
+def _cartan_datum(cartan):
+    """Simply connected datum: roots are the Cartan rows, coroots the unit vectors."""
+    n = len(cartan)
+    return RootDatum(n, M(cartan, n), M.identity(n))
+
+
+def _type_a(n):
+    return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
+
+
+WEYL_CONTRACT_DATA = {
+    "A1": _cartan_datum(_type_a(1)),
+    "A2": _cartan_datum(_type_a(2)),
+    "A3": _cartan_datum(_type_a(3)),
+    "A4": _cartan_datum(_type_a(4)),
+    "B2": _cartan_datum([[2, -2], [-1, 2]]),
+    "C3": _cartan_datum([[2, -1, 0], [-1, 2, -1], [0, -2, 2]]),
+    "G2": _cartan_datum([[2, -3], [-1, 2]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEYL_CONTRACT_DATA))
+def test_weyl_group_order_words_and_lengths(name):
+    rd = WEYL_CONTRACT_DATA[name]
+    assert validate_root_datum(rd).describe() == name
+    w = weyl_group(rd)
+    gens = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+    # same elements, in the same order, as the generic matrix-group closure
+    assert w.elements == enumerate_matrix_group(gens)
+    rs = root_system(rd)
+    for elem, word, length in zip(w.elements, w.words, w.lengths):
+        prod = M.identity(rd.rank)
+        for i in word:
+            prod = prod @ gens[i]
+        assert prod == elem
+        inversions = sum(1 for r in rs.positive if rs.by_vector[elem.apply(r.vector)][1] < 0)
+        assert len(word) == length == inversions
+
+
+def test_reflection_on_both_lattices():
+    for rd in (z.sl3, z.sp4, z.g2):
+        for r in root_system(rd).positive:
+            s, s_dual = reflection(r.vector, r.coroot), reflection(r.coroot, r.vector)
+            assert s.apply(r.vector) == tuple(-x for x in r.vector)
+            assert s_dual.apply(r.coroot) == tuple(-x for x in r.coroot)
+            assert s @ s == M.identity(rd.rank)
+            # the dual action is the inverse transpose, i.e. the transpose here
+            assert s_dual == s.transpose()
+
+
 def test_simple_reflection_action():
     s = simple_reflection(z.sl2, 0)
     assert s.apply((2,)) == (-2,)  # alpha -> -alpha
@@ -91,9 +147,9 @@ def test_characters_of_group():
     assert characters_of_group(z.sl2).nrows == 0
     assert characters_of_group(z.torus2) == M.identity(2)
     assert characters_of_group(z.rank3).rows == ((0, 1, 0), (0, 0, 1))
-    # cross-check against the kernel of the flag Picard map
-    for rd in (z.gl2, z.sl3, z.sp4, z.rank3, z.sl2xt):
-        assert characters_of_group(rd) == flag_picard_map(rd).hom.kernel_lattice()
+    # cross-check the Smith route against the column-reduction oracle
+    for rd in (z.gl2, z.sl3, z.sp4, z.rank3, z.sl2xt, z.torus2):
+        assert characters_of_group(rd) == integer_kernel_by_columns(rd.simple_coroots)
 
 
 def test_flag_picard_table():
