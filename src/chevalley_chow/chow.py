@@ -138,6 +138,11 @@ class GradedPresentation:
         return f"A*(A_{self.abelian_g}){tag}"
 
 
+def _check_degree(max_degree: int) -> None:
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
+
+
 def chow_presentation(gd: GroupDescriptor, max_degree: int, cap: int = DEFAULT_CAP) -> GradedPresentation:
     """Integral presentation data for A*(G).
 
@@ -146,6 +151,7 @@ def chow_presentation(gd: GroupDescriptor, max_degree: int, cap: int = DEFAULT_C
     is generated in degree 1 by, for each basis character of X(T), the
     pair (class of v(chi) in X(D)/ker sigma_A, divisor Schubert expansion).
     """
+    _check_degree(max_degree)
     rd = gd.rd
     concrete = truncated_quotient(
         full_algebra(rd.rank), coinvariant_ideal_generators(rd, max_degree, cap), max_degree)
@@ -186,6 +192,7 @@ def rational_chow(gd: GroupDescriptor, max_degree: int, cap: int = DEFAULT_CAP) 
     The concrete factor collapses to Q in degree 0; all classes vanish
     above degree g.  J is generated by rank(im gamma_A) formal classes.
     """
+    _check_degree(max_degree)
     rd = gd.rd
     att = derived_attributes(gd)
     concrete = truncated_quotient(
@@ -247,6 +254,7 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
     positive-degree Weyl invariants of G.  J on the abelian factor has
     rank gamma_A(ker r_H), recorded in ``j_rank``.
     """
+    _check_degree(max_degree)
     if _effective_contains_ant(gd, hd):
         raise ModeUnsupported("Chow reports for G/H need H inside the faithful model (H does not contain G_ant)")
     rd = gd.rd

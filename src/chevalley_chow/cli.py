@@ -34,6 +34,13 @@ def _add_common(p: argparse.ArgumentParser, subgroup: bool = False):
                    help="finite-enumeration budget (Weyl and component groups)")
 
 
+def _max_degree(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="chevalley-chow",
@@ -48,13 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chow", help="Chow ring presentation of G")
     _add_common(p)
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_max_degree, default=3)
     p.add_argument("--rational", action="store_true",
                    help="rational presentation (quotient of A*(A)_Q)")
 
     p = sub.add_parser("hchow", help="rational Chow presentation of G/H")
     _add_common(p, subgroup=True)
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_max_degree, default=3)
 
     p = sub.add_parser("hpic", help="Picard and Neron-Severi report for G/H")
     _add_common(p, subgroup=True)

@@ -79,10 +79,10 @@ def _int(value, path) -> int:
         return value
     if isinstance(value, str):
         body = value[1:] if value[:1] in "+-" else value
-        if body.isdigit():
+        if body.isascii() and body.isdigit():
             try:
                 return int(value)
-            except ValueError as e:  # non-ASCII digits, or past the int/str digit limit
+            except ValueError as e:  # past the int/str digit limit
                 raise SchemaError(path, f"not an integer string: {e}")
         raise SchemaError(path, f"not an integer string: {value!r}")
     raise SchemaError(path, "expected an integer (or a decimal string)")

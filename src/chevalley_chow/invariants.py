@@ -19,7 +19,7 @@ from typing import Callable
 
 from .errors import DegreeTooLarge
 from .lattice import IntMatrix, enumerate_matrix_group
-from .qlinalg import SpanBuilder
+from .qlinalg import SpanBuilder, nullspace, rref
 
 Poly = dict[tuple[int, ...], Fraction]
 
@@ -170,55 +170,43 @@ def exact_divide_linear(a: Poly, linear: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def invariant_slice(rank: int, generators, d: int, cap: int = 1_000_000) -> list[Poly]:
+def invariant_slice(rank: int, generators, d: int) -> list[Poly]:
     """Basis of the degree-d invariants of the finite group the generators span.
 
-    Reynolds averaging: each monomial is averaged over the enumerated group
-    and the resulting vectors are reduced to an echelon basis.  Deterministic
-    for fixed inputs.
+    The group average R is the projection of V = Sym^d onto V^G along
+    U = sum of im(rho_d(s) - 1) over the generators s, so it is read off the
+    generators alone: R = N (L^T N)^-1 L^T, where N spans the nullspace of
+    the stacked rho_d(s) - 1 (that is V^G) and L that of the stacked
+    rho_d(s)^T - 1 (the forms vanishing on U).  The averages R(m) of the
+    monomials are kept in monomial order when they enlarge the span: the
+    basis Reynolds averaging over the enumerated group gives, at a cost
+    independent of |G|.  Nothing here checks that the group is finite;
+    callers bound it first (:func:`invariant_algebra` enumerates it under
+    its cap, ``schubert.coinvariant_ideal_generators`` checks |W| by formula).
 
     >>> minus = IntMatrix(((-1,),))
     >>> [len(invariant_slice(1, [minus], d)) for d in range(4)]
     [1, 0, 1, 0]
     """
-    gens = tuple(generators)
-    if not gens:
-        return [{m: Fraction(1)} for m in sym_basis(rank, d)]
-    group = enumerate_matrix_group(gens, cap=cap)
-    scale = Fraction(1, len(group))
-    builder = SpanBuilder(len(sym_basis(rank, d)))
-    polys = []
-    for m in sym_basis(rank, d):
-        avg: Poly = {}
-        for g in group:
-            avg = poly_add(avg, substitute(g, {m: Fraction(1)}))
-        avg = poly_scale(avg, scale)
-        if avg and builder.add(coeff_vector(avg, rank, d)):
-            polys.append(avg)
-    return polys
-
-
-def invariant_slice_bruteforce(rank: int, generators, d: int) -> int:
-    """Dimension of the degree-d invariants by a fixed-space solve.
-
-    Independent oracle for :func:`invariant_slice`: stacks the matrices of
-    (g - 1) acting on Sym^d for each generator and counts the nullspace.
-    """
-    from .qlinalg import nullspace
-
     basis = sym_basis(rank, d)
-    if not basis:
-        return 0
     gens = tuple(generators)
     if not gens:
-        return len(basis)
-    rows = []
-    for g in gens:
-        # columns of rho_d(g) are the images of the source monomials
-        cols = [coeff_vector(substitute(g, {m: Fraction(1)}), rank, d) for m in basis]
-        for t in range(len(basis)):
-            rows.append([cols[s][t] - (1 if s == t else 0) for s in range(len(basis))])
-    return len(nullspace(rows, len(basis)))
+        return [{m: Fraction(1)} for m in basis]
+    n = len(basis)
+    # images[k][j]: coordinates of rho_d(gens[k]) applied to monomial j
+    images = [[coeff_vector(substitute(g, {m: Fraction(1)}), rank, d) for m in basis] for g in gens]
+    fixed = nullspace([[img[j][t] - (j == t) for j in range(n)] for img in images for t in range(n)], n)
+    cofixed = nullspace([[img[t][j] - (j == t) for j in range(n)] for img in images for t in range(n)], n)
+    # rows [L^T N | L^T] reduce to [1 | (L^T N)^-1 L^T]
+    coords, _ = rref([[sum(a * b for a, b in zip(ell, v)) for v in fixed] + list(ell) for ell in cofixed],
+                     len(fixed))
+    builder = SpanBuilder(n)
+    polys = []
+    for j in range(n):
+        avg = [sum(row[len(fixed) + j] * v[t] for row, v in zip(coords, fixed)) for t in range(n)]
+        if any(avg) and builder.add(avg):
+            polys.append(poly_from_vector(avg, rank, d))
+    return polys
 
 
 def restrict_symmetric(q_matrix: IntMatrix, a: Poly) -> Poly:
@@ -255,13 +243,20 @@ def full_algebra(rank: int) -> GradedAlgebra:
 
 
 def invariant_algebra(rank: int, generators, cap: int = 1_000_000) -> GradedAlgebra:
-    """The invariant subalgebra of a finite matrix-group action; slices cached."""
+    """The invariant subalgebra of a finite matrix-group action; slices cached.
+
+    The first slice asked for enumerates the group once under ``cap``
+    (:class:`GroupTooLarge` for an infinite group or one past the cap); every
+    slice is then computed from the generators by :func:`invariant_slice`.
+    """
     gens = tuple(generators)
     cache: dict[int, list[Poly]] = {}
 
     def slices(d: int) -> list[Poly]:
         if d not in cache:
-            cache[d] = invariant_slice(rank, gens, d, cap=cap)
+            if gens and not cache:
+                enumerate_matrix_group(gens, cap=cap)
+            cache[d] = invariant_slice(rank, gens, d)
         return cache[d]
 
     return GradedAlgebra(rank, slices)

@@ -481,9 +481,6 @@ class FGAbelianGroup:
         return self.rank == 0 and not self.torsion
 
     @property
-    def is_finite(self) -> bool:
-        return self.rank == 0
-
     def order(self) -> int | None:
         """Number of elements, or None when infinite."""
         if self.rank:
@@ -600,12 +597,6 @@ class GroupHom:
     def apply(self, vec) -> Vec:
         return self.matrix.apply(vec)
 
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        """self after inner."""
-        if inner.codomain != self.domain:
-            raise ValueError("composition mismatch")
-        return GroupHom(inner.domain, self.codomain, self.matrix @ inner.matrix)
-
     def kernel_lattice(self, saturate: bool = False) -> IntMatrix:
         """Canonical basis of ``{x : f(x) = 0 in codomain}``.
 
@@ -636,10 +627,6 @@ class GroupHom:
     def cokernel_group(self) -> FGAbelianGroup:
         rels = vstack(self.matrix.transpose(), self.codomain.relations)
         return group_from_relations(self.codomain.ngens, rels)
-
-    def cokernel_presentation(self) -> Presentation:
-        rels = vstack(self.matrix.transpose(), self.codomain.relations)
-        return Presentation(self.codomain.ngens, hermite_row_basis(rels))
 
     def is_surjective(self) -> bool:
         return self.cokernel_group().is_trivial

@@ -324,10 +324,6 @@ class RootSystem:
         v = self.positive[index].vector
         return v if sign > 0 else tuple(-x for x in v)
 
-    def all_vectors(self) -> tuple[Vec, ...]:
-        pos = tuple(r.vector for r in self.positive)
-        return pos + tuple(tuple(-x for x in v) for v in pos)
-
 
 @lru_cache(maxsize=None)
 def root_system(rd: RootDatum) -> RootSystem:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonIntegralStructureConstant
+from .errors import GroupTooLarge, NonIntegralStructureConstant
 from .invariants import (
     Poly,
     coeff_vector,
@@ -29,7 +29,7 @@ from .invariants import (
     sym_basis,
 )
 from .qlinalg import SpanBuilder, qsolve
-from .rootdata import RootDatum, root_system, simple_reflection, weyl_group
+from .rootdata import RootDatum, root_system, simple_reflection, validate_root_datum, weyl_group
 
 
 @dataclass(frozen=True)
@@ -163,13 +163,18 @@ def schubert_representatives(rd: RootDatum, max_degree: int | None = None, cap: 
 def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = 1_000_000) -> list[Poly]:
     """Basis polynomials of the W-invariants of degrees 1..max_degree.
 
-    They generate the coinvariant ideal up to that degree.  Built from the
-    simple reflections, so no full Weyl enumeration is started here.
+    They generate the coinvariant ideal up to that degree.  A Weyl group
+    past ``cap`` is refused up front from the order formula of its Cartan
+    type (:class:`GroupTooLarge`); otherwise each slice is projected from
+    the simple reflections (:func:`invariant_slice`), so W is never
+    enumerated here.
     """
     refl = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+    if refl and max_degree > 0 and (order := validate_root_datum(rd).weyl_order) > cap:
+        raise GroupTooLarge(f"|W| = {order} exceeds cap {cap}")
     gens: list[Poly] = []
     for e in range(1, max_degree + 1):
-        gens.extend(invariant_slice(rd.rank, refl, e, cap=cap))
+        gens.extend(invariant_slice(rd.rank, refl, e))
     return gens
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+from fractions import Fraction
 
 from chevalley_chow.descriptors import (
     AbelianVarietyData,
@@ -10,7 +11,9 @@ from chevalley_chow.descriptors import (
     GroupDescriptor,
     SubgroupDescriptor,
 )
-from chevalley_chow.lattice import FGAbelianGroup, IntMatrix, Presentation
+from chevalley_chow.invariants import coeff_vector, poly_add, poly_scale, substitute, sym_basis
+from chevalley_chow.lattice import FGAbelianGroup, IntMatrix, Presentation, enumerate_matrix_group
+from chevalley_chow.qlinalg import SpanBuilder
 from chevalley_chow.rootdata import RootDatum
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -39,6 +42,23 @@ sl4 = RootDatum(3, IntMatrix(((2, -1, 0), (-1, 2, -1), (0, -1, 2))), IntMatrix.i
 g2 = RootDatum(2, IntMatrix(((1, 0), (0, 1))), IntMatrix(((2, -3), (-1, 2))))
 rank3 = RootDatum(3, IntMatrix(((1, 0, 0),)), IntMatrix(((2, 0, 0),)))
 sl2xt = RootDatum(2, IntMatrix(((2, 0),)), IntMatrix(((1, 0),)))
+
+
+def cartan_datum(cartan):
+    """Simply connected datum: roots are the Cartan rows, coroots the unit vectors."""
+    n = len(cartan)
+    return RootDatum(n, IntMatrix(cartan, n), IntMatrix.identity(n))
+
+
+def type_a(n):
+    return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
+
+
+a4 = cartan_datum(type_a(4))
+a5 = cartan_datum(type_a(5))
+c3 = cartan_datum([[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
+d4 = cartan_datum([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
+f4 = cartan_datum([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
 
 RANK_LE2 = {
     "sl2": sl2, "pgl2": pgl2, "gl2": gl2, "sl2_sl2": sl2_sl2,
@@ -100,3 +120,25 @@ full_t = SubgroupDescriptor("gaff", IntMatrix.identity(1))
 borel_sl3 = SubgroupDescriptor("borel", IntMatrix.identity(2),
                                ((0, 1), (1, 1), (2, 1)),
                                ant_contains_gantaff=True)
+
+
+def reynolds_slice(rank, generators, d):
+    """Oracle for ``invariant_slice``: average each monomial over the enumerated group.
+
+    The averages are kept greedily in monomial order when they enlarge the
+    span, which is the basis the production projection must reproduce.
+    """
+    gens = tuple(generators)
+    if not gens:
+        return [{m: Fraction(1)} for m in sym_basis(rank, d)]
+    group = enumerate_matrix_group(gens)
+    builder = SpanBuilder(len(sym_basis(rank, d)))
+    polys = []
+    for m in sym_basis(rank, d):
+        avg = {}
+        for g in group:
+            avg = poly_add(avg, substitute(g, {m: Fraction(1)}))
+        avg = poly_scale(avg, Fraction(1, len(group)))
+        if avg and builder.add(coeff_vector(avg, rank, d)):
+            polys.append(avg)
+    return polys

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers as z
+from chevalley_chow import chow
 from chevalley_chow.chow import (
     chow_presentation,
     homogeneous_ns,
@@ -139,6 +140,21 @@ def test_homogeneous_chow_trivial_subgroup():
     assert h.concrete_factor.dims == (1, 0, 0) and h.j_rank == 1
     h = homogeneous_rational_chow(z.semiab, z.full_t, 2)
     assert h.concrete_factor.dims == (1, 0, 0) and h.j_rank == 0
+
+
+def test_negative_max_degree_refused_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a negative degree must be refused first")
+
+    for name in ("derived_attributes", "truncated_quotient", "coinvariant_ideal_generators",
+                 "invariant_algebra", "_effective_contains_ant"):
+        monkeypatch.setattr(chow, name, no_work)
+    with pytest.raises(ValueError, match="nonnegative"):
+        chow_presentation(z.product_sl2, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        rational_chow(z.product_sl2, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        homogeneous_rational_chow(z.product_sl2, z.borel, -1)
 
 
 def test_homogeneous_chow_refuses_g_ant():

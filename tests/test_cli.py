@@ -197,6 +197,20 @@ def test_integral_mode_refusal_exits_2(capsys):
     assert "integral" in err
 
 
+@pytest.mark.parametrize("head, tail", [
+    (("chow",), ("--max-degree", "-1")),
+    (("chow",), ("--max-degree", "-1", "--rational")),
+    (("hchow", "borel"), ("--max-degree", "-2")),
+])
+def test_negative_max_degree_exits_2(capsys, head, tail):
+    with pytest.raises(SystemExit) as ei:
+        cli.main([*head, SL2, *tail])
+    captured = capsys.readouterr()
+    assert ei.value.code == 2
+    assert captured.out == ""
+    assert "--max-degree" in captured.err and "nonnegative" in captured.err
+
+
 def test_cap_exceeded_exits_2(capsys):
     code, _, err = run_cli(capsys, "chow", SL2, "--max-degree", "1", "--cap", "1")
     assert code == 2

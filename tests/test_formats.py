@@ -71,6 +71,9 @@ def test_parser_is_total_on_pathological_input():
     # a string str.isdigit accepts but int() does not
     expect_schema_error(mutate(lambda d: d["group"]["abelian"].update(g="\u00b2")),
                         "abelian.g")
+    # non-ASCII decimal digits int() would accept (Arabic-Indic three)
+    expect_schema_error(mutate(lambda d: d["group"]["abelian"].update(g="-\u0663")),
+                        "abelian.g")
 
 
 MINIMAL = {

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 import helpers as z
-from chevalley_chow.errors import DegreeTooLarge
+from chevalley_chow import lattice, rootdata
+from chevalley_chow.chow import _subgroup_reflections
+from chevalley_chow.descriptors import SubgroupDescriptor
+from chevalley_chow.errors import DegreeTooLarge, GroupTooLarge
 from chevalley_chow.invariants import (
     coeff_vector,
     exact_divide_linear,
@@ -13,7 +16,6 @@ from chevalley_chow.invariants import (
     ideal_slice,
     invariant_algebra,
     invariant_slice,
-    invariant_slice_bruteforce,
     linear_poly,
     poly_mul,
     restrict_symmetric,
@@ -21,7 +23,8 @@ from chevalley_chow.invariants import (
     truncated_quotient,
 )
 from chevalley_chow.lattice import IntMatrix
-from chevalley_chow.rootdata import weyl_group
+from chevalley_chow.rootdata import simple_reflection, weyl_group
+from chevalley_chow.schubert import coinvariant_ideal_generators
 
 # exponents of the Weyl groups: coinvariant Poincare polynomial is
 # prod (1 + q + ... + q^(d_i - 1)) over the fundamental degrees d_i
@@ -86,12 +89,57 @@ def test_restrict_symmetric():
     assert restrict_symmetric(zq, f) == {}
 
 
+def _non_weyl_groups():
+    """Generators of subgroups of SL3 x A: a reflection with a rotation, and a rotation alone."""
+    s0, s1 = (simple_reflection(z.sl3, i) for i in range(2))
+    rot3 = s0 @ s1
+    rot6 = -rot3
+    levi = SubgroupDescriptor("levi_rot3", IntMatrix.identity(2), ((0, 1), (0, -1)),
+                              component_generators=(rot3,), translations=(False,))
+    cyclic = SubgroupDescriptor("rot6", IntMatrix.identity(2),
+                                component_generators=(rot6,), translations=(False,))
+    for hd in (levi, cyclic):
+        yield hd.name, _subgroup_reflections(z.product_sl3, hd) + hd.component_generators
+
+
 def test_invariant_slices_match_bruteforce():
-    for rd in (z.sl2, z.sl3, z.sp4):
-        refl = weyl_group(rd).generators
-        for d in range(1, 5):
-            basis = invariant_slice(rd.rank, refl, d)
-            assert len(basis) == invariant_slice_bruteforce(rd.rank, refl, d)
+    # the projection from the generators must return exactly the polynomials
+    # that Reynolds averaging over the enumerated group keeps
+    cases = [(name, tuple(simple_reflection(rd, i) for i in range(rd.nsimple)), top)
+             for name, rd, top in (
+                 ("A1", z.sl2, 3), ("A2", z.sl3, 3), ("A3", z.sl4, 3), ("A4", z.a4, 3),
+                 ("B2", z.sp4, 3), ("C3", z.c3, 3), ("D4", z.d4, 3), ("G2", z.g2, 3),
+                 ("F4", z.f4, 2), ("A5", z.a5, 2))]
+    cases += [(name, gens, 3) for name, gens in _non_weyl_groups()]
+    for name, gens, top in cases:
+        rank = gens[0].nrows
+        for d in range(top + 1):
+            assert invariant_slice(rank, gens, d) == z.reynolds_slice(rank, gens, d), (name, d)
+
+
+def test_coinvariant_ideal_refuses_cap_without_enumerating(monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("W must not be enumerated")
+
+    monkeypatch.setattr(lattice, "group_closure", no_closure)
+    monkeypatch.setattr(rootdata, "group_closure", no_closure)
+    with pytest.raises(GroupTooLarge):
+        coinvariant_ideal_generators(z.f4, 2, cap=1000)
+    # under the cap the slices come from the simple reflections alone
+    assert len(coinvariant_ideal_generators(z.f4, 2)) == 1
+
+
+def test_invariant_algebra_enumerates_once(monkeypatch):
+    unipotent = (IntMatrix(((1, 1), (0, 1))),)
+    with pytest.raises(GroupTooLarge):
+        invariant_algebra(2, unipotent, cap=100).dim(0)
+    refl = tuple(simple_reflection(z.sl3, i) for i in range(2))
+    calls = []
+    closure = lattice.group_closure
+    monkeypatch.setattr(lattice, "group_closure", lambda *a: calls.append(a) or closure(*a))
+    alg = invariant_algebra(2, refl)
+    assert [alg.dim(d) for d in range(4)] == [1, 0, 1, 1]
+    assert len(calls) == 1
 
 
 def test_invariant_dimensions_classical():

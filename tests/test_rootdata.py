@@ -67,24 +67,14 @@ def test_weyl_orders():
         weyl_group(z.sl4, cap=10)
 
 
-def _cartan_datum(cartan):
-    """Simply connected datum: roots are the Cartan rows, coroots the unit vectors."""
-    n = len(cartan)
-    return RootDatum(n, M(cartan, n), M.identity(n))
-
-
-def _type_a(n):
-    return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
-
-
 WEYL_CONTRACT_DATA = {
-    "A1": _cartan_datum(_type_a(1)),
-    "A2": _cartan_datum(_type_a(2)),
-    "A3": _cartan_datum(_type_a(3)),
-    "A4": _cartan_datum(_type_a(4)),
-    "B2": _cartan_datum([[2, -2], [-1, 2]]),
-    "C3": _cartan_datum([[2, -1, 0], [-1, 2, -1], [0, -2, 2]]),
-    "G2": _cartan_datum([[2, -3], [-1, 2]]),
+    "A1": z.cartan_datum(z.type_a(1)),
+    "A2": z.cartan_datum(z.type_a(2)),
+    "A3": z.cartan_datum(z.type_a(3)),
+    "A4": z.a4,
+    "B2": z.cartan_datum([[2, -2], [-1, 2]]),
+    "C3": z.c3,
+    "G2": z.cartan_datum([[2, -3], [-1, 2]]),
 }
 
 
