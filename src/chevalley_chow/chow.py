@@ -23,8 +23,9 @@ from .descriptors import (
     descended_coroot,
     restriction_to_subgroup,
 )
-from .errors import ModeUnsupported
+from .errors import DegreeTooLarge, ModeUnsupported
 from .invariants import (
+    DEGREE_BUDGET,
     TruncatedQuotient,
     full_algebra,
     invariant_algebra,
@@ -141,6 +142,8 @@ class GradedPresentation:
 def _check_degree(max_degree: int) -> None:
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
+    if max_degree > DEGREE_BUDGET:
+        raise DegreeTooLarge(f"max_degree {max_degree} exceeds budget {DEGREE_BUDGET}")
 
 
 def chow_presentation(gd: GroupDescriptor, max_degree: int, cap: int = DEFAULT_CAP) -> GradedPresentation:

@@ -25,6 +25,7 @@ Poly = dict[tuple[int, ...], Fraction]
 
 #: hard ceiling on requested degrees; generous for desk-scale data
 DEGREE_BUDGET = 64
+SLICE_CACHE_SIZE = 128  # invariant slices kept, one per (rank, generators, d)
 
 
 @lru_cache(maxsize=None)
@@ -184,14 +185,22 @@ def invariant_slice(rank: int, generators, d: int) -> list[Poly]:
     callers bound it first (:func:`invariant_algebra` enumerates it under
     its cap, ``schubert.coinvariant_ideal_generators`` checks |W| by formula).
 
+    Memoized per ``(rank, tuple(generators), d)`` in a cache of
+    ``SLICE_CACHE_SIZE``; exceptions are never cached, and every call returns
+    fresh dicts, so a caller that mutates them cannot change a later answer.
+
     >>> minus = IntMatrix(((-1,),))
     >>> [len(invariant_slice(1, [minus], d)) for d in range(4)]
     [1, 0, 1, 0]
     """
+    return [dict(p) for p in _invariant_slice(rank, tuple(generators), d)]
+
+
+@lru_cache(maxsize=SLICE_CACHE_SIZE)
+def _invariant_slice(rank: int, gens: tuple[IntMatrix, ...], d: int) -> tuple[Poly, ...]:
     basis = sym_basis(rank, d)
-    gens = tuple(generators)
     if not gens:
-        return [{m: Fraction(1)} for m in basis]
+        return tuple({m: Fraction(1)} for m in basis)
     n = len(basis)
     # images[k][j]: coordinates of rho_d(gens[k]) applied to monomial j
     images = [[coeff_vector(substitute(g, {m: Fraction(1)}), rank, d) for m in basis] for g in gens]
@@ -206,7 +215,7 @@ def invariant_slice(rank: int, generators, d: int) -> list[Poly]:
         avg = [sum(row[len(fixed) + j] * v[t] for row, v in zip(coords, fixed)) for t in range(n)]
         if any(avg) and builder.add(avg):
             polys.append(poly_from_vector(avg, rank, d))
-    return polys
+    return tuple(polys)
 
 
 def restrict_symmetric(q_matrix: IntMatrix, a: Poly) -> Poly:
@@ -243,21 +252,18 @@ def full_algebra(rank: int) -> GradedAlgebra:
 
 
 def invariant_algebra(rank: int, generators, cap: int = 1_000_000) -> GradedAlgebra:
-    """The invariant subalgebra of a finite matrix-group action; slices cached.
+    """The invariant subalgebra of a finite matrix-group action.
 
-    The first slice asked for enumerates the group once under ``cap``
-    (:class:`GroupTooLarge` for an infinite group or one past the cap); every
-    slice is then computed from the generators by :func:`invariant_slice`.
+    Each slice first closes the group under ``cap`` (:class:`GroupTooLarge`
+    for an infinite group or one past the cap), then takes the slice from
+    :func:`invariant_slice`; both are memoized, so each is computed once.
     """
     gens = tuple(generators)
-    cache: dict[int, list[Poly]] = {}
 
     def slices(d: int) -> list[Poly]:
-        if d not in cache:
-            if gens and not cache:
-                enumerate_matrix_group(gens, cap=cap)
-            cache[d] = invariant_slice(rank, gens, d)
-        return cache[d]
+        if gens:
+            enumerate_matrix_group(gens, cap=cap)
+        return invariant_slice(rank, gens, d)
 
     return GradedAlgebra(rank, slices)
 

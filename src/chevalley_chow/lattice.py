@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 from .errors import GroupTooLarge, IllFormedHom, TorsionDomain
@@ -53,6 +54,15 @@ class IntMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
+
+    @classmethod
+    def _from_int_rows(cls, rows: tuple[Vec, ...], ncols: int) -> "IntMatrix":
+        """Wrap rows that are already equal-width tuples of ints, sharing them."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "nrows", len(rows))
+        object.__setattr__(m, "ncols", ncols)
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -642,15 +652,24 @@ def image_lattice(m: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
+MATRIX_GROUP_CACHE_SIZE = 32  # closed groups kept, one per (generators, cap)
+
+
 def enumerate_matrix_group(gens, cap: int = 1_000_000) -> tuple[IntMatrix, ...]:
     """All products of the generators, by breadth-first closure.
 
     The identity comes first and elements appear in BFS discovery order, so
     the output is deterministic.  Raises :class:`GroupTooLarge` beyond
-    ``cap`` elements.  Generators must be invertible over Z (det +-1); this
-    guarantees the closure is a group when it is finite.
+    ``cap`` elements or once :func:`group_closure` proves the group infinite.
+    Generators must be invertible over Z (det +-1); this guarantees the
+    closure is a group when it is finite.  Memoized per ``(tuple(gens), cap)``
+    in a cache of ``MATRIX_GROUP_CACHE_SIZE``; exceptions are never cached.
     """
-    gens = tuple(gens)
+    return _closed_group(tuple(gens), cap)
+
+
+@lru_cache(maxsize=MATRIX_GROUP_CACHE_SIZE)
+def _closed_group(gens: tuple[IntMatrix, ...], cap: int) -> tuple[IntMatrix, ...]:
     if not gens:
         raise ValueError("need at least one generator (or pass the identity)")
     n = gens[0].nrows
@@ -668,25 +687,37 @@ def group_closure(gens, n: int, cap: int) -> tuple[list[IntMatrix], list[int]]:
     Returns ``(elements, steps)``: the identity first, then the elements in
     discovery order; ``steps[k] = pos * len(gens) + i`` records that element
     k was first reached as ``elements[pos] @ gens[i]`` (``steps[0]`` is -1).
-    Raises :class:`GroupTooLarge` beyond ``cap`` elements.
+    It multiplies row tuples; the matrices returned share one tuple per row.
+    Raises :class:`GroupTooLarge` beyond ``cap`` elements, and as soon as two
+    distinct elements agree mod 3, which proves the group infinite (reduction
+    mod 3 is injective on finite subgroups of GL_n(Z), by Minkowski), so no
+    closure visits more than |GL_n(F_3)| elements.
     """
-    ident = IntMatrix.identity(n)
+    ident = IntMatrix.identity(n).rows
+    gen_cols = [tuple(zip(*g.rows)) for g in gens]
     elements = [ident]
     steps = [-1]
     seen = {ident}
+    residues = {bytes(x for row in ident for x in row)}
+    pool: dict[Vec, Vec] = {}  # one tuple per distinct row, shared by the elements
     # the element list doubles as the BFS queue: iteration reaches what is appended
-    for pos, m in enumerate(elements):
+    for pos, rows in enumerate(elements):
         step = pos * len(gens)
-        for g in gens:
-            prod = m @ g
+        for cols in gen_cols:
+            prod = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in rows)
             if prod not in seen:
                 if len(seen) >= cap:
                     raise GroupTooLarge(f"matrix group exceeds cap {cap}")
+                residue = bytes(x % 3 for row in prod for x in row)
+                if residue in residues:
+                    raise GroupTooLarge(f"infinite matrix group: two of its first {len(seen) + 1} elements agree mod 3")
+                residues.add(residue)
+                prod = tuple(pool.setdefault(row, row) for row in prod)
                 seen.add(prod)
                 elements.append(prod)
                 steps.append(step)
             step += 1
-    return elements, steps
+    return [IntMatrix._from_int_rows(rows, n) for rows in elements], steps
 
 
 def fixed_sublattice(gens, n: int, cap: int = 1_000_000) -> IntMatrix:

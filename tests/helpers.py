@@ -5,6 +5,7 @@ from __future__ import annotations
 import pathlib
 from fractions import Fraction
 
+from chevalley_chow.chow import _subgroup_reflections
 from chevalley_chow.descriptors import (
     AbelianVarietyData,
     AntiAffineGluing,
@@ -14,7 +15,7 @@ from chevalley_chow.descriptors import (
 from chevalley_chow.invariants import coeff_vector, poly_add, poly_scale, substitute, sym_basis
 from chevalley_chow.lattice import FGAbelianGroup, IntMatrix, Presentation, enumerate_matrix_group
 from chevalley_chow.qlinalg import SpanBuilder
-from chevalley_chow.rootdata import RootDatum
+from chevalley_chow.rootdata import RootDatum, simple_reflection
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = (
@@ -142,3 +143,39 @@ def reynolds_slice(rank, generators, d):
         if avg and builder.add(coeff_vector(avg, rank, d)):
             polys.append(avg)
     return polys
+
+
+def naive_closure(gens):
+    """Oracle for ``lattice.group_closure``: breadth-first closure on IntMatrix products.
+
+    Returns ``(elements, steps)`` in the same discovery order and step
+    encoding (``pos * len(gens) + i``); it has neither a cap nor a
+    finiteness test, so it must only be given finite groups.
+    """
+    gens = tuple(gens)
+    elements = [IntMatrix.identity(gens[0].nrows)]
+    steps = [-1]
+    seen = set(elements)
+    pos = 0
+    while pos < len(elements):
+        for i, g in enumerate(gens):
+            prod = elements[pos] @ g
+            if prod not in seen:
+                seen.add(prod)
+                elements.append(prod)
+                steps.append(pos * len(gens) + i)
+        pos += 1
+    return elements, steps
+
+
+def non_weyl_groups():
+    """Generators of subgroups of SL3 x A: a reflection with a rotation, and a rotation alone."""
+    s0, s1 = (simple_reflection(sl3, i) for i in range(2))
+    rot3 = s0 @ s1
+    rot6 = -rot3
+    levi = SubgroupDescriptor("levi_rot3", IntMatrix.identity(2), ((0, 1), (0, -1)),
+                              component_generators=(rot3,), translations=(False,))
+    cyclic = SubgroupDescriptor("rot6", IntMatrix.identity(2),
+                                component_generators=(rot6,), translations=(False,))
+    for hd in (levi, cyclic):
+        yield hd.name, _subgroup_reflections(product_sl3, hd) + hd.component_generators

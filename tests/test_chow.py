@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers as z
-from chevalley_chow import chow
+from chevalley_chow import chow, invariants, schubert
 from chevalley_chow.chow import (
     chow_presentation,
     homogeneous_ns,
@@ -16,7 +16,7 @@ from chevalley_chow.chow import (
     rational_chow,
 )
 from chevalley_chow.descriptors import derived_attributes
-from chevalley_chow.errors import ModeUnsupported
+from chevalley_chow.errors import DegreeTooLarge, ModeUnsupported
 from chevalley_chow.lattice import FGAbelianGroup, IntMatrix
 from chevalley_chow.structure import albanese_split_test
 
@@ -155,6 +155,24 @@ def test_negative_max_degree_refused_before_any_work(monkeypatch):
         rational_chow(z.product_sl2, -1)
     with pytest.raises(ValueError, match="nonnegative"):
         homogeneous_rational_chow(z.product_sl2, z.borel, -1)
+
+
+def test_degree_past_budget_refused_before_any_slice(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a degree past the budget must be refused first")
+
+    monkeypatch.setattr(invariants, "invariant_slice", no_work)
+    monkeypatch.setattr(schubert, "invariant_slice", no_work)
+    monkeypatch.setattr(chow, "truncated_quotient", no_work)
+    top = invariants.DEGREE_BUDGET + 1
+    with pytest.raises(DegreeTooLarge, match="exceeds budget"):
+        chow_presentation(z.cover_torsion, top)
+    with pytest.raises(DegreeTooLarge, match="exceeds budget"):
+        rational_chow(z.cover_torsion, top)
+    with pytest.raises(DegreeTooLarge, match="exceeds budget"):
+        homogeneous_rational_chow(z.cover_torsion, z.trivial3, top)
+    with pytest.raises(DegreeTooLarge, match="exceeds budget"):
+        homogeneous_rational_chow(z.product_sl2, z.borel, 10**6)
 
 
 def test_homogeneous_chow_refuses_g_ant():

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import helpers as z
-from chevalley_chow import cli
+from chevalley_chow import chow, cli, invariants, lattice, schubert
 from chevalley_chow.formats import parse_descriptor
 
 
@@ -215,6 +215,38 @@ def test_cap_exceeded_exits_2(capsys):
     code, _, err = run_cli(capsys, "chow", SL2, "--max-degree", "1", "--cap", "1")
     assert code == 2
     assert "cap" in err or "large" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("chow", "cover_torsion", "--max-degree", "65"),
+    ("chow", "cover_torsion", "--max-degree", "65", "--rational"),
+    ("hchow", "trivial", "cover_torsion", "--max-degree", "65"),
+    ("hchow", "borel", "product_sl2", "--max-degree", "100"),
+])
+def test_degree_past_budget_exits_2(capsys, monkeypatch, argv):
+    def no_work(*args):
+        raise AssertionError("the degree budget must be checked before any work")
+
+    monkeypatch.setattr(invariants, "invariant_slice", no_work)
+    monkeypatch.setattr(schubert, "invariant_slice", no_work)
+    monkeypatch.setattr(chow, "truncated_quotient", no_work)
+    argv = [fixture_path(a) if a in z.FIXTURE_NAMES else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "exceeds budget 64" in err
+
+
+def test_component_group_closed_once_per_request(capsys, monkeypatch):
+    calls = []
+    closure = lattice.group_closure
+    monkeypatch.setattr(lattice, "group_closure",
+                        lambda gens, n, cap: calls.append(tuple(gens)) or closure(gens, n, cap))
+    lattice._closed_group.cache_clear()
+    # validation, X(H) and the invariant ring all need the component group {1, -1}
+    code, _, _ = run_cli(capsys, "hchow", "nlt", SL2, "--max-degree", "2")
+    assert code == 0
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_version_matches_pyproject():

@@ -5,9 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers as z
-from chevalley_chow import lattice, rootdata
-from chevalley_chow.chow import _subgroup_reflections
-from chevalley_chow.descriptors import SubgroupDescriptor
+from chevalley_chow import invariants, lattice, rootdata
 from chevalley_chow.errors import DegreeTooLarge, GroupTooLarge
 from chevalley_chow.invariants import (
     coeff_vector,
@@ -89,19 +87,6 @@ def test_restrict_symmetric():
     assert restrict_symmetric(zq, f) == {}
 
 
-def _non_weyl_groups():
-    """Generators of subgroups of SL3 x A: a reflection with a rotation, and a rotation alone."""
-    s0, s1 = (simple_reflection(z.sl3, i) for i in range(2))
-    rot3 = s0 @ s1
-    rot6 = -rot3
-    levi = SubgroupDescriptor("levi_rot3", IntMatrix.identity(2), ((0, 1), (0, -1)),
-                              component_generators=(rot3,), translations=(False,))
-    cyclic = SubgroupDescriptor("rot6", IntMatrix.identity(2),
-                                component_generators=(rot6,), translations=(False,))
-    for hd in (levi, cyclic):
-        yield hd.name, _subgroup_reflections(z.product_sl3, hd) + hd.component_generators
-
-
 def test_invariant_slices_match_bruteforce():
     # the projection from the generators must return exactly the polynomials
     # that Reynolds averaging over the enumerated group keeps
@@ -110,7 +95,7 @@ def test_invariant_slices_match_bruteforce():
                  ("A1", z.sl2, 3), ("A2", z.sl3, 3), ("A3", z.sl4, 3), ("A4", z.a4, 3),
                  ("B2", z.sp4, 3), ("C3", z.c3, 3), ("D4", z.d4, 3), ("G2", z.g2, 3),
                  ("F4", z.f4, 2), ("A5", z.a5, 2))]
-    cases += [(name, gens, 3) for name, gens in _non_weyl_groups()]
+    cases += [(name, gens, 3) for name, gens in z.non_weyl_groups()]
     for name, gens, top in cases:
         rank = gens[0].nrows
         for d in range(top + 1):
@@ -137,9 +122,43 @@ def test_invariant_algebra_enumerates_once(monkeypatch):
     calls = []
     closure = lattice.group_closure
     monkeypatch.setattr(lattice, "group_closure", lambda *a: calls.append(a) or closure(*a))
+    # the enumeration cache lives for the process: start from an empty one
+    lattice._closed_group.cache_clear()
     alg = invariant_algebra(2, refl)
     assert [alg.dim(d) for d in range(4)] == [1, 0, 1, 1]
     assert len(calls) == 1
+    # a second algebra over the same group reuses the closed group
+    assert invariant_algebra(2, list(refl)).dim(3) == 1
+    assert len(calls) == 1
+
+
+def test_invariant_slice_returns_fresh_polynomials():
+    refl = tuple(simple_reflection(z.sl3, i) for i in range(2))
+    first = invariant_slice(2, refl, 3)
+    expected = [dict(p) for p in first]
+    first[0].clear()
+    first.append({(3, 0): 1})
+    assert invariant_slice(2, list(refl), 3) == expected
+    alg = invariant_algebra(2, refl)
+    alg.slice_basis(3)[0][(0, 3)] = 7
+    assert alg.slice_basis(3) == expected
+
+
+def test_invariant_slice_computed_once_per_key():
+    refl = tuple(simple_reflection(z.sl4, i) for i in range(3))
+    invariants._invariant_slice.cache_clear()
+    # chow_presentation, rational_chow and hchow on one datum ask for the same slices
+    for _ in range(3):
+        assert len(coinvariant_ideal_generators(z.sl4, 3)) == 2
+    info = invariants._invariant_slice.cache_info()
+    assert (info.misses, info.hits) == (3, 6)  # degrees 1..3 computed once each
+
+
+def test_process_caches_are_bounded():
+    for cache, size in ((lattice._closed_group, lattice.MATRIX_GROUP_CACHE_SIZE),
+                        (invariants._invariant_slice, invariants.SLICE_CACHE_SIZE)):
+        assert cache.cache_info().maxsize == size
+        assert isinstance(size, int) and size > 0
 
 
 def test_invariant_dimensions_classical():

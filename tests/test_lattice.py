@@ -1,7 +1,11 @@
 """Exact integer linear algebra: Smith and Hermite forms, kernels, groups."""
 
+import re
+
 import pytest
 
+import helpers as z
+from chevalley_chow import lattice
 from chevalley_chow.errors import GroupTooLarge, IllFormedHom, TorsionDomain
 from chevalley_chow.lattice import (
     FGAbelianGroup,
@@ -10,6 +14,7 @@ from chevalley_chow.lattice import (
     Presentation,
     enumerate_matrix_group,
     fixed_sublattice,
+    group_closure,
     group_from_relations,
     hermite_row_basis,
     hstack,
@@ -25,6 +30,7 @@ from chevalley_chow.lattice import (
     solve_integer,
     vstack,
 )
+from chevalley_chow.rootdata import simple_reflection
 
 M = IntMatrix
 
@@ -179,6 +185,67 @@ def test_enumerate_matrix_group():
         enumerate_matrix_group((M(((1, 1), (0, 1))),), cap=100)
     with pytest.raises(GroupTooLarge):
         enumerate_matrix_group((rot6,), cap=3)
+
+
+CLOSURE_CASES = {
+    name: tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+    for name, rd in (("A1", z.sl2), ("A2", z.sl3), ("A3", z.sl4), ("A4", z.a4),
+                     ("B2", z.sp4), ("G2", z.g2))
+}
+CLOSURE_CASES.update(z.non_weyl_groups())
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CASES))
+def test_group_closure_matches_naive_bfs(name):
+    gens = CLOSURE_CASES[name]
+    elements, steps = group_closure(gens, gens[0].nrows, 10**6)
+    assert (elements, steps) == z.naive_closure(gens)
+    assert all(isinstance(e, M) for e in elements)
+
+
+# |GL_2(F_3)| = 48: a finite group's elements are distinct mod 3
+INFINITE_GROUPS = {
+    "unipotent": (M(((1, 1), (0, 1))),),
+    "hyperbolic": (M(((2, 1), (1, 1))),),
+    "sanov": (M(((1, 2), (0, 1))), M(((1, 0), (2, 1)))),
+    "swap_and_shear": (M(((0, 1), (1, 0))), M(((1, 3), (0, 1)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_GROUPS))
+def test_infinite_group_refused_within_gl2_f3(name):
+    with pytest.raises(GroupTooLarge, match="infinite") as info:
+        enumerate_matrix_group(INFINITE_GROUPS[name], cap=10**6)
+    visited = int(re.search(r"first (\d+) elements", str(info.value)).group(1))
+    assert visited <= 48
+    if name == "unipotent":
+        assert visited == 4  # 1, u, u^2, then u^3 agrees with 1 mod 3
+
+
+def test_matrix_group_refusals_are_not_cached():
+    rot6 = M(((0, -1), (1, 1)))
+    for _ in range(3):
+        with pytest.raises(GroupTooLarge, match="infinite"):
+            enumerate_matrix_group(INFINITE_GROUPS["unipotent"], cap=10**6)
+        with pytest.raises(GroupTooLarge, match="cap 3"):
+            enumerate_matrix_group((rot6,), cap=3)
+        with pytest.raises(ValueError, match="invertible"):
+            enumerate_matrix_group((M(((2, 0), (0, 1))),))
+    assert len(enumerate_matrix_group((rot6,), cap=6)) == 6
+
+
+def test_matrix_group_closed_once_per_key(monkeypatch):
+    calls = []
+    closure = lattice.group_closure
+    monkeypatch.setattr(lattice, "group_closure", lambda *a: calls.append(a) or closure(*a))
+    lattice._closed_group.cache_clear()
+    gens = CLOSURE_CASES["A3"]
+    first = enumerate_matrix_group(gens)
+    assert enumerate_matrix_group(list(gens)) is first
+    assert enumerate_matrix_group(gens, cap=10**6) is first
+    assert len(calls) == 1
+    enumerate_matrix_group(gens, cap=24)  # another cap is another key
+    assert len(calls) == 2
 
 
 def test_fixed_sublattice():
