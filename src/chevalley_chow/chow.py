@@ -7,11 +7,14 @@ is never enumerated, only the modded-out data is reported.
 
 Chow rings are reported as a concrete graded factor (symmetric algebra
 data over Q, truncated at a requested degree) times a symbolic factor
-A*(A_g), plus the degree-1 ideal generators tying the two together.
+A*(A_g), plus the degree-1 ideal generators tying the two together.  For G
+the concrete dims are sum over w in W of q^length(w) (Chevalley), or Q in
+degree 0 rationally; only G/H computes invariant slices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .descriptors import (
@@ -27,9 +30,7 @@ from .errors import DegreeTooLarge, ModeUnsupported
 from .invariants import (
     DEGREE_BUDGET,
     TruncatedQuotient,
-    full_algebra,
     invariant_algebra,
-    linear_poly,
     restrict_symmetric,
     truncated_quotient,
 )
@@ -46,7 +47,7 @@ from .lattice import (
 )
 from .qlinalg import SpanBuilder
 from .rootdata import flag_picard_map, reflection, root_system
-from .schubert import SchubertExpansion, chevalley_multiply, coinvariant_ideal_generators
+from .schubert import SchubertExpansion, chevalley_multiply, codegree_histogram, coinvariant_ideal_generators
 
 
 @dataclass(frozen=True)
@@ -146,18 +147,25 @@ def _check_degree(max_degree: int) -> None:
         raise DegreeTooLarge(f"max_degree {max_degree} exceeds budget {DEGREE_BUDGET}")
 
 
+def _concrete_factor(rank: int, dims, max_degree: int) -> TruncatedQuotient:
+    """Quotient of Sym(Q^rank) with ``dims`` cut or zero-padded to max_degree."""
+    dims = tuple(dims[d] if d < len(dims) else 0 for d in range(max_degree + 1))
+    ambient = tuple(math.comb(rank + d - 1, d) if rank else int(d == 0) for d in range(max_degree + 1))
+    return TruncatedQuotient(rank, max_degree, dims, ambient)
+
+
 def chow_presentation(gd: GroupDescriptor, max_degree: int, cap: int = DEFAULT_CAP) -> GradedPresentation:
     """Integral presentation data for A*(G).
 
     Concrete factor: the Schubert-basis ring of the flag variety of G_aff
-    (symmetric algebra modulo positive-degree Weyl invariants).  The ideal
-    is generated in degree 1 by, for each basis character of X(T), the
-    pair (class of v(chi) in X(D)/ker sigma_A, divisor Schubert expansion).
+    (symmetric algebra modulo positive-degree Weyl invariants), whose degree-d
+    dimension is #{w in W : length(w) = d} (Chevalley: sum_w q^length(w)).
+    The ideal is generated in degree 1 by, for each basis character of X(T),
+    the pair (class of v(chi) in X(D)/ker sigma_A, divisor Schubert expansion).
     """
     _check_degree(max_degree)
     rd = gd.rd
-    concrete = truncated_quotient(
-        full_algebra(rd.rank), coinvariant_ideal_generators(rd, max_degree, cap), max_degree)
+    concrete = _concrete_factor(rd.rank, codegree_histogram(rd, cap), max_degree)
     pairs = []
     for j in range(rd.rank):
         chi = tuple(1 if i == j else 0 for i in range(rd.rank))
@@ -189,19 +197,16 @@ def _independent_formal_generators(gd: GroupDescriptor, att: AttributeReport):
     return kept
 
 
-def rational_chow(gd: GroupDescriptor, max_degree: int, cap: int = DEFAULT_CAP) -> GradedPresentation:
+def rational_chow(gd: GroupDescriptor, max_degree: int) -> GradedPresentation:
     """A*(G)_Q = A*(A_g)_Q modulo the degree-1 ideal J from gamma_A.
 
-    The concrete factor collapses to Q in degree 0; all classes vanish
-    above degree g.  J is generated by rank(im gamma_A) formal classes.
+    The concrete factor collapses to Q in degree 0, dims (1, 0, ..., 0): the
+    classes c1(L_chi) generate A*(G/B)_Q and all die in A*(G)_Q.  All classes
+    vanish above degree g.  J is generated by rank(im gamma_A) formal classes.
     """
     _check_degree(max_degree)
-    rd = gd.rd
     att = derived_attributes(gd)
-    concrete = truncated_quotient(
-        full_algebra(rd.rank),
-        [linear_poly(tuple(1 if i == j else 0 for i in range(rd.rank))) for j in range(rd.rank)],
-        max_degree)
+    concrete = _concrete_factor(gd.rd.rank, (1,), max_degree)
     pairs = tuple(
         (vec, SchubertExpansion(1, {}))
         for _, vec in _independent_formal_generators(gd, att)

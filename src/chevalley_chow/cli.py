@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _require_valid(doc: DescriptorDocument, cap: int, subgroup: str | None = None):
     """Run validation before any computation; failures abort with code 2."""
-    report = validate_group(doc.group, cap)
+    report = validate_group(doc.group)
     if not report.ok:
         return report
     if subgroup is not None:
@@ -101,7 +101,7 @@ def _run(args) -> tuple[object, int]:
     sub = getattr(args, "subgroup", None)
 
     if args.command == "validate":
-        reports = [validate_group(gd, cap)]
+        reports = [validate_group(gd)]
         if reports[0].ok:
             reports.extend(validate_subgroup(gd, hd, cap) for _, hd in doc.subgroups)
         ok = all(r.ok for r in reports)
@@ -120,7 +120,7 @@ def _run(args) -> tuple[object, int]:
         return {"type": "ns", "ns": chow.ns_group(gd)}, EXIT_OK
     if args.command == "chow":
         if args.rational:
-            return chow.rational_chow(gd, args.max_degree, cap), EXIT_OK
+            return chow.rational_chow(gd, args.max_degree), EXIT_OK
         return chow.chow_presentation(gd, args.max_degree, cap), EXIT_OK
     if args.command == "hchow":
         return chow.homogeneous_rational_chow(gd, hd, args.max_degree, cap), EXIT_OK
@@ -150,7 +150,7 @@ def _run(args) -> tuple[object, int]:
             }
         return result, EXIT_OK
     if args.command == "cover":
-        cover = structure.construct_cover(gd, cap)
+        cover = structure.construct_cover(gd)
         return DescriptorDocument(cover), EXIT_OK
     raise AssertionError(f"unhandled command {args.command}")
 

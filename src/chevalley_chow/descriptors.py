@@ -24,6 +24,7 @@ from functools import lru_cache
 
 from .errors import GroupTooLarge, InvalidCartan
 from .lattice import (
+    DEFAULT_CAP,
     FGAbelianGroup,
     GroupHom,
     IntMatrix,
@@ -44,8 +45,6 @@ from .rootdata import (
     validate_root_datum,
     weyl_group,
 )
-
-DEFAULT_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,7 @@ def _check(checks, name, condition, detail_fail="", detail_ok=""):
     return bool(condition)
 
 
-def validate_group(gd: GroupDescriptor, cap: int = DEFAULT_CAP) -> ValidationReport:
+def validate_group(gd: GroupDescriptor) -> ValidationReport:
     """All structural requirements on a group descriptor, as a report.
 
     Never raises on bad data; each failed requirement is an entry.

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import DegreeTooLarge
-from .lattice import IntMatrix, enumerate_matrix_group
+from .lattice import DEFAULT_CAP, IntMatrix, enumerate_matrix_group
 from .qlinalg import SpanBuilder, nullspace, rref
 
 Poly = dict[tuple[int, ...], Fraction]
@@ -251,7 +251,7 @@ def full_algebra(rank: int) -> GradedAlgebra:
     return GradedAlgebra(rank, slices)
 
 
-def invariant_algebra(rank: int, generators, cap: int = 1_000_000) -> GradedAlgebra:
+def invariant_algebra(rank: int, generators, cap: int = DEFAULT_CAP) -> GradedAlgebra:
     """The invariant subalgebra of a finite matrix-group action.
 
     Each slice first closes the group under ``cap`` (:class:`GroupTooLarge`
@@ -302,15 +302,13 @@ def ideal_slice(ambient: GradedAlgebra, generators: list[Poly], d: int) -> list[
 class TruncatedQuotient:
     """Graded quotient ambient/ideal, truncated at max_degree.
 
-    ``reps`` holds coset representatives (ambient basis elements that
-    complete the ideal slice to the full slice); ``dims`` their counts.
+    ``dims`` and ``ambient_dims`` are the dimensions of the quotient and of
+    the ambient algebra in degrees 0..max_degree.
     """
 
     rank: int
     max_degree: int
     dims: tuple[int, ...]
-    reps: tuple[tuple[Poly, ...], ...]
-    ideal: tuple[tuple[Poly, ...], ...]
     ambient_dims: tuple[int, ...]
 
     @property
@@ -337,23 +335,12 @@ def truncated_quotient(ambient: GradedAlgebra, generators: list[Poly], max_degre
     (1, 1, 0, 0)
     """
     dims = []
-    reps = []
-    ideal = []
     ambient_dims = []
     for d in range(max_degree + 1):
         amb = ambient.slice_basis(d)
         ambient_dims.append(len(amb))
-        ide = ideal_slice(ambient, generators, d)
-        ideal.append(tuple(ide))
         builder = SpanBuilder(len(sym_basis(ambient.rank, d)))
-        for p in ide:
+        for p in ideal_slice(ambient, generators, d):
             builder.add(coeff_vector(p, ambient.rank, d))
-        chosen = []
-        for p in amb:
-            if builder.add(coeff_vector(p, ambient.rank, d)):
-                chosen.append(p)
-        reps.append(tuple(chosen))
-        dims.append(len(chosen))
-    return TruncatedQuotient(
-        ambient.rank, max_degree, tuple(dims), tuple(reps), tuple(ideal), tuple(ambient_dims)
-    )
+        dims.append(sum(1 for p in amb if builder.add(coeff_vector(p, ambient.rank, d))))
+    return TruncatedQuotient(ambient.rank, max_degree, tuple(dims), tuple(ambient_dims))

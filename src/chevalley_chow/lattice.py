@@ -24,6 +24,8 @@ from .errors import GroupTooLarge, IllFormedHom, TorsionDomain
 
 Vec = tuple[int, ...]
 
+DEFAULT_CAP = 1_000_000  # default ceiling on the order of any enumerated group
+
 
 class IntMatrix:
     """Immutable integer matrix; hashable so it can key caches.
@@ -607,12 +609,11 @@ class GroupHom:
     def apply(self, vec) -> Vec:
         return self.matrix.apply(vec)
 
-    def kernel_lattice(self, saturate: bool = False) -> IntMatrix:
+    def kernel_lattice(self) -> IntMatrix:
         """Canonical basis of ``{x : f(x) = 0 in codomain}``.
 
         Only defined when the domain is an honest lattice; a domain with
-        relations raises :class:`TorsionDomain`.  With ``saturate=True`` the
-        result is enlarged to its rational closure in the domain.
+        relations raises :class:`TorsionDomain`.
         """
         if self.domain.relations.nrows and not self.domain.is_free:
             raise TorsionDomain("kernel lattice of a torsion domain is not a lattice")
@@ -621,12 +622,8 @@ class GroupHom:
             stacked = hstack(self.matrix, -rel.transpose())
             ker = integer_kernel(stacked)
             rows = tuple(r[: self.domain.ngens] for r in ker.rows)
-            out = hermite_row_basis(IntMatrix(rows, self.domain.ngens))
-        else:
-            out = integer_kernel(self.matrix)
-        if saturate:
-            out = saturate_rows(out)
-        return out
+            return hermite_row_basis(IntMatrix(rows, self.domain.ngens))
+        return integer_kernel(self.matrix)
 
     def image_group(self) -> FGAbelianGroup:
         """Isomorphism type of the image subgroup of the codomain."""
@@ -655,7 +652,7 @@ def image_lattice(m: IntMatrix) -> IntMatrix:
 MATRIX_GROUP_CACHE_SIZE = 32  # closed groups kept, one per (generators, cap)
 
 
-def enumerate_matrix_group(gens, cap: int = 1_000_000) -> tuple[IntMatrix, ...]:
+def enumerate_matrix_group(gens, cap: int = DEFAULT_CAP) -> tuple[IntMatrix, ...]:
     """All products of the generators, by breadth-first closure.
 
     The identity comes first and elements appear in BFS discovery order, so
@@ -665,11 +662,12 @@ def enumerate_matrix_group(gens, cap: int = 1_000_000) -> tuple[IntMatrix, ...]:
     closure is a group when it is finite.  Memoized per ``(tuple(gens), cap)``
     in a cache of ``MATRIX_GROUP_CACHE_SIZE``; exceptions are never cached.
     """
-    return _closed_group(tuple(gens), cap)
+    return _closed_group(tuple(gens), cap)[0]
 
 
 @lru_cache(maxsize=MATRIX_GROUP_CACHE_SIZE)
-def _closed_group(gens: tuple[IntMatrix, ...], cap: int) -> tuple[IntMatrix, ...]:
+def _closed_group(gens: tuple[IntMatrix, ...], cap: int) -> tuple[tuple[IntMatrix, ...], tuple[int, ...]]:
+    # the steps are kept for rootdata.weyl_group, which closes W through here
     if not gens:
         raise ValueError("need at least one generator (or pass the identity)")
     n = gens[0].nrows
@@ -678,7 +676,8 @@ def _closed_group(gens: tuple[IntMatrix, ...], cap: int) -> tuple[IntMatrix, ...
             raise ValueError("generators must be square of equal size")
         if g.det() not in (1, -1):
             raise ValueError("generator is not invertible over Z")
-    return tuple(group_closure(gens, n, cap)[0])
+    elements, steps = group_closure(gens, n, cap)
+    return tuple(elements), tuple(steps)
 
 
 def group_closure(gens, n: int, cap: int) -> tuple[list[IntMatrix], list[int]]:
@@ -720,7 +719,7 @@ def group_closure(gens, n: int, cap: int) -> tuple[list[IntMatrix], list[int]]:
     return [IntMatrix._from_int_rows(rows, n) for rows in elements], steps
 
 
-def fixed_sublattice(gens, n: int, cap: int = 1_000_000) -> IntMatrix:
+def fixed_sublattice(gens, n: int, cap: int = DEFAULT_CAP) -> IntMatrix:
     """Canonical basis of ``{x in Z^n : g @ x == x for every generator}``.
 
     The generated group must be finite; that is enforced by enumerating it

@@ -18,12 +18,13 @@ from functools import lru_cache
 
 from .errors import GroupTooLarge, InvalidCartan
 from .lattice import (
+    DEFAULT_CAP,
     FGAbelianGroup,
     GroupHom,
     IntMatrix,
     Presentation,
     Vec,
-    group_closure,
+    _closed_group,
     hermite_row_basis,
     integer_kernel,
 )
@@ -273,18 +274,19 @@ class WeylGroup:
 
 
 @lru_cache(maxsize=None)
-def weyl_group(rd: RootDatum, cap: int = 1_000_000) -> WeylGroup:
+def weyl_group(rd: RootDatum, cap: int = DEFAULT_CAP) -> WeylGroup:
     """Enumerate W by breadth-first closure over the simple reflections.
 
-    The element count is checked against the order formula for the detected
-    Cartan type.  Raises :class:`GroupTooLarge` past ``cap``.
+    The order formula for the Cartan type refuses ``|W| > cap`` up front
+    (:class:`GroupTooLarge`), then checks the count.  The closure is the one
+    ``enumerate_matrix_group`` memoizes, shared with equal component groups.
     """
     ctype = validate_root_datum(rd)
     expected = ctype.weyl_order
     if expected > cap:
         raise GroupTooLarge(f"|W| = {expected} exceeds cap {cap}")
     gens = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
-    elements, steps = group_closure(gens, rd.rank, cap)
+    elements, steps = _closed_group(gens or (IntMatrix.identity(rd.rank),), cap)
     if len(elements) != expected:
         raise InvalidCartan(
             f"enumerated {len(elements)} Weyl elements but type {ctype.describe()} has {expected}"
@@ -329,35 +331,30 @@ class RootSystem:
 def root_system(rd: RootDatum) -> RootSystem:
     """Generate the full root system by reflection closure.
 
+    Each root carries its coroot and simple-root coordinates c: s_i sends c
+    to c - <beta, alpha_i^vee> e_i and beta^vee to beta^vee - <alpha_i, beta^vee> alpha_i^vee.
+
     >>> a1 = RootDatum(1, IntMatrix(((2,),)), IntMatrix(((1,),)))
     >>> root_system(a1).positive[0].vector
     (2,)
     """
     validate_root_datum(rd)
     simple = list(zip(rd.simple_roots.rows, rd.simple_coroots.rows))
-    gens = [reflection(vec, cov) for vec, cov in simple]
-    dual_gens = [reflection(cov, vec) for vec, cov in simple]
-    pairs = set(simple)
-    frontier = list(pairs)
+    # simple-root coordinates -> (root, coroot)
+    roots = {tuple(int(i == j) for j in range(rd.nsimple)): pair for i, pair in enumerate(simple)}
+    frontier = list(roots.items())
     while frontier:
         nxt = []
-        for vec, cov in frontier:
-            for g, gd in zip(gens, dual_gens):
-                p = (g.apply(vec), gd.apply(cov))
-                if p not in pairs:
-                    pairs.add(p)
-                    nxt.append(p)
+        for coords, (vec, cov) in frontier:
+            for i, (alpha, alpha_v) in enumerate(simple):
+                k, m = rd.pairing(vec, alpha_v), rd.pairing(alpha, cov)
+                c = coords[:i] + (coords[i] - k,) + coords[i + 1:]
+                if c not in roots:
+                    roots[c] = (tuple(x - k * y for x, y in zip(vec, alpha)),
+                                tuple(x - m * y for x, y in zip(cov, alpha_v)))
+                    nxt.append((c, roots[c]))
         frontier = nxt
-    simple_t = rd.simple_roots.transpose()  # columns are the simple roots
-    records = []
-    for vec, cov in sorted(pairs):
-        coeffs = qsolve(simple_t.rows, vec)
-        assert coeffs is not None, "reflection closure left the root span"
-        assert all(x.denominator == 1 for x in coeffs), "non-integral root coordinates"
-        ints = tuple(int(x) for x in coeffs)
-        if all(x >= 0 for x in ints):
-            records.append((sum(ints), ints, vec, cov))
-    records.sort(key=lambda rec: (rec[0], rec[1]))
+    records = sorted((sum(c), c, vec, cov) for c, (vec, cov) in roots.items() if min(c) >= 0)
     positive = []
     by_vector = {}
     for idx, (height, coords, vec, cov) in enumerate(records):
@@ -488,7 +485,7 @@ def factorial_cover_with_basis(rd: RootDatum) -> tuple[RootDatum, IntMatrix, int
     return RootDatum(n, new_roots, IntMatrix(new_coroots, n), rd.u_rad), scaled, denom
 
 
-def contains_borel(rd: RootDatum, root_subset, q_is_identity: bool, cap: int = 1_000_000):
+def contains_borel(rd: RootDatum, root_subset, q_is_identity: bool, cap: int = DEFAULT_CAP):
     """Does the root subset contain w(positive system) for some w in W?
 
     ``root_subset`` is an iterable of root vectors (X(T) coordinates, either

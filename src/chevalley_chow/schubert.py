@@ -28,6 +28,7 @@ from .invariants import (
     substitute,
     sym_basis,
 )
+from .lattice import DEFAULT_CAP
 from .qlinalg import SpanBuilder, qsolve
 from .rootdata import RootDatum, root_system, simple_reflection, validate_root_datum, weyl_group
 
@@ -58,7 +59,7 @@ class SchubertExpansion:
         return not self.terms
 
 
-def schubert_basis(rd: RootDatum, cap: int = 1_000_000) -> tuple[SchubertClass, ...]:
+def schubert_basis(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[SchubertClass, ...]:
     """One class per Weyl element, in enumeration order (codegrees ascending).
 
     >>> from .lattice import IntMatrix
@@ -70,16 +71,16 @@ def schubert_basis(rd: RootDatum, cap: int = 1_000_000) -> tuple[SchubertClass, 
     return tuple(SchubertClass(i, w.lengths[i]) for i in range(len(w)))
 
 
-def codegree_histogram(rd: RootDatum, cap: int = 1_000_000) -> tuple[int, ...]:
+def codegree_histogram(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+    """#{w : length(w) = d} for each d; by Chevalley, the coinvariant dimensions."""
     w = weyl_group(rd, cap=cap)
-    top = max(w.lengths) if len(w) else 0
-    hist = [0] * (top + 1)
+    hist = [0] * (max(w.lengths) + 1)
     for length in w.lengths:
         hist[length] += 1
     return tuple(hist)
 
 
-def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = 1_000_000) -> SchubertExpansion:
+def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP) -> SchubertExpansion:
     """Divisor class of the character ``lam`` times sigma_w.
 
     The closed formula: sum over positive roots beta with
@@ -112,7 +113,7 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = 1_000_000) -
 
 
 @lru_cache(maxsize=None)
-def _representative_table(rd: RootDatum, cap: int = 1_000_000) -> tuple[Poly, ...]:
+def _representative_table(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[Poly, ...]:
     """BGG representatives P_w in Sym X(T)_Q, one per Weyl element.
 
     P_{w0} is the product of the positive roots over |W|; going down,
@@ -146,7 +147,7 @@ def _representative_table(rd: RootDatum, cap: int = 1_000_000) -> tuple[Poly, ..
     return tuple(reps)
 
 
-def schubert_representatives(rd: RootDatum, max_degree: int | None = None, cap: int = 1_000_000) -> dict[int, Poly]:
+def schubert_representatives(rd: RootDatum, max_degree: int | None = None, cap: int = DEFAULT_CAP) -> dict[int, Poly]:
     """Coinvariant-algebra representatives, keyed by Weyl index.
 
     Only classes of codegree <= max_degree are returned when a bound is given.
@@ -160,7 +161,7 @@ def schubert_representatives(rd: RootDatum, max_degree: int | None = None, cap: 
     }
 
 
-def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = 1_000_000) -> list[Poly]:
+def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = DEFAULT_CAP) -> list[Poly]:
     """Basis polynomials of the W-invariants of degrees 1..max_degree.
 
     They generate the coinvariant ideal up to that degree.  A Weyl group
@@ -179,7 +180,7 @@ def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = 1_00
 
 
 @lru_cache(maxsize=None)
-def _coinvariant_reducer(rd: RootDatum, d: int, cap: int = 1_000_000):
+def _coinvariant_reducer(rd: RootDatum, d: int, cap: int = DEFAULT_CAP):
     """SpanBuilder primed with the degree-d slice of the coinvariant ideal."""
     slice_basis = ideal_slice(full_algebra(rd.rank), coinvariant_ideal_generators(rd, d, cap), d)
     builder = SpanBuilder(len(sym_basis(rd.rank, d)))
@@ -193,7 +194,7 @@ def _reduce_mod_coinvariant_ideal(rd: RootDatum, poly: Poly, d: int, cap: int) -
     return tuple(builder.reduce(coeff_vector(poly, rd.rank, d)))
 
 
-def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = 1_000_000) -> SchubertExpansion:
+def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAULT_CAP) -> SchubertExpansion:
     """Write a degree-d polynomial, mod the coinvariant ideal, in the P_w.
 
     Raises ValueError when the polynomial is not in the span (which cannot
@@ -220,7 +221,7 @@ def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = 1_000
     return SchubertExpansion(d, terms)
 
 
-def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = 1_000_000) -> SchubertExpansion:
+def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) -> SchubertExpansion:
     """sigma_{w1} * sigma_{w2} by coinvariant multiplication.
 
     The structure constants must come out nonnegative integers; anything

@@ -108,7 +108,7 @@ def _free_quotient_projection(relations: IntMatrix, ambient: int) -> IntMatrix:
     return IntMatrix(vt.rows[sat.nrows:], ambient)
 
 
-def construct_cover(gd: GroupDescriptor, cap: int = DEFAULT_CAP) -> GroupDescriptor:
+def construct_cover(gd: GroupDescriptor) -> GroupDescriptor:
     """The quasi-complete cover: factorial affine part, smooth connected D.
 
     Enlarges X(T) by the weight lattice and replaces X(D) by the image of

@@ -14,8 +14,8 @@ from chevalley_chow.descriptors import (
 )
 from chevalley_chow.invariants import coeff_vector, poly_add, poly_scale, substitute, sym_basis
 from chevalley_chow.lattice import FGAbelianGroup, IntMatrix, Presentation, enumerate_matrix_group
-from chevalley_chow.qlinalg import SpanBuilder
-from chevalley_chow.rootdata import RootDatum, simple_reflection
+from chevalley_chow.qlinalg import SpanBuilder, qsolve
+from chevalley_chow.rootdata import RootDatum, reflection, simple_reflection
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = (
@@ -143,6 +143,36 @@ def reynolds_slice(rank, generators, d):
         if avg and builder.add(coeff_vector(avg, rank, d)):
             polys.append(avg)
     return polys
+
+
+def root_system_by_solves(rd):
+    """Oracle for ``root_system``: close (root, coroot) pairs under the simple
+    reflections of both lattices, then solve for each root's coordinates over
+    the simple roots.  Returns the positive roots as (height, coords, vector,
+    coroot), sorted by (height, coords), the index order of ``root_system``.
+    """
+    simple = list(zip(rd.simple_roots.rows, rd.simple_coroots.rows))
+    gens = [(reflection(vec, cov), reflection(cov, vec)) for vec, cov in simple]
+    pairs = set(simple)
+    frontier = list(pairs)
+    while frontier:
+        nxt = []
+        for vec, cov in frontier:
+            for g, g_dual in gens:
+                p = (g.apply(vec), g_dual.apply(cov))
+                if p not in pairs:
+                    pairs.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    columns = rd.simple_roots.transpose().rows  # columns are the simple roots
+    records = []
+    for vec, cov in pairs:
+        coeffs = qsolve(columns, vec)
+        assert coeffs is not None and all(x.denominator == 1 for x in coeffs), vec
+        coords = tuple(int(x) for x in coeffs)
+        if min(coords) >= 0:
+            records.append((sum(coords), coords, vec, cov))
+    return sorted(records)
 
 
 def naive_closure(gens):

@@ -15,9 +15,11 @@ from chevalley_chow.chow import (
     picard_group,
     rational_chow,
 )
-from chevalley_chow.descriptors import derived_attributes
+from chevalley_chow.descriptors import GroupDescriptor, derived_attributes
 from chevalley_chow.errors import DegreeTooLarge, ModeUnsupported
+from chevalley_chow.invariants import full_algebra, linear_poly, truncated_quotient
 from chevalley_chow.lattice import FGAbelianGroup, IntMatrix
+from chevalley_chow.schubert import coinvariant_ideal_generators
 from chevalley_chow.structure import albanese_split_test
 
 M = IntMatrix
@@ -113,6 +115,38 @@ def test_rational_chow_values():
     assert r.j_rank == 1 and len(r.ideal_degree1) == 1
 
 
+def _over_a1(name, rd):
+    return GroupDescriptor(name, rd, z.A1_AV, z.no_d(rd.rank))
+
+
+# degrees below the top length, and past it where the slice oracle stays cheap
+COINVARIANT_CASES = {
+    "A1": (_over_a1("A1", z.sl2), (0, 2)), "A2": (_over_a1("A2", z.sl3), (2, 4)),
+    "A3": (_over_a1("A3", z.sl4), (4, 7)), "A4": (_over_a1("A4", z.a4), (4,)),
+    "B2": (_over_a1("B2", z.sp4), (2, 5)), "C3": (_over_a1("C3", z.c3), (4,)),
+    "D4": (_over_a1("D4", z.d4), (4,)), "G2": (_over_a1("G2", z.g2), (3, 7)),
+    "gl2_center": (z.gl2c, (0, 2)),
+}
+
+
+@pytest.mark.parametrize("name", COINVARIANT_CASES)
+def test_chow_concrete_factor_matches_coinvariant_quotient(name):
+    gd, degrees = COINVARIANT_CASES[name]
+    for d in degrees:
+        got = chow_presentation(gd, d).concrete_factor
+        want = truncated_quotient(full_algebra(gd.rd.rank), coinvariant_ideal_generators(gd.rd, d), d)
+        assert (got.dims, got.ambient_dims, got.total_dim) == (want.dims, want.ambient_dims, want.total_dim)
+
+
+def test_rational_chow_matches_quotient_by_linear_forms(any_group):
+    rank = any_group.rd.rank
+    linear = [linear_poly(tuple(int(i == j) for i in range(rank))) for j in range(rank)]
+    for d in (0, 3):
+        got = rational_chow(any_group, d).concrete_factor
+        want = truncated_quotient(full_algebra(rank), linear, d)
+        assert (got.dims, got.ambient_dims, got.total_dim) == (want.dims, want.ambient_dims, want.total_dim)
+
+
 def test_homogeneous_chow_torus_in_sl2():
     h = homogeneous_rational_chow(z.sl2_affine, z.t_sl2, 3)
     assert h.concrete_factor.dims == (1, 1, 0, 0)
@@ -147,7 +181,7 @@ def test_negative_max_degree_refused_before_any_work(monkeypatch):
         raise AssertionError("a negative degree must be refused first")
 
     for name in ("derived_attributes", "truncated_quotient", "coinvariant_ideal_generators",
-                 "invariant_algebra", "_effective_contains_ant"):
+                 "codegree_histogram", "invariant_algebra", "_effective_contains_ant"):
         monkeypatch.setattr(chow, name, no_work)
     with pytest.raises(ValueError, match="nonnegative"):
         chow_presentation(z.product_sl2, -1)
@@ -164,6 +198,7 @@ def test_degree_past_budget_refused_before_any_slice(monkeypatch):
     monkeypatch.setattr(invariants, "invariant_slice", no_work)
     monkeypatch.setattr(schubert, "invariant_slice", no_work)
     monkeypatch.setattr(chow, "truncated_quotient", no_work)
+    monkeypatch.setattr(chow, "codegree_histogram", no_work)
     top = invariants.DEGREE_BUDGET + 1
     with pytest.raises(DegreeTooLarge, match="exceeds budget"):
         chow_presentation(z.cover_torsion, top)

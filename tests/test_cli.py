@@ -230,11 +230,26 @@ def test_degree_past_budget_exits_2(capsys, monkeypatch, argv):
     monkeypatch.setattr(invariants, "invariant_slice", no_work)
     monkeypatch.setattr(schubert, "invariant_slice", no_work)
     monkeypatch.setattr(chow, "truncated_quotient", no_work)
+    monkeypatch.setattr(chow, "codegree_histogram", no_work)
     argv = [fixture_path(a) if a in z.FIXTURE_NAMES else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "exceeds budget 64" in err
+
+
+@pytest.mark.parametrize("tail", [(), ("--rational",)])
+def test_chow_at_budget_computes_no_slice(capsys, monkeypatch, tail):
+    def no_work(*args):
+        raise AssertionError("chow reads its dims off W, not off invariant slices")
+
+    monkeypatch.setattr(invariants, "invariant_slice", no_work)
+    monkeypatch.setattr(invariants, "ideal_slice", no_work)
+    monkeypatch.setattr(schubert, "invariant_slice", no_work)
+    monkeypatch.setattr(chow, "truncated_quotient", no_work)
+    code, out, _ = run_cli(capsys, "chow", fixture_path("cover_torsion"), "--max-degree", "64", *tail)
+    assert code == 0
+    assert "max_degree: 64" in out
 
 
 def test_component_group_closed_once_per_request(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import pytest
 
 import helpers as z
+from chevalley_chow import lattice, rootdata
 from chevalley_chow.errors import GroupTooLarge, InvalidCartan
 from chevalley_chow.lattice import (
     FGAbelianGroup,
@@ -130,6 +131,36 @@ def test_root_system_enumeration_order():
     rs = root_system(z.g2)
     assert len(rs.positive) == 6
     assert [r.height for r in rs.positive] == [1, 1, 2, 3, 4, 5]
+
+
+ROOT_DATA = {"A1": z.sl2, "A2": z.sl3, "A3": z.sl4, "A4": z.a4, "B2": z.sp4, "B2-adj": z.so5,
+             "C3": z.c3, "D4": z.d4, "G2": z.g2, "F4": z.f4, "A2-adj": z.pgl3, "gl2": z.gl2,
+             "A1xT": z.sl2xt}
+
+
+@pytest.mark.parametrize("name", ROOT_DATA)
+def test_root_system_matches_per_root_solves(name, monkeypatch):
+    rd = ROOT_DATA[name]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("root_system must read coordinates off the closure")
+
+    monkeypatch.setattr(rootdata, "qsolve", no_solve)
+    rs = root_system.__wrapped__(rd)  # bypass the process cache
+    monkeypatch.undo()
+    assert [r.index for r in rs.positive] == list(range(len(rs.positive)))
+    assert [(r.height, r.coords, r.vector, r.coroot) for r in rs.positive] == z.root_system_by_solves(rd)
+
+
+def test_weyl_group_shares_the_matrix_group_closure(monkeypatch):
+    calls = []
+    closure = lattice.group_closure
+    monkeypatch.setattr(lattice, "group_closure", lambda *a: calls.append(a) or closure(*a))
+    lattice._closed_group.cache_clear()
+    w = weyl_group.__wrapped__(z.c3)  # bypass the process cache
+    # a component group generated by the simple reflections (N(T)) is W itself
+    assert enumerate_matrix_group(w.generators) is w.elements
+    assert len(calls) == 1
 
 
 def test_characters_of_group():
