@@ -22,6 +22,8 @@ from .descriptors import (
     AttributeReport,
     GroupDescriptor,
     SubgroupDescriptor,
+    affinization_hom,
+    contains_nontrivial_ant,
     derived_attributes,
     descended_coroot,
     restriction_to_subgroup,
@@ -31,7 +33,7 @@ from .invariants import (
     DEGREE_BUDGET,
     TruncatedQuotient,
     invariant_algebra,
-    restrict_symmetric,
+    substitute,
     truncated_quotient,
 )
 from .lattice import (
@@ -102,7 +104,7 @@ def picard_group(gd: GroupDescriptor) -> PicardReport:
         x_g=att.ker_gamma,
         x_g_group=FGAbelianGroup(att.ker_gamma.nrows),
         x_gaff=att.x_gaff,
-        gamma_matrix=gd.gluing.v_matrix @ att.x_gaff.transpose(),
+        gamma_matrix=affinization_hom(gd).matrix,
         gamma_target=gd.gluing.sigma_quotient(),
         pic_gaff=pic_gaff,
     )
@@ -227,12 +229,6 @@ def rational_chow(gd: GroupDescriptor, max_degree: int) -> GradedPresentation:
 # ---------------------------------------------------------------------------
 
 
-def _effective_contains_ant(gd: GroupDescriptor, hd: SubgroupDescriptor) -> bool:
-    """Whether H contains a nontrivial G_ant (g = 0 makes the flag vacuous)."""
-    att = derived_attributes(gd)
-    return hd.contains_G_ant and att.dim_G_ant > 0
-
-
 def _subgroup_reflections(gd: GroupDescriptor, hd: SubgroupDescriptor):
     """Reflections of the symmetric subgroup roots, acting on X(T_H)."""
     rs = root_system(gd.rd)
@@ -240,16 +236,6 @@ def _subgroup_reflections(gd: GroupDescriptor, hd: SubgroupDescriptor):
         reflection(hd.q_matrix.apply(rs.positive[i].vector), descended_coroot(gd, hd, i))
         for i in hd.symmetric_root_indices()
     )
-
-
-def gamma_j_rank(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DEFAULT_CAP) -> int:
-    """Rank of gamma_A(ker r_H), measured as (ker r_H + ker gamma_A)/ker gamma_A."""
-    att = derived_attributes(gd)
-    restr = restriction_to_subgroup(gd, hd, cap)
-    if restr.ker_r.nrows == 0:
-        return 0
-    joined = hermite_row_basis(vstack(restr.ker_r, att.ker_gamma))
-    return joined.nrows - att.ker_gamma.nrows
 
 
 def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
@@ -263,17 +249,21 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
     rank gamma_A(ker r_H), recorded in ``j_rank``.
     """
     _check_degree(max_degree)
-    if _effective_contains_ant(gd, hd):
+    att = derived_attributes(gd)
+    if contains_nontrivial_ant(att, hd):
         raise ModeUnsupported("Chow reports for G/H need H inside the faithful model (H does not contain G_ant)")
     rd = gd.rd
     gens = _subgroup_reflections(gd, hd) + hd.component_generators
     ambient = invariant_algebra(hd.h_rank, gens, cap=cap)
     ideal = []
     for f in coinvariant_ideal_generators(rd, max_degree, cap):
-        rf = restrict_symmetric(hd.q_matrix, f)
+        rf = substitute(hd.q_matrix, f)
         if rf:
             ideal.append(rf)
     concrete = truncated_quotient(ambient, ideal, max_degree)
+    # rank of gamma_A(ker r_H), measured as (ker r_H + ker gamma_A)/ker gamma_A
+    ker_r = restriction_to_subgroup(gd, hd, cap).ker_r
+    j_rank = hermite_row_basis(vstack(ker_r, att.ker_gamma)).nrows - att.ker_gamma.nrows
     return GradedPresentation(
         mode="rational",
         concrete_factor=concrete,
@@ -281,7 +271,7 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
         ideal_degree1=(),
         degree1_concrete=FGAbelianGroup(0),
         degree_bound=None,
-        j_rank=gamma_j_rank(gd, hd, cap),
+        j_rank=j_rank,
     )
 
 
@@ -305,23 +295,19 @@ class HomogeneousPicardReport:
     tail: FGAbelianGroup
 
 
-def _integral_mode_ok(gd: GroupDescriptor, hd: SubgroupDescriptor) -> bool:
-    return not hd.has_translations and not _effective_contains_ant(gd, hd)
-
-
 def homogeneous_picard(gd: GroupDescriptor, hd: SubgroupDescriptor,
-                       integral: bool | None = None, cap: int = DEFAULT_CAP) -> HomogeneousPicardReport:
+                       integral: bool = False, cap: int = DEFAULT_CAP) -> HomogeneousPicardReport:
     """Pic(G/H) report; integral when H sits inside G_aff, else rational.
 
-    ``integral=None`` picks the strongest available mode; ``integral=True``
-    raises ModeUnsupported when H has translation components or contains a
-    nontrivial G_ant.
+    By default the strongest available mode is picked; ``integral=True``
+    raises ModeUnsupported instead of falling back to rational mode when H
+    has translation components or contains a nontrivial G_ant.
     """
-    ok = _integral_mode_ok(gd, hd)
-    if integral is True and not ok:
-        raise ModeUnsupported("integral Pic(G/H) needs H inside G_aff (no translations, no G_ant)")
-    mode = "integral" if (ok and integral is not False) else "rational"
     att = derived_attributes(gd)
+    ok = not hd.has_translations and not contains_nontrivial_ant(att, hd)
+    if integral and not ok:
+        raise ModeUnsupported("integral Pic(G/H) needs H inside G_aff (no translations, no G_ant)")
+    mode = "integral" if ok else "rational"
     restr = restriction_to_subgroup(gd, hd, cap)
     rank_r = restr.x_gaff.nrows - restr.ker_r.nrows
     if mode == "integral":
@@ -355,9 +341,15 @@ class HomogeneousNSReport:
 def homogeneous_ns(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DEFAULT_CAP) -> HomogeneousNSReport:
     """NS(G/H): integral NS(A) + X(H)/r_H(X(G_aff)) when H is inside a
     factorial G_aff, otherwise the rational ranks of the same two parts."""
-    pic = homogeneous_picard(gd, hd, cap=cap)
-    factorial = flag_picard_map(gd.rd).pic.is_trivial
-    if pic.mode == "integral" and factorial:
+    return ns_of_picard(homogeneous_picard(gd, hd, cap=cap))
+
+
+def ns_of_picard(pic: HomogeneousPicardReport) -> HomogeneousNSReport:
+    """NS(G/H) read off a Pic(G/H) report from :func:`homogeneous_picard`.
+
+    G_aff is factorial when Pic(G_aff), the integral report's ``tail``, is trivial.
+    """
+    if pic.mode == "integral" and pic.tail.is_trivial:
         return HomogeneousNSReport(pic.ns, "integral", pic.pic0)
     rank = pic.ns_part.rank + pic.x_part.rank
     return HomogeneousNSReport(FGAbelianGroup(rank), "rational", pic.pic0)

@@ -125,9 +125,8 @@ def _run(args) -> tuple[object, int]:
     if args.command == "hchow":
         return chow.homogeneous_rational_chow(gd, hd, args.max_degree, cap), EXIT_OK
     if args.command == "hpic":
-        pic = chow.homogeneous_picard(gd, hd, True if args.integral else None, cap)
-        ns = chow.homogeneous_ns(gd, hd, cap)
-        return {"type": "hpic", "picard": pic, "ns": ns}, EXIT_OK
+        pic = chow.homogeneous_picard(gd, hd, args.integral, cap)
+        return {"type": "hpic", "picard": pic, "ns": chow.ns_of_picard(pic)}, EXIT_OK
     if args.command == "complete":
         return {
             "type": "complete",

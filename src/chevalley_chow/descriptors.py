@@ -20,7 +20,6 @@ at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import GroupTooLarge, InvalidCartan
 from .lattice import (
@@ -33,7 +32,6 @@ from .lattice import (
     fixed_sublattice,
     hermite_row_basis,
     integer_kernel,
-    intersect_rows,
     quotient_group,
     solve_integer,
     vstack,
@@ -302,11 +300,7 @@ def validate_subgroup(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DE
         _check(checks, "component-weyl-compatibility", compat,
                "a component generator is not q-compatible with any Weyl element")
         if compat:
-            xh0 = _connected_character_lattice(gd, hd)
-            stable = all(
-                all(solve_integer(xh0.transpose(), g.apply(row)) is not None for row in xh0.rows)
-                for g in hd.component_generators
-            ) if xh0.nrows else True
+            stable = _component_action(_connected_character_lattice(gd, hd), hd) is not None
             _check(checks, "component-group-preserves-characters", stable,
                    "the component group does not stabilize the character lattice of H0")
 
@@ -339,31 +333,20 @@ class AttributeReport:
 
 
 def gamma_kernel(gd: GroupDescriptor) -> IntMatrix:
-    """Basis of ker(gamma_A) = X(G) inside X(T), by the composite-map route."""
+    """Basis of ker(gamma_A) = X(G) inside X(T): the kernel of u into X(D)/ker sigma_A."""
     basis = characters_of_group(gd.rd)
     if basis.nrows == 0:
         return basis
-    matrix = gd.gluing.v_matrix @ basis.transpose()
-    hom = GroupHom(Presentation.free(basis.nrows), gd.gluing.sigma_quotient(), matrix)
-    coords = hom.kernel_lattice()
+    u = affinization_hom(gd)
+    coords = GroupHom(u.domain, gd.gluing.sigma_quotient(), u.matrix).kernel_lattice()
     return hermite_row_basis(coords @ basis)
-
-
-def gamma_kernel_by_intersection(gd: GroupDescriptor) -> IntMatrix:
-    """Same lattice as :func:`gamma_kernel`, via X(G_aff) meet v^{-1}(ker sigma).
-
-    A test oracle: production code uses :func:`gamma_kernel` only.
-    """
-    hom = GroupHom(Presentation.free(gd.rd.rank), gd.gluing.sigma_quotient(), gd.gluing.v_matrix)
-    preimage = hom.kernel_lattice()
-    return intersect_rows(characters_of_group(gd.rd), preimage)
 
 
 def derived_attributes(gd: GroupDescriptor) -> AttributeReport:
     """Dimensions and the gamma_A kernel/image data of a valid descriptor.
 
     The kernel comes from :func:`gamma_kernel`; the tests check it against
-    the intersection route :func:`gamma_kernel_by_intersection`.
+    an independent route, X(G_aff) meet v^{-1}(ker sigma_A).
     """
     rd = gd.rd
     glue = gd.gluing
@@ -391,8 +374,14 @@ def derived_attributes(gd: GroupDescriptor) -> AttributeReport:
     )
 
 
+def contains_nontrivial_ant(att: AttributeReport, hd: SubgroupDescriptor) -> bool:
+    """Whether H contains a nontrivial G_ant (a trivial G_ant makes the flag vacuous)."""
+    return hd.contains_G_ant and att.dim_G_ant > 0
+
+
 def affinization_hom(gd: GroupDescriptor) -> GroupHom:
-    """u: X(G_aff) -> X(D), the restriction of v to the group characters."""
+    """u: X(G_aff) -> X(D), the restriction of v to the group characters;
+    gamma_A factors through it."""
     basis = characters_of_group(gd.rd)
     matrix = gd.gluing.v_matrix @ basis.transpose()
     return GroupHom(Presentation.free(basis.nrows), gd.gluing.xd, matrix)
@@ -421,7 +410,22 @@ def _connected_character_lattice(gd: GroupDescriptor, hd: SubgroupDescriptor) ->
     return integer_kernel(IntMatrix(rows, hd.h_rank))
 
 
-@lru_cache(maxsize=None)
+def _component_action(xh0: IntMatrix, hd: SubgroupDescriptor) -> tuple[IntMatrix, ...] | None:
+    """Each component generator acting on X(H0), in the coordinates of the
+    basis rows ``xh0``; None when some generator does not stabilize X(H0)."""
+    induced = []
+    bt = xh0.transpose()
+    for g in hd.component_generators:
+        cols = []
+        for row in xh0.rows:
+            sol = solve_integer(bt, g.apply(row))
+            if sol is None:
+                return None
+            cols.append(sol)
+        induced.append(IntMatrix.from_columns(cols, xh0.nrows))
+    return tuple(induced)
+
+
 def subgroup_characters(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DEFAULT_CAP) -> IntMatrix:
     """Basis rows of X(H) inside X(T_H).
 
@@ -431,17 +435,9 @@ def subgroup_characters(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = 
     xh0 = _connected_character_lattice(gd, hd)
     if not hd.component_generators or xh0.nrows == 0:
         return xh0
-    # action of each generator in X(H0) coordinates
-    induced = []
-    bt = xh0.transpose()
-    for g in hd.component_generators:
-        cols = []
-        for row in xh0.rows:
-            sol = solve_integer(bt, g.apply(row))
-            if sol is None:
-                raise ValueError("component group does not stabilize X(H0)")
-            cols.append(sol)
-        induced.append(IntMatrix.from_columns(cols, xh0.nrows))
+    induced = _component_action(xh0, hd)
+    if induced is None:
+        raise ValueError("component group does not stabilize X(H0)")
     fixed = fixed_sublattice(induced, xh0.nrows, cap=cap)
     return hermite_row_basis(fixed @ xh0) if fixed.nrows else IntMatrix((), hd.h_rank)
 

@@ -129,7 +129,12 @@ def substitute(matrix: IntMatrix, a: Poly) -> Poly:
     """Act by the lattice map: variable x_i becomes sum_j matrix[j][i] x_j.
 
     This is the action induced on Sym(X) by the column action on X, so
-    ``substitute(g, substitute(h, f)) == substitute(g @ h, f)``.
+    ``substitute(g, substitute(h, f)) == substitute(g @ h, f)``.  Along a
+    lattice surjection q: X(T) -> X(T_H) it restricts polynomials to T_H.
+
+    >>> q = IntMatrix(((1, 1),))
+    >>> substitute(q, {(1, 1): Fraction(1)})  # x*y with (a,b) -> a+b
+    {(2,): Fraction(1, 1)}
     """
     n = matrix.nrows
     images = [linear_poly(matrix.column(i)) for i in range(matrix.ncols)]
@@ -216,19 +221,6 @@ def _invariant_slice(rank: int, gens: tuple[IntMatrix, ...], d: int) -> tuple[Po
         if any(avg) and builder.add(avg):
             polys.append(poly_from_vector(avg, rank, d))
     return tuple(polys)
-
-
-def restrict_symmetric(q_matrix: IntMatrix, a: Poly) -> Poly:
-    """Push a polynomial along a lattice surjection q: X(T) -> X(T_H).
-
-    Plain substitution: a character chi maps to q(chi), so the variable x_i
-    maps to the linear form with coordinates column i of q.
-
-    >>> q = IntMatrix(((1, 1),))
-    >>> restrict_symmetric(q, {(1, 1): Fraction(1)})  # x*y with (a,b) -> a+b
-    {(2,): Fraction(1, 1)}
-    """
-    return substitute(q_matrix, a)
 
 
 @dataclass(frozen=True)

@@ -90,9 +90,6 @@ class IntMatrix:
     def column(self, j: int) -> Vec:
         return tuple(r[j] for r in self.rows)
 
-    def columns(self) -> tuple[Vec, ...]:
-        return tuple(self.column(j) for j in range(self.ncols))
-
     def transpose(self) -> "IntMatrix":
         if self.nrows == 0:
             return IntMatrix(tuple(() for _ in range(self.ncols)), 0) if self.ncols else IntMatrix((), 0)
@@ -352,54 +349,6 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     return hermite_row_basis(IntMatrix(tuple(cols), m.ncols))
 
 
-def integer_kernel_by_columns(m: IntMatrix) -> IntMatrix:
-    """Same lattice as :func:`integer_kernel`, by plain column reduction.
-
-    A test oracle: it shares no code with the Smith route, so the tests
-    compare the two.  Production code uses :func:`integer_kernel`.
-    """
-    a = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def col(j):
-        return [a[i][j] for i in range(nr)]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0  # next column to place a pivot in
-    for i in range(nr):
-        while True:
-            nz = [j for j in range(t, nc) if a[i][j] != 0]
-            if not nz:
-                break
-            j0 = min(nz, key=lambda j: (abs(a[i][j]), j))
-            if j0 != t:
-                swap_cols(t, j0)
-            done = True
-            for j in range(t + 1, nc):
-                if a[i][j] != 0:
-                    add_col(j, t, -(a[i][j] // a[i][t]))
-                    if a[i][j] != 0:
-                        done = False
-            if done:
-                break
-        if any(a[i][j] != 0 for j in range(t, nc)):
-            t += 1
-    kernel_cols = [tuple(v[i][j] for i in range(nc)) for j in range(t, nc) if all(col(j)[i] == 0 for i in range(nr))]
-    return hermite_row_basis(IntMatrix(tuple(kernel_cols), nc))
-
-
 def solve_integer(m: IntMatrix, b) -> Vec | None:
     """One integer solution of ``m @ x == b``, or None.
 
@@ -491,13 +440,6 @@ class FGAbelianGroup:
     @property
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
-
-    @property
-    def order(self) -> int | None:
-        """Number of elements, or None when infinite."""
-        if self.rank:
-            return None
-        return math.prod(self.torsion) if self.torsion else 1
 
     def torsion_order(self) -> int:
         return math.prod(self.torsion) if self.torsion else 1

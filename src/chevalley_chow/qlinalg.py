@@ -88,16 +88,13 @@ class SpanBuilder:
     """Incremental echelon basis of a growing span in Q^n.
 
     ``add`` returns True when the vector enlarged the span.  Used to pick
-    greedy bases out of redundant spanning sets while remembering which
-    input vectors were kept.
+    greedy bases out of redundant spanning sets.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows: list[list[Fraction]] = []
         self.pivots: list[int] = []
-        self.kept: list[int] = []
-        self._count = 0
 
     def reduce(self, vec) -> list[Fraction]:
         v = list(qvec(vec))
@@ -112,8 +109,6 @@ class SpanBuilder:
     def add(self, vec) -> bool:
         v = self.reduce(vec)
         pc = next((c for c, x in enumerate(v) if x != 0), None)
-        idx = self._count
-        self._count += 1
         if pc is None:
             return False
         inv = v[pc]
@@ -122,7 +117,6 @@ class SpanBuilder:
         pos = next((k for k, p in enumerate(self.pivots) if p > pc), len(self.pivots))
         self.rows.insert(pos, v)
         self.pivots.insert(pos, pc)
-        self.kept.append(idx)
         return True
 
     def contains(self, vec) -> bool:

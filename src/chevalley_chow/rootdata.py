@@ -28,7 +28,7 @@ from .lattice import (
     hermite_row_basis,
     integer_kernel,
 )
-from .qlinalg import qrank, qsolve
+from .qlinalg import qsolve
 
 #: |W| for each irreducible type, as a function of the rank
 _WEYL_ORDERS = {
@@ -200,9 +200,9 @@ def validate_root_datum(rd: RootDatum) -> CartanType:
                 raise InvalidCartan(f"pairing of roots {i}, {j} vanishes on one side only")
             if c[i][j] * c[j][i] > 3:
                 raise InvalidCartan(f"bond {i}-{j} has product {c[i][j] * c[j][i]} > 3")
-    if qrank(rd.simple_roots.rows, rd.rank) != k:
+    if hermite_row_basis(rd.simple_roots).nrows != k:
         raise InvalidCartan("simple roots are linearly dependent")
-    if qrank(rd.simple_coroots.rows, rd.rank) != k:
+    if hermite_row_basis(rd.simple_coroots).nrows != k:
         raise InvalidCartan("simple coroots are linearly dependent")
 
     def weight(i, j):
@@ -264,9 +264,6 @@ class WeylGroup:
 
     def __len__(self):
         return len(self.elements)
-
-    def length(self, m: IntMatrix) -> int:
-        return self.lengths[self.index[m]]
 
     @property
     def longest(self) -> IntMatrix:
@@ -367,8 +364,8 @@ def root_system(rd: RootDatum) -> RootSystem:
 def characters_of_group(rd: RootDatum) -> IntMatrix:
     """Basis of X(G_aff) = {chi in X(T) : <chi, alpha^vee> = 0 for all alpha}.
 
-    The integer kernel of the simple coroots, by the Smith route; the tests
-    check it against the column-reduction oracle.
+    The integer kernel of the simple coroots; the tests check it against an
+    independent column reduction.
 
     >>> gl2 = RootDatum(2, IntMatrix(((1, -1),)), IntMatrix(((1, -1),)))
     >>> characters_of_group(gl2).rows

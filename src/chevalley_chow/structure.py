@@ -17,6 +17,7 @@ from .descriptors import (
     GroupDescriptor,
     SubgroupDescriptor,
     affinization_hom,
+    contains_nontrivial_ant,
     derived_attributes,
 )
 from .lattice import (
@@ -191,7 +192,7 @@ def _translation_index_bound(hd: SubgroupDescriptor, cap: int) -> int:
 
 def fibration_report(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DEFAULT_CAP) -> FibrationReport:
     att = derived_attributes(gd)
-    if hd.contains_G_ant and att.dim_G_ant > 0:
+    if contains_nontrivial_ant(att, hd):
         return FibrationReport(
             torsor_dim=att.dim_G_ant,
             torsor_xd=att.xd_group,
@@ -222,7 +223,7 @@ def phi_local_triviality_test(gd: GroupDescriptor, hd: SubgroupDescriptor) -> Ve
     so H containing a nontrivial G_ant answers no by failed hypothesis.
     """
     att = derived_attributes(gd)
-    if hd.contains_G_ant and att.dim_G_ant > 0:
+    if contains_nontrivial_ant(att, hd):
         return Verdict("no", "criterion requires the faithful model; H contains G_ant")
     torsion_free = not att.xd_group.torsion
     inside = not hd.has_translations
@@ -241,11 +242,12 @@ def _parabolic_witness(gd: GroupDescriptor, hd: SubgroupDescriptor, found, cap: 
     idx, word = found
     w = weyl_group(gd.rd, cap=cap)
     rs = root_system(gd.rd)
-    minv = _matrix_inverse(w.elements[idx])
-    transformed = {minv.apply(v) for v in hd.root_vectors(gd.rd)}
+    m = w.elements[idx]
+    roots_h = set(hd.root_vectors(gd.rd))
+    # alpha_i is a Levi simple root when H also holds the opposite root m(-alpha_i)
     levi = tuple(
         i for i, a in enumerate(gd.rd.simple_roots.rows)
-        if tuple(-x for x in a) in transformed
+        if m.apply(tuple(-x for x in a)) in roots_h
     )
     inside_levi = sum(
         1 for r in rs.positive

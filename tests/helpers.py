@@ -13,9 +13,17 @@ from chevalley_chow.descriptors import (
     SubgroupDescriptor,
 )
 from chevalley_chow.invariants import coeff_vector, poly_add, poly_scale, substitute, sym_basis
-from chevalley_chow.lattice import FGAbelianGroup, IntMatrix, Presentation, enumerate_matrix_group
+from chevalley_chow.lattice import (
+    FGAbelianGroup,
+    GroupHom,
+    IntMatrix,
+    Presentation,
+    enumerate_matrix_group,
+    hermite_row_basis,
+    intersect_rows,
+)
 from chevalley_chow.qlinalg import SpanBuilder, qsolve
-from chevalley_chow.rootdata import RootDatum, reflection, simple_reflection
+from chevalley_chow.rootdata import RootDatum, characters_of_group, reflection, simple_reflection
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = (
@@ -173,6 +181,57 @@ def root_system_by_solves(rd):
         if min(coords) >= 0:
             records.append((sum(coords), coords, vec, cov))
     return sorted(records)
+
+
+def integer_kernel_by_columns(m: IntMatrix) -> IntMatrix:
+    """Oracle for ``lattice.integer_kernel``: the same lattice by plain column
+    reduction, sharing no code with the Smith route."""
+    a = [list(r) for r in m.rows]
+    nr, nc = m.nrows, m.ncols
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def col(j):
+        return [a[i][j] for i in range(nr)]
+
+    def add_col(dst, src, q):
+        for row in a:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0  # next column to place a pivot in
+    for i in range(nr):
+        while True:
+            nz = [j for j in range(t, nc) if a[i][j] != 0]
+            if not nz:
+                break
+            j0 = min(nz, key=lambda j: (abs(a[i][j]), j))
+            if j0 != t:
+                swap_cols(t, j0)
+            done = True
+            for j in range(t + 1, nc):
+                if a[i][j] != 0:
+                    add_col(j, t, -(a[i][j] // a[i][t]))
+                    if a[i][j] != 0:
+                        done = False
+            if done:
+                break
+        if any(a[i][j] != 0 for j in range(t, nc)):
+            t += 1
+    kernel_cols = [tuple(v[i][j] for i in range(nc)) for j in range(t, nc) if all(col(j)[i] == 0 for i in range(nr))]
+    return hermite_row_basis(IntMatrix(tuple(kernel_cols), nc))
+
+
+def gamma_kernel_by_intersection(gd):
+    """Oracle for ``descriptors.gamma_kernel``: X(G_aff) meet v^{-1}(ker sigma_A)."""
+    hom = GroupHom(Presentation.free(gd.rd.rank), gd.gluing.sigma_quotient(), gd.gluing.v_matrix)
+    return intersect_rows(characters_of_group(gd.rd), hom.kernel_lattice())
 
 
 def naive_closure(gens):

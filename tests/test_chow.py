@@ -181,7 +181,7 @@ def test_negative_max_degree_refused_before_any_work(monkeypatch):
         raise AssertionError("a negative degree must be refused first")
 
     for name in ("derived_attributes", "truncated_quotient", "coinvariant_ideal_generators",
-                 "codegree_histogram", "invariant_algebra", "_effective_contains_ant"):
+                 "codegree_histogram", "invariant_algebra", "contains_nontrivial_ant"):
         monkeypatch.setattr(chow, name, no_work)
     with pytest.raises(ValueError, match="nonnegative"):
         chow_presentation(z.product_sl2, -1)
@@ -232,6 +232,7 @@ def test_homogeneous_picard_integral_cases():
     assert hp.ns_part.is_trivial and hp.x_part == FGAbelianGroup(1)
     hp = homogeneous_picard(z.product_sl2, z.borel)
     assert hp.mode == "integral"
+    assert homogeneous_picard(z.product_sl2, z.borel, integral=False) == hp
     assert hp.ns == FGAbelianGroup(2)  # NS(A) + Pic(P^1)
     assert hp.tail.is_trivial
     assert hp.x_gh.nrows == 0

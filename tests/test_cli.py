@@ -286,3 +286,13 @@ def test_console_script_end_to_end():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["ns"] == {"rank": 1, "torsion": []}
+
+
+def test_hpic_builds_one_picard_report(capsys, monkeypatch):
+    calls = []
+    restrict = chow.restriction_to_subgroup
+    monkeypatch.setattr(chow, "restriction_to_subgroup", lambda *a: calls.append(a) or restrict(*a))
+    for argv in (("borel", SL2), ("borel", SL2, "--integral"), ("nlt", SL2)):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "hpic", *argv)
+        assert code == 0 and len(calls) == 1, argv

@@ -3,6 +3,7 @@
 import pytest
 
 import helpers as z
+from chevalley_chow import chow, descriptors
 from chevalley_chow.descriptors import (
     AbelianVarietyData,
     AntiAffineGluing,
@@ -12,7 +13,6 @@ from chevalley_chow.descriptors import (
     derived_attributes,
     descended_coroot,
     gamma_kernel,
-    gamma_kernel_by_intersection,
     restriction_to_subgroup,
     subgroup_characters,
     validate_group,
@@ -66,7 +66,7 @@ def test_cover_torsion_attributes():
 
 
 def test_gamma_kernel_two_routes(any_group):
-    assert gamma_kernel(any_group) == gamma_kernel_by_intersection(any_group)
+    assert gamma_kernel(any_group) == z.gamma_kernel_by_intersection(any_group)
 
 
 def test_group_failure_centrality():
@@ -201,3 +201,26 @@ def test_descriptor_shape_errors():
     with pytest.raises(ValueError):
         SubgroupDescriptor("bad", M.identity(1),
                            component_generators=(M.identity(2),))
+
+
+def test_u_has_one_construction_site(monkeypatch):
+    calls = []
+    u = descriptors.affinization_hom
+    for mod in (descriptors, chow):
+        monkeypatch.setattr(mod, "affinization_hom", lambda gd: calls.append(gd) or u(gd))
+    p = chow.picard_group(z.gl2c)
+    assert p.presentation.gamma_matrix == u(z.gl2c).matrix
+    # once for ker gamma_A inside derived_attributes, once for the sequence's matrix
+    assert len(calls) == 2
+
+
+def test_component_action_has_one_helper(monkeypatch):
+    calls = []
+    action = descriptors._component_action
+    monkeypatch.setattr(descriptors, "_component_action", lambda *a: calls.append(a) or action(*a))
+    assert validate_subgroup(z.product_sl2, z.nlt).ok
+    assert len(calls) == 1
+    # X(H) is not kept across calls
+    for _ in range(2):
+        assert subgroup_characters(z.product_sl2, z.nlt).nrows == 0
+    assert len(calls) == 3

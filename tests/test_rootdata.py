@@ -3,14 +3,9 @@
 import pytest
 
 import helpers as z
-from chevalley_chow import lattice, rootdata
+from chevalley_chow import lattice, qlinalg, rootdata
 from chevalley_chow.errors import GroupTooLarge, InvalidCartan
-from chevalley_chow.lattice import (
-    FGAbelianGroup,
-    IntMatrix,
-    enumerate_matrix_group,
-    integer_kernel_by_columns,
-)
+from chevalley_chow.lattice import FGAbelianGroup, IntMatrix, enumerate_matrix_group
 from chevalley_chow.rootdata import (
     RootDatum,
     cartan_matrix,
@@ -170,7 +165,7 @@ def test_characters_of_group():
     assert characters_of_group(z.rank3).rows == ((0, 1, 0), (0, 0, 1))
     # cross-check the Smith route against the column-reduction oracle
     for rd in (z.gl2, z.sl3, z.sp4, z.rank3, z.sl2xt, z.torus2):
-        assert characters_of_group(rd) == integer_kernel_by_columns(rd.simple_coroots)
+        assert characters_of_group(rd) == z.integer_kernel_by_columns(rd.simple_coroots)
 
 
 def test_flag_picard_table():
@@ -235,3 +230,19 @@ def test_contains_borel():
 def test_cartan_matrix():
     assert cartan_matrix(z.sl3).rows == ((2, -1), (-1, 2))
     assert cartan_matrix(z.g2).rows == ((2, -1), (-3, 2))
+
+
+def test_cartan_validation_needs_no_rational_elimination(monkeypatch):
+    def no_rref(*args, **kwargs):
+        raise AssertionError("simple roots ranked over Fractions")
+
+    monkeypatch.setattr(qlinalg, "rref", no_rref)
+    for rd, name in ((z.sl2, "A1"), (z.sl3, "A2"), (z.sl4, "A3"), (z.a4, "A4"), (z.a5, "A5"),
+                     (z.sp4, "B2"), (z.c3, "C3"), (z.d4, "D4"), (z.g2, "G2"), (z.f4, "F4")):
+        assert validate_root_datum(rd).describe() == name
+    # the affine A2 diagram passes every pairwise test, but its Cartan matrix is singular
+    affine_a2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    with pytest.raises(InvalidCartan, match="simple roots are linearly dependent"):
+        validate_root_datum(RootDatum(2, M(((2, -1), (-1, 2), (-1, -1))), M(((1, 0), (0, 1), (-1, -1)))))
+    with pytest.raises(InvalidCartan, match="simple coroots are linearly dependent"):
+        validate_root_datum(RootDatum(3, M.identity(3), M(affine_a2).transpose()))

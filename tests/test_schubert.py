@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers as z
+from chevalley_chow import schubert
 from chevalley_chow.errors import NonIntegralStructureConstant
 from chevalley_chow.invariants import linear_poly, poly_mul
 from chevalley_chow.rootdata import root_system, weyl_group
@@ -121,3 +122,21 @@ def test_expand_above_top_degree():
     assert expand_in_schubert_basis(z.sl2, poly_mul(x, x), 2).is_zero
     cube = poly_mul(poly_mul(x, x), x)
     assert expand_in_schubert_basis(z.sl2, cube, 3).is_zero
+
+
+def test_above_top_degree_is_zero_without_reduction(monkeypatch):
+    # the coinvariant algebra vanishes above N = |positive roots| (Chevalley),
+    # so nothing may be reduced modulo the ideal there
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("reduced modulo the coinvariant ideal above N")
+
+    monkeypatch.setattr(schubert, "_coinvariant_reducer", no_reduction)
+    for rd in (z.sl2, z.sp4, z.g2):
+        top = len(root_system(rd).positive)
+        power = {(top + 1,) + (0,) * (rd.rank - 1): F(1)}
+        for d, poly in ((top + 1, power), (top + 2, poly_mul(power, linear_poly((1,) * rd.rank)))):
+            exp = expand_in_schubert_basis(rd, poly, d)
+            assert exp.is_zero and exp.codegree == d
+    # past the degree budget the answer is still zero, not DegreeTooLarge
+    exp = expand_in_schubert_basis(z.sl2, {(65,): F(1)}, 65)
+    assert exp.is_zero and exp.codegree == 65

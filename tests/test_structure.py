@@ -3,8 +3,16 @@
 import pytest
 
 import helpers as z
-from chevalley_chow.chow import picard_group
-from chevalley_chow.descriptors import derived_attributes, validate_group
+from chevalley_chow import chow, lattice, structure
+from chevalley_chow.chow import homogeneous_picard, homogeneous_rational_chow, picard_group
+from chevalley_chow.descriptors import (
+    SubgroupDescriptor,
+    contains_nontrivial_ant,
+    derived_attributes,
+    validate_group,
+    validate_subgroup,
+)
+from chevalley_chow.errors import ModeUnsupported
 from chevalley_chow.lattice import FGAbelianGroup, IntMatrix
 from chevalley_chow.rootdata import flag_picard_map
 from chevalley_chow.structure import (
@@ -171,3 +179,47 @@ def test_affine_unknown_in_char_p():
         "charp", z.sl2, z.A1_AV,
         AntiAffineGluing(Presentation.free(0), M((), 1), M((), 0), char=5))
     assert affine_test(charp, z.t_sl2).answer == "unknown"
+
+
+def test_parabolic_witness_inverts_no_matrix(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the Weyl witness was inverted by integer solves")
+
+    monkeypatch.setattr(structure, "solve_integer", no_solve)
+    monkeypatch.setattr(lattice, "solve_integer", no_solve)
+    v = completeness_test(z.product_sl2, z.neg_borel)
+    assert v.answer == "yes" and v.witness["levi_simples"] == () and v.witness["flag_factor_dim"] == 1
+    # parabolics of SL3 x A; positive root 0 is alpha_1, root 1 is alpha_0, root 2 their sum.
+    # (roots, weyl_word, levi_simples), read off the route that inverted the witness
+    cases = (
+        (((0, 1), (1, 1), (2, 1), (0, -1)), (), (1,)),
+        (((0, -1), (1, -1), (2, -1), (1, 1)), (1, 0), (1,)),
+        (((0, -1), (1, -1), (2, -1), (0, 1)), (0, 1), (0,)),
+        (((0, 1), (1, -1), (2, 1)), (0,), ()),
+        (((0, 1), (1, -1), (2, 1), (1, 1)), (), (0,)),
+        (((0, 1), (1, -1), (2, 1), (2, -1)), (0,), (1,)),
+    )
+    for roots, word, levi in cases:
+        hd = SubgroupDescriptor("parabolic", M.identity(2), roots, ant_contains_gantaff=True)
+        assert validate_subgroup(z.product_sl3, hd).ok
+        v = completeness_test(z.product_sl3, hd)
+        assert v.answer == "yes", roots
+        assert (v.witness["weyl_word"], v.witness["levi_simples"]) == (word, levi), roots
+        assert v.witness["flag_factor_dim"] == 3 - len(levi)
+
+
+def test_one_g_ant_predicate(monkeypatch):
+    assert contains_nontrivial_ant(derived_attributes(z.semiab), z.g_ant_sub)
+    assert not contains_nontrivial_ant(derived_attributes(z.semiab), z.full_t)
+    # G_ant of a group over a point is trivial, so the flag is vacuous
+    assert not contains_nontrivial_ant(derived_attributes(z.sl2_affine), z.g_ant_sub)
+    # forced on for the Borel subgroup, every consumer takes its G_ant branch
+    for mod in (chow, structure):
+        monkeypatch.setattr(mod, "contains_nontrivial_ant", lambda att, hd: True)
+    assert fibration_report(z.product_sl2, z.borel).translation_index_bound is None
+    assert "H contains G_ant" in phi_local_triviality_test(z.product_sl2, z.borel).criterion
+    assert homogeneous_picard(z.product_sl2, z.borel).mode == "rational"
+    with pytest.raises(ModeUnsupported):
+        homogeneous_picard(z.product_sl2, z.borel, integral=True)
+    with pytest.raises(ModeUnsupported):
+        homogeneous_rational_chow(z.product_sl2, z.borel, 1)
