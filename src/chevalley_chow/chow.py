@@ -15,14 +15,13 @@ degree 0 rationally; only G/H computes invariant slices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .descriptors import (
     DEFAULT_CAP,
     AttributeReport,
     GroupDescriptor,
     SubgroupDescriptor,
-    affinization_hom,
     contains_nontrivial_ant,
     derived_attributes,
     descended_coroot,
@@ -52,8 +51,7 @@ from .rootdata import flag_picard_map, reflection, root_system
 from .schubert import SchubertExpansion, chevalley_multiply, codegree_histogram, coinvariant_ideal_generators
 
 
-@dataclass(frozen=True)
-class FormalPicardZero:
+class FormalPicardZero(Record):
     """Pic0(A_g) divided by the image of a finitely generated group."""
 
     g: int
@@ -67,8 +65,7 @@ class FormalPicardZero:
         return f"{base} / <{ngen} generators, {self.quotient_by.describe()}>"
 
 
-@dataclass(frozen=True)
-class PicardSequence:
+class PicardSequence(Record):
     """The five-term picture 0 -> X(G) -> X(G_aff) -> Pic(A) -> Pic(G) -> Pic(G_aff) -> 0.
 
     Everything is in coordinates: X(G) and X(G_aff) as row bases inside
@@ -84,8 +81,7 @@ class PicardSequence:
     pic_gaff: FGAbelianGroup
 
 
-@dataclass(frozen=True)
-class PicardReport:
+class PicardReport(Record):
     ns: FGAbelianGroup
     pic0: FormalPicardZero
     presentation: PicardSequence
@@ -104,7 +100,7 @@ def picard_group(gd: GroupDescriptor) -> PicardReport:
         x_g=att.ker_gamma,
         x_g_group=FGAbelianGroup(att.ker_gamma.nrows),
         x_gaff=att.x_gaff,
-        gamma_matrix=affinization_hom(gd).matrix,
+        gamma_matrix=att.u.matrix,
         gamma_target=gd.gluing.sigma_quotient(),
         pic_gaff=pic_gaff,
     )
@@ -116,8 +112,7 @@ def ns_group(gd: GroupDescriptor) -> FGAbelianGroup:
     return gd.av.ns.direct_sum(flag_picard_map(gd.rd).pic)
 
 
-@dataclass(frozen=True)
-class GradedPresentation:
+class GradedPresentation(Record):
     """A graded ring presented as (concrete factor) x A*(A_g) / ideal.
 
     ``ideal_degree1`` pairs each degree-1 ideal generator's formal
@@ -262,7 +257,7 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
             ideal.append(rf)
     concrete = truncated_quotient(ambient, ideal, max_degree)
     # rank of gamma_A(ker r_H), measured as (ker r_H + ker gamma_A)/ker gamma_A
-    ker_r = restriction_to_subgroup(gd, hd, cap).ker_r
+    ker_r = restriction_to_subgroup(gd, hd, att.x_gaff, cap).ker_r
     j_rank = hermite_row_basis(vstack(ker_r, att.ker_gamma)).nrows - att.ker_gamma.nrows
     return GradedPresentation(
         mode="rational",
@@ -275,8 +270,7 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
     )
 
 
-@dataclass(frozen=True)
-class HomogeneousPicardReport:
+class HomogeneousPicardReport(Record):
     """Pic(G/H) split into NS(A)-part, character part, and formal Pic0 part.
 
     ``x_part`` is X(H)/r_H(X(G_aff)); ``x_gh`` is a row basis of
@@ -308,7 +302,7 @@ def homogeneous_picard(gd: GroupDescriptor, hd: SubgroupDescriptor,
     if integral and not ok:
         raise ModeUnsupported("integral Pic(G/H) needs H inside G_aff (no translations, no G_ant)")
     mode = "integral" if ok else "rational"
-    restr = restriction_to_subgroup(gd, hd, cap)
+    restr = restriction_to_subgroup(gd, hd, att.x_gaff, cap)
     rank_r = restr.x_gaff.nrows - restr.ker_r.nrows
     if mode == "integral":
         ns_part = gd.av.ns
@@ -331,8 +325,7 @@ def homogeneous_picard(gd: GroupDescriptor, hd: SubgroupDescriptor,
     )
 
 
-@dataclass(frozen=True)
-class HomogeneousNSReport:
+class HomogeneousNSReport(Record):
     group: FGAbelianGroup
     mode: str
     pic0: FormalPicardZero   # Pic0(G/H)_Q is isomorphic to Pic0(G)_Q

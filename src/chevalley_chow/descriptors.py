@@ -19,8 +19,7 @@ at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import GroupTooLarge, InvalidCartan
 from .lattice import (
     DEFAULT_CAP,
@@ -45,8 +44,7 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class AbelianVarietyData:
+class AbelianVarietyData(Record):
     """Dimension g of A = G/G_aff and the Neron-Severi group NS(A)."""
 
     g: int
@@ -57,8 +55,7 @@ class AbelianVarietyData:
             raise ValueError("abelian variety dimension must be nonnegative")
 
 
-@dataclass(frozen=True)
-class AntiAffineGluing:
+class AntiAffineGluing(Record):
     """Presentation of D = G_aff meet G_ant and the maps through it.
 
     ``xd`` presents X(D) on ambient generators; ``v_matrix`` is the
@@ -86,8 +83,7 @@ class AntiAffineGluing:
         return Presentation(self.xd.ngens, vstack(self.xd.relations, self.sigma_kernel_gens))
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Record):
     name: str
     rd: RootDatum
     av: AbelianVarietyData
@@ -98,8 +94,7 @@ class GroupDescriptor:
             raise ValueError("v must be defined on X(T)")
 
 
-@dataclass(frozen=True)
-class SubgroupDescriptor:
+class SubgroupDescriptor(Record):
     """A subgroup H of G, through its torus, roots, and component group.
 
     ``roots`` lists (index, sign) pairs into the positive-root enumeration
@@ -152,15 +147,13 @@ class SubgroupDescriptor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     subject: str
     checks: tuple[CheckResult, ...]
     warnings: tuple[str, ...] = ()
@@ -315,8 +308,7 @@ def validate_subgroup(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DE
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AttributeReport:
+class AttributeReport(Record):
     """Dimensions and character data derived from a valid descriptor."""
 
     dim_G: int
@@ -325,6 +317,7 @@ class AttributeReport:
     dim_Aff_G: int
     dim_D: int
     x_gaff: IntMatrix            # basis rows of X(G_aff) inside X(T)
+    u: GroupHom                  # X(G_aff) -> X(D) on x_gaff coordinates; gamma_A factors through it
     ker_gamma: IntMatrix         # basis rows of ker gamma_A inside X(T)
     im_gamma: FGAbelianGroup     # X(G_aff)/ker gamma_A, the image inside Pic0(A)
     rank_im_gamma: int
@@ -332,21 +325,13 @@ class AttributeReport:
     d_smooth_connected: bool
 
 
-def gamma_kernel(gd: GroupDescriptor) -> IntMatrix:
-    """Basis of ker(gamma_A) = X(G) inside X(T): the kernel of u into X(D)/ker sigma_A."""
-    basis = characters_of_group(gd.rd)
-    if basis.nrows == 0:
-        return basis
-    u = affinization_hom(gd)
-    coords = GroupHom(u.domain, gd.gluing.sigma_quotient(), u.matrix).kernel_lattice()
-    return hermite_row_basis(coords @ basis)
-
-
 def derived_attributes(gd: GroupDescriptor) -> AttributeReport:
     """Dimensions and the gamma_A kernel/image data of a valid descriptor.
 
-    The kernel comes from :func:`gamma_kernel`; the tests check it against
-    an independent route, X(G_aff) meet v^{-1}(ker sigma_A).
+    X(G_aff) is computed once; u is the restriction of v to it, and
+    ker gamma_A = X(G) is the kernel of u into X(D)/ker sigma_A.  The tests
+    check that kernel against an independent route, X(G_aff) meet
+    v^{-1}(ker sigma_A).
     """
     rd = gd.rd
     glue = gd.gluing
@@ -357,8 +342,13 @@ def derived_attributes(gd: GroupDescriptor) -> AttributeReport:
     dim_gant = gd.av.g + dim_d
     dim_g = dim_gaff + gd.av.g
     x_gaff = characters_of_group(rd)
-    ker = gamma_kernel(gd)
-    im = quotient_group(x_gaff, ker) if x_gaff.nrows else FGAbelianGroup(0)
+    u = GroupHom(Presentation.free(x_gaff.nrows), glue.xd, glue.v_matrix @ x_gaff.transpose())
+    if x_gaff.nrows:
+        coords = GroupHom(u.domain, glue.sigma_quotient(), u.matrix).kernel_lattice()
+        ker = hermite_row_basis(coords @ x_gaff)
+        im = quotient_group(x_gaff, ker)
+    else:
+        ker, im = x_gaff, FGAbelianGroup(0)
     return AttributeReport(
         dim_G=dim_g,
         dim_G_aff=dim_gaff,
@@ -366,6 +356,7 @@ def derived_attributes(gd: GroupDescriptor) -> AttributeReport:
         dim_Aff_G=dim_g - dim_gant,
         dim_D=dim_d,
         x_gaff=x_gaff,
+        u=u,
         ker_gamma=ker,
         im_gamma=im,
         rank_im_gamma=x_gaff.nrows - ker.nrows,
@@ -377,14 +368,6 @@ def derived_attributes(gd: GroupDescriptor) -> AttributeReport:
 def contains_nontrivial_ant(att: AttributeReport, hd: SubgroupDescriptor) -> bool:
     """Whether H contains a nontrivial G_ant (a trivial G_ant makes the flag vacuous)."""
     return hd.contains_G_ant and att.dim_G_ant > 0
-
-
-def affinization_hom(gd: GroupDescriptor) -> GroupHom:
-    """u: X(G_aff) -> X(D), the restriction of v to the group characters;
-    gamma_A factors through it."""
-    basis = characters_of_group(gd.rd)
-    matrix = gd.gluing.v_matrix @ basis.transpose()
-    return GroupHom(Presentation.free(basis.nrows), gd.gluing.xd, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +425,7 @@ def subgroup_characters(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = 
     return hermite_row_basis(fixed @ xh0) if fixed.nrows else IntMatrix((), hd.h_rank)
 
 
-@dataclass(frozen=True)
-class SubgroupRestriction:
+class SubgroupRestriction(Record):
     """r_H: X(G_aff) -> X(H) with bases fixed on both sides."""
 
     x_gaff: IntMatrix    # rows: basis of X(G_aff) in X(T) coordinates
@@ -452,13 +434,14 @@ class SubgroupRestriction:
     ker_r: IntMatrix     # rows: basis of ker r_H in X(T) coordinates
 
 
-def restriction_to_subgroup(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DEFAULT_CAP) -> SubgroupRestriction:
+def restriction_to_subgroup(gd: GroupDescriptor, hd: SubgroupDescriptor, x_gaff: IntMatrix,
+                            cap: int = DEFAULT_CAP) -> SubgroupRestriction:
     """Restriction of G_aff-characters to H, in the chosen bases.
 
+    ``x_gaff`` is the basis of X(G_aff) from :func:`derived_attributes`.
     q maps X(G_aff) into X(H) because group characters are Weyl-fixed and
     kill all coroots; integrality of the change of basis is asserted.
     """
-    x_gaff = characters_of_group(gd.rd)
     x_h = subgroup_characters(gd, hd, cap)
     cols = []
     ker_rows = []

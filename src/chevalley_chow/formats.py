@@ -10,9 +10,9 @@ text tree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .chow import (
     FormalPicardZero,
     GradedPresentation,
@@ -39,8 +39,7 @@ SCHEMA_TAG = "chevalley-chow/1"
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
-@dataclass(frozen=True)
-class DescriptorDocument:
+class DescriptorDocument(Record):
     group: GroupDescriptor
     subgroups: tuple[tuple[str, SubgroupDescriptor], ...] = ()
 

@@ -12,11 +12,11 @@ x^2, xy, y^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
+from ._record import Record
 from .errors import DegreeTooLarge
 from .lattice import DEFAULT_CAP, IntMatrix, enumerate_matrix_group
 from .qlinalg import SpanBuilder, nullspace, rref
@@ -26,9 +26,10 @@ Poly = dict[tuple[int, ...], Fraction]
 #: hard ceiling on requested degrees; generous for desk-scale data
 DEGREE_BUDGET = 64
 SLICE_CACHE_SIZE = 128  # invariant slices kept, one per (rank, generators, d)
+SYM_BASIS_CACHE_SIZE = 64  # monomial bases kept, one per (rank, d)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SYM_BASIS_CACHE_SIZE)
 def sym_basis(rank: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Monomials of total degree d in ``rank`` variables, lex descending.
 
@@ -223,8 +224,7 @@ def _invariant_slice(rank: int, gens: tuple[IntMatrix, ...], d: int) -> tuple[Po
     return tuple(polys)
 
 
-@dataclass(frozen=True)
-class GradedAlgebra:
+class GradedAlgebra(Record):
     """A graded subalgebra of a polynomial ring, presented by its slices."""
 
     rank: int
@@ -290,8 +290,7 @@ def ideal_slice(ambient: GradedAlgebra, generators: list[Poly], d: int) -> list[
     return out
 
 
-@dataclass(frozen=True)
-class TruncatedQuotient:
+class TruncatedQuotient(Record):
     """Graded quotient ambient/ideal, truncated at max_degree.
 
     ``dims`` and ``ambient_dims`` are the dimensions of the quotient and of

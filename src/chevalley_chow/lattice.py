@@ -16,10 +16,10 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
+from ._record import Record
 from .errors import GroupTooLarge, IllFormedHom, TorsionDomain
 
 Vec = tuple[int, ...]
@@ -416,8 +416,7 @@ def intersect_rows(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
+class FGAbelianGroup(Record):
     """Isomorphism type ``Z^rank + Z/t1 + ... + Z/tk`` with ``t1 | t2 | ...``.
 
     >>> FGAbelianGroup(1, (2, 6)).describe()
@@ -494,8 +493,7 @@ def quotient_group(sup: IntMatrix, sub: IntMatrix) -> FGAbelianGroup:
     return group_from_relations(basis.nrows, IntMatrix(tuple(rel_rows), basis.nrows))
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """A f.g. abelian group with chosen generators: ``Z^ngens / relations``."""
 
     ngens: int
@@ -525,8 +523,7 @@ class Presentation:
         return lattice_contains(hermite_row_basis(self.relations), vec)
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Record):
     """Homomorphism between presented groups, as a matrix on generator coords.
 
     ``matrix`` has shape (codomain.ngens, domain.ngens) and acts on column

@@ -12,10 +12,10 @@ coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import Record
 from .errors import GroupTooLarge, InvalidCartan
 from .lattice import (
     DEFAULT_CAP,
@@ -42,8 +42,7 @@ _WEYL_ORDERS = {
 }
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record):
     """Character lattice Z^rank with simple roots and coroots as rows.
 
     ``u_rad`` is the dimension of the unipotent radical, bookkeeping only;
@@ -63,6 +62,11 @@ class RootDatum:
         for mat, what in ((self.simple_roots, "roots"), (self.simple_coroots, "coroots")):
             if mat.ncols != self.rank:
                 raise ValueError(f"simple {what} must live in Z^{self.rank}")
+        # every process cache is keyed by the root datum, so hash it once
+        object.__setattr__(self, "_hash", hash((self.rank, self.simple_roots, self.simple_coroots, self.u_rad)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def nsimple(self) -> int:
@@ -73,8 +77,7 @@ class RootDatum:
         return sum(int(a) * int(b) for a, b in zip(chi, coroot))
 
 
-@dataclass(frozen=True)
-class CartanComponent:
+class CartanComponent(Record):
     letter: str
     rank: int
     nodes: tuple[int, ...]
@@ -87,8 +90,7 @@ class CartanComponent:
         return f"{self.letter}{self.rank}"
 
 
-@dataclass(frozen=True)
-class CartanType:
+class CartanType(Record):
     """Classification report: irreducible components plus the central torus rank."""
 
     components: tuple[CartanComponent, ...]
@@ -270,7 +272,10 @@ class WeylGroup:
         return self.elements[-1]
 
 
-@lru_cache(maxsize=None)
+WEYL_CACHE_SIZE = 32  # Weyl groups kept, one per (root datum, cap)
+
+
+@lru_cache(maxsize=WEYL_CACHE_SIZE)
 def weyl_group(rd: RootDatum, cap: int = DEFAULT_CAP) -> WeylGroup:
     """Enumerate W by breadth-first closure over the simple reflections.
 
@@ -295,8 +300,7 @@ def weyl_group(rd: RootDatum, cap: int = DEFAULT_CAP) -> WeylGroup:
     return WeylGroup(elements, map(len, words), words, gens)
 
 
-@dataclass(frozen=True)
-class PositiveRoot:
+class PositiveRoot(Record):
     index: int
     vector: Vec          # X(T) coordinates
     coroot: Vec          # Y(T) coordinates
@@ -324,7 +328,10 @@ class RootSystem:
         return v if sign > 0 else tuple(-x for x in v)
 
 
-@lru_cache(maxsize=None)
+ROOT_SYSTEM_CACHE_SIZE = 32  # root systems kept, one per root datum
+
+
+@lru_cache(maxsize=ROOT_SYSTEM_CACHE_SIZE)
 def root_system(rd: RootDatum) -> RootSystem:
     """Generate the full root system by reflection closure.
 
@@ -374,8 +381,7 @@ def characters_of_group(rd: RootDatum) -> IntMatrix:
     return integer_kernel(rd.simple_coroots)
 
 
-@dataclass(frozen=True)
-class FlagPicardMap:
+class FlagPicardMap(Record):
     """The coroot-pairing map X(B) = X(T) -> Pic(flag variety) = Z^nsimple.
 
     ``pic`` is the cokernel: the Picard group of G_aff itself.

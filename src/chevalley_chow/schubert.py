@@ -10,10 +10,10 @@ cross-check each other in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import Record
 from .errors import GroupTooLarge, NonIntegralStructureConstant
 from .invariants import (
     Poly,
@@ -33,14 +33,12 @@ from .qlinalg import SpanBuilder, qsolve
 from .rootdata import RootDatum, root_system, simple_reflection, validate_root_datum, weyl_group
 
 
-@dataclass(frozen=True)
-class SchubertClass:
+class SchubertClass(Record):
     index: int      # position in the Weyl enumeration
     codegree: int   # = length of the Weyl element
 
 
-@dataclass(frozen=True)
-class SchubertExpansion:
+class SchubertExpansion(Record):
     """Homogeneous element of the flag Chow ring in the Schubert basis."""
 
     codegree: int
@@ -112,7 +110,10 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP)
     return SchubertExpansion(target_len, terms)
 
 
-@lru_cache(maxsize=None)
+REPRESENTATIVE_TABLE_CACHE_SIZE = 32  # BGG tables kept, one per (root datum, cap)
+
+
+@lru_cache(maxsize=REPRESENTATIVE_TABLE_CACHE_SIZE)
 def _representative_table(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[Poly, ...]:
     """BGG representatives P_w in Sym X(T)_Q, one per Weyl element.
 
@@ -179,7 +180,10 @@ def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = DEFA
     return gens
 
 
-@lru_cache(maxsize=None)
+COINVARIANT_REDUCER_CACHE_SIZE = 128  # reducers kept, one per (root datum, d, cap)
+
+
+@lru_cache(maxsize=COINVARIANT_REDUCER_CACHE_SIZE)
 def _coinvariant_reducer(rd: RootDatum, d: int, cap: int = DEFAULT_CAP):
     """SpanBuilder primed with the degree-d slice of the coinvariant ideal."""
     slice_basis = ideal_slice(full_algebra(rd.rank), coinvariant_ideal_generators(rd, d, cap), d)

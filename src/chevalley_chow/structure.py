@@ -8,15 +8,12 @@ applied, with a witness whenever one exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
+from ._record import Record
 from .descriptors import (
     DEFAULT_CAP,
     AntiAffineGluing,
     GroupDescriptor,
     SubgroupDescriptor,
-    affinization_hom,
     contains_nontrivial_ant,
     derived_attributes,
 )
@@ -40,11 +37,10 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     answer: str                      # "yes" | "no" | "unknown"
     criterion: str
-    witness: Any = None
+    witness: object = None
 
     def __post_init__(self):
         if self.answer not in ("yes", "no", "unknown"):
@@ -68,8 +64,7 @@ def albanese_split_test(gd: GroupDescriptor) -> Verdict:
                          f"unipotent dim {gd.gluing.unipotent_dim})", witness)
 
 
-@dataclass(frozen=True)
-class AffinizationReport:
+class AffinizationReport(Record):
     locally_trivial: Verdict
     trivial: Verdict
 
@@ -87,7 +82,7 @@ def affinization_test(gd: GroupDescriptor) -> AffinizationReport:
                      {"xd": att.xd_group.describe()})
     else:
         lt = Verdict("no", f"D is not smooth and connected (X(D) = {att.xd_group.describe()})")
-    if lt.answer == "yes" and affinization_hom(gd).is_surjective():
+    if lt.answer == "yes" and att.u.is_surjective():
         tv = Verdict("yes", "D is smooth connected and every character of D extends to G_aff",
                      {"u_surjective": "yes"})
     elif lt.answer == "yes":
@@ -146,8 +141,7 @@ def construct_cover(gd: GroupDescriptor) -> GroupDescriptor:
     return GroupDescriptor(f"{gd.name}-cover", rd2, gd.av, glue2)
 
 
-@dataclass(frozen=True)
-class FibrationReport:
+class FibrationReport(Record):
     """The G/H -> A/image fibration: its torsor group and automorphism data.
 
     phi: G/H -> quotient abelian variety is a torsor under K = G_aff H meet

@@ -229,7 +229,7 @@ def integer_kernel_by_columns(m: IntMatrix) -> IntMatrix:
 
 
 def gamma_kernel_by_intersection(gd):
-    """Oracle for ``descriptors.gamma_kernel``: X(G_aff) meet v^{-1}(ker sigma_A)."""
+    """Oracle for ``derived_attributes(gd).ker_gamma``: X(G_aff) meet v^{-1}(ker sigma_A)."""
     hom = GroupHom(Presentation.free(gd.rd.rank), gd.gluing.sigma_quotient(), gd.gluing.v_matrix)
     return intersect_rows(characters_of_group(gd.rd), hom.kernel_lattice())
 

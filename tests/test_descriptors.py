@@ -3,21 +3,20 @@
 import pytest
 
 import helpers as z
-from chevalley_chow import chow, descriptors
+from chevalley_chow import chow, descriptors, structure
 from chevalley_chow.descriptors import (
     AbelianVarietyData,
     AntiAffineGluing,
     GroupDescriptor,
     SubgroupDescriptor,
-    affinization_hom,
     derived_attributes,
     descended_coroot,
-    gamma_kernel,
     restriction_to_subgroup,
     subgroup_characters,
     validate_group,
     validate_subgroup,
 )
+from chevalley_chow.formats import parse_descriptor
 from chevalley_chow.lattice import FGAbelianGroup, IntMatrix, Presentation
 
 M = IntMatrix
@@ -50,7 +49,7 @@ def test_gl2_center_attributes():
     att = derived_attributes(z.gl2c)
     assert att.x_gaff == M(((1, 1),))
     assert att.ker_gamma.nrows == 0 and att.rank_im_gamma == 1
-    u = affinization_hom(z.gl2c)
+    u = att.u
     assert not u.is_surjective()  # image 2Z inside X(D) = Z
     assert u.cokernel_group() == FGAbelianGroup(0, (2,))
 
@@ -66,7 +65,7 @@ def test_cover_torsion_attributes():
 
 
 def test_gamma_kernel_two_routes(any_group):
-    assert gamma_kernel(any_group) == z.gamma_kernel_by_intersection(any_group)
+    assert derived_attributes(any_group).ker_gamma == z.gamma_kernel_by_intersection(any_group)
 
 
 def test_group_failure_centrality():
@@ -140,11 +139,13 @@ def test_descended_coroot():
 
 
 def test_restriction_maps():
-    r = restriction_to_subgroup(z.product_sl2, z.nlt)
+    def restrict(gd, hd):
+        return restriction_to_subgroup(gd, hd, derived_attributes(gd).x_gaff)
+    r = restrict(z.product_sl2, z.nlt)
     assert r.matrix.shape == (0, 0) and r.ker_r.nrows == 0
-    r = restriction_to_subgroup(z.product_sl2, z.trivial1)
+    r = restrict(z.product_sl2, z.trivial1)
     assert r.x_h.nrows == 0
-    r = restriction_to_subgroup(z.semiab, z.full_t)
+    r = restrict(z.semiab, z.full_t)
     assert r.matrix == M.identity(1) and r.ker_r.nrows == 0
 
 
@@ -203,15 +204,28 @@ def test_descriptor_shape_errors():
                            component_generators=(M.identity(2),))
 
 
-def test_u_has_one_construction_site(monkeypatch):
+def test_u_has_one_construction_site():
+    att = derived_attributes(z.gl2c)
+    assert chow.picard_group(z.gl2c).presentation.gamma_matrix == att.u.matrix
+    assert structure.affinization_test(z.gl2c).trivial.answer == "no"  # u is not onto X(D)
+
+
+def test_group_characters_computed_once_per_request(monkeypatch):
+    # X(G_aff) is a Smith form; it is derived once and passed down, not
+    # recomputed for ker gamma_A, u and the restriction to H
     calls = []
-    u = descriptors.affinization_hom
-    for mod in (descriptors, chow):
-        monkeypatch.setattr(mod, "affinization_hom", lambda gd: calls.append(gd) or u(gd))
-    p = chow.picard_group(z.gl2c)
-    assert p.presentation.gamma_matrix == u(z.gl2c).matrix
-    # once for ker gamma_A inside derived_attributes, once for the sequence's matrix
-    assert len(calls) == 2
+    chars = descriptors.characters_of_group
+    monkeypatch.setattr(descriptors, "characters_of_group", lambda rd: calls.append(rd) or chars(rd))
+    doc = parse_descriptor(z.fixture_bytes("gl2_center"))
+    gd = doc.group
+    requests = [lambda: chow.picard_group(gd), lambda: structure.affinization_test(gd)]
+    for _, hd in doc.subgroups:
+        requests += [lambda hd=hd: chow.homogeneous_picard(gd, hd),
+                     lambda hd=hd: chow.homogeneous_rational_chow(gd, hd, 2)]
+    for request in requests:
+        calls.clear()
+        request()
+        assert len(calls) == 1
 
 
 def test_component_action_has_one_helper(monkeypatch):

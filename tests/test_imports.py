@@ -1,12 +1,18 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and importing
+the package generates no code.
 
 No linter ships with the project, so this reads each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must be read somewhere in
-the module, or be listed in its ``__all__``.
+the module, or be listed in its ``__all__``.  No module may import
+``dataclasses`` or ``inspect`` or call ``exec``, ``eval`` or ``compile``:
+a CLI call pays for everything the package runs at import.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +51,41 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+CODE_GENERATORS = {"exec", "eval", "compile"}
+
+
+def generated_code(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.partition(".")[0] in SLOW_IMPORTS]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] in SLOW_IMPORTS:
+            found.append(node.module)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in CODE_GENERATORS:
+            found.append(f"{node.func.id}()")
+    return found
+
+
+def test_finds_generated_code():
+    assert generated_code("from dataclasses import dataclass\nimport inspect\n") == [
+        "dataclasses", "inspect"]
+    assert generated_code("exec('x = 1')\nf = eval\ncompile('', '', 'exec')\n") == [
+        "exec()", "compile()"]
+    assert generated_code("import re\nre.compile('a')\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_generated_code(path):
+    assert generated_code(path.read_text()) == []
+
+
+def test_cli_import_loads_no_code_generators():
+    code = f"import chevalley_chow.cli, sys; print(sorted({SLOW_IMPORTS!r} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers as z
-from chevalley_chow import invariants, lattice
+from chevalley_chow import invariants, lattice, rootdata, schubert
 from chevalley_chow.errors import DegreeTooLarge, GroupTooLarge
 from chevalley_chow.invariants import (
     coeff_vector,
@@ -155,10 +155,18 @@ def test_invariant_slice_computed_once_per_key():
 
 
 def test_process_caches_are_bounded():
-    for cache, size in ((lattice._closed_group, lattice.MATRIX_GROUP_CACHE_SIZE),
-                        (invariants._invariant_slice, invariants.SLICE_CACHE_SIZE)):
+    # keys one schubert-warm benchmark pass creates (12 root data, degrees up
+    # to 3, counted by cache_info().currsize); twice that never evicts
+    for cache, size, warm_keys in (
+            (lattice._closed_group, lattice.MATRIX_GROUP_CACHE_SIZE, 12),
+            (invariants._invariant_slice, invariants.SLICE_CACHE_SIZE, 36),
+            (invariants.sym_basis, invariants.SYM_BASIS_CACHE_SIZE, 12),
+            (rootdata.weyl_group, rootdata.WEYL_CACHE_SIZE, 12),
+            (rootdata.root_system, rootdata.ROOT_SYSTEM_CACHE_SIZE, 12),
+            (schubert._representative_table, schubert.REPRESENTATIVE_TABLE_CACHE_SIZE, 12),
+            (schubert._coinvariant_reducer, schubert.COINVARIANT_REDUCER_CACHE_SIZE, 36)):
         assert cache.cache_info().maxsize == size
-        assert isinstance(size, int) and size > 0
+        assert isinstance(size, int) and size >= 2 * warm_keys
 
 
 def test_invariant_dimensions_classical():
