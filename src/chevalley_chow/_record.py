@@ -5,6 +5,11 @@ order, with class-attribute defaults after the fields without one.
 Instances are frozen; they compare and hash by their field tuples (only
 within one class) and print as ``Name(field=value, ...)``.  Defining a
 record class compiles no code, so importing the package stays cheap.
+
+``to_json()`` returns the JSON shape of a record as a shallow dict: by
+default ``{field: value}`` in field order.  A class whose report reads
+differently (a ``"type"`` tag, a renamed, derived or left-out key)
+overrides it; :func:`chevalley_chow.formats.jsonable` converts the values.
 """
 
 from operator import attrgetter
@@ -58,6 +63,9 @@ class Record:
 
     def __hash__(self):
         return hash(self._values(self))
+
+    def to_json(self) -> dict:
+        return dict(zip(self._fields, self._values(self)))
 
     def __repr__(self):
         pairs = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))

@@ -64,6 +64,9 @@ class FormalPicardZero(Record):
             return base
         return f"{base} / <{ngen} generators, {self.quotient_by.describe()}>"
 
+    def to_json(self) -> dict:
+        return {"formal": "Pic0", "g": self.g, "mod": self.quotient_by}
+
 
 class PicardSequence(Record):
     """The five-term picture 0 -> X(G) -> X(G_aff) -> Pic(A) -> Pic(G) -> Pic(G_aff) -> 0.
@@ -85,6 +88,9 @@ class PicardReport(Record):
     ns: FGAbelianGroup
     pic0: FormalPicardZero
     presentation: PicardSequence
+
+    def to_json(self) -> dict:
+        return {"type": "picard", "ns": self.ns, "pic0": self.pic0, "sequence": self.presentation}
 
 
 def picard_group(gd: GroupDescriptor) -> PicardReport:
@@ -135,6 +141,21 @@ class GradedPresentation(Record):
     def abelian_factor(self) -> str:
         tag = "_Q" if self.mode == "rational" else ""
         return f"A*(A_{self.abelian_g}){tag}"
+
+    def to_json(self) -> dict:
+        out = {
+            "type": "chow",
+            "mode": self.mode,
+            "abelian_factor": self.abelian_factor(),
+            "concrete_factor": self.concrete_factor,
+            "ideal_degree1": [{"formal": vec, "schubert": exp} for vec, exp in self.ideal_degree1],
+            "degree1_concrete": self.degree1_concrete,
+        }
+        if self.degree_bound is not None:
+            out["degree_bound"] = self.degree_bound
+        if self.j_rank is not None:
+            out["j_rank"] = self.j_rank
+        return out
 
 
 def _check_degree(max_degree: int) -> None:
@@ -288,6 +309,11 @@ class HomogeneousPicardReport(Record):
     x_gh_group: FGAbelianGroup
     tail: FGAbelianGroup
 
+    def to_json(self) -> dict:
+        out = {"type": "homogeneous_picard", **super().to_json()}
+        out["tail_pic_gaff"] = out.pop("tail")  # the last key, so the order holds
+        return out
+
 
 def homogeneous_picard(gd: GroupDescriptor, hd: SubgroupDescriptor,
                        integral: bool = False, cap: int = DEFAULT_CAP) -> HomogeneousPicardReport:
@@ -329,6 +355,9 @@ class HomogeneousNSReport(Record):
     group: FGAbelianGroup
     mode: str
     pic0: FormalPicardZero   # Pic0(G/H)_Q is isomorphic to Pic0(G)_Q
+
+    def to_json(self) -> dict:
+        return {"type": "homogeneous_ns", "mode": self.mode, "group": self.group, "pic0": self.pic0}
 
 
 def homogeneous_ns(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DEFAULT_CAP) -> HomogeneousNSReport:

@@ -77,28 +77,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _require_valid(doc: DescriptorDocument, cap: int, subgroup: str | None = None):
-    """Run validation before any computation; failures abort with code 2."""
+    """Validate before any computation: the failed report (or None) and the subgroup.
+
+    An unknown subgroup name raises ChevalleyChowError, which exits with code 2.
+    """
     report = validate_group(doc.group)
     if not report.ok:
-        return report
-    if subgroup is not None:
-        try:
-            hd = doc.subgroup(subgroup)
-        except KeyError:
-            print(f"error: no subgroup named {subgroup!r}; "
-                  f"descriptor defines {list(doc.subgroup_names())}", file=sys.stderr)
-            raise SystemExit(EXIT_INVALID)
-        sreport = validate_subgroup(doc.group, hd, cap)
-        if not sreport.ok:
-            return sreport
-    return None
+        return report, None
+    if subgroup is None:
+        return None, None
+    try:
+        hd = doc.subgroup(subgroup)
+    except KeyError:
+        raise ChevalleyChowError(f"no subgroup named {subgroup!r}; "
+                                 f"descriptor defines {list(doc.subgroup_names())}") from None
+    report = validate_subgroup(doc.group, hd, cap)
+    return (None if report.ok else report), hd
 
 
 def _run(args) -> tuple[object, int]:
     with open(args.descriptor, "rb") as f:
         doc = parse_descriptor(f.read())
     gd, cap = doc.group, args.cap
-    sub = getattr(args, "subgroup", None)
 
     if args.command == "validate":
         reports = [validate_group(gd)]
@@ -109,10 +109,9 @@ def _run(args) -> tuple[object, int]:
                   "reports": reports} if len(reports) > 1 else reports[0]
         return result, (EXIT_OK if ok else EXIT_INVALID)
 
-    bad = _require_valid(doc, cap, sub)
+    bad, hd = _require_valid(doc, cap, getattr(args, "subgroup", None))
     if bad is not None:
         return bad, EXIT_INVALID
-    hd = doc.subgroup(sub) if sub is not None else None
 
     if args.command == "picard":
         return chow.picard_group(gd), EXIT_OK
@@ -158,14 +157,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         result, code = _run(args)
-    except (DescriptorSyntaxError, SchemaError) as e:
+    except (DescriptorSyntaxError, SchemaError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except SystemExit as e:
-        return int(e.code or 0)
     except ChevalleyChowError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

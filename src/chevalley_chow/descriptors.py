@@ -165,6 +165,10 @@ class ValidationReport(Record):
     def failed(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
+    def to_json(self) -> dict:
+        return {"type": "validation", "subject": self.subject, "ok": self.ok,
+                "checks": self.checks, "warnings": self.warnings}
+
 
 def _check(checks, name, condition, detail_fail="", detail_ok=""):
     checks.append(CheckResult(name, bool(condition), detail_fail if not condition else detail_ok))

@@ -2,7 +2,8 @@
 
 The descriptor document is the package's file-format contract: a strict
 JSON schema (unknown keys are fatal, all matrices rectangular, integers
-beyond 64 bits carried as decimal strings).  Reports serialize to either
+beyond 64 bits carried as decimal strings).  Reports say their own JSON
+shape through ``to_json()``; one generic walk turns that into either
 machine JSON (schema-tagged, byte-stable for a fixed result) or a plain
 text tree.
 """
@@ -13,27 +14,9 @@ import json
 from fractions import Fraction
 
 from ._record import Record
-from .chow import (
-    FormalPicardZero,
-    GradedPresentation,
-    HomogeneousNSReport,
-    HomogeneousPicardReport,
-    PicardReport,
-    PicardSequence,
-)
-from .descriptors import (
-    AbelianVarietyData,
-    AntiAffineGluing,
-    CheckResult,
-    GroupDescriptor,
-    SubgroupDescriptor,
-    ValidationReport,
-)
+from .descriptors import AbelianVarietyData, AntiAffineGluing, GroupDescriptor, SubgroupDescriptor
 from .errors import DescriptorSyntaxError, SchemaError
-from .invariants import TruncatedQuotient
 from .lattice import FGAbelianGroup, IntMatrix, Presentation
-from .schubert import SchubertExpansion
-from .structure import AffinizationReport, FibrationReport, Verdict
 
 SCHEMA_TAG = "chevalley-chow/1"
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
@@ -51,6 +34,12 @@ class DescriptorDocument(Record):
 
     def subgroup_names(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.subgroups)
+
+    def to_json(self) -> dict:
+        out = {"group": self.group}
+        if self.subgroups:
+            out["subgroups"] = {k: _subgroup_doc(v) for k, v in self.subgroups}
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,153 +276,24 @@ def _emit_int(n: int):
     return n if _I64_MIN <= n <= _I64_MAX else str(n)
 
 
-def _emit_matrix(m: IntMatrix):
-    return [[_emit_int(x) for x in row] for row in m.rows]
-
-
-def _emit_fraction(x: Fraction):
-    return _emit_int(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def jsonable(obj):
-    """Recursively convert a report object into JSON-ready data."""
+    """Recursively convert a report object into JSON-ready data.
+
+    A record becomes whatever its ``to_json()`` returns, walked in turn; a
+    group descriptor becomes the ``"group"`` object of its descriptor file.
+    """
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, int):
         return _emit_int(obj)
     if isinstance(obj, Fraction):
-        return _emit_fraction(obj)
-    if isinstance(obj, FGAbelianGroup):
-        return {"rank": obj.rank, "torsion": [_emit_int(t) for t in obj.torsion]}
-    if isinstance(obj, FormalPicardZero):
-        return {"formal": "Pic0", "g": obj.g, "mod": jsonable(obj.quotient_by)}
+        return _emit_int(obj.numerator) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, IntMatrix):
-        return _emit_matrix(obj)
-    if isinstance(obj, Presentation):
-        return {"ngens": obj.ngens, "relations": _emit_matrix(obj.relations)}
-    if isinstance(obj, SchubertExpansion):
-        return {
-            "codegree": obj.codegree,
-            "terms": {str(k): _emit_fraction(v) for k, v in sorted(obj.terms.items())},
-        }
-    if isinstance(obj, TruncatedQuotient):
-        return {
-            "max_degree": obj.max_degree,
-            "dims": list(obj.dims),
-            "ambient_dims": list(obj.ambient_dims),
-            "total_dim": obj.total_dim,
-        }
-    if isinstance(obj, PicardSequence):
-        return {
-            "x_g": _emit_matrix(obj.x_g),
-            "x_g_group": jsonable(obj.x_g_group),
-            "x_gaff": _emit_matrix(obj.x_gaff),
-            "gamma_matrix": _emit_matrix(obj.gamma_matrix),
-            "gamma_target": jsonable(obj.gamma_target),
-            "pic_gaff": jsonable(obj.pic_gaff),
-        }
-    if isinstance(obj, PicardReport):
-        return {
-            "type": "picard",
-            "ns": jsonable(obj.ns),
-            "pic0": jsonable(obj.pic0),
-            "sequence": jsonable(obj.presentation),
-        }
-    if isinstance(obj, GradedPresentation):
-        out = {
-            "type": "chow",
-            "mode": obj.mode,
-            "abelian_factor": obj.abelian_factor(),
-            "concrete_factor": jsonable(obj.concrete_factor),
-            "ideal_degree1": [
-                {"formal": [_emit_int(x) for x in vec], "schubert": jsonable(exp)}
-                for vec, exp in obj.ideal_degree1
-            ],
-            "degree1_concrete": jsonable(obj.degree1_concrete),
-        }
-        if obj.degree_bound is not None:
-            out["degree_bound"] = obj.degree_bound
-        if obj.j_rank is not None:
-            out["j_rank"] = obj.j_rank
-        return out
-    if isinstance(obj, HomogeneousPicardReport):
-        return {
-            "type": "homogeneous_picard",
-            "mode": obj.mode,
-            "ns_part": jsonable(obj.ns_part),
-            "x_part": jsonable(obj.x_part),
-            "ns": jsonable(obj.ns),
-            "pic0": jsonable(obj.pic0),
-            "x_gh": _emit_matrix(obj.x_gh),
-            "x_gh_group": jsonable(obj.x_gh_group),
-            "tail_pic_gaff": jsonable(obj.tail),
-        }
-    if isinstance(obj, HomogeneousNSReport):
-        return {
-            "type": "homogeneous_ns",
-            "mode": obj.mode,
-            "group": jsonable(obj.group),
-            "pic0": jsonable(obj.pic0),
-        }
-    if isinstance(obj, Verdict):
-        out = {"answer": obj.answer, "criterion": obj.criterion}
-        if obj.witness is not None:
-            out["witness"] = jsonable(obj.witness)
-        return out
-    if isinstance(obj, AffinizationReport):
-        return {
-            "locally_trivial": jsonable(obj.locally_trivial),
-            "trivial": jsonable(obj.trivial),
-        }
-    if isinstance(obj, FibrationReport):
-        return {
-            "type": "fibration",
-            "torsor_dim": obj.torsor_dim,
-            "torsor_xd": jsonable(obj.torsor_xd),
-            "torsor_unipotent_dim": obj.torsor_unipotent_dim,
-            "translation_index_bound": jsonable(obj.translation_index_bound),
-            "index_bound_over_gant_aff": jsonable(obj.index_bound_over_gant_aff),
-            "dim_aut_ant": obj.dim_aut_ant,
-            "note": obj.note,
-        }
-    if isinstance(obj, CheckResult):
-        return {"name": obj.name, "passed": obj.passed, "detail": obj.detail}
-    if isinstance(obj, ValidationReport):
-        return {
-            "type": "validation",
-            "subject": obj.subject,
-            "ok": obj.ok,
-            "checks": [jsonable(c) for c in obj.checks],
-            "warnings": list(obj.warnings),
-        }
-    if isinstance(obj, DescriptorDocument):
-        out = {"group": jsonable(obj.group)}
-        if obj.subgroups:
-            out["subgroups"] = {k: _subgroup_doc(v) for k, v in obj.subgroups}
-        return out
+        return [[_emit_int(x) for x in row] for row in obj.rows]
     if isinstance(obj, GroupDescriptor):
-        return {
-            "name": obj.name,
-            "root_datum": {
-                "rank": obj.rd.rank,
-                "simple_roots": _emit_matrix(obj.rd.simple_roots),
-                "simple_coroots": _emit_matrix(obj.rd.simple_coroots),
-                "u_rad": obj.rd.u_rad,
-            },
-            "abelian": {
-                "g": obj.av.g,
-                "ns_rank": obj.av.ns.rank,
-                "ns_torsion": [_emit_int(t) for t in obj.av.ns.torsion],
-            },
-            "gluing": {
-                "xd_rank": obj.gluing.xd.ngens,
-                "xd_relations": _emit_matrix(obj.gluing.xd.relations),
-                "v": _emit_matrix(obj.gluing.v_matrix),
-                "sigma_kernel": _emit_matrix(obj.gluing.sigma_kernel_gens),
-                "unipotent_dim": obj.gluing.unipotent_dim,
-                "char": obj.gluing.char,
-            },
-        }
+        obj = _group_doc(obj)
+    elif isinstance(obj, Record):
+        obj = obj.to_json()
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -441,16 +301,34 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _group_doc(gd: GroupDescriptor):
+    rd, av, gluing = gd.rd, gd.av, gd.gluing
+    return {
+        "name": gd.name,
+        "root_datum": {"rank": rd.rank, "simple_roots": rd.simple_roots,
+                       "simple_coroots": rd.simple_coroots, "u_rad": rd.u_rad},
+        "abelian": {"g": av.g, "ns_rank": av.ns.rank, "ns_torsion": av.ns.torsion},
+        "gluing": {
+            "xd_rank": gluing.xd.ngens,
+            "xd_relations": gluing.xd.relations,
+            "v": gluing.v_matrix,
+            "sigma_kernel": gluing.sigma_kernel_gens,
+            "unipotent_dim": gluing.unipotent_dim,
+            "char": gluing.char,
+        },
+    }
+
+
 def _subgroup_doc(hd: SubgroupDescriptor):
-    out = {"q": _emit_matrix(hd.q_matrix)}
+    out = {"q": hd.q_matrix}
     if hd.roots:
-        out["roots"] = [[i, s] for i, s in hd.roots]
+        out["roots"] = hd.roots
     if hd.extra_unipotent_dim:
         out["extra_unipotent_dim"] = hd.extra_unipotent_dim
     if hd.component_generators:
         out["component_group"] = {
-            "generators": [_emit_matrix(g) for g in hd.component_generators],
-            "translations": list(hd.translations),
+            "generators": hd.component_generators,
+            "translations": hd.translations,
         }
     if hd.contains_G_ant:
         out["contains_G_ant"] = True
@@ -492,8 +370,7 @@ def emit_report(result, format: str = "text") -> bytes:
     tree as indented ``key: value`` lines.
     """
     data = jsonable(result)
-    if isinstance(data, dict) and not isinstance(result, DescriptorDocument) \
-            and not isinstance(result, GroupDescriptor):
+    if isinstance(data, dict) and not isinstance(result, (DescriptorDocument, GroupDescriptor)):
         data = {"schema": SCHEMA_TAG, **data}
     if format == "json":
         return (json.dumps(data, indent=2) + "\n").encode("utf-8")

@@ -317,6 +317,10 @@ class TruncatedQuotient(Record):
         """False means the truncation window may have cut off nonzero slices."""
         return self.dims[-1] == 0 if self.dims else True
 
+    def to_json(self) -> dict:
+        return {"max_degree": self.max_degree, "dims": self.dims,
+                "ambient_dims": self.ambient_dims, "total_dim": self.total_dim}
+
 
 def truncated_quotient(ambient: GradedAlgebra, generators: list[Poly], max_degree: int) -> TruncatedQuotient:
     """Quotient of ``ambient`` by the ideal the generators span, degreewise.

@@ -386,11 +386,6 @@ def lattice_contains(basis: IntMatrix, vec) -> bool:
     return solve_integer(basis.transpose(), vec) is not None
 
 
-def lattice_le(sub: IntMatrix, sup: IntMatrix) -> bool:
-    """Is every row of ``sub`` in the row lattice of ``sup``?"""
-    return all(lattice_contains(sup, r) for r in sub.rows)
-
-
 def saturate_rows(m: IntMatrix) -> IntMatrix:
     """Saturation of the row lattice: ``(Q-span of rows) intersect Z^n``.
 
@@ -563,12 +558,6 @@ class GroupHom(Record):
             rows = tuple(r[: self.domain.ngens] for r in ker.rows)
             return hermite_row_basis(IntMatrix(rows, self.domain.ngens))
         return integer_kernel(self.matrix)
-
-    def image_group(self) -> FGAbelianGroup:
-        """Isomorphism type of the image subgroup of the codomain."""
-        rel = self.codomain.relations
-        # rows of the transpose are the images of the domain generators
-        return quotient_group(vstack(self.matrix.transpose(), rel), rel)
 
     def cokernel_group(self) -> FGAbelianGroup:
         rels = vstack(self.matrix.transpose(), self.codomain.relations)

@@ -45,10 +45,6 @@ def rref(rows, ncols: int | None = None) -> tuple[list[QVec], list[int]]:
     return [tuple(row) for row in work[:r]], pivots
 
 
-def qrank(rows, ncols: int | None = None) -> int:
-    return len(rref(rows, ncols)[0])
-
-
 def nullspace(rows, ncols: int) -> list[QVec]:
     """Basis of ``{x in Q^ncols : M x = 0}``, one vector per free column.
 

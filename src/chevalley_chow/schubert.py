@@ -56,6 +56,9 @@ class SchubertExpansion(Record):
     def is_zero(self) -> bool:
         return not self.terms
 
+    def to_json(self) -> dict:
+        return {"codegree": self.codegree, "terms": dict(sorted(self.terms.items()))}
+
 
 def schubert_basis(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[SchubertClass, ...]:
     """One class per Weyl element, in enumeration order (codegrees ascending).

@@ -46,6 +46,12 @@ class Verdict(Record):
         if self.answer not in ("yes", "no", "unknown"):
             raise ValueError("answer must be yes, no, or unknown")
 
+    def to_json(self) -> dict:
+        out = super().to_json()
+        if self.witness is None:
+            del out["witness"]
+        return out
+
 
 def albanese_split_test(gd: GroupDescriptor) -> Verdict:
     """Does G -> A split, i.e. is G = A x G_aff?
@@ -158,6 +164,9 @@ class FibrationReport(Record):
     index_bound_over_gant_aff: int | None
     dim_aut_ant: int
     note: str = ""
+
+    def to_json(self) -> dict:
+        return {"type": "fibration", **super().to_json()}
 
 
 def _matrix_inverse(m: IntMatrix) -> IntMatrix:

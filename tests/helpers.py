@@ -21,6 +21,7 @@ from chevalley_chow.lattice import (
     enumerate_matrix_group,
     hermite_row_basis,
     intersect_rows,
+    lattice_contains,
 )
 from chevalley_chow.qlinalg import SpanBuilder, qsolve
 from chevalley_chow.rootdata import RootDatum, characters_of_group, reflection, simple_reflection
@@ -226,6 +227,11 @@ def integer_kernel_by_columns(m: IntMatrix) -> IntMatrix:
             t += 1
     kernel_cols = [tuple(v[i][j] for i in range(nc)) for j in range(t, nc) if all(col(j)[i] == 0 for i in range(nr))]
     return hermite_row_basis(IntMatrix(tuple(kernel_cols), nc))
+
+
+def lattice_le(sub: IntMatrix, sup: IntMatrix) -> bool:
+    """Oracle for lattice containment: is every row of ``sub`` in the row lattice of ``sup``?"""
+    return all(lattice_contains(sup, r) for r in sub.rows)
 
 
 def gamma_kernel_by_intersection(gd):

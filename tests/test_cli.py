@@ -186,9 +186,11 @@ def test_invalid_group_exits_2(tmp_path, capsys):
 
 
 def test_unknown_subgroup_exits_2(capsys):
-    code, _, err = run_cli(capsys, "hpic", "nosuch", SL2)
+    code, out, err = run_cli(capsys, "hpic", "nosuch", SL2)
     assert code == 2
-    assert "no subgroup named" in err
+    assert out == ""
+    assert err == ("error: no subgroup named 'nosuch'; descriptor defines ['trivial', 'torus', "
+                   "'borel', 'neg_borel', 'torus_ant', 'full_aff', 'full_aff_ant', 'nlt', 'ant']\n")
 
 
 def test_integral_mode_refusal_exits_2(capsys):

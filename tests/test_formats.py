@@ -203,8 +203,21 @@ def test_homogeneous_picard_jsonable():
 def test_emit_rejects_unknown_objects():
     with pytest.raises(TypeError):
         jsonable(object())
+    with pytest.raises(TypeError):
+        jsonable({1, 2})
     with pytest.raises(ValueError):
         emit_report({"a": 1}, "yaml")
+
+
+def test_group_descriptor_writes_its_descriptor_object(fixture_doc):
+    gd = fixture_doc.group
+    assert jsonable(gd) == jsonable(DescriptorDocument(gd))["group"]
+    data = json.loads(emit_report(gd, "json"))
+    assert "schema" not in data and data == jsonable(gd)
+
+
+def test_records_default_to_their_fields():
+    assert jsonable(z.sl2) == {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]], "u_rad": 0}
 
 
 def test_document_without_subgroups_round_trips():

@@ -83,6 +83,25 @@ def test_no_generated_code(path):
     assert generated_code(path.read_text()) == []
 
 
+REPORT_MODULES = {"chow", "schubert", "invariants", "structure"}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports from, at any depth of its tree."""
+    return {node.module or "" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_finds_package_imports():
+    assert package_imports("from .chow import a\ndef f():\n    from .structure import b\n"
+                           "from json import dumps\n") == {"chow", "structure"}
+
+
+def test_formats_imports_no_report_module():
+    # reports say their own JSON shape, so the file format needs none of their modules
+    assert package_imports((PACKAGE / "formats.py").read_text()) & REPORT_MODULES == set()
+
+
 def test_cli_import_loads_no_code_generators():
     code = f"import chevalley_chow.cli, sys; print(sorted({SLOW_IMPORTS!r} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
