@@ -30,6 +30,7 @@ from .descriptors import (
 from .errors import DegreeTooLarge, ModeUnsupported
 from .invariants import (
     DEGREE_BUDGET,
+    SLICE_BUDGET,
     TruncatedQuotient,
     invariant_algebra,
     substitute,
@@ -165,6 +166,14 @@ def _check_degree(max_degree: int) -> None:
         raise DegreeTooLarge(f"max_degree {max_degree} exceeds budget {DEGREE_BUDGET}")
 
 
+def _check_slice(rank: int, max_degree: int) -> None:
+    """Refuse a quotient whose largest slice, C(rank + d - 1, d) at d = max_degree, passes the budget."""
+    size = math.comb(rank + max_degree - 1, max_degree) if rank else 1
+    if size > SLICE_BUDGET:
+        raise DegreeTooLarge(f"degree-{max_degree} slice in {rank} variables has dimension {size}, "
+                             f"which exceeds budget {SLICE_BUDGET}")
+
+
 def _concrete_factor(rank: int, dims, max_degree: int) -> TruncatedQuotient:
     """Quotient of Sym(Q^rank) with ``dims`` cut or zero-padded to max_degree."""
     dims = tuple(dims[d] if d < len(dims) else 0 for d in range(max_degree + 1))
@@ -262,9 +271,13 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
     both the reflections of the symmetric subgroup roots and the component
     group; the ideal is generated by the q-restrictions of the
     positive-degree Weyl invariants of G.  J on the abelian factor has
-    rank gamma_A(ker r_H), recorded in ``j_rank``.
+    rank gamma_A(ker r_H), recorded in ``j_rank``.  Every slice up to
+    max_degree is built, so a largest slice C(r + max_degree - 1, max_degree),
+    with r = max(rank, h_rank), past ``SLICE_BUDGET`` is refused up front
+    (:class:`DegreeTooLarge`).
     """
     _check_degree(max_degree)
+    _check_slice(max(gd.rd.rank, hd.h_rank), max_degree)
     att = derived_attributes(gd)
     if contains_nontrivial_ant(att, hd):
         raise ModeUnsupported("Chow reports for G/H need H inside the faithful model (H does not contain G_ant)")

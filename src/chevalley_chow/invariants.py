@@ -25,6 +25,10 @@ Poly = dict[tuple[int, ...], Fraction]
 
 #: hard ceiling on requested degrees; generous for desk-scale data
 DEGREE_BUDGET = 64
+#: hard ceiling on C(rank + d - 1, d), the dimension of a degree-d slice of
+#: Sym(Q^rank), for the quotients that build every slice up to d: it admits
+#: rank 2 up to degree 20, rank 3 up to 5 and rank 6 up to 2
+SLICE_BUDGET = 21
 SLICE_CACHE_SIZE = 128  # invariant slices kept, one per (rank, generators, d)
 SYM_BASIS_CACHE_SIZE = 64  # monomial bases kept, one per (rank, d)
 

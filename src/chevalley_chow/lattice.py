@@ -608,38 +608,68 @@ def _closed_group(gens: tuple[IntMatrix, ...], cap: int) -> tuple[tuple[IntMatri
     return tuple(elements), tuple(steps)
 
 
+class _RowTable(dict):
+    """Memo ``row -> fn(row)``: a row missing from the table is computed on first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, row):
+        value = self[row] = self.fn(row)
+        return value
+
+
 def group_closure(gens, n: int, cap: int) -> tuple[list[IntMatrix], list[int]]:
     """Breadth-first closure of n x n matrices under right multiplication.
 
     Returns ``(elements, steps)``: the identity first, then the elements in
     discovery order; ``steps[k] = pos * len(gens) + i`` records that element
     k was first reached as ``elements[pos] @ gens[i]`` (``steps[0]`` is -1).
-    It multiplies row tuples; the matrices returned share one tuple per row.
+    Row i of ``a @ g`` is ``a``'s row i times ``g``, so each generator keeps a
+    table from a row to its image, filled the first time that row is reached:
+    a product costs n lookups, and the dot products are paid once per
+    (distinct row, generator), not once per (element, generator).  A second
+    table keeps each row's residue mod 3, so an element's residue is the
+    concatenation of its rows'.  Images are interned, so the matrices
+    returned share one tuple per distinct row.
     Raises :class:`GroupTooLarge` beyond ``cap`` elements, and as soon as two
     distinct elements agree mod 3, which proves the group infinite (reduction
     mod 3 is injective on finite subgroups of GL_n(Z), by Minkowski), so no
     closure visits more than |GL_n(F_3)| elements.
     """
-    ident = IntMatrix.identity(n).rows
-    gen_cols = [tuple(zip(*g.rows)) for g in gens]
+    pool: dict[Vec, Vec] = {}  # one tuple per distinct row, shared by the elements
+
+    def image_table(g: IntMatrix) -> _RowTable:
+        cols = tuple(zip(*g.rows))
+
+        def image(row: Vec) -> Vec:
+            img = tuple(sum(map(mul, row, col)) for col in cols)
+            return pool.setdefault(img, img)
+
+        return _RowTable(image)
+
+    images = [image_table(g) for g in gens]
+    residue_of = _RowTable(lambda row: bytes(x % 3 for x in row))
+    ident = tuple(pool.setdefault(row, row) for row in IntMatrix.identity(n).rows)
     elements = [ident]
     steps = [-1]
     seen = {ident}
-    residues = {bytes(x for row in ident for x in row)}
-    pool: dict[Vec, Vec] = {}  # one tuple per distinct row, shared by the elements
+    residues = {b"".join(map(residue_of.__getitem__, ident))}
     # the element list doubles as the BFS queue: iteration reaches what is appended
     for pos, rows in enumerate(elements):
         step = pos * len(gens)
-        for cols in gen_cols:
-            prod = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in rows)
+        for image in images:
+            prod = tuple(map(image.__getitem__, rows))
             if prod not in seen:
                 if len(seen) >= cap:
                     raise GroupTooLarge(f"matrix group exceeds cap {cap}")
-                residue = bytes(x % 3 for row in prod for x in row)
+                residue = b"".join(map(residue_of.__getitem__, prod))
                 if residue in residues:
                     raise GroupTooLarge(f"infinite matrix group: two of its first {len(seen) + 1} elements agree mod 3")
                 residues.add(residue)
-                prod = tuple(pool.setdefault(row, row) for row in prod)
                 seen.add(prod)
                 elements.append(prod)
                 steps.append(step)

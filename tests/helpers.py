@@ -69,6 +69,25 @@ a5 = cartan_datum(type_a(5))
 c3 = cartan_datum([[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
 d4 = cartan_datum([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
 f4 = cartan_datum([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+e6 = cartan_datum([[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+                   [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]])
+
+
+def adjoint_datum(rd):
+    """The adjoint form of the same Cartan type: X(T) is the root lattice."""
+    return RootDatum(rd.rank, IntMatrix.identity(rd.rank), rd.simple_roots.transpose())
+
+
+def transvected(rd, i, j):
+    """The same datum with X(T) re-coordinatized by the transvection e_j += e_i.
+
+    Characters move as ``chi -> chi @ m`` and cocharacters by the inverse
+    transpose, so every pairing is kept while the reflection matrices get denser.
+    """
+    n = rd.rank
+    m = IntMatrix(tuple(tuple(int(r == c) + int((r, c) == (i, j)) for c in range(n)) for r in range(n)))
+    m_inv_t = IntMatrix(tuple(tuple(int(r == c) - int((r, c) == (j, i)) for c in range(n)) for r in range(n)))
+    return RootDatum(n, rd.simple_roots @ m, rd.simple_coroots @ m_inv_t)
 
 RANK_LE2 = {
     "sl2": sl2, "pgl2": pgl2, "gl2": gl2, "sl2_sl2": sl2_sl2,

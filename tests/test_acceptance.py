@@ -9,6 +9,8 @@ import json
 import random
 import time
 
+import pytest
+
 import helpers as z
 from chevalley_chow.chow import (
     homogeneous_picard,
@@ -36,6 +38,7 @@ from chevalley_chow.lattice import (
 from chevalley_chow.rootdata import flag_picard_map, weyl_group
 from chevalley_chow.schubert import (
     chevalley_multiply,
+    codegree_histogram,
     expand_in_schubert_basis,
     schubert_product,
     schubert_representatives,
@@ -84,13 +87,22 @@ def test_criterion_01_flag_picard_table():
     timed(1, 1.0, body)
 
 
+# classical table (Chevalley, Amer. J. Math. 77, 1955)
 FUNDAMENTAL_DEGREES = {
     "A1": (z.sl2, (2,)),
     "A2": (z.sl3, (2, 3)),
     "B2": (z.sp4, (2, 4)),
     "A3": (z.sl4, (2, 3, 4)),
     "G2": (z.g2, (2, 6)),
+    "A4": (z.a4, (2, 3, 4, 5)),
+    "A5": (z.a5, (2, 3, 4, 5, 6)),
+    "C3": (z.c3, (2, 4, 6)),
+    "D4": (z.d4, (2, 4, 6, 4)),
+    "F4": (z.f4, (2, 6, 8, 12)),
+    "E6": (z.e6, (2, 5, 6, 8, 9, 12)),
 }
+#: the types whose coinvariant slices criterion 2 builds up to the top degree
+SLICE_TYPES = ("A1", "A2", "B2", "A3", "G2")
 
 
 def poincare_product(degrees):
@@ -107,7 +119,8 @@ def poincare_product(degrees):
 def test_criterion_02_coinvariant_dimensions():
     def body():
         totals = []
-        for name, (rd, degrees) in FUNDAMENTAL_DEGREES.items():
+        for name in SLICE_TYPES:
+            rd, degrees = FUNDAMENTAL_DEGREES[name]
             expected = poincare_product(degrees)
             top = len(expected) - 1
             refl = weyl_group(rd).generators
@@ -125,6 +138,14 @@ def test_criterion_02_coinvariant_dimensions():
         return "total dims = |W|: " + ", ".join(totals)
 
     timed(2, 10.0, body)
+
+
+@pytest.mark.parametrize("name", sorted(FUNDAMENTAL_DEGREES))
+def test_length_histogram_is_the_degree_product(name):
+    # oracle: sum_w q^length(w) = prod_i (1 + q + ... + q^(d_i - 1)) over the
+    # fundamental degrees, independent of the closure that yields the lengths
+    rd, degrees = FUNDAMENTAL_DEGREES[name]
+    assert codegree_histogram(rd) == poincare_product(degrees)
 
 
 def test_criterion_03_chevalley_vs_coinvariant():

@@ -210,6 +210,25 @@ def test_degree_past_budget_refused_before_any_slice(monkeypatch):
         homogeneous_rational_chow(z.product_sl2, z.borel, 10**6)
 
 
+def test_slice_past_budget_refused_before_any_slice(monkeypatch):
+    # rank 3: C(3 + d - 1, d) is 21 at d = 5 and 28 at d = 6
+    assert invariants.SLICE_BUDGET == 21
+    assert homogeneous_rational_chow(z.cover_torsion, z.trivial3, 5).concrete_factor.max_degree == 5
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a slice past the budget must be refused first")
+
+    monkeypatch.setattr(invariants, "invariant_slice", no_work)
+    monkeypatch.setattr(schubert, "invariant_slice", no_work)
+    monkeypatch.setattr(chow, "truncated_quotient", no_work)
+    for top in (6, invariants.DEGREE_BUDGET):
+        with pytest.raises(DegreeTooLarge, match="exceeds budget 21"):
+            homogeneous_rational_chow(z.cover_torsion, z.trivial3, top)
+    # rank 1 slices have dimension 1, so any degree in the degree budget passes this check
+    with pytest.raises(AssertionError, match="refused first"):
+        homogeneous_rational_chow(z.product_sl2, z.t_sl2, invariants.DEGREE_BUDGET)
+
+
 def test_homogeneous_chow_refuses_g_ant():
     with pytest.raises(ModeUnsupported):
         homogeneous_rational_chow(z.semiab, z.g_ant_sub, 2)

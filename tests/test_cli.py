@@ -240,6 +240,19 @@ def test_degree_past_budget_exits_2(capsys, monkeypatch, argv):
     assert "exceeds budget 64" in err
 
 
+def test_slice_past_budget_exits_2(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the slice budget must be checked before any slice")
+
+    monkeypatch.setattr(invariants, "invariant_slice", no_work)
+    monkeypatch.setattr(schubert, "invariant_slice", no_work)
+    monkeypatch.setattr(chow, "truncated_quotient", no_work)
+    code, out, err = run_cli(capsys, "hchow", "trivial", fixture_path("cover_torsion"), "--max-degree", "64")
+    assert code == 2
+    assert out == ""
+    assert "dimension 2145, which exceeds budget 21" in err
+
+
 @pytest.mark.parametrize("tail", [(), ("--rational",)])
 def test_chow_at_budget_computes_no_slice(capsys, monkeypatch, tail):
     def no_work(*args):

@@ -186,10 +186,15 @@ def test_enumerate_matrix_group():
         enumerate_matrix_group((rot6,), cap=3)
 
 
+CLOSURE_DATA = {
+    "A1": z.sl2, "A2": z.sl3, "A3": z.sl4, "A4": z.a4, "B2": z.sp4, "G2": z.g2,
+    "A5": z.a5, "D4": z.d4, "F4": z.f4,
+    # a transvection of X(T) makes the reflection matrices denser, as in seeded data
+    "A5t": z.transvected(z.a5, 0, 4), "D4t": z.transvected(z.d4, 0, 3),
+    "F4t": z.transvected(z.f4, 3, 0), "F4adj": z.adjoint_datum(z.f4),
+}
 CLOSURE_CASES = {
-    name: tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
-    for name, rd in (("A1", z.sl2), ("A2", z.sl3), ("A3", z.sl4), ("A4", z.a4),
-                     ("B2", z.sp4), ("G2", z.g2))
+    name: tuple(simple_reflection(rd, i) for i in range(rd.nsimple)) for name, rd in CLOSURE_DATA.items()
 }
 CLOSURE_CASES.update(z.non_weyl_groups())
 
@@ -200,6 +205,24 @@ def test_group_closure_matches_naive_bfs(name):
     elements, steps = group_closure(gens, gens[0].nrows, 10**6)
     assert (elements, steps) == z.naive_closure(gens)
     assert all(isinstance(e, M) for e in elements)
+
+
+def test_group_closure_multiplies_once_per_distinct_row(monkeypatch):
+    calls = [0]
+
+    def counting_mul(a, b):
+        calls[0] += 1
+        return a * b
+
+    monkeypatch.setattr(lattice, "mul", counting_mul)
+    gens = CLOSURE_CASES["A5"]
+    n = gens[0].nrows
+    elements, _ = group_closure(gens, n, 10**6)
+    rows = {row for e in elements for row in e.rows}
+    assert (len(elements), len(rows)) == (720, 30)
+    # one dot product per (distinct row, generator, column); a full product per
+    # (element, generator) would make |W| * 5 * n^3 = 450000
+    assert 0 < calls[0] <= len(rows) * len(gens) * n * n
 
 
 # |GL_2(F_3)| = 48: a finite group's elements are distinct mod 3
@@ -219,6 +242,33 @@ def test_infinite_group_refused_within_gl2_f3(name):
     assert visited <= 48
     if name == "unipotent":
         assert visited == 4  # 1, u, u^2, then u^3 agrees with 1 mod 3
+
+
+# |GL_3(F_3)| = 11232
+INFINITE_GROUPS_3 = {
+    "heisenberg": (M(((1, 1, 0), (0, 1, 0), (0, 0, 1))), M(((1, 0, 0), (0, 1, 1), (0, 0, 1)))),
+    "hyperbolic_block": (M(((2, 1, 0), (1, 1, 0), (0, 0, 1))),),
+    "cycle_and_shear": (M(((0, 0, 1), (1, 0, 0), (0, 1, 0))), M(((1, 3, 0), (0, 1, 0), (0, 0, 1)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_GROUPS_3))
+def test_infinite_3x3_group_refused_within_gl3_f3(name):
+    with pytest.raises(GroupTooLarge, match="infinite") as info:
+        enumerate_matrix_group(INFINITE_GROUPS_3[name], cap=10**6)
+    assert int(re.search(r"first (\d+) elements", str(info.value)).group(1)) <= 11232
+
+
+def test_finite_3x3_group_with_large_entries_is_not_refused():
+    # W(A3) = S4, conjugated by p = 1 + 3N (N the nilpotent shift), p^-1 = 1 - 3N + 9N^2
+    p = M(((1, 3, 0), (0, 1, 3), (0, 0, 1)))
+    p_inv = M(((1, -3, 9), (0, 1, -3), (0, 0, 1)))
+    assert p @ p_inv == M.identity(3)
+    gens = tuple(p @ g @ p_inv for g in CLOSURE_CASES["A3"])
+    elements, steps = group_closure(gens, 3, 10**6)
+    assert len(elements) == 24
+    assert max(abs(x) for e in elements for row in e.rows for x in row) >= 3
+    assert (elements, steps) == z.naive_closure(gens)
 
 
 def test_matrix_group_refusals_are_not_cached():
