@@ -15,11 +15,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from ._record import Record
 from .errors import DegreeTooLarge
 from .lattice import DEFAULT_CAP, IntMatrix, enumerate_matrix_group
-from .qlinalg import SpanBuilder, nullspace, rref
+from .qlinalg import SpanBuilder, echelon, kernel
 
 Poly = dict[tuple[int, ...], Fraction]
 
@@ -63,7 +64,7 @@ def sym_basis(rank: int, d: int) -> tuple[tuple[int, ...], ...]:
 def poly_add(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for m, c in b.items():
-        s = out.get(m, Fraction(0)) + c
+        s = out.get(m, 0) + c
         if s:
             out[m] = s
         else:
@@ -87,7 +88,7 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     for ma, ca in a.items():
         for mb, cb in b.items():
             m = tuple(x + y for x, y in zip(ma, mb))
-            s = out.get(m, Fraction(0)) + ca * cb
+            s = out.get(m, 0) + ca * cb
             if s:
                 out[m] = s
             else:
@@ -119,7 +120,7 @@ def linear_poly(vec) -> Poly:
 def coeff_vector(a: Poly, rank: int, d: int) -> tuple[Fraction, ...]:
     basis = sym_basis(rank, d)
     lookup = {m: i for i, m in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
+    vec = [0] * len(basis)
     for m, c in a.items():
         vec[lookup[m]] = c
     return tuple(vec)
@@ -142,7 +143,8 @@ def substitute(matrix: IntMatrix, a: Poly) -> Poly:
     {(2,): Fraction(1, 1)}
     """
     n = matrix.nrows
-    images = [linear_poly(matrix.column(i)) for i in range(matrix.ncols)]
+    images = [{tuple(int(j == i) for j in range(n)): c for i, c in enumerate(matrix.column(k)) if c}
+              for k in range(matrix.ncols)]
     out: Poly = {}
     for m, c in a.items():
         term: Poly = {(0,) * n: c}
@@ -213,18 +215,19 @@ def _invariant_slice(rank: int, gens: tuple[IntMatrix, ...], d: int) -> tuple[Po
         return tuple({m: Fraction(1)} for m in basis)
     n = len(basis)
     # images[k][j]: coordinates of rho_d(gens[k]) applied to monomial j
-    images = [[coeff_vector(substitute(g, {m: Fraction(1)}), rank, d) for m in basis] for g in gens]
-    fixed = nullspace([[img[j][t] - (j == t) for j in range(n)] for img in images for t in range(n)], n)
-    cofixed = nullspace([[img[t][j] - (j == t) for j in range(n)] for img in images for t in range(n)], n)
-    # rows [L^T N | L^T] reduce to [1 | (L^T N)^-1 L^T]
-    coords, _ = rref([[sum(a * b for a, b in zip(ell, v)) for v in fixed] + list(ell) for ell in cofixed],
-                     len(fixed))
+    images = [[coeff_vector(substitute(g, {m: 1}), rank, d) for m in basis] for g in gens]
+    fixed = [v for _, v in kernel([[img[j][t] - (j == t) for j in range(n)] for img in images for t in range(n)], n)]
+    cofixed = [v for _, v in kernel([[img[t][j] - (j == t) for j in range(n)] for img in images for t in range(n)], n)]
+    # rows [L^T N | L^T] reduce to [D | D (L^T N)^-1 L^T], D diagonal and positive
+    coords, _ = echelon([[sum(a * b for a, b in zip(ell, v)) for v in fixed] + ell for ell in cofixed], len(fixed))
+    scale = lcm(*[row[r] for r, row in enumerate(coords)])
+    weights = [[scale // row[r] * x for x in row[len(fixed):]] for r, row in enumerate(coords)]
     builder = SpanBuilder(n)
     polys = []
     for j in range(n):
-        avg = [sum(row[len(fixed) + j] * v[t] for row, v in zip(coords, fixed)) for t in range(n)]
+        avg = [sum(w[j] * v[t] for w, v in zip(weights, fixed)) for t in range(n)]  # scale * R(m_j)
         if any(avg) and builder.add(avg):
-            polys.append(poly_from_vector(avg, rank, d))
+            polys.append({m: Fraction(c, scale) for m, c in zip(basis, avg) if c})
     return tuple(polys)
 
 
@@ -294,6 +297,14 @@ def ideal_slice(ambient: GradedAlgebra, generators: list[Poly], d: int) -> list[
     return out
 
 
+def ideal_span(ambient: GradedAlgebra, generators: list[Poly], d: int) -> SpanBuilder:
+    """A :class:`SpanBuilder` holding the degree-d slice of the ideal (:func:`ideal_slice`)."""
+    builder = SpanBuilder(len(sym_basis(ambient.rank, d)))
+    for p in ideal_slice(ambient, generators, d):
+        builder.add(coeff_vector(p, ambient.rank, d))
+    return builder
+
+
 class TruncatedQuotient(Record):
     """Graded quotient ambient/ideal, truncated at max_degree.
 
@@ -338,8 +349,6 @@ def truncated_quotient(ambient: GradedAlgebra, generators: list[Poly], max_degre
     for d in range(max_degree + 1):
         amb = ambient.slice_basis(d)
         ambient_dims.append(len(amb))
-        builder = SpanBuilder(len(sym_basis(ambient.rank, d)))
-        for p in ideal_slice(ambient, generators, d):
-            builder.add(coeff_vector(p, ambient.rank, d))
+        builder = ideal_span(ambient, generators, d)
         dims.append(sum(1 for p in amb if builder.add(coeff_vector(p, ambient.rank, d))))
     return TruncatedQuotient(ambient.rank, max_degree, tuple(dims), tuple(ambient_dims))

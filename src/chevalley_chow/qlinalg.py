@@ -1,18 +1,54 @@
-"""Small exact linear algebra helpers over Q (``fractions.Fraction``).
+"""Small exact linear algebra over Q: integral elimination, rational results.
 
-Vectors are tuples, matrices are sequences of row vectors.  Everything is
-deterministic: pivoting always picks the first nonzero entry.
+Vectors are tuples, matrices are sequences of rows of ints or Fractions.  Each
+row is scaled to a primitive integer vector and eliminated fraction-free, as
+``p*row - f*pivot_row`` divided by its gcd (Bareiss, *Math. Comp.* 22, 1968), so
+Fractions appear only in the results.  Pivoting picks the first nonzero entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 QVec = tuple[Fraction, ...]
 
 
-def qvec(xs) -> QVec:
-    return tuple(Fraction(x) for x in xs)
+def _content_free(ints: list[int]) -> tuple[list[int], int]:
+    """``(ints / g, g)`` for g the gcd of the entries (1 for a zero vector)."""
+    g = gcd(*ints)
+    return ([x // g for x in ints], g) if g > 1 else (ints, 1)
+
+
+def _primitive(vec) -> tuple[list[int], int, int]:
+    """``(ints, g, den)`` with ``vec == ints * g / den`` and ``ints`` primitive."""
+    den = lcm(*[x.denominator for x in vec])
+    return *_content_free([x.numerator * (den // x.denominator) for x in vec]), den
+
+
+def echelon(rows, ncols: int | None = None) -> tuple[list[list[int]], list[int]]:
+    """Integral reduced row echelon form: primitive rows, each with a positive
+    pivot entry and zeros at the other pivot columns; a row divided by its
+    pivot entry is the matching row of :func:`rref`.
+    """
+    work = [_primitive(r)[0] for r in rows]
+    if ncols is None:
+        ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pr is None:
+            continue
+        prow = work[pr] if work[pr][c] > 0 else [-x for x in work[pr]]
+        work[pr], work[r] = work[r], prow
+        for i, row in enumerate(work):
+            if i != r and (f := row[c]):
+                work[i] = _content_free([prow[c] * x - f * y for x, y in zip(row, prow)])[0]
+        pivots.append(c)
+        if len(pivots) == len(work):
+            break
+    return work[:len(pivots)], pivots
 
 
 def rref(rows, ncols: int | None = None) -> tuple[list[QVec], list[int]]:
@@ -22,27 +58,23 @@ def rref(rows, ncols: int | None = None) -> tuple[list[QVec], list[int]]:
     >>> [[str(x) for x in row] for row in r], p
     ([['1', '0'], ['0', '1']], [0, 1])
     """
-    work = [list(qvec(r)) for r in rows]
-    if ncols is None:
-        ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = work[r][c]
-        work[r] = [x / inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], pivots
+    red, pivots = echelon(rows, ncols)
+    return [tuple(Fraction(x, row[pc]) for x in row) for row, pc in zip(red, pivots)], pivots
+
+
+def kernel(rows, ncols: int) -> list[tuple[int, list[int]]]:
+    """:func:`nullspace` in primitive integer vectors: one pair ``(c, v)`` per
+    free column c, v a positive multiple of the nullspace vector for c."""
+    red, pivots = echelon(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        scale = lcm(*[row[pc] for row, pc in zip(red, pivots) if row[fc]])
+        v = [0] * ncols
+        v[fc] = scale
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc] * (scale // row[pc])
+        basis.append((fc, _content_free(v)[0]))
+    return basis
 
 
 def nullspace(rows, ncols: int) -> list[QVec]:
@@ -51,64 +83,56 @@ def nullspace(rows, ncols: int) -> list[QVec]:
     >>> [list(map(str, v)) for v in nullspace([(1, 2)], 2)]
     [['-2', '1']]
     """
-    red, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
+    return [tuple(Fraction(x, v[fc]) for x in v) for fc, v in kernel(rows, ncols)]
 
 
 def qsolve(rows, b) -> QVec | None:
     """One solution of ``M x = b`` over Q, or None when inconsistent."""
-    rows = [list(qvec(r)) for r in rows]
-    b = list(qvec(b))
+    rows, b = [list(r) for r in rows], list(b)
     if len(rows) != len(b):
         raise ValueError("rhs length mismatch")
     ncols = len(rows[0]) if rows else 0
-    aug = [row + [rhs] for row, rhs in zip(rows, b)]
-    red, pivots = rref(aug, ncols + 1)
+    red, pivots = echelon([row + [rhs] for row, rhs in zip(rows, b)], ncols + 1)
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
-    for row, pc in zip(red, pivots):
-        x[pc] = row[ncols]
-    return tuple(x)
+    sol = {pc: Fraction(row[ncols], row[pc]) for row, pc in zip(red, pivots)}
+    return tuple(sol.get(c, Fraction(0)) for c in range(ncols))
 
 
 class SpanBuilder:
     """Incremental echelon basis of a growing span in Q^n.
 
     ``add`` returns True when the vector enlarged the span.  Used to pick
-    greedy bases out of redundant spanning sets.
+    greedy bases out of redundant spanning sets.  ``rows`` holds primitive
+    integer rows sorted by pivot column, zero at the pivots of rows added before.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
-    def reduce(self, vec) -> list[Fraction]:
-        v = list(qvec(vec))
+    def _reduce(self, vec) -> tuple[list[int], int, int]:
+        """``(ints, num, den)``: ``reduce(vec) == ints * num / den``."""
+        v, num, den = _primitive(vec)
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
         for row, pc in zip(self.rows, self.pivots):
-            if v[pc] != 0:
-                f = v[pc]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
+            if f := v[pc]:
+                v, g = _content_free([row[pc] * x - f * y for x, y in zip(v, row)])
+                num, den = num * g, den * row[pc]
+        return v, num, den
+
+    def reduce(self, vec) -> list[Fraction]:
+        """The unique vector of ``vec + span`` that is zero at every pivot column."""
+        v, num, den = self._reduce(vec)
+        return [Fraction(x * num, den) for x in v]
 
     def add(self, vec) -> bool:
-        v = self.reduce(vec)
-        pc = next((c for c, x in enumerate(v) if x != 0), None)
+        v = self._reduce(vec)[0]
+        pc = next((c for c, x in enumerate(v) if x), None)
         if pc is None:
             return False
-        inv = v[pc]
-        v = [x / inv for x in v]
         # keep rows sorted by pivot column so reduce() stays correct
         pos = next((k for k, p in enumerate(self.pivots) if p > pc), len(self.pivots))
         self.rows.insert(pos, v)
@@ -116,7 +140,7 @@ class SpanBuilder:
         return True
 
     def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not any(self._reduce(vec)[0])
 
     @property
     def dim(self) -> int:

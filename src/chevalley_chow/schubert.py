@@ -20,16 +20,15 @@ from .invariants import (
     coeff_vector,
     exact_divide_linear,
     full_algebra,
-    ideal_slice,
+    ideal_span,
     invariant_slice,
     linear_poly,
     poly_mul,
     poly_sub,
     substitute,
-    sym_basis,
 )
 from .lattice import DEFAULT_CAP
-from .qlinalg import SpanBuilder, qsolve
+from .qlinalg import qsolve
 from .rootdata import RootDatum, root_system, simple_reflection, validate_root_datum, weyl_group
 
 
@@ -166,9 +165,10 @@ def schubert_representatives(rd: RootDatum, max_degree: int | None = None, cap: 
 
 
 def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = DEFAULT_CAP) -> list[Poly]:
-    """Basis polynomials of the W-invariants of degrees 1..max_degree.
+    """W-invariants of degrees 1..max_degree generating the coinvariant ideal up to that degree.
 
-    They generate the coinvariant ideal up to that degree.  A Weyl group
+    A degree-e invariant is kept only when it enlarges the degree-e slice of
+    the ideal the kept ones span (GL2 up to degree 20: 2, not 120).  A Weyl group
     past ``cap`` is refused up front from the order formula of its Cartan
     type (:class:`GroupTooLarge`); otherwise each slice is projected from
     the simple reflections (:func:`invariant_slice`), so W is never
@@ -179,7 +179,8 @@ def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = DEFA
         raise GroupTooLarge(f"|W| = {order} exceeds cap {cap}")
     gens: list[Poly] = []
     for e in range(1, max_degree + 1):
-        gens.extend(invariant_slice(rd.rank, refl, e))
+        builder = ideal_span(full_algebra(rd.rank), gens, e)
+        gens.extend(p for p in invariant_slice(rd.rank, refl, e) if builder.add(coeff_vector(p, rd.rank, e)))
     return gens
 
 
@@ -189,11 +190,7 @@ COINVARIANT_REDUCER_CACHE_SIZE = 128  # reducers kept, one per (root datum, d, c
 @lru_cache(maxsize=COINVARIANT_REDUCER_CACHE_SIZE)
 def _coinvariant_reducer(rd: RootDatum, d: int, cap: int = DEFAULT_CAP):
     """SpanBuilder primed with the degree-d slice of the coinvariant ideal."""
-    slice_basis = ideal_slice(full_algebra(rd.rank), coinvariant_ideal_generators(rd, d, cap), d)
-    builder = SpanBuilder(len(sym_basis(rd.rank, d)))
-    for p in slice_basis:
-        builder.add(coeff_vector(p, rd.rank, d))
-    return builder
+    return ideal_span(full_algebra(rd.rank), coinvariant_ideal_generators(rd, d, cap), d)
 
 
 def _reduce_mod_coinvariant_ideal(rd: RootDatum, poly: Poly, d: int, cap: int) -> tuple[Fraction, ...]:

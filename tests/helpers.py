@@ -23,7 +23,6 @@ from chevalley_chow.lattice import (
     intersect_rows,
     lattice_contains,
 )
-from chevalley_chow.qlinalg import SpanBuilder, qsolve
 from chevalley_chow.rootdata import RootDatum, characters_of_group, reflection, simple_reflection
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -151,6 +150,92 @@ borel_sl3 = SubgroupDescriptor("borel", IntMatrix.identity(2),
                                ant_contains_gantaff=True)
 
 
+def fraction_rref(rows, ncols=None):
+    """Oracle for ``qlinalg.rref``: Gauss-Jordan elimination on Fractions,
+    each pivot row scaled to a leading 1."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    if ncols is None:
+        ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = work[r][c]
+        work[r] = [x / inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return [tuple(row) for row in work[:r]], pivots
+
+
+def fraction_nullspace(rows, ncols):
+    """Oracle for ``qlinalg.nullspace``, read off :func:`fraction_rref`."""
+    red, pivots = fraction_rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_qsolve(rows, b):
+    """Oracle for ``qlinalg.qsolve``: :func:`fraction_rref` of the augmented matrix."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    red, pivots = fraction_rref([row + [Fraction(rhs)] for row, rhs in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, pc in zip(red, pivots):
+        x[pc] = row[ncols]
+    return tuple(x)
+
+
+class FractionSpanBuilder:
+    """Oracle for ``qlinalg.SpanBuilder``: echelon rows of Fractions with leading 1s."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, vec):
+        v = [Fraction(x) for x in vec]
+        if len(v) != self.ncols:
+            raise ValueError("vector length mismatch")
+        for row, pc in zip(self.rows, self.pivots):
+            if v[pc] != 0:
+                f = v[pc]
+                v = [x - f * y for x, y in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        pc = next((c for c, x in enumerate(v) if x != 0), None)
+        if pc is None:
+            return False
+        inv = v[pc]
+        v = [x / inv for x in v]
+        pos = next((k for k, p in enumerate(self.pivots) if p > pc), len(self.pivots))
+        self.rows.insert(pos, v)
+        self.pivots.insert(pos, pc)
+        return True
+
+    def contains(self, vec):
+        return all(x == 0 for x in self.reduce(vec))
+
+
 def reynolds_slice(rank, generators, d):
     """Oracle for ``invariant_slice``: average each monomial over the enumerated group.
 
@@ -161,7 +246,7 @@ def reynolds_slice(rank, generators, d):
     if not gens:
         return [{m: Fraction(1)} for m in sym_basis(rank, d)]
     group = enumerate_matrix_group(gens)
-    builder = SpanBuilder(len(sym_basis(rank, d)))
+    builder = FractionSpanBuilder(len(sym_basis(rank, d)))
     polys = []
     for m in sym_basis(rank, d):
         avg = {}
@@ -195,7 +280,7 @@ def root_system_by_solves(rd):
     columns = rd.simple_roots.transpose().rows  # columns are the simple roots
     records = []
     for vec, cov in pairs:
-        coeffs = qsolve(columns, vec)
+        coeffs = fraction_qsolve(columns, vec)
         assert coeffs is not None and all(x.denominator == 1 for x in coeffs), vec
         coords = tuple(int(x) for x in coeffs)
         if min(coords) >= 0:

@@ -1,11 +1,12 @@
 """Picard, Neron-Severi and Chow presentations of groups and quotients."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 import helpers as z
-from chevalley_chow import chow, invariants, schubert
+from chevalley_chow import chow, cli, invariants, schubert
 from chevalley_chow.chow import (
     chow_presentation,
     homogeneous_ns,
@@ -17,8 +18,16 @@ from chevalley_chow.chow import (
 )
 from chevalley_chow.descriptors import GroupDescriptor, derived_attributes
 from chevalley_chow.errors import DegreeTooLarge, ModeUnsupported
-from chevalley_chow.invariants import full_algebra, linear_poly, truncated_quotient
+from chevalley_chow.invariants import (
+    full_algebra,
+    invariant_algebra,
+    invariant_slice,
+    linear_poly,
+    substitute,
+    truncated_quotient,
+)
 from chevalley_chow.lattice import FGAbelianGroup, IntMatrix
+from chevalley_chow.rootdata import simple_reflection
 from chevalley_chow.schubert import coinvariant_ideal_generators
 from chevalley_chow.structure import albanese_split_test
 
@@ -280,3 +289,36 @@ def test_homogeneous_ns():
     assert n.mode == "integral" and n.group == FGAbelianGroup(1)
     n = homogeneous_ns(z.product_pgl2, z.t_sl2)  # PGL2 is not factorial
     assert n.mode == "rational" and n.group == FGAbelianGroup(2)
+
+
+def _budget_degree(rank: int) -> int:
+    """The largest degree ``hchow`` admits in ``rank`` variables (slice and degree budgets)."""
+    return max(d for d in range(invariants.DEGREE_BUDGET + 1)
+               if (math.comb(rank + d - 1, d) if rank else 1) <= invariants.SLICE_BUDGET)
+
+
+def test_hchow_dims_match_every_basis_invariant_as_generator(fixture_doc):
+    # the minimal coinvariant generators span the same ideal as all basis invariants
+    gd = fixture_doc.group
+    refl = tuple(simple_reflection(gd.rd, i) for i in range(gd.rd.nsimple))
+    for name, hd in fixture_doc.subgroups:
+        top = _budget_degree(max(gd.rd.rank, hd.h_rank))
+        try:
+            got = homogeneous_rational_chow(gd, hd, top).concrete_factor
+        except ModeUnsupported:
+            continue
+        every = [substitute(hd.q_matrix, f) for e in range(1, top + 1) for f in invariant_slice(gd.rd.rank, refl, e)]
+        ambient = invariant_algebra(hd.h_rank, chow._subgroup_reflections(gd, hd) + hd.component_generators)
+        assert got.dims == truncated_quotient(ambient, [f for f in every if f], top).dims, name
+
+
+def test_hchow_gl2_degree_20_multiplies_few_polynomials(monkeypatch, capsys):
+    # with every basis invariant as an ideal generator this call made 11,715 poly_mul calls
+    calls = []
+    mul = invariants.poly_mul
+    monkeypatch.setattr(invariants, "poly_mul", lambda a, b: calls.append(1) or mul(a, b))
+    invariants._invariant_slice.cache_clear()
+    argv = ["hchow", "torus", str(z.FIXTURE_DIR / "gl2_center.json"), "--max-degree", "20"]
+    assert cli.main(argv) == 0
+    assert "dims: [1, 1, 0, 0" in capsys.readouterr().out
+    assert len(calls) <= 4000

@@ -15,6 +15,8 @@ from chevalley_chow.invariants import (
     invariant_algebra,
     invariant_slice,
     linear_poly,
+    poly_degree,
+    poly_from_vector,
     poly_mul,
     substitute,
     sym_basis,
@@ -225,3 +227,41 @@ def test_truncated_quotient_shape():
     tq = truncated_quotient(full, [], 2)
     assert tq.dims == (1, 1, 1)
     assert tq.top_degree == 2 and not tq.vanishes_at_top
+
+
+def test_coinvariant_ideal_generators_are_minimal():
+    # a minimal homogeneous generating set has one generator per basic invariant
+    # (Chevalley), plus one linear form per dimension of the central torus
+    assert [poly_degree(g) for g in coinvariant_ideal_generators(z.gl2, 20)] == [1, 2]
+    for name, (rd, degrees) in FUNDAMENTAL_DEGREES.items():
+        gens = coinvariant_ideal_generators(rd, max(degrees) + 1)
+        assert [poly_degree(g) for g in gens] == list(degrees), name
+    # and they span the ideal every basis invariant spanned, degree by degree
+    for rd, top in ((z.gl2, 6), (z.sl3, 5), (z.g2, 7), (z.sl4, 4)):
+        refl = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+        every = [f for e in range(1, top + 1) for f in invariant_slice(rd.rank, refl, e)]
+        for d in range(top + 1):
+            want = z.FractionSpanBuilder(len(sym_basis(rd.rank, d)))
+            for p in ideal_slice(full_algebra(rd.rank), every, d):
+                want.add(coeff_vector(p, rd.rank, d))
+            got = ideal_slice(full_algebra(rd.rank), coinvariant_ideal_generators(rd, top), d)
+            assert len(got) == len(want.rows)
+            assert all(want.contains(coeff_vector(p, rd.rank, d)) for p in got)
+
+
+def test_public_results_keep_fraction_coefficients():
+    refl = tuple(simple_reflection(z.sl3, i) for i in range(2))
+    shear = IntMatrix(((1, 1), (0, 1)))
+    polys = [*invariant_slice(2, refl, 3), *invariant_slice(2, (), 2),
+             poly_from_vector((1, 0, 2), 2, 2),
+             substitute(shear, {(1, 1): Fraction(1), (0, 2): Fraction(1, 2)}),
+             *coinvariant_ideal_generators(z.sl3, 3),
+             *ideal_slice(full_algebra(2), invariant_slice(2, refl, 2), 3),
+             *schubert.schubert_representatives(z.sl3).values()]
+    assert all(p for p in polys)
+    assert all(type(c) is Fraction for p in polys for c in p.values())
+    expansions = [schubert.expand_in_schubert_basis(z.sl3, linear_poly((1, 0)), 1),
+                  schubert.schubert_product(z.sl3, 1, 2),
+                  schubert.chevalley_multiply(z.sl3, (1, 1), 1)]
+    assert all(e.terms for e in expansions)
+    assert all(type(c) is Fraction for e in expansions for c in e.terms.values())

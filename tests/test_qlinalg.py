@@ -1,8 +1,12 @@
 """Rational linear algebra used by the graded-algebra layer."""
 
+import math
 from fractions import Fraction
 
-from chevalley_chow.qlinalg import SpanBuilder, nullspace, qsolve, rref
+from hypothesis import given, strategies as st
+
+import helpers as z
+from chevalley_chow.qlinalg import SpanBuilder, kernel, nullspace, qsolve, rref
 
 
 def test_rref_and_rank():
@@ -40,3 +44,76 @@ def test_span_builder():
     # Fraction inputs work the same way
     assert sb.add((Fraction(1, 2), 0, Fraction(1, 3)))
     assert sb.dim == 3
+
+
+# -- integer elimination against the Fraction oracle ------------------------
+
+entries = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def matrices(draw, max_rows=4, max_cols=5):
+    """Small int/Fraction matrices, often with zero rows and dependent rows."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=max_rows))
+    for _ in range(draw(st.integers(0, 2))):  # a combination of the rows drawn so far; zero if none
+        coeffs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(ncols)])
+    return draw(st.permutations(rows)), ncols
+
+
+def typed(x):
+    """Value with the type of every scalar, so equality also compares types."""
+    if isinstance(x, (list, tuple)):
+        return type(x).__name__, [typed(y) for y in x]
+    return type(x).__name__, x
+
+
+@given(matrices())
+def test_rref_and_nullspace_match_the_fraction_oracle(m):
+    rows, ncols = m
+    assert typed(rref(rows, ncols)) == typed(z.fraction_rref(rows, ncols))
+    if rows:
+        assert typed(rref(rows)) == typed(z.fraction_rref(rows))
+    assert typed(nullspace(rows, ncols)) == typed(z.fraction_nullspace(rows, ncols))
+    # kernel: primitive integer vectors, positive multiples of the nullspace basis
+    for (fc, v), want in zip(kernel(rows, ncols), z.fraction_nullspace(rows, ncols), strict=True):
+        assert all(type(x) is int for x in v) and math.gcd(*v) == 1 and v[fc] > 0
+        assert [Fraction(x, v[fc]) for x in v] == list(want)
+
+
+@given(matrices(), st.data())
+def test_qsolve_matches_the_fraction_oracle(m, data):
+    rows, ncols = m
+    x = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    consistent = [sum((a * b for a, b in zip(row, x)), 0) for row in rows]
+    arbitrary = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    for b in (consistent, arbitrary):
+        assert typed(qsolve(rows, b)) == typed(z.fraction_qsolve(rows, b))
+    assert qsolve(rows, consistent) is not None
+
+
+@given(matrices(max_rows=5), st.lists(st.lists(entries, min_size=5, max_size=5), max_size=3))
+def test_span_builder_matches_the_fraction_oracle(m, probes):
+    rows, ncols = m
+    sb, oracle = SpanBuilder(ncols), z.FractionSpanBuilder(ncols)
+    probes = [p[:ncols] for p in probes]
+    for vec in rows:
+        assert sb.add(vec) == oracle.add(vec)
+        assert sb.dim == len(oracle.rows) and sb.pivots == oracle.pivots
+        for p in [vec, *rows, *probes]:
+            assert typed(sb.reduce(p)) == typed(oracle.reduce(p))
+            assert sb.contains(p) == oracle.contains(p)
+        # the basis stays integral: primitive int rows, whatever was added
+        assert all(type(x) is int for row in sb.rows for x in row)
+        assert all(math.gcd(*row) == 1 for row in sb.rows)
+
+
+def test_span_builder_rows_are_primitive_ints_after_fraction_input():
+    sb = SpanBuilder(3)
+    for vec in ((Fraction(1, 2), Fraction(1, 3), 0), (Fraction(-3, 4), 0, Fraction(5, 6)), (2, Fraction(2, 3), 1)):
+        sb.add(vec)
+    assert sb.dim == 3
+    assert all(type(x) is int for row in sb.rows for x in row)
+    assert all(math.gcd(*row) == 1 for row in sb.rows)
+    assert sb.reduce((Fraction(1, 7), 0, 0)) == [0, 0, 0]
