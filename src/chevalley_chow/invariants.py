@@ -126,11 +126,6 @@ def coeff_vector(a: Poly, rank: int, d: int) -> tuple[Fraction, ...]:
     return tuple(vec)
 
 
-def poly_from_vector(vec, rank: int, d: int) -> Poly:
-    basis = sym_basis(rank, d)
-    return {m: Fraction(c) for m, c in zip(basis, vec) if c}
-
-
 def substitute(matrix: IntMatrix, a: Poly) -> Poly:
     """Act by the lattice map: variable x_i becomes sum_j matrix[j][i] x_j.
 
@@ -267,21 +262,21 @@ def invariant_algebra(rank: int, generators, cap: int = DEFAULT_CAP) -> GradedAl
     return GradedAlgebra(rank, slices)
 
 
-def ideal_slice(ambient: GradedAlgebra, generators: list[Poly], d: int) -> list[Poly]:
+def ideal_slice(ambient: GradedAlgebra, generators, d: int) -> SpanBuilder:
     """Degree-d piece of the ideal the generators span inside ``ambient``.
 
     Generators must be homogeneous of positive degree.  The slice is the span
     of g * a over generators g and ambient basis elements a of complementary
-    degree, echelon-reduced.
+    degree, each product eliminated once into the returned :class:`SpanBuilder`
+    (coordinates in :func:`sym_basis` order).
 
     >>> t2 = {(2,): Fraction(1)}
-    >>> ideal_slice(full_algebra(1), [t2], 3)
-    [{(3,): Fraction(1, 1)}]
-    >>> ideal_slice(full_algebra(1), [t2], 1)
-    []
+    >>> ideal_slice(full_algebra(1), [t2], 3).rows
+    [[1]]
+    >>> ideal_slice(full_algebra(1), [t2], 1).dim
+    0
     """
     builder = SpanBuilder(len(sym_basis(ambient.rank, d)))
-    out = []
     for g in generators:
         e = poly_degree(g)
         if e is None:
@@ -291,17 +286,7 @@ def ideal_slice(ambient: GradedAlgebra, generators: list[Poly], d: int) -> list[
         if e > d:
             continue
         for a in ambient.slice_basis(d - e):
-            prod = poly_mul(g, a)
-            if prod and builder.add(coeff_vector(prod, ambient.rank, d)):
-                out.append(prod)
-    return out
-
-
-def ideal_span(ambient: GradedAlgebra, generators: list[Poly], d: int) -> SpanBuilder:
-    """A :class:`SpanBuilder` holding the degree-d slice of the ideal (:func:`ideal_slice`)."""
-    builder = SpanBuilder(len(sym_basis(ambient.rank, d)))
-    for p in ideal_slice(ambient, generators, d):
-        builder.add(coeff_vector(p, ambient.rank, d))
+            builder.add(coeff_vector(poly_mul(g, a), ambient.rank, d))
     return builder
 
 
@@ -349,6 +334,6 @@ def truncated_quotient(ambient: GradedAlgebra, generators: list[Poly], max_degre
     for d in range(max_degree + 1):
         amb = ambient.slice_basis(d)
         ambient_dims.append(len(amb))
-        builder = ideal_span(ambient, generators, d)
+        builder = ideal_slice(ambient, generators, d)
         dims.append(sum(1 for p in amb if builder.add(coeff_vector(p, ambient.rank, d))))
     return TruncatedQuotient(ambient.rank, max_degree, tuple(dims), tuple(ambient_dims))

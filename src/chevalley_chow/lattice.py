@@ -71,10 +71,6 @@ class IntMatrix:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls(tuple((0,) * ncols for _ in range(nrows)), ncols)
-
-    @classmethod
     def from_columns(cls, cols, nrows: int | None = None) -> "IntMatrix":
         cols = tuple(tuple(int(x) for x in c) for c in cols)
         if not cols:
@@ -112,11 +108,6 @@ class IntMatrix:
             other.ncols,
         )
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)), self.ncols)
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
@@ -124,9 +115,6 @@ class IntMatrix:
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows), self.ncols)
-
-    def is_zero(self) -> bool:
-        return all(all(a == 0 for a in r) for r in self.rows)
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination.

@@ -3,7 +3,8 @@
 Vectors are tuples, matrices are sequences of rows of ints or Fractions.  Each
 row is scaled to a primitive integer vector and eliminated fraction-free, as
 ``p*row - f*pivot_row`` divided by its gcd (Bareiss, *Math. Comp.* 22, 1968), so
-Fractions appear only in the results.  Pivoting picks the first nonzero entry.
+only the results of :func:`qsolve` and :meth:`SpanBuilder.reduce` are Fractions.
+Pivoting picks the first nonzero entry.
 """
 
 from __future__ import annotations
@@ -27,9 +28,13 @@ def _primitive(vec) -> tuple[list[int], int, int]:
 
 
 def echelon(rows, ncols: int | None = None) -> tuple[list[list[int]], list[int]]:
-    """Integral reduced row echelon form: primitive rows, each with a positive
-    pivot entry and zeros at the other pivot columns; a row divided by its
-    pivot entry is the matching row of :func:`rref`.
+    """Integral reduced row echelon form: (nonzero rows, pivot columns), the
+    rows primitive, each with a positive pivot entry and zeros at the other
+    pivot columns; a row divided by its pivot entry is the matching row of
+    the reduced row echelon form over Q.
+
+    >>> echelon([(1, 2, 3), (2, 4, 6), (0, 2, 4)])
+    ([[1, 0, -1], [0, 1, 2]], [0, 1])
     """
     work = [_primitive(r)[0] for r in rows]
     if ncols is None:
@@ -51,20 +56,14 @@ def echelon(rows, ncols: int | None = None) -> tuple[list[list[int]], list[int]]
     return work[:len(pivots)], pivots
 
 
-def rref(rows, ncols: int | None = None) -> tuple[list[QVec], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns).
-
-    >>> r, p = rref([(2, 4), (1, 3)])
-    >>> [[str(x) for x in row] for row in r], p
-    ([['1', '0'], ['0', '1']], [0, 1])
-    """
-    red, pivots = echelon(rows, ncols)
-    return [tuple(Fraction(x, row[pc]) for x in row) for row, pc in zip(red, pivots)], pivots
-
-
 def kernel(rows, ncols: int) -> list[tuple[int, list[int]]]:
-    """:func:`nullspace` in primitive integer vectors: one pair ``(c, v)`` per
-    free column c, v a positive multiple of the nullspace vector for c."""
+    """Basis of ``{x in Q^ncols : M x = 0}`` in primitive integer vectors: one
+    pair ``(c, v)`` per free column c, with v[c] > 0 and v zero at the other
+    free columns.
+
+    >>> kernel([(1, 2)], 2)
+    [(1, [-2, 1])]
+    """
     red, pivots = echelon(rows, ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
@@ -75,15 +74,6 @@ def kernel(rows, ncols: int) -> list[tuple[int, list[int]]]:
             v[pc] = -row[fc] * (scale // row[pc])
         basis.append((fc, _content_free(v)[0]))
     return basis
-
-
-def nullspace(rows, ncols: int) -> list[QVec]:
-    """Basis of ``{x in Q^ncols : M x = 0}``, one vector per free column.
-
-    >>> [list(map(str, v)) for v in nullspace([(1, 2)], 2)]
-    [['-2', '1']]
-    """
-    return [tuple(Fraction(x, v[fc]) for x in v) for fc, v in kernel(rows, ncols)]
 
 
 def qsolve(rows, b) -> QVec | None:

@@ -20,15 +20,16 @@ from .invariants import (
     coeff_vector,
     exact_divide_linear,
     full_algebra,
-    ideal_span,
+    ideal_slice,
     invariant_slice,
     linear_poly,
+    poly_degree,
     poly_mul,
     poly_sub,
     substitute,
 )
 from .lattice import DEFAULT_CAP
-from .qlinalg import qsolve
+from .qlinalg import SpanBuilder, qsolve
 from .rootdata import RootDatum, root_system, simple_reflection, validate_root_datum, weyl_group
 
 
@@ -85,6 +86,7 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP)
 
     The closed formula: sum over positive roots beta with
     length(w s_beta) = length(w) + 1 of <lam, beta^vee> sigma_{w s_beta}.
+    ValueError unless ``lam`` has ``rank`` entries and 0 <= w_index < |W|.
 
     >>> from .lattice import IntMatrix
     >>> a1 = RootDatum(1, IntMatrix(((2,),)), IntMatrix(((1,),)))
@@ -94,6 +96,10 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP)
     w = weyl_group(rd, cap=cap)
     rs = root_system(rd)
     lam = tuple(int(x) for x in lam)
+    if len(lam) != rd.rank:
+        raise ValueError(f"character has {len(lam)} entries, the rank is {rd.rank}")
+    if not 0 <= w_index < len(w):
+        raise ValueError(f"Weyl index {w_index} is outside [0, {len(w)})")
     base = w.elements[w_index]
     target_len = w.lengths[w_index] + 1
     terms: dict[int, Fraction] = {}
@@ -167,35 +173,42 @@ def schubert_representatives(rd: RootDatum, max_degree: int | None = None, cap: 
 def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = DEFAULT_CAP) -> list[Poly]:
     """W-invariants of degrees 1..max_degree generating the coinvariant ideal up to that degree.
 
-    A degree-e invariant is kept only when it enlarges the degree-e slice of
-    the ideal the kept ones span (GL2 up to degree 20: 2, not 120).  A Weyl group
-    past ``cap`` is refused up front from the order formula of its Cartan
-    type (:class:`GroupTooLarge`); otherwise each slice is projected from
-    the simple reflections (:func:`invariant_slice`), so W is never
-    enumerated here.
+    They are the minimal generators :func:`_coinvariant_reducer` keeps (GL2
+    up to degree 20: 2, not 120), read off it up to the degree where all
+    ``rank`` are found and returned as fresh dicts.  A Weyl group past
+    ``cap`` is refused up front from the order formula of its Cartan type
+    (:class:`GroupTooLarge`); the slices are projected from the simple
+    reflections (:func:`invariant_slice`), so W is never enumerated here.
     """
-    refl = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
-    if refl and max_degree > 0 and (order := validate_root_datum(rd).weyl_order) > cap:
+    if rd.nsimple and max_degree > 0 and (order := validate_root_datum(rd).weyl_order) > cap:
         raise GroupTooLarge(f"|W| = {order} exceeds cap {cap}")
-    gens: list[Poly] = []
+    gens: tuple[Poly, ...] = ()
     for e in range(1, max_degree + 1):
-        builder = ideal_span(full_algebra(rd.rank), gens, e)
-        gens.extend(p for p in invariant_slice(rd.rank, refl, e) if builder.add(coeff_vector(p, rd.rank, e)))
-    return gens
+        gens = _coinvariant_reducer(rd, e, cap)[0]
+        if len(gens) == rd.rank:
+            break
+    return [dict(g) for g in gens]
 
 
 COINVARIANT_REDUCER_CACHE_SIZE = 128  # reducers kept, one per (root datum, d, cap)
 
 
 @lru_cache(maxsize=COINVARIANT_REDUCER_CACHE_SIZE)
-def _coinvariant_reducer(rd: RootDatum, d: int, cap: int = DEFAULT_CAP):
-    """SpanBuilder primed with the degree-d slice of the coinvariant ideal."""
-    return ideal_span(full_algebra(rd.rank), coinvariant_ideal_generators(rd, d, cap), d)
+def _coinvariant_reducer(rd: RootDatum, d: int, cap: int = DEFAULT_CAP) -> tuple[tuple[Poly, ...], SpanBuilder]:
+    """Minimal generators of the coinvariant ideal in degrees 1..d, and its degree-d slice.
 
-
-def _reduce_mod_coinvariant_ideal(rd: RootDatum, poly: Poly, d: int, cap: int) -> tuple[Fraction, ...]:
-    builder = _coinvariant_reducer(rd, d, cap)
-    return tuple(builder.reduce(coeff_vector(poly, rd.rank, d)))
+    Extends the result for d - 1: the slice the kept generators span is
+    eliminated once (:func:`ideal_slice`), then takes each degree-d W-invariant
+    that enlarges it, kept as a generator (Reynolds: a W-invariant in (g_i)S is
+    in (g_i)S^W).  The ideal has ``rank`` minimal generators (Chevalley), so
+    no invariant slice is asked for once that many are kept.
+    """
+    gens = _coinvariant_reducer(rd, d - 1, cap)[0] if d > 1 else ()
+    builder = ideal_slice(full_algebra(rd.rank), gens, d)
+    if 0 < d and len(gens) < rd.rank:
+        refl = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+        gens += tuple(p for p in invariant_slice(rd.rank, refl, d) if builder.add(coeff_vector(p, rd.rank, d)))
+    return gens, builder
 
 
 def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAULT_CAP) -> SchubertExpansion:
@@ -203,16 +216,19 @@ def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAU
 
     Above degree N = |positive roots| the answer is zero without any
     reduction: the coinvariant algebra vanishes there (Chevalley).  Raises
-    ValueError when the polynomial is not in the span (which cannot happen
-    for elements coming from actual products of representatives).
+    ValueError when the polynomial is not homogeneous of degree d, or not in
+    the span (which cannot happen for products of representatives).
     """
+    if poly_degree(poly) not in (None, d):
+        raise ValueError(f"polynomial is not homogeneous of degree {d}")
     w = weyl_group(rd, cap=cap)
     if d > len(root_system(rd).positive):
         return SchubertExpansion(d, {})
     table = _representative_table(rd, cap)
     indices = [i for i in range(len(w)) if w.lengths[i] == d]
-    cols = [_reduce_mod_coinvariant_ideal(rd, table[i], d, cap) for i in indices]
-    rhs = _reduce_mod_coinvariant_ideal(rd, poly, d, cap)
+    reducer = _coinvariant_reducer(rd, d, cap)[1]
+    cols = [reducer.reduce(coeff_vector(table[i], rd.rank, d)) for i in indices]
+    rhs = reducer.reduce(coeff_vector(poly, rd.rank, d))
     ncols = len(cols)
     rows = [[cols[j][r] for j in range(ncols)] for r in range(len(rhs))]
     sol = qsolve(rows, rhs)
@@ -227,7 +243,7 @@ def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) ->
 
     The structure constants must come out nonnegative integers; anything
     else raises :class:`NonIntegralStructureConstant` (it would mean a bug,
-    not bad input).
+    not bad input).  An index outside [0, |W|) raises ValueError.
 
     >>> from .lattice import IntMatrix
     >>> a1 = RootDatum(1, IntMatrix(((2,),)), IntMatrix(((1,),)))
@@ -235,6 +251,8 @@ def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) ->
     {}
     """
     w = weyl_group(rd, cap=cap)
+    if not (0 <= w1 < len(w) and 0 <= w2 < len(w)):
+        raise ValueError(f"Weyl indices ({w1}, {w2}) are not both in [0, {len(w)})")
     d = w.lengths[w1] + w.lengths[w2]
     table = _representative_table(rd, cap)
     product = poly_mul(table[w1], table[w2])

@@ -151,8 +151,8 @@ borel_sl3 = SubgroupDescriptor("borel", IntMatrix.identity(2),
 
 
 def fraction_rref(rows, ncols=None):
-    """Oracle for ``qlinalg.rref``: Gauss-Jordan elimination on Fractions,
-    each pivot row scaled to a leading 1."""
+    """Oracle for ``qlinalg.echelon``: Gauss-Jordan elimination on Fractions,
+    each pivot row scaled to a leading 1 (an ``echelon`` row over its pivot)."""
     work = [[Fraction(x) for x in r] for r in rows]
     if ncols is None:
         ncols = len(work[0]) if work else 0
@@ -177,7 +177,8 @@ def fraction_rref(rows, ncols=None):
 
 
 def fraction_nullspace(rows, ncols):
-    """Oracle for ``qlinalg.nullspace``, read off :func:`fraction_rref`."""
+    """Oracle for ``qlinalg.kernel`` (each vector over its free entry), read
+    off :func:`fraction_rref`."""
     red, pivots = fraction_rref(rows, ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):

@@ -1,9 +1,11 @@
-"""Every module of the package uses each name it imports, and importing
-the package generates no code.
+"""Every module of the package uses each name it imports, defines nothing
+the package leaves unused, and importing the package generates no code.
 
 No linter ships with the project, so this reads each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must be read somewhere in
-the module, or be listed in its ``__all__``.  No module may import
+the module, or be listed in its ``__all__``; a module-level function or
+class must be referenced outside its own definition somewhere in the
+package, or be listed in ``__all__``.  No module may import
 ``dataclasses`` or ``inspect`` or call ``exec``, ``eval`` or ``compile``:
 a CLI call pays for everything the package runs at import.
 """
@@ -51,6 +53,43 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level function or class that no other
+    top-level statement of any module references, and no ``__all__`` lists."""
+    defined, used = {}, {}
+    for module, source in sources.items():
+        for index, stmt in enumerate(ast.parse(source).body):
+            where = (module, index)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[f"{module}.{stmt.name}"] = (stmt.name, where)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                    names = [elt.value for elt in node.value.elts]
+                else:
+                    continue
+                for name in names:
+                    used.setdefault(name, set()).add(where)
+    return sorted(label for label, (name, where) in defined.items() if not used.get(name, set()) - {where})
+
+
+def test_finds_an_unreferenced_definition():
+    sources = {"a": "def f():\n    return f()\n\ndef g():\n    pass\n\nclass C:\n    pass\n",
+               "b": "from .a import g\n\ndef h(x):\n    return x.C\n\n__all__ = ['h']\n"}
+    assert unreferenced_definitions(sources) == ["a.f"]
+
+
+def test_every_definition_is_referenced():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unreferenced_definitions(sources) == []
 
 
 SLOW_IMPORTS = {"dataclasses", "inspect"}

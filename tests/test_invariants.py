@@ -1,10 +1,13 @@
 """Graded polynomial algebra, invariant rings and coinvariant quotients."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
 import helpers as z
+import chevalley_chow
 from chevalley_chow import invariants, lattice, rootdata, schubert
 from chevalley_chow.errors import DegreeTooLarge, GroupTooLarge
 from chevalley_chow.invariants import (
@@ -16,13 +19,12 @@ from chevalley_chow.invariants import (
     invariant_slice,
     linear_poly,
     poly_degree,
-    poly_from_vector,
     poly_mul,
     substitute,
     sym_basis,
     truncated_quotient,
 )
-from chevalley_chow.lattice import IntMatrix
+from chevalley_chow.lattice import DEFAULT_CAP, IntMatrix
 from chevalley_chow.rootdata import simple_reflection, weyl_group
 from chevalley_chow.schubert import coinvariant_ideal_generators
 
@@ -147,28 +149,46 @@ def test_invariant_slice_returns_fresh_polynomials():
 
 
 def test_invariant_slice_computed_once_per_key():
-    refl = tuple(simple_reflection(z.sl4, i) for i in range(3))
     invariants._invariant_slice.cache_clear()
+    schubert._coinvariant_reducer.cache_clear()
     # chow_presentation, rational_chow and hchow on one datum ask for the same slices
     for _ in range(3):
         assert len(coinvariant_ideal_generators(z.sl4, 3)) == 2
     info = invariants._invariant_slice.cache_info()
-    assert (info.misses, info.hits) == (3, 6)  # degrees 1..3 computed once each
+    # degrees 1..3 computed once each; later calls read the reducer cache
+    assert (info.misses, info.hits) == (3, 0)
+
+
+def package_caches() -> dict[str, object]:
+    """Every object with ``cache_info`` a package module or one of its classes defines."""
+    found = {}
+    for info in pkgutil.iter_modules(chevalley_chow.__path__):
+        module = importlib.import_module(f"chevalley_chow.{info.name}")
+        owners = [(module.__name__, module), *((f"{module.__name__}.{k}", v) for k, v in vars(module).items()
+                                              if isinstance(v, type) and v.__module__ == module.__name__)]
+        for prefix, owner in owners:
+            for name, obj in vars(owner).items():
+                if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == module.__name__:
+                    found[f"{prefix}.{name}"] = obj
+    return found
 
 
 def test_process_caches_are_bounded():
     # keys one schubert-warm benchmark pass creates (12 root data, degrees up
     # to 3, counted by cache_info().currsize); twice that never evicts
-    for cache, size, warm_keys in (
-            (lattice._closed_group, lattice.MATRIX_GROUP_CACHE_SIZE, 12),
-            (invariants._invariant_slice, invariants.SLICE_CACHE_SIZE, 36),
-            (invariants.sym_basis, invariants.SYM_BASIS_CACHE_SIZE, 12),
-            (rootdata.weyl_group, rootdata.WEYL_CACHE_SIZE, 12),
-            (rootdata.root_system, rootdata.ROOT_SYSTEM_CACHE_SIZE, 12),
-            (schubert._representative_table, schubert.REPRESENTATIVE_TABLE_CACHE_SIZE, 12),
-            (schubert._coinvariant_reducer, schubert.COINVARIANT_REDUCER_CACHE_SIZE, 36)):
+    table = (
+        (lattice._closed_group, lattice.MATRIX_GROUP_CACHE_SIZE, 12),
+        (invariants._invariant_slice, invariants.SLICE_CACHE_SIZE, 36),
+        (invariants.sym_basis, invariants.SYM_BASIS_CACHE_SIZE, 12),
+        (rootdata.weyl_group, rootdata.WEYL_CACHE_SIZE, 12),
+        (rootdata.root_system, rootdata.ROOT_SYSTEM_CACHE_SIZE, 12),
+        (schubert._representative_table, schubert.REPRESENTATIVE_TABLE_CACHE_SIZE, 12),
+        (schubert._coinvariant_reducer, schubert.COINVARIANT_REDUCER_CACHE_SIZE, 36))
+    for cache, size, warm_keys in table:
         assert cache.cache_info().maxsize == size
         assert isinstance(size, int) and size >= 2 * warm_keys
+    listed = {id(cache) for cache, _, _ in table}
+    assert [name for name, c in package_caches().items() if id(c) not in listed] == []
 
 
 def test_invariant_dimensions_classical():
@@ -214,9 +234,11 @@ def test_invariant_algebra_and_ideal_slice():
     full = full_algebra(2)
     gens = [poly_mul(linear_poly((1, 0)), linear_poly((1, 0)))]
     slice2 = ideal_slice(full, gens, 2)
-    assert len(slice2) == 1
+    assert slice2.dim == 1 and slice2.contains(coeff_vector(gens[0], 2, 2))
     slice3 = ideal_slice(full, gens, 3)
-    assert len(slice3) == 2  # x^2 * {x, y}
+    assert slice3.dim == 2  # x^2 * {x, y}
+    assert slice3.contains((1, 0, 0, 0)) and slice3.contains((0, 1, 0, 0))
+    assert not slice3.contains((0, 0, 1, 0))
 
 
 def test_truncated_quotient_shape():
@@ -241,22 +263,80 @@ def test_coinvariant_ideal_generators_are_minimal():
         refl = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
         every = [f for e in range(1, top + 1) for f in invariant_slice(rd.rank, refl, e)]
         for d in range(top + 1):
-            want = z.FractionSpanBuilder(len(sym_basis(rd.rank, d)))
-            for p in ideal_slice(full_algebra(rd.rank), every, d):
-                want.add(coeff_vector(p, rd.rank, d))
+            want = ideal_slice(full_algebra(rd.rank), every, d)
             got = ideal_slice(full_algebra(rd.rank), coinvariant_ideal_generators(rd, top), d)
-            assert len(got) == len(want.rows)
-            assert all(want.contains(coeff_vector(p, rd.rank, d)) for p in got)
+            assert got.dim == want.dim
+            assert all(want.contains(row) for row in got.rows)
+
+
+def _count_slices(monkeypatch):
+    """Record the degree of every ideal and invariant slice the reducer chain asks for."""
+    asked = {"ideal": [], "invariant": []}
+    for kind, name in (("ideal", "ideal_slice"), ("invariant", "invariant_slice")):
+        def counted(*args, _kind=kind, _orig=getattr(schubert, name)):
+            asked[_kind].append(args[2])
+            return _orig(*args)
+        monkeypatch.setattr(schubert, name, counted)
+    schubert._coinvariant_reducer.cache_clear()
+    return asked
+
+
+def test_coinvariant_reducer_eliminates_each_slice_once(monkeypatch):
+    assert not hasattr(invariants, "ideal_span")
+    asked = _count_slices(monkeypatch)
+    for rd in (z.sl3, z.sp4, z.g2, z.sl4, z.c3, z.a4):
+        for d in range(1, 4):
+            schubert._coinvariant_reducer(rd, d, DEFAULT_CAP)
+    assert (len(asked["ideal"]), len(asked["invariant"])) == (18, 18)
+
+
+def test_coinvariant_generators_stop_at_the_largest_basic_degree(monkeypatch):
+    asked = _count_slices(monkeypatch)
+    assert len(coinvariant_ideal_generators(z.gl2, 20)) == 2
+    assert asked == {"ideal": [1, 2], "invariant": [1, 2]}
+    # a reducer past degree 2 extends the cached chain with ideal slices alone
+    assert len(schubert._coinvariant_reducer(z.gl2, 5, DEFAULT_CAP)[0]) == 2
+    assert asked == {"ideal": [1, 2, 3, 4, 5], "invariant": [1, 2]}
+    for name, (rd, degrees) in FUNDAMENTAL_DEGREES.items():
+        asked["invariant"].clear()
+        assert len(coinvariant_ideal_generators(rd, max(degrees) + 3)) == rd.rank
+        assert max(asked["invariant"]) == max(degrees), name
+
+
+def test_coinvariant_reducer_spans_the_ideal_of_every_invariant():
+    # oracle: Fraction elimination of every product (basis invariant) * monomial
+    for name, (rd, _) in FUNDAMENTAL_DEGREES.items():
+        refl = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+        every = [f for e in range(1, 5) for f in invariant_slice(rd.rank, refl, e)]
+        for d in range(5):
+            want = z.FractionSpanBuilder(len(sym_basis(rd.rank, d)))
+            for f in every:
+                if (e := poly_degree(f)) <= d:
+                    for m in sym_basis(rd.rank, d - e):
+                        want.add(coeff_vector(poly_mul(f, {m: Fraction(1)}), rd.rank, d))
+            got = schubert._coinvariant_reducer(rd, d, DEFAULT_CAP)[1]
+            assert got.dim == len(want.rows), (name, d)
+            assert all(want.contains(row) for row in got.rows), (name, d)
+
+
+def test_coinvariant_generators_are_fresh():
+    gens = coinvariant_ideal_generators(z.sl3, 3)
+    expected = [dict(g) for g in gens]
+    product = schubert.schubert_product(z.sl3, 1, 2)
+    gens[0].clear()
+    gens[1][(3, 0)] = Fraction(5)
+    gens.append({(1, 0): Fraction(1)})
+    assert coinvariant_ideal_generators(z.sl3, 3) == expected
+    assert coinvariant_ideal_generators(z.sl3, 2) == expected[:1]
+    assert schubert.schubert_product(z.sl3, 1, 2) == product
 
 
 def test_public_results_keep_fraction_coefficients():
     refl = tuple(simple_reflection(z.sl3, i) for i in range(2))
     shear = IntMatrix(((1, 1), (0, 1)))
     polys = [*invariant_slice(2, refl, 3), *invariant_slice(2, (), 2),
-             poly_from_vector((1, 0, 2), 2, 2),
              substitute(shear, {(1, 1): Fraction(1), (0, 2): Fraction(1, 2)}),
              *coinvariant_ideal_generators(z.sl3, 3),
-             *ideal_slice(full_algebra(2), invariant_slice(2, refl, 2), 3),
              *schubert.schubert_representatives(z.sl3).values()]
     assert all(p for p in polys)
     assert all(type(c) is Fraction for p in polys for c in p.values())

@@ -42,7 +42,6 @@ def test_matrix_basics():
     assert m.det() == -2
     assert vstack(m, M.identity(2)).nrows == 4
     assert hstack(m, m).ncols == 4
-    assert M.zero(2, 3).rows == ((0, 0, 0), (0, 0, 0))
     assert M.from_columns([(1, 2), (3, 4)]).rows == ((1, 3), (2, 4))
 
 

@@ -6,23 +6,23 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import helpers as z
-from chevalley_chow.qlinalg import SpanBuilder, kernel, nullspace, qsolve, rref
+from chevalley_chow.qlinalg import SpanBuilder, echelon, kernel, qsolve
 
 
-def test_rref_and_rank():
-    rows, pivots = rref([(1, 2, 3), (2, 4, 6), (1, 0, 1)])
+def test_echelon_and_rank():
+    rows, pivots = echelon([(1, 2, 3), (2, 4, 6), (1, 0, 1)])
     assert pivots == [0, 1]
-    assert len(rref([(1, 2, 3), (2, 4, 6), (1, 0, 1)])[0]) == 2
-    assert len(rref([], 3)[0]) == 0
-    assert len(rref([(0, 0)], 2)[0]) == 0
+    assert rows == [[1, 0, 1], [0, 1, 1]]
+    assert len(echelon([], 3)[0]) == 0
+    assert len(echelon([(0, 0)], 2)[0]) == 0
 
 
-def test_nullspace():
-    ns = nullspace([(1, 1, 0)], 3)
-    assert len(ns) == 2
-    for v in ns:
+def test_kernel():
+    ns = kernel([(1, 1, 0)], 3)
+    assert [fc for fc, _ in ns] == [1, 2]
+    for _, v in ns:
         assert v[0] + v[1] == 0
-    assert nullspace([], 2) and len(nullspace([], 2)) == 2
+    assert kernel([], 2) == [(0, [1, 0]), (1, [0, 1])]
 
 
 def test_qsolve():
@@ -70,12 +70,16 @@ def typed(x):
 
 
 @given(matrices())
-def test_rref_and_nullspace_match_the_fraction_oracle(m):
+def test_echelon_and_kernel_match_the_fraction_oracle(m):
     rows, ncols = m
-    assert typed(rref(rows, ncols)) == typed(z.fraction_rref(rows, ncols))
-    if rows:
-        assert typed(rref(rows)) == typed(z.fraction_rref(rows))
-    assert typed(nullspace(rows, ncols)) == typed(z.fraction_nullspace(rows, ncols))
+    # echelon: primitive integer rows, positive multiples of the rref rows
+    for shape in ((rows, ncols), (rows,)) if rows else ((rows, ncols),):
+        red, pivots = echelon(*shape)
+        want, want_pivots = z.fraction_rref(*shape)
+        assert pivots == want_pivots and len(red) == len(want)
+        for row, pc, want_row in zip(red, pivots, want):
+            assert all(type(x) is int for x in row) and math.gcd(*row) == 1 and row[pc] > 0
+            assert [Fraction(x, row[pc]) for x in row] == list(want_row)
     # kernel: primitive integer vectors, positive multiples of the nullspace basis
     for (fc, v), want in zip(kernel(rows, ncols), z.fraction_nullspace(rows, ncols), strict=True):
         assert all(type(x) is int for x in v) and math.gcd(*v) == 1 and v[fc] > 0

@@ -140,3 +140,32 @@ def test_above_top_degree_is_zero_without_reduction(monkeypatch):
     # past the degree budget the answer is still zero, not DegreeTooLarge
     exp = expand_in_schubert_basis(z.sl2, {(65,): F(1)}, 65)
     assert exp.is_zero and exp.codegree == 65
+
+
+def test_weyl_index_outside_the_enumeration_is_refused():
+    # a negative index must not wrap around to the end of the enumeration
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match="Weyl ind"):
+            schubert_product(z.sl3, bad, 0)
+        with pytest.raises(ValueError, match="Weyl ind"):
+            schubert_product(z.sl3, 0, bad)
+    with pytest.raises(ValueError, match="Weyl index -2"):
+        chevalley_multiply(z.sl3, (1, 0), -2)
+
+
+def test_character_of_the_wrong_length_is_refused():
+    for lam in ((1, 0, 5), (1,)):
+        with pytest.raises(ValueError, match="the rank is 2"):
+            chevalley_multiply(z.sl3, lam, 0)
+
+
+def test_polynomial_of_another_degree_is_refused():
+    x = linear_poly((1, 0))
+    with pytest.raises(ValueError, match="not homogeneous of degree 2"):
+        expand_in_schubert_basis(z.sl3, x, 2)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        expand_in_schubert_basis(z.sl3, {(1, 0): F(1), (2, 0): F(1)}, 1)
+    # above the top degree too, where no reduction happens
+    with pytest.raises(ValueError, match="not homogeneous of degree 5"):
+        expand_in_schubert_basis(z.sl3, x, 5)
+    assert expand_in_schubert_basis(z.sl3, {}, 2).is_zero
