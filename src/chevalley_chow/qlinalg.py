@@ -3,8 +3,8 @@
 Vectors are tuples, matrices are sequences of rows of ints or Fractions.  Each
 row is scaled to a primitive integer vector and eliminated fraction-free, as
 ``p*row - f*pivot_row`` divided by its gcd (Bareiss, *Math. Comp.* 22, 1968), so
-only the results of :func:`qsolve` and :meth:`SpanBuilder.reduce` are Fractions.
-Pivoting picks the first nonzero entry.
+only the results of :func:`qsolve` are Fractions.  Pivoting picks the first
+nonzero entry.
 """
 
 from __future__ import annotations
@@ -15,16 +15,16 @@ from math import gcd, lcm
 QVec = tuple[Fraction, ...]
 
 
-def _content_free(ints: list[int]) -> tuple[list[int], int]:
-    """``(ints / g, g)`` for g the gcd of the entries (1 for a zero vector)."""
+def _content_free(ints: list[int]) -> list[int]:
+    """``ints / g`` for g the gcd of the entries (``ints`` for a zero vector)."""
     g = gcd(*ints)
-    return ([x // g for x in ints], g) if g > 1 else (ints, 1)
+    return [x // g for x in ints] if g > 1 else ints
 
 
-def _primitive(vec) -> tuple[list[int], int, int]:
-    """``(ints, g, den)`` with ``vec == ints * g / den`` and ``ints`` primitive."""
+def _primitive(vec) -> list[int]:
+    """The primitive integer vector that is a positive multiple of ``vec``."""
     den = lcm(*[x.denominator for x in vec])
-    return *_content_free([x.numerator * (den // x.denominator) for x in vec]), den
+    return _content_free([x.numerator * (den // x.denominator) for x in vec])
 
 
 def echelon(rows, ncols: int | None = None) -> tuple[list[list[int]], list[int]]:
@@ -36,7 +36,7 @@ def echelon(rows, ncols: int | None = None) -> tuple[list[list[int]], list[int]]
     >>> echelon([(1, 2, 3), (2, 4, 6), (0, 2, 4)])
     ([[1, 0, -1], [0, 1, 2]], [0, 1])
     """
-    work = [_primitive(r)[0] for r in rows]
+    work = [_primitive(r) for r in rows]
     if ncols is None:
         ncols = len(work[0]) if work else 0
     pivots: list[int] = []
@@ -49,7 +49,7 @@ def echelon(rows, ncols: int | None = None) -> tuple[list[list[int]], list[int]]
         work[pr], work[r] = work[r], prow
         for i, row in enumerate(work):
             if i != r and (f := row[c]):
-                work[i] = _content_free([prow[c] * x - f * y for x, y in zip(row, prow)])[0]
+                work[i] = _content_free([prow[c] * x - f * y for x, y in zip(row, prow)])
         pivots.append(c)
         if len(pivots) == len(work):
             break
@@ -72,7 +72,7 @@ def kernel(rows, ncols: int) -> list[tuple[int, list[int]]]:
         v[fc] = scale
         for row, pc in zip(red, pivots):
             v[pc] = -row[fc] * (scale // row[pc])
-        basis.append((fc, _content_free(v)[0]))
+        basis.append((fc, _content_free(v)))
     return basis
 
 
@@ -102,35 +102,27 @@ class SpanBuilder:
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
-    def _reduce(self, vec) -> tuple[list[int], int, int]:
-        """``(ints, num, den)``: ``reduce(vec) == ints * num / den``."""
-        v, num, den = _primitive(vec)
+    def _reduce(self, vec) -> list[int]:
+        """A primitive integer multiple of the vector of ``vec + span`` that
+        is zero at every pivot column."""
+        v = _primitive(vec)
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
         for row, pc in zip(self.rows, self.pivots):
             if f := v[pc]:
-                v, g = _content_free([row[pc] * x - f * y for x, y in zip(v, row)])
-                num, den = num * g, den * row[pc]
-        return v, num, den
-
-    def reduce(self, vec) -> list[Fraction]:
-        """The unique vector of ``vec + span`` that is zero at every pivot column."""
-        v, num, den = self._reduce(vec)
-        return [Fraction(x * num, den) for x in v]
+                v = _content_free([row[pc] * x - f * y for x, y in zip(v, row)])
+        return v
 
     def add(self, vec) -> bool:
-        v = self._reduce(vec)[0]
+        v = self._reduce(vec)
         pc = next((c for c, x in enumerate(v) if x), None)
         if pc is None:
             return False
-        # keep rows sorted by pivot column so reduce() stays correct
+        # keep rows sorted by pivot column so _reduce() stays correct
         pos = next((k for k, p in enumerate(self.pivots) if p > pc), len(self.pivots))
         self.rows.insert(pos, v)
         self.pivots.insert(pos, pc)
         return True
-
-    def contains(self, vec) -> bool:
-        return not any(self._reduce(vec)[0])
 
     @property
     def dim(self) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from ._record import Record
 from .errors import GroupTooLarge, NonIntegralStructureConstant
@@ -27,10 +28,11 @@ from .invariants import (
     poly_mul,
     poly_sub,
     substitute,
+    sym_basis,
 )
 from .lattice import DEFAULT_CAP
-from .qlinalg import SpanBuilder, qsolve
-from .rootdata import RootDatum, root_system, simple_reflection, validate_root_datum, weyl_group
+from .qlinalg import SpanBuilder, echelon
+from .rootdata import RootDatum, WeylGroup, root_system, simple_reflection, validate_root_datum, weyl_group
 
 
 class SchubertClass(Record):
@@ -86,7 +88,7 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP)
 
     The closed formula: sum over positive roots beta with
     length(w s_beta) = length(w) + 1 of <lam, beta^vee> sigma_{w s_beta}.
-    ValueError unless ``lam`` has ``rank`` entries and 0 <= w_index < |W|.
+    ValueError unless ``lam`` has ``rank`` integral entries and 0 <= w_index < |W|.
 
     >>> from .lattice import IntMatrix
     >>> a1 = RootDatum(1, IntMatrix(((2,),)), IntMatrix(((1,),)))
@@ -95,10 +97,12 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP)
     """
     w = weyl_group(rd, cap=cap)
     rs = root_system(rd)
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(lam)
+    if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in lam):
+        raise ValueError(f"character {lam!r} has an entry that is not an integer")
     if len(lam) != rd.rank:
         raise ValueError(f"character has {len(lam)} entries, the rank is {rd.rank}")
-    if not 0 <= w_index < len(w):
+    if not (isinstance(w_index, int) and 0 <= w_index < len(w)):
         raise ValueError(f"Weyl index {w_index} is outside [0, {len(w)})")
     base = w.elements[w_index]
     target_len = w.lengths[w_index] + 1
@@ -211,31 +215,61 @@ def _coinvariant_reducer(rd: RootDatum, d: int, cap: int = DEFAULT_CAP) -> tuple
     return gens, builder
 
 
+COORDINATE_MAP_CACHE_SIZE = 128  # coordinate maps kept, one per (root datum, d, cap)
+
+
+@lru_cache(maxsize=COORDINATE_MAP_CACHE_SIZE)
+def _coordinate_map(rd: RootDatum, d: int,
+                    cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
+    """``(indices, rows, den)``: modulo the coinvariant ideal, a degree-d
+    coefficient vector v is the sum of ``(row . v) / den`` P_w, w in ``indices``.
+
+    The rows are the first #{length = d} rows of M^-1, for M with columns the
+    P_w of length d and then the ideal's degree-d rows; M is invertible by BGG
+    and Chevalley.  One elimination solves M^T X = (I; 0), ideal rows first.
+
+    >>> from .lattice import IntMatrix
+    >>> a2 = RootDatum(2, IntMatrix(((2, -1), (-1, 2))), IntMatrix.identity(2))
+    >>> _coordinate_map(a2, 2)  # x0 x1 = P_s0 P_s1 is P_3 + P_4
+    ((3, 4), ((0, 1, 1), (1, 1, 0)), 1)
+    """
+    w = weyl_group(rd, cap=cap)
+    table = _representative_table(rd, cap)
+    indices = tuple(i for i, length in enumerate(w.lengths) if length == d)
+    k = len(indices)
+    rows = [row + [0] * k for row in _coinvariant_reducer(rd, d, cap)[1].rows]
+    rows += [[*coeff_vector(table[i], rd.rank, d), *(int(i == j) for j in indices)] for i in indices]
+    n = len(sym_basis(rd.rank, d))
+    red, pivots = echelon(rows, n)
+    assert len(rows) == len(pivots) == n, f"M has {len(rows)} columns and rank {len(pivots)}, not {n}"
+    den = lcm(*(row[c] for c, row in enumerate(red)))
+    return indices, tuple(tuple(row[n + j] * (den // row[c]) for c, row in enumerate(red)) for j in range(k)), den
+
+
+def _expand(rd: RootDatum, w: WeylGroup, poly: Poly, d: int, cap: int) -> SchubertExpansion:
+    """:func:`expand_in_schubert_basis` for a homogeneous ``poly``, given ``w = weyl_group(rd, cap)``."""
+    if d > w.lengths[-1]:  # the longest element has length N = |positive roots|
+        return SchubertExpansion(d, {})
+    indices, rows, den = _coordinate_map(rd, d, cap)
+    vec = coeff_vector(poly, rd.rank, d)
+    vden = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (vden // x.denominator) for x in vec]
+    coords = (Fraction(sum(a * b for a, b in zip(row, ints)), den * vden) for row in rows)
+    return SchubertExpansion(d, {idx: c for idx, c in zip(indices, coords) if c})
+
+
 def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAULT_CAP) -> SchubertExpansion:
     """Write a degree-d polynomial, mod the coinvariant ideal, in the P_w.
 
-    Above degree N = |positive roots| the answer is zero without any
-    reduction: the coinvariant algebra vanishes there (Chevalley).  Raises
-    ValueError when the polynomial is not homogeneous of degree d, or not in
-    the span (which cannot happen for products of representatives).
+    The coordinates come from one cached linear map per degree
+    (:func:`_coordinate_map`).  Above degree N = |positive roots| the answer
+    is zero without any reduction: the coinvariant algebra vanishes there
+    (Chevalley).  Raises ValueError when the polynomial is not homogeneous of
+    degree d.
     """
     if poly_degree(poly) not in (None, d):
         raise ValueError(f"polynomial is not homogeneous of degree {d}")
-    w = weyl_group(rd, cap=cap)
-    if d > len(root_system(rd).positive):
-        return SchubertExpansion(d, {})
-    table = _representative_table(rd, cap)
-    indices = [i for i in range(len(w)) if w.lengths[i] == d]
-    reducer = _coinvariant_reducer(rd, d, cap)[1]
-    cols = [reducer.reduce(coeff_vector(table[i], rd.rank, d)) for i in indices]
-    rhs = reducer.reduce(coeff_vector(poly, rd.rank, d))
-    ncols = len(cols)
-    rows = [[cols[j][r] for j in range(ncols)] for r in range(len(rhs))]
-    sol = qsolve(rows, rhs)
-    if sol is None:
-        raise ValueError("polynomial is not a combination of Schubert classes")
-    terms = {idx: c for idx, c in zip(indices, sol) if c}
-    return SchubertExpansion(d, terms)
+    return _expand(rd, weyl_group(rd, cap=cap), poly, d, cap)
 
 
 def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) -> SchubertExpansion:
@@ -243,7 +277,8 @@ def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) ->
 
     The structure constants must come out nonnegative integers; anything
     else raises :class:`NonIntegralStructureConstant` (it would mean a bug,
-    not bad input).  An index outside [0, |W|) raises ValueError.
+    not bad input).  An index that is not an integer in [0, |W|) raises
+    ValueError.
 
     >>> from .lattice import IntMatrix
     >>> a1 = RootDatum(1, IntMatrix(((2,),)), IntMatrix(((1,),)))
@@ -251,14 +286,12 @@ def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) ->
     {}
     """
     w = weyl_group(rd, cap=cap)
-    if not (0 <= w1 < len(w) and 0 <= w2 < len(w)):
-        raise ValueError(f"Weyl indices ({w1}, {w2}) are not both in [0, {len(w)})")
-    d = w.lengths[w1] + w.lengths[w2]
+    if not all(isinstance(i, int) and 0 <= i < len(w) for i in (w1, w2)):
+        raise ValueError(f"Weyl indices ({w1!r}, {w2!r}) are not both integers in [0, {len(w)})")
     table = _representative_table(rd, cap)
-    product = poly_mul(table[w1], table[w2])
-    expansion = expand_in_schubert_basis(rd, product, d, cap)
+    expansion = _expand(rd, w, poly_mul(table[w1], table[w2]), w.lengths[w1] + w.lengths[w2], cap)
     for idx, c in expansion.terms.items():
-        if Fraction(c).denominator != 1 or c < 0:
+        if c.denominator != 1 or c < 0:
             raise NonIntegralStructureConstant(
                 f"sigma_{w1} * sigma_{w2} has coefficient {c} at class {idx}"
             )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pathlib
 from fractions import Fraction
 
+from chevalley_chow import schubert
 from chevalley_chow.chow import _subgroup_reflections
 from chevalley_chow.descriptors import (
     AbelianVarietyData,
@@ -12,7 +13,7 @@ from chevalley_chow.descriptors import (
     GroupDescriptor,
     SubgroupDescriptor,
 )
-from chevalley_chow.invariants import coeff_vector, poly_add, poly_scale, substitute, sym_basis
+from chevalley_chow.invariants import coeff_vector, poly_add, poly_degree, poly_mul, poly_scale, substitute, sym_basis
 from chevalley_chow.lattice import (
     FGAbelianGroup,
     GroupHom,
@@ -23,7 +24,9 @@ from chevalley_chow.lattice import (
     intersect_rows,
     lattice_contains,
 )
-from chevalley_chow.rootdata import RootDatum, characters_of_group, reflection, simple_reflection
+from chevalley_chow.qlinalg import qsolve
+from chevalley_chow.rootdata import (
+    RootDatum, characters_of_group, reflection, root_system, simple_reflection, weyl_group)
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = (
@@ -235,6 +238,49 @@ class FractionSpanBuilder:
 
     def contains(self, vec):
         return all(x == 0 for x in self.reduce(vec))
+
+
+def span_reduce(builder, vec):
+    """The unique vector of ``vec + span`` that is zero at every pivot column
+    of a ``qlinalg.SpanBuilder``, in Fractions."""
+    v = [Fraction(x) for x in vec]
+    if len(v) != builder.ncols:
+        raise ValueError("vector length mismatch")
+    for row, pc in zip(builder.rows, builder.pivots):
+        if v[pc]:
+            f = v[pc] / row[pc]
+            v = [x - f * y for x, y in zip(v, row)]
+    return v
+
+
+def span_contains(builder, vec):
+    return not any(span_reduce(builder, vec))
+
+
+def expand_by_reduction(rd, poly, d):
+    """Oracle for ``schubert.expand_in_schubert_basis``: the per-call route,
+    which reduces ``poly`` and every degree-d representative modulo the
+    coinvariant ideal and solves for the coordinates with ``qsolve``."""
+    if poly_degree(poly) not in (None, d):
+        raise ValueError(f"polynomial is not homogeneous of degree {d}")
+    w = weyl_group(rd)
+    if d > len(root_system(rd).positive):
+        return schubert.SchubertExpansion(d, {})
+    table = schubert._representative_table(rd)
+    indices = [i for i in range(len(w)) if w.lengths[i] == d]
+    reducer = schubert._coinvariant_reducer(rd, d)[1]
+    cols = [span_reduce(reducer, coeff_vector(table[i], rd.rank, d)) for i in indices]
+    rhs = span_reduce(reducer, coeff_vector(poly, rd.rank, d))
+    sol = qsolve([[col[r] for col in cols] for r in range(len(rhs))], rhs)
+    assert sol is not None, "not a combination of Schubert classes"
+    return schubert.SchubertExpansion(d, {idx: c for idx, c in zip(indices, sol) if c})
+
+
+def schubert_product_by_reduction(rd, u, v):
+    """Oracle for ``schubert.schubert_product``: :func:`expand_by_reduction`
+    of the product of the two BGG representatives."""
+    w, table = weyl_group(rd), schubert._representative_table(rd)
+    return expand_by_reduction(rd, poly_mul(table[u], table[v]), w.lengths[u] + w.lengths[v])
 
 
 def reynolds_slice(rank, generators, d):

@@ -1,14 +1,17 @@
 """Schubert calculus on flag varieties: two multiplication routes, one answer."""
 
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import helpers as z
-from chevalley_chow import schubert
+from chevalley_chow import qlinalg, schubert
 from chevalley_chow.errors import NonIntegralStructureConstant
-from chevalley_chow.invariants import linear_poly, poly_mul
-from chevalley_chow.rootdata import root_system, weyl_group
+from chevalley_chow.invariants import linear_poly, poly_mul, sym_basis
+from chevalley_chow.lattice import IntMatrix
+from chevalley_chow.rootdata import RootDatum, root_system, weyl_group
 from chevalley_chow.schubert import (
     chevalley_multiply,
     codegree_histogram,
@@ -159,6 +162,21 @@ def test_character_of_the_wrong_length_is_refused():
             chevalley_multiply(z.sl3, lam, 0)
 
 
+def test_non_integral_character_or_index_is_refused():
+    # int() would truncate 1.5 and 3/2 to 1 and parse '1'
+    for lam in ((1.5,), (F(3, 2),), ("1",), (2.0,), (float("nan"),)):
+        with pytest.raises(ValueError, match="not an integer"):
+            chevalley_multiply(z.sl2, lam, 0)
+    assert chevalley_multiply(z.sl2, (F(4, 2),), 0) == chevalley_multiply(z.sl2, (2,), 0)
+    for bad in (1.0, F(1), "1", None):
+        with pytest.raises(ValueError, match="Weyl ind"):
+            schubert_product(z.sl3, bad, 0)
+        with pytest.raises(ValueError, match="Weyl ind"):
+            schubert_product(z.sl3, 0, bad)
+        with pytest.raises(ValueError, match="Weyl ind"):
+            chevalley_multiply(z.sl3, (1, 0), bad)
+
+
 def test_polynomial_of_another_degree_is_refused():
     x = linear_poly((1, 0))
     with pytest.raises(ValueError, match="not homogeneous of degree 2"):
@@ -169,3 +187,83 @@ def test_polynomial_of_another_degree_is_refused():
     with pytest.raises(ValueError, match="not homogeneous of degree 5"):
         expand_in_schubert_basis(z.sl3, x, 5)
     assert expand_in_schubert_basis(z.sl3, {}, 2).is_zero
+
+
+# -- the cached coordinate map against the per-call reduction route ----------
+
+def typed_terms(expansion):
+    return expansion.codegree, [(idx, type(c), c) for idx, c in expansion.terms.items()]
+
+
+ORACLE_DATA = {
+    f"{name}-{form}": rd
+    for name, sc in (("A2", z.sl3), ("B2", z.cartan_datum([[2, -1], [-2, 2]])),
+                     ("G2", z.cartan_datum([[2, -1], [-3, 2]])), ("A3", z.sl4), ("C3", z.c3))
+    for form, rd in (("sc", sc), ("adj", z.adjoint_datum(sc)), ("transvected", z.transvected(sc, 0, 1)))
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_DATA)
+def test_products_match_the_per_call_route(name):
+    rd = ORACLE_DATA[name]
+    w = weyl_group(rd)
+    table = schubert._representative_table(rd)
+    for u in range(len(w)):
+        for v in range(len(w)):
+            if (d := w.lengths[u] + w.lengths[v]) <= 3:
+                want = typed_terms(z.schubert_product_by_reduction(rd, u, v))
+                assert typed_terms(schubert_product(rd, u, v)) == want, (u, v)
+                product = poly_mul(table[u], table[v])
+                assert typed_terms(expand_in_schubert_basis(rd, product, d)) == want, (u, v)
+
+
+coefficients = st.one_of(st.integers(-6, 6), st.builds(F, st.integers(-6, 6), st.integers(1, 5)))
+
+
+@st.composite
+def homogeneous(draw):
+    """A root datum, a degree from 0 to N + 2 and a polynomial of that degree."""
+    rd = draw(st.sampled_from((z.sl2, z.gl2, z.sl3, z.sp4, z.g2, z.sl4, z.pgl3)))
+    d = draw(st.integers(0, len(root_system(rd).positive) + 2))
+    monomials = sym_basis(rd.rank, d)
+    coeffs = draw(st.lists(coefficients, min_size=len(monomials), max_size=len(monomials)))
+    return rd, {m: c for m, c in zip(monomials, coeffs) if c}, d
+
+
+@given(homogeneous())
+@example((z.sl3, {(0, 0): 3}, 0))
+@example((z.sp4, {(5, 0): F(1, 2), (0, 5): -1}, 5))  # N = 4
+def test_expansion_matches_the_per_call_route(case):
+    rd, poly, d = case
+    got = expand_in_schubert_basis(rd, poly, d)
+    assert typed_terms(got) == typed_terms(z.expand_by_reduction(rd, poly, d))
+
+
+def test_warm_product_reads_one_cached_map(monkeypatch):
+    # the benchmark's session parses a new but equal datum each pass
+    rd = z.sl4
+    fresh = RootDatum(rd.rank, IntMatrix(rd.simple_roots.rows), IntMatrix(rd.simple_coroots.rows))
+    assert fresh == rd and fresh is not rd
+    pairs = ((3, 5), (0, 0), (1, 2), (4, 0))
+    want = [schubert_product(rd, u, v) for u, v in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear algebra on a warm product")
+
+    for mod in [m for k, m in sys.modules.items() if k.startswith("chevalley_chow.")]:
+        for attr in ("echelon", "qsolve", "kernel"):
+            if hasattr(mod, attr):
+                monkeypatch.setattr(mod, attr, refuse)
+    for attr in ("__init__", "_reduce", "add"):
+        monkeypatch.setattr(qlinalg.SpanBuilder, attr, refuse)
+    compared = []
+
+    def counted_eq(self, other, _eq=RootDatum.__eq__):
+        compared.append(self)
+        return _eq(self, other)
+
+    monkeypatch.setattr(RootDatum, "__eq__", counted_eq)
+    for (u, v), expected in zip(pairs, want):
+        compared.clear()
+        assert schubert_product(fresh, u, v) == expected
+        assert len(compared) <= 3, (u, v, len(compared))
