@@ -42,7 +42,6 @@ from .lattice import (
     Presentation,
     group_from_relations,
     hermite_row_basis,
-    image_lattice,
     intersect_rows,
     saturate_rows,
     vstack,
@@ -345,7 +344,7 @@ def homogeneous_picard(gd: GroupDescriptor, hd: SubgroupDescriptor,
     rank_r = restr.x_gaff.nrows - restr.ker_r.nrows
     if mode == "integral":
         ns_part = gd.av.ns
-        x_part = group_from_relations(restr.x_h.nrows, image_lattice(restr.matrix))
+        x_part = group_from_relations(restr.x_h.nrows, restr.matrix.transpose())
         tail = flag_picard_map(gd.rd).pic
     else:
         ns_part = FGAbelianGroup(gd.av.ns.rank)

@@ -29,9 +29,9 @@ from .lattice import (
     Presentation,
     enumerate_matrix_group,
     fixed_sublattice,
+    group_from_relations,
     hermite_row_basis,
     integer_kernel,
-    quotient_group,
     solve_integer,
     vstack,
 )
@@ -218,10 +218,15 @@ def validate_group(gd: GroupDescriptor) -> ValidationReport:
     if gd.av.ns.torsion:
         warnings.append(f"NS(A) given with torsion {gd.av.ns.torsion}; NS of an abelian variety is torsion-free")
 
-    quotient = glue.sigma_quotient().group()
-    for p in sorted({f for t in quotient.torsion for f in _prime_factors(t)}):
-        p_rank = sum(1 for t in quotient.torsion if t % p == 0)
-        if p_rank > 2 * gd.av.g:
+    torsion = glue.sigma_quotient().group().torsion
+    # the torsion is a chain t_1 | ... | t_k, so a prime has rank > 2g iff it
+    # divides t_{k-2g}: only that entry is factored
+    k = len(torsion) - 2 * gd.av.g
+    crowded = _prime_factors(torsion[k - 1]) if k > 0 else set()
+    char_divides = bool(torsion) and _prime_factors(glue.char) == {glue.char} and torsion[-1] % glue.char == 0
+    for p in sorted(crowded | ({glue.char} if char_divides else set())):
+        if p in crowded:
+            p_rank = sum(1 for t in torsion if t % p == 0)
             warnings.append(
                 f"X(D)/ker sigma has {p}-torsion rank {p_rank} > 2g = {2 * gd.av.g}; "
                 f"no {gd.av.g}-dimensional abelian variety can host it"
@@ -235,9 +240,11 @@ def validate_group(gd: GroupDescriptor) -> ValidationReport:
 
 
 def _prime_factors(n: int) -> set[int]:
+    """Prime factors of ``n`` by trial division up to 2^16; a cofactor left
+    past that bound is returned as it stands, prime or not."""
     out = set()
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < 1 << 16:
         while n % d == 0:
             out.add(d)
             n //= d
@@ -258,21 +265,19 @@ def validate_subgroup(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DE
         return ValidationReport(hd.name, tuple(checks), tuple(warnings))
 
     q_hom = GroupHom(Presentation.free(rd.rank), Presentation.free(hd.h_rank), q)
-    _check(checks, "q-surjectivity", q_hom.is_surjective(), "q is not onto X(T_H)")
+    q_onto = _check(checks, "q-surjectivity", q_hom.is_surjective(), "q is not onto X(T_H)")
 
     rs = root_system(rd)
-    _check(checks, "roots-valid",
-           all(0 <= i < len(rs.positive) for i, _ in hd.roots),
-           "a root index is out of range")
+    in_range = range(len(rs.positive))
+    roots_ok = _check(checks, "roots-valid", all(i in in_range for i, _ in hd.roots),
+                      "a root index is out of range")
 
     ker_q = integer_kernel(q)
-    descent_ok = True
-    for i in hd.symmetric_root_indices():
-        cov = rs.positive[i].coroot
-        if any(sum(a * b for a, b in zip(row, cov)) != 0 for row in ker_q.rows):
-            descent_ok = False
-    _check(checks, "coroot-descent", descent_ok,
-           "a symmetric root's coroot does not kill ker(q), so it cannot descend to T_H")
+    # an index out of range is reported by roots-valid and skipped here
+    coroots = [rs.positive[i].coroot for i in hd.symmetric_root_indices() if i in in_range]
+    descent_ok = _check(checks, "coroot-descent",
+                        all(sum(a * b for a, b in zip(row, cov)) == 0 for cov in coroots for row in ker_q.rows),
+                        "a symmetric root's coroot does not kill ker(q), so it cannot descend to T_H")
 
     finite_ok = True
     detail = ""
@@ -296,7 +301,8 @@ def validate_subgroup(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DE
             compat = False
         _check(checks, "component-weyl-compatibility", compat,
                "a component generator is not q-compatible with any Weyl element")
-        if compat:
+        # X(H0) needs every symmetric coroot to descend along q
+        if compat and q_onto and roots_ok and descent_ok:
             stable = _component_action(_connected_character_lattice(gd, hd), hd) is not None
             _check(checks, "component-group-preserves-characters", stable,
                    "the component group does not stabilize the character lattice of H0")
@@ -333,9 +339,10 @@ def derived_attributes(gd: GroupDescriptor) -> AttributeReport:
     """Dimensions and the gamma_A kernel/image data of a valid descriptor.
 
     X(G_aff) is computed once; u is the restriction of v to it, and
-    ker gamma_A = X(G) is the kernel of u into X(D)/ker sigma_A.  The tests
-    check that kernel against an independent route, X(G_aff) meet
-    v^{-1}(ker sigma_A).
+    ker gamma_A = X(G) is the kernel of u into X(D)/ker sigma_A; im gamma_A
+    is presented on the X(G_aff) coordinates with that kernel as relations.
+    The tests check both against independent routes: X(G_aff) meet
+    v^{-1}(ker sigma_A), and the quotient of the two row lattices.
     """
     rd = gd.rd
     glue = gd.gluing
@@ -347,12 +354,8 @@ def derived_attributes(gd: GroupDescriptor) -> AttributeReport:
     dim_g = dim_gaff + gd.av.g
     x_gaff = characters_of_group(rd)
     u = GroupHom(Presentation.free(x_gaff.nrows), glue.xd, glue.v_matrix @ x_gaff.transpose())
-    if x_gaff.nrows:
-        coords = GroupHom(u.domain, glue.sigma_quotient(), u.matrix).kernel_lattice()
-        ker = hermite_row_basis(coords @ x_gaff)
-        im = quotient_group(x_gaff, ker)
-    else:
-        ker, im = x_gaff, FGAbelianGroup(0)
+    coords = GroupHom(u.domain, glue.sigma_quotient(), u.matrix).kernel_lattice()
+    ker = hermite_row_basis(coords @ x_gaff)
     return AttributeReport(
         dim_G=dim_g,
         dim_G_aff=dim_gaff,
@@ -362,7 +365,7 @@ def derived_attributes(gd: GroupDescriptor) -> AttributeReport:
         x_gaff=x_gaff,
         u=u,
         ker_gamma=ker,
-        im_gamma=im,
+        im_gamma=group_from_relations(x_gaff.nrows, coords),
         rank_im_gamma=x_gaff.nrows - ker.nrows,
         xd_group=xd_group,
         d_smooth_connected=(not xd_group.torsion) and (glue.char == 0 or glue.unipotent_dim == 0),

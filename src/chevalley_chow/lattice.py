@@ -1,8 +1,11 @@
 """Exact integer linear algebra over Z and finitely generated abelian groups.
 
 Everything here is exact and deterministic: matrices are immutable tuples of
-ints, Smith and Hermite forms use fixed pivot rules, and every lattice-valued
-answer is returned in row Hermite normal form so equal lattices compare equal.
+ints, and every lattice-valued answer is returned in row Hermite normal form
+so equal lattices compare equal.  The row Hermite form is also the only
+elimination: kernels and integer solutions are read off one Hermite form of
+``[m^T | I]``, and Smith forms come from alternating row and column Hermite
+forms (Kannan and Bachem, 1979), so no unimodular transform is ever tracked.
 
 Conventions:
 
@@ -181,103 +184,8 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Smith and Hermite normal forms
+# Hermite and Smith normal forms
 # ---------------------------------------------------------------------------
-
-
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return unimodular ``(U, S, V)`` with ``U @ m @ V == S`` in Smith form.
-
-    The diagonal of S is nonnegative and each entry divides the next.
-    Pivot choice is the minimal absolute value with lowest (row, col) as
-    tie break, so the transform matrices are deterministic.
-
-    >>> U, S, V = smith_normal_form(IntMatrix(((2, 4), (6, 8))))
-    >>> [S.rows[i][i] for i in range(2)]
-    [2, 4]
-    >>> (U @ IntMatrix(((2, 4), (6, 8))) @ V) == S
-    True
-    """
-    a = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row_dst += q * row_src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(nr, nc):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or (abs(a[i][j]), i, j) < best[0]):
-                    best = ((abs(a[i][j]), i, j), i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        while True:
-            # clear column t with row operations; a swap strictly shrinks the pivot
-            for i in range(nr):
-                if i == t:
-                    continue
-                while a[i][t] != 0:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t] != 0:
-                        swap_rows(i, t)
-            for j in range(nc):
-                if j == t:
-                    continue
-                while a[t][j] != 0:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j] != 0:
-                        swap_cols(j, t)
-            if any(a[i][t] != 0 for i in range(nr) if i != t):
-                continue  # column swaps disturbed column t, redo
-            bad = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            add_row(t, bad, 1)  # pull a non-multiple into row t, then re-clear
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return IntMatrix(u, nr), IntMatrix(a, nc), IntMatrix(v, nc)
-
-
-def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith form, in divisibility order."""
-    _, s, _ = smith_normal_form(m)
-    return tuple(s.rows[i][i] for i in range(min(s.nrows, s.ncols)) if s.rows[i][i] != 0)
 
 
 def hermite_row_basis(m: IntMatrix) -> IntMatrix:
@@ -325,45 +233,84 @@ def hermite_row_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(tuple(row) for row in a[:r]), nc)
 
 
+def _column_transform(m: IntMatrix) -> tuple[list[tuple[Vec, Vec]], IntMatrix]:
+    """Echelon basis of the column lattice of ``m``, with coordinates, and ker ``m``.
+
+    One Hermite form of ``[m^T | I]``: each row ``(h, u)`` with ``h != 0``
+    has ``m @ u == h``, and these ``h`` are an echelon basis of the column
+    lattice.  The transform is unimodular, so the rows with ``h == 0`` span
+    ker ``m``; they are the bottom rows of a Hermite form, hence already the
+    Hermite basis of the kernel.
+    """
+    nr, nc = m.nrows, m.ncols
+    h = hermite_row_basis(hstack(m.transpose(), IntMatrix.identity(nc))).rows
+    r = sum(1 for row in h if any(row[:nr]))
+    return [(row[:nr], row[nr:]) for row in h[:r]], IntMatrix._from_int_rows(tuple(row[nr:] for row in h[r:]), nc)
+
+
 def integer_kernel(m: IntMatrix) -> IntMatrix:
     """Canonical row basis of ``{x in Z^ncols : m @ x == 0}``.
 
     >>> integer_kernel(IntMatrix(((2, 4),))).rows
     ((2, -1),)
     """
-    _, s, v = smith_normal_form(m)
-    # x = V @ y is in the kernel iff S @ y == 0, i.e. y lives on the zero columns of S
-    cols = [v.column(j) for j in range(m.ncols) if not any(s.column(j))]
-    return hermite_row_basis(IntMatrix(tuple(cols), m.ncols))
+    return _column_transform(m)[1]
 
 
 def solve_integer(m: IntMatrix, b) -> Vec | None:
     """One integer solution of ``m @ x == b``, or None.
+
+    Forward substitution of ``b`` over the echelon column basis: each pivot
+    fixes one coefficient, which must divide exactly, and nothing may be
+    left over.
 
     >>> solve_integer(IntMatrix(((2, 4), (6, 8))), (2, 6))
     (1, 0)
     >>> solve_integer(IntMatrix(((2,),)), (3,)) is None
     True
     """
-    b = tuple(int(x) for x in b)
-    if len(b) != m.nrows:
+    rem = [int(x) for x in b]
+    if len(rem) != m.nrows:
         raise ValueError("rhs length mismatch")
-    u, s, v = smith_normal_form(m)
-    c = u.apply(b)
-    y = []
-    for i in range(m.ncols):
-        d = s.rows[i][i] if i < s.nrows else 0
-        if d != 0:
-            if c[i] % d != 0:
-                return None
-            y.append(c[i] // d)
-        else:
-            if i < m.nrows and c[i] != 0:
-                return None
-            y.append(0)
-    if any(c[i] != 0 for i in range(m.ncols, m.nrows)):
-        return None
-    return v.apply(tuple(y))
+    x = [0] * m.ncols
+    for h, u in _column_transform(m)[0]:
+        p = next(i for i, c in enumerate(h) if c)
+        q, r = divmod(rem[p], h[p])
+        if r:
+            return None
+        if q:
+            rem = [a - q * c for a, c in zip(rem, h)]
+            x = [a + q * c for a, c in zip(x, u)]
+    return None if any(rem) else tuple(x)
+
+
+def smith_normal_form(m: IntMatrix) -> IntMatrix:
+    """Smith form ``S`` of ``m``: ``U @ m @ V == S`` for some unimodular U, V.
+
+    Hermite forms of the rows and of the columns alternate until the matrix
+    is diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979); then
+    ``(a, b) -> (gcd, lcm)`` on pairs of diagonal entries leaves a
+    nonnegative diagonal in which each entry divides the next.
+
+    >>> smith_normal_form(IntMatrix(((2, 4), (6, 8)))).rows
+    ((2, 0), (0, 4))
+    """
+    a = hermite_row_basis(m)
+    while any(x for i, row in enumerate(a.rows) for j, x in enumerate(row) if i != j):
+        a = hermite_row_basis(a.transpose())
+    d = [a.rows[i][i] for i in range(a.nrows)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    d += [0] * (m.nrows - len(d))
+    return IntMatrix(tuple(tuple(d[i] if i == j else 0 for j in range(m.ncols)) for i in range(m.nrows)), m.ncols)
+
+
+def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
+    """Nonzero diagonal of the Smith form, in divisibility order."""
+    s = smith_normal_form(m)
+    return tuple(s.rows[i][i] for i in range(min(s.shape)) if s.rows[i][i])
 
 
 def lattice_contains(basis: IntMatrix, vec) -> bool:
@@ -460,22 +407,6 @@ def group_from_relations(ngens: int, relations: IntMatrix) -> FGAbelianGroup:
     return FGAbelianGroup(ngens - len(facs), tuple(f for f in facs if f > 1))
 
 
-def quotient_group(sup: IntMatrix, sub: IntMatrix) -> FGAbelianGroup:
-    """Structure of ``(L_sup + L_sub) / L_sub`` for row lattices in Z^n."""
-    if sup.ncols != sub.ncols:
-        raise ValueError("ambient mismatch")
-    basis = hermite_row_basis(vstack(sup, sub))
-    if basis.nrows == 0:
-        return FGAbelianGroup(0)
-    rel_rows = []
-    bt = basis.transpose()
-    for r in sub.rows:
-        coeffs = solve_integer(bt, r)
-        assert coeffs is not None, "sublattice escaped its own span"
-        rel_rows.append(coeffs)
-    return group_from_relations(basis.nrows, IntMatrix(tuple(rel_rows), basis.nrows))
-
-
 class Presentation(Record):
     """A f.g. abelian group with chosen generators: ``Z^ngens / relations``."""
 
@@ -553,11 +484,6 @@ class GroupHom(Record):
 
     def is_surjective(self) -> bool:
         return self.cokernel_group().is_trivial
-
-
-def image_lattice(m: IntMatrix) -> IntMatrix:
-    """Canonical basis of the column span of ``m`` (codomain assumed free)."""
-    return hermite_row_basis(m.transpose())
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ from .lattice import (
     FGAbelianGroup,
     IntMatrix,
     Presentation,
+    _column_transform,
     enumerate_matrix_group,
     hermite_row_basis,
+    integer_kernel,
     intersect_rows,
     saturate_rows,
-    smith_normal_form,
     solve_integer,
 )
 from .rootdata import (
@@ -98,18 +99,6 @@ def affinization_test(gd: GroupDescriptor) -> AffinizationReport:
     return AffinizationReport(lt, tv)
 
 
-def _free_quotient_projection(relations: IntMatrix, ambient: int) -> IntMatrix:
-    """Integer projection Z^ambient -> Z^f with kernel the saturation of the rows."""
-    if relations.nrows == 0:
-        return IntMatrix.identity(ambient)
-    sat = saturate_rows(relations)
-    if sat.nrows == 0:
-        return IntMatrix.identity(ambient)
-    _, _, v = smith_normal_form(sat)
-    vt = v.transpose()
-    return IntMatrix(vt.rows[sat.nrows:], ambient)
-
-
 def construct_cover(gd: GroupDescriptor) -> GroupDescriptor:
     """The quasi-complete cover: factorial affine part, smooth connected D.
 
@@ -120,8 +109,9 @@ def construct_cover(gd: GroupDescriptor) -> GroupDescriptor:
     """
     rd2, basis_num, denom = factorial_cover_with_basis(gd.rd)
     glue = gd.gluing
-    ambient = glue.xd.ngens
-    proj = _free_quotient_projection(glue.xd.relations, ambient)
+    # rows span the annihilator of the relations, so the kernel of this
+    # surjection onto Z^f is the saturated relation lattice: X(D) mod torsion
+    proj = integer_kernel(glue.xd.relations)
     f = proj.nrows
     # images of the new basis vectors, scaled by denom to stay integral
     scaled_images = [proj.apply(glue.v_matrix.apply(row)) for row in basis_num.rows]
@@ -170,13 +160,9 @@ class FibrationReport(Record):
 
 
 def _matrix_inverse(m: IntMatrix) -> IntMatrix:
-    n = m.nrows
-    cols = []
-    for j in range(n):
-        sol = solve_integer(m, tuple(1 if i == j else 0 for i in range(n)))
-        assert sol is not None, "matrix must be invertible over Z"
-        cols.append(sol)
-    return IntMatrix.from_columns(cols, n)
+    # m is unimodular, so its echelon column basis is the unit vectors and
+    # their coordinates are the columns of the inverse
+    return IntMatrix.from_columns([u for _, u in _column_transform(m)[0]], m.nrows)
 
 
 def _translation_index_bound(hd: SubgroupDescriptor, cap: int) -> int:

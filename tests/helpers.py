@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import pathlib
+import random
 from fractions import Fraction
+from itertools import combinations
 
 from chevalley_chow import schubert
 from chevalley_chow.chow import _subgroup_reflections
@@ -12,6 +15,7 @@ from chevalley_chow.descriptors import (
     AntiAffineGluing,
     GroupDescriptor,
     SubgroupDescriptor,
+    validate_group,
 )
 from chevalley_chow.invariants import coeff_vector, poly_add, poly_degree, poly_mul, poly_scale, substitute, sym_basis
 from chevalley_chow.lattice import (
@@ -20,9 +24,13 @@ from chevalley_chow.lattice import (
     IntMatrix,
     Presentation,
     enumerate_matrix_group,
+    group_from_relations,
     hermite_row_basis,
+    integer_kernel,
     intersect_rows,
     lattice_contains,
+    solve_integer,
+    vstack,
 )
 from chevalley_chow.qlinalg import qsolve
 from chevalley_chow.rootdata import (
@@ -383,6 +391,77 @@ def integer_kernel_by_columns(m: IntMatrix) -> IntMatrix:
 def lattice_le(sub: IntMatrix, sup: IntMatrix) -> bool:
     """Oracle for lattice containment: is every row of ``sub`` in the row lattice of ``sup``?"""
     return all(lattice_contains(sup, r) for r in sub.rows)
+
+
+def quotient_group(sup: IntMatrix, sub: IntMatrix) -> FGAbelianGroup:
+    """Oracle for ``derived_attributes(gd).im_gamma``: the structure of
+    ``(L_sup + L_sub) / L_sub`` for row lattices in Z^n, by writing ``sub`` in
+    a basis of the sum."""
+    if sup.ncols != sub.ncols:
+        raise ValueError("ambient mismatch")
+    basis = hermite_row_basis(vstack(sup, sub))
+    if basis.nrows == 0:
+        return FGAbelianGroup(0)
+    bt = basis.transpose()
+    rel_rows = [solve_integer(bt, r) for r in sub.rows]
+    return group_from_relations(basis.nrows, IntMatrix(tuple(rel_rows), basis.nrows))
+
+
+def smith_diagonal_by_minors(m: IntMatrix) -> tuple[int, ...]:
+    """Oracle for the Smith diagonal: ``s_k = d_k / d_(k-1)``, where the
+    determinantal divisor ``d_k`` is the gcd of all k x k minors (``d_0 = 1``);
+    the nonzero ``s_k`` only, sharing no code with the Hermite route."""
+    out = []
+    prev = 1
+    for k in range(1, min(m.shape) + 1):
+        d = 0
+        for rows in combinations(range(m.nrows), k):
+            for cols in combinations(range(m.ncols), k):
+                d = math.gcd(d, IntMatrix([[m.rows[i][j] for j in cols] for i in rows], k).det())
+        if d == 0:
+            break
+        out.append(d // prev)
+        prev = d
+    return tuple(out)
+
+
+def random_unimodular(rng, n: int) -> IntMatrix:
+    """A product of random elementary row operations and a signed swap."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n < 2:
+        return IntMatrix([[rng.choice((1, -1))] for _ in range(n)], n)
+    for _ in range(rng.randrange(8)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            q = rng.randint(-3, 3)
+            m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+    if rng.randrange(2):
+        m[0], m[-1] = [-x for x in m[-1]], m[0]
+    return IntMatrix(m, n)
+
+
+def random_gluings(seed: int, count: int, data=(torus2, gl2, rank3)):
+    """``count`` seeded random descriptors over the given root data whose
+    gluing validates: v kills every root, X(D) has up to two relations and
+    ker sigma_A up to one generator; an invalid draw is skipped."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rd = rng.choice(data)
+        killing_roots = integer_kernel(rd.simple_roots)  # v(alpha) = 0 for every root
+        ngens = rng.randint(1, 3)
+
+        def rows(k, width):
+            return IntMatrix([[rng.randint(-3, 3) for _ in range(width)] for _ in range(k)], width)
+
+        coeffs = rows(ngens, killing_roots.nrows)
+        v = coeffs @ killing_roots if killing_roots.nrows else IntMatrix([[0] * rd.rank] * ngens, rd.rank)
+        glue = AntiAffineGluing(Presentation(ngens, rows(rng.randint(0, 2), ngens)), v,
+                                rows(rng.randint(0, 1), ngens))
+        gd = GroupDescriptor(f"random{len(out)}", rd, AbelianVarietyData(rng.randint(1, 2), FGAbelianGroup(1)), glue)
+        if validate_group(gd).ok:
+            out.append(gd)
+    return out
 
 
 def gamma_kernel_by_intersection(gd):

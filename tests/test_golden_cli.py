@@ -20,7 +20,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import helpers as z
-from chevalley_chow import cli
+from chevalley_chow import cli, descriptors, lattice, structure
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_cli.json"
 
@@ -66,6 +66,26 @@ def test_cli_output_matches_golden(capsysbinary, golden, case_id, argv):
     out = capsysbinary.readouterr().out
     assert code == want["code"]
     assert out == want["stdout"].encode("utf-8")
+
+
+def test_every_solve_has_a_unique_solution(monkeypatch, capsysbinary):
+    """Every integer system the CLI solves on the golden cases has a zero
+    kernel, so any solution is the solution and output cannot depend on
+    which one the elimination picks."""
+    seen = []
+    real = lattice.solve_integer
+
+    def recording(m, b):
+        seen.append(m)
+        return real(m, b)
+
+    for mod in (lattice, descriptors, structure):
+        monkeypatch.setattr(mod, "solve_integer", recording)
+    for _, argv in CASES:
+        cli.main(argv)
+    capsysbinary.readouterr()
+    assert seen
+    assert all(lattice.integer_kernel(m).nrows == 0 for m in set(seen))
 
 
 def _regenerate():

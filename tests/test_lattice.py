@@ -18,11 +18,9 @@ from chevalley_chow.lattice import (
     group_from_relations,
     hermite_row_basis,
     hstack,
-    image_lattice,
     integer_kernel,
     intersect_rows,
     invariant_factors,
-    quotient_group,
     saturate_rows,
     smith_normal_form,
     solve_integer,
@@ -54,10 +52,15 @@ def test_matrix_rejects_ragged_rows():
 
 def test_smith_normal_form_oracle():
     a = M(((2, 4), (6, 8)))
-    u, s, v = smith_normal_form(a)
-    assert u @ a @ v == s
-    assert abs(u.det()) == 1 and abs(v.det()) == 1
-    assert invariant_factors(a) == (2, 4)
+    assert smith_normal_form(a) == M(((2, 0), (0, 4)))
+    assert invariant_factors(a) == (2, 4) == z.smith_diagonal_by_minors(a)
+    # the shape is kept, zero rows and columns included
+    assert smith_normal_form(M(((0, 6, 0), (0, 4, 0)))) == M(((2, 0, 0), (0, 0, 0)))
+    assert smith_normal_form(M(((3,), (5,)))) == M(((1,), (0,)))
+    assert smith_normal_form(M((), 2)) == M((), 2)
+    assert smith_normal_form(M(((), ()), 0)).shape == (2, 0)
+    # a diagonal that is not a divisibility chain: (4, 6) -> (2, 12)
+    assert invariant_factors(M(((4, 0), (0, 6)))) == (2, 12)
     # 1x1 and zero matrices
     assert invariant_factors(M(((0,),))) == ()
     assert invariant_factors(M(((-6,),))) == (6,)
@@ -100,6 +103,22 @@ def test_solve_integer():
     assert solve_integer(M(((2, 3),)), (1,)) is not None
     # inconsistent overdetermined system
     assert solve_integer(M(((1,), (1,))), (0, 1)) is None
+    # a remainder left past the last pivot, and empty systems
+    assert solve_integer(M(((1, 0), (0, 0))), (1, 1)) is None
+    assert solve_integer(M((), 2), ()) == (0, 0)
+    assert solve_integer(M(((), ()), 0), (0, 0)) == ()
+    assert solve_integer(M(((), ()), 0), (0, 1)) is None
+
+
+def test_column_transform_splits_image_and_kernel():
+    m = M(((2, 4, 1), (6, 8, 3)))
+    pairs, ker = lattice._column_transform(m)
+    for h, u in pairs:
+        assert m.apply(u) == h
+    # the h are the Hermite basis of the column lattice, the rest the kernel
+    assert M([h for h, _ in pairs], 2) == hermite_row_basis(m.transpose())
+    assert ker == hermite_row_basis(ker) == z.integer_kernel_by_columns(m)
+    assert len(pairs) + ker.nrows == m.ncols
 
 
 def test_saturation_and_intersection():
@@ -135,15 +154,15 @@ def test_group_from_relations_and_quotient():
     assert group_from_relations(1, M(((1,),))).is_trivial
     # Z^2 / <(2,0),(0,3)> = Z/2 + Z/3 = Z/6
     assert group_from_relations(2, M(((2, 0), (0, 3)))) == FGAbelianGroup(0, (6,))
-    q = quotient_group(M.identity(2), M(((2, 0),)))
+    q = z.quotient_group(M.identity(2), M(((2, 0),)))
     assert q == FGAbelianGroup(1, (2,))
     # sub written in ambient coordinates, not in sup coordinates
-    q = quotient_group(M(((2, 0), (0, 1))), M(((4, 0),)))
+    q = z.quotient_group(M(((2, 0), (0, 1))), M(((4, 0),)))
     assert q == FGAbelianGroup(1, (2,))
     # defined on the sum of the lattices, so no sublattice precondition
-    assert quotient_group(M(((2, 0),)), M(((1, 0),))).is_trivial
+    assert z.quotient_group(M(((2, 0),)), M(((1, 0),))).is_trivial
     with pytest.raises(ValueError):
-        quotient_group(M(((1, 0),)), M(((1,),)))  # ambient mismatch
+        z.quotient_group(M(((1, 0),)), M(((1,),)))  # ambient mismatch
 
 
 def test_presentation_and_hom():
@@ -153,7 +172,7 @@ def test_presentation_and_hom():
     free = Presentation.free(2)
     h = GroupHom(free, free, M(((2, 0), (0, 3))))
     # the image of h is the span of its columns inside the free codomain
-    assert quotient_group(h.matrix.transpose(), h.codomain.relations) == FGAbelianGroup(2)
+    assert z.quotient_group(h.matrix.transpose(), h.codomain.relations) == FGAbelianGroup(2)
     assert h.cokernel_group() == FGAbelianGroup(0, (6,))
     assert not h.is_surjective()
     assert h.kernel_lattice().nrows == 0
@@ -165,12 +184,6 @@ def test_presentation_and_hom():
     with pytest.raises(TorsionDomain):
         GroupHom(Presentation(1, M(((2,),))), Presentation(1, M(((2,),))),
                  M(((1,),))).kernel_lattice()
-
-
-def test_image_lattice():
-    # image of x -> Mx, i.e. the column span, as a canonical row basis
-    assert image_lattice(M(((2, 4), (6, 8)))).rows == ((2, 2), (0, 4))
-    assert image_lattice(M((), 2)).nrows == 0
 
 
 def test_enumerate_matrix_group():

@@ -60,20 +60,29 @@ def unimodular(draw, n):
     return IntMatrix(m)
 
 
-@given(matrices())
-def test_smith_normal_form_round_trip(a):
-    u, s, v = smith_normal_form(a)
-    assert u @ a @ v == s
-    assert abs(u.det()) == 1 and abs(v.det()) == 1
-    diag = [s.rows[i][i] for i in range(min(s.shape))]
-    for i in range(len(diag) - 1):
-        if diag[i + 1]:
-            assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-    for i in range(s.nrows):
-        for j in range(s.ncols):
-            if i != j:
-                assert s.rows[i][j] == 0
-    assert diag == [d for d in diag if d >= 0]
+@st.composite
+def padded_matrices(draw, max_dim=4):
+    """Matrices up to max_dim x max_dim with zero rows and columns spliced in,
+    and matrices with no rows or no columns."""
+    nr = draw(st.integers(0, max_dim))
+    nc = draw(st.integers(0, max_dim))
+    rows = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    zero_rows = draw(st.sets(st.integers(0, max(nr - 1, 0)))) if nr else set()
+    zero_cols = draw(st.sets(st.integers(0, max(nc - 1, 0)))) if nc else set()
+    rows = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+    return IntMatrix(rows, nc)
+
+
+@given(padded_matrices())
+def test_smith_normal_form_matches_determinantal_divisors(a):
+    s = smith_normal_form(a)
+    facs = z.smith_diagonal_by_minors(a)
+    assert s.shape == a.shape
+    diag = tuple(facs) + (0,) * (min(a.shape) - len(facs))
+    assert s == IntMatrix([[diag[i] if i == j else 0 for j in range(a.ncols)] for i in range(a.nrows)], a.ncols)
+    assert invariant_factors(a) == facs
+    assert all(b % f == 0 for f, b in zip(facs, facs[1:]))
 
 
 @given(matrices())

@@ -1,11 +1,15 @@
 """Structural criteria: Albanese, affinization, covers, fibrations, completeness."""
 
+import random
+
 import pytest
 
 import helpers as z
 from chevalley_chow import chow, lattice, structure
 from chevalley_chow.chow import homogeneous_picard, homogeneous_rational_chow, picard_group
 from chevalley_chow.descriptors import (
+    AntiAffineGluing,
+    GroupDescriptor,
     SubgroupDescriptor,
     contains_nontrivial_ant,
     derived_attributes,
@@ -13,7 +17,7 @@ from chevalley_chow.descriptors import (
     validate_subgroup,
 )
 from chevalley_chow.errors import ModeUnsupported
-from chevalley_chow.lattice import FGAbelianGroup, IntMatrix
+from chevalley_chow.lattice import FGAbelianGroup, IntMatrix, Presentation
 from chevalley_chow.rootdata import flag_picard_map
 from chevalley_chow.structure import (
     affine_test,
@@ -93,6 +97,32 @@ def test_cover_laws_every_group(any_group):
         assert out.name == any_group.name + "-cover"
         # same abelian quotient; Picard NS-part loses its flag torsion only
         assert picard_group(out).ns == any_group.av.ns
+
+
+@pytest.fixture(scope="module")
+def random_gluings():
+    return z.random_gluings(20261018, 200)
+
+
+def test_cover_laws_on_random_gluings(random_gluings):
+    for gd in random_gluings:
+        out = construct_cover(gd)
+        assert construct_cover(out) is out, gd
+        assert validate_group(out).ok, gd
+        assert affinization_test(out).trivial.answer == "yes", gd
+        assert flag_picard_map(out.rd).pic.is_trivial, gd
+
+
+def test_cover_does_not_depend_on_the_relation_basis(random_gluings):
+    rng = random.Random(7)
+    for gd in random_gluings:
+        glue = gd.gluing
+        u = z.random_unimodular(rng, glue.xd.relations.nrows)
+        moved = AntiAffineGluing(Presentation(glue.xd.ngens, u @ glue.xd.relations), glue.v_matrix,
+                                 glue.sigma_kernel_gens, glue.unipotent_dim, glue.char)
+        a = construct_cover(gd)
+        b = construct_cover(GroupDescriptor(gd.name, gd.rd, gd.av, moved))
+        assert (a.rd, a.gluing) == (b.rd, b.gluing), gd
 
 
 def test_fibration_reports():
