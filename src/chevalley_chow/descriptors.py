@@ -77,6 +77,8 @@ class AntiAffineGluing(Record):
             raise ValueError("sigma kernel generators must live in X(D) ambient coordinates")
         if self.unipotent_dim < 0 or self.char < 0:
             raise ValueError("negative dimension or characteristic")
+        if self.char and not _is_prime(self.char):
+            raise ValueError(f"characteristic {self.char} is neither 0 nor a prime")
 
     def sigma_quotient(self) -> Presentation:
         """X(D)/(ker sigma_A) as a presentation on the X(D) ambient generators."""
@@ -223,7 +225,7 @@ def validate_group(gd: GroupDescriptor) -> ValidationReport:
     # divides t_{k-2g}: only that entry is factored
     k = len(torsion) - 2 * gd.av.g
     crowded = _prime_factors(torsion[k - 1]) if k > 0 else set()
-    char_divides = bool(torsion) and _prime_factors(glue.char) == {glue.char} and torsion[-1] % glue.char == 0
+    char_divides = bool(torsion) and glue.char and torsion[-1] % glue.char == 0
     for p in sorted(crowded | ({glue.char} if char_divides else set())):
         if p in crowded:
             p_rank = sum(1 for t in torsion if t % p == 0)
@@ -237,6 +239,30 @@ def validate_group(gd: GroupDescriptor) -> ValidationReport:
                 "check the descriptor against the p-rank of A"
             )
     return ValidationReport(gd.name, tuple(checks), tuple(warnings))
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first 13 prime bases, 2 to 41, which decides
+    primality exactly for n < 3317044064679887385961981 (Sorenson and
+    Webster, Math. Comp. 86, 2017); a larger n raises ValueError."""
+    bound = 3317044064679887385961981
+    if n >= bound:
+        raise ValueError(f"primality of {n} is decided only below {bound}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _prime_factors(n: int) -> set[int]:

@@ -16,6 +16,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add
 
 from ._record import Record
 from .errors import DegreeTooLarge
@@ -87,7 +88,7 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
+            m = tuple(map(add, ma, mb))
             s = out.get(m, 0) + ca * cb
             if s:
                 out[m] = s

@@ -6,14 +6,18 @@ dimension): the character lattice X(T) = Z^rank with chosen simple roots and
 simple coroots.  The fixed simple system plays the role of a Borel subgroup.
 
 Weyl elements are integer matrices acting on column vectors in X(T)
-coordinates.
+coordinates.  Each element w is also named by its orbit point 2rho^vee w in
+Y(T) (a row vector times w): 2rho^vee is regular, so the point determines w,
+and w s_beta is found from it by O(rank) integer work.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from ._record import Record
 from .errors import GroupTooLarge, InvalidCartan
@@ -254,15 +258,27 @@ class WeylGroup:
 
     Elements are listed in breadth-first order from the identity (so lengths
     are nondecreasing) and each element carries its lexicographically least
-    reduced word.
+    reduced word.  ``orbit[k]`` is the point 2rho^vee elements[k] of Y(T),
+    2rho^vee the sum of the positive coroots.  The orbit is walked on demand
+    (:meth:`orbit_index`) along the same breadth-first steps as the words:
+    for the k-th element w s_i, mu_k = mu - <mu, alpha_i> alpha_i^vee with
+    mu the point of w.  So w s_beta is the element at mu - <mu, beta> beta^vee,
+    found with no matrix product.
     """
 
-    def __init__(self, elements, lengths, words, generators):
+    def __init__(self, rd, elements, steps, generators):
+        self.rd = rd
         self.elements: tuple[IntMatrix, ...] = tuple(elements)
-        self.lengths: tuple[int, ...] = tuple(lengths)
-        self.words: tuple[tuple[int, ...], ...] = tuple(words)
+        self.steps: tuple[int, ...] = tuple(steps)  # pos * len(generators) + i, -1 for the identity
         self.generators: tuple[IntMatrix, ...] = tuple(generators)
-        self.index: dict[IntMatrix, int] = {m: i for i, m in enumerate(self.elements)}
+        words: list[tuple[int, ...]] = [()]
+        for step in self.steps[1:]:
+            pos, i = divmod(step, len(self.generators))
+            words.append(words[pos] + (i,))
+        self.words: tuple[tuple[int, ...], ...] = tuple(words)
+        self.lengths: tuple[int, ...] = tuple(map(len, words))
+        self.orbit: list[Vec] = []  # the prefix walked so far
+        self._orbit_index: dict[Vec, int] = {}
 
     def __len__(self):
         return len(self.elements)
@@ -270,6 +286,27 @@ class WeylGroup:
     @property
     def longest(self) -> IntMatrix:
         return self.elements[-1]
+
+    def orbit_index(self, length: int) -> dict[Vec, int]:
+        """Orbit point -> Weyl index, once ``orbit`` holds every element of
+        length <= ``length`` (it may hold more).  A call near the identity
+        walks only the short elements."""
+        end = bisect_right(self.lengths, length)
+        points, index = self.orbit, self._orbit_index
+        if len(points) < end:
+            rd = self.rd
+            simple = tuple(zip(rd.simple_roots.rows, rd.simple_coroots.rows))
+            if not points:
+                points.append(tuple(map(sum, zip(*(r.coroot for r in root_system(rd).positive)))) or (0,) * rd.rank)
+                index[points[0]] = 0
+            for k in range(len(points), end):
+                pos, i = divmod(self.steps[k], len(simple))
+                mu = points[pos]
+                alpha, alpha_v = simple[i]
+                c = sum(map(mul, mu, alpha))
+                points.append(tuple([x - c * y for x, y in zip(mu, alpha_v)]))
+                index[points[k]] = k
+        return index
 
 
 WEYL_CACHE_SIZE = 32  # Weyl groups kept, one per (root datum, cap)
@@ -293,11 +330,7 @@ def weyl_group(rd: RootDatum, cap: int = DEFAULT_CAP) -> WeylGroup:
         raise InvalidCartan(
             f"enumerated {len(elements)} Weyl elements but type {ctype.describe()} has {expected}"
         )
-    words: list[tuple[int, ...]] = [()]
-    for step in steps[1:]:
-        pos, i = divmod(step, len(gens))
-        words.append(words[pos] + (i,))
-    return WeylGroup(elements, map(len, words), words, gens)
+    return WeylGroup(rd, elements, steps, gens)
 
 
 class PositiveRoot(Record):
@@ -306,7 +339,6 @@ class PositiveRoot(Record):
     coroot: Vec          # Y(T) coordinates
     coords: Vec          # coefficients over the simple roots
     height: int
-    reflection: IntMatrix
 
 
 class RootSystem:
@@ -362,7 +394,7 @@ def root_system(rd: RootDatum) -> RootSystem:
     positive = []
     by_vector = {}
     for idx, (height, coords, vec, cov) in enumerate(records):
-        positive.append(PositiveRoot(idx, vec, cov, coords, height, reflection(vec, cov)))
+        positive.append(PositiveRoot(idx, vec, cov, coords, height))
         by_vector[vec] = (idx, 1)
         by_vector[tuple(-x for x in vec)] = (idx, -1)
     return RootSystem(positive, by_vector)

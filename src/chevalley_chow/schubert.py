@@ -6,6 +6,14 @@ independent multiplication routes are provided: the closed divisor formula
 (:func:`chevalley_multiply`) and polynomial representatives in the
 coinvariant algebra (:func:`schubert_product`), which agree on divisors and
 cross-check each other in the tests.
+
+Both run on plain integers once their tables are built.  The divisor
+formula finds each w s_beta by its point in the orbit of 2rho^vee
+(:meth:`WeylGroup.orbit_index`), O(rank) integer work per positive root.  A
+product multiplies the BGG representatives scaled to integer polynomials
+(:func:`_integer_table`) and reads the result off the integer rows of
+:func:`_coordinate_map`: one integer polynomial multiplication and one
+integer matrix-vector product.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from ._record import Record
 from .errors import GroupTooLarge, NonIntegralStructureConstant
@@ -32,7 +41,7 @@ from .invariants import (
 )
 from .lattice import DEFAULT_CAP
 from .qlinalg import SpanBuilder, echelon
-from .rootdata import RootDatum, WeylGroup, root_system, simple_reflection, validate_root_datum, weyl_group
+from .rootdata import RootDatum, root_system, simple_reflection, validate_root_datum, weyl_group
 
 
 class SchubertClass(Record):
@@ -104,21 +113,18 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP)
         raise ValueError(f"character has {len(lam)} entries, the rank is {rd.rank}")
     if not (isinstance(w_index, int) and 0 <= w_index < len(w)):
         raise ValueError(f"Weyl index {w_index} is outside [0, {len(w)})")
-    base = w.elements[w_index]
+    lam = tuple(map(int, lam))
     target_len = w.lengths[w_index] + 1
+    index = w.orbit_index(target_len)  # a point it lacks is longer than target_len
+    mu = w.orbit[w_index]  # w s_beta is the element at mu - <mu, beta> beta^vee
     terms: dict[int, Fraction] = {}
-    for root in rs.positive:
-        prod = base @ root.reflection
-        idx = w.index[prod]
-        if w.lengths[idx] != target_len:
-            continue
-        c = rd.pairing(lam, root.coroot)
-        if c:
-            s = terms.get(idx, Fraction(0)) + c
-            if s:
-                terms[idx] = Fraction(s)
-            else:
-                terms.pop(idx, None)
+    for root in rs.positive:  # w s_beta differs for every beta, so no index repeats
+        c = sum(map(mul, lam, root.coroot))
+        k = sum(map(mul, mu, root.vector))
+        if c and k > 0:  # length(w s_beta) > length(w) iff w beta > 0 iff <mu, beta> > 0
+            idx = index.get(tuple([x - k * y for x, y in zip(mu, root.coroot)]))
+            if idx is not None and w.lengths[idx] == target_len:
+                terms[idx] = Fraction(c)
     return SchubertExpansion(target_len, terms)
 
 
@@ -143,13 +149,15 @@ def _representative_table(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[Poly, 
     order = sorted(range(len(w)), key=lambda i: -w.lengths[i])
     reps[order[0]] = top
     simple_linears = [linear_poly(rd.simple_roots.rows[i]) for i in range(rd.nsimple)]
+    index = w.orbit_index(w.lengths[-1])
     for pos in order[1:]:
-        v = w.elements[pos]
+        mu = w.orbit[pos]
         length = w.lengths[pos]
         done = False
         for i in range(rd.nsimple):
-            up = v @ w.generators[i]
-            up_idx = w.index[up]
+            alpha, alpha_v = rd.simple_roots.rows[i], rd.simple_coroots.rows[i]
+            k = rd.pairing(mu, alpha)
+            up_idx = index[tuple(x - k * y for x, y in zip(mu, alpha_v))]
             if w.lengths[up_idx] == length + 1 and reps[up_idx] is not None:
                 f = reps[up_idx]
                 reps[pos] = exact_divide_linear(poly_sub(f, substitute(w.generators[i], f)), simple_linears[i])
@@ -246,18 +254,6 @@ def _coordinate_map(rd: RootDatum, d: int,
     return indices, tuple(tuple(row[n + j] * (den // row[c]) for c, row in enumerate(red)) for j in range(k)), den
 
 
-def _expand(rd: RootDatum, w: WeylGroup, poly: Poly, d: int, cap: int) -> SchubertExpansion:
-    """:func:`expand_in_schubert_basis` for a homogeneous ``poly``, given ``w = weyl_group(rd, cap)``."""
-    if d > w.lengths[-1]:  # the longest element has length N = |positive roots|
-        return SchubertExpansion(d, {})
-    indices, rows, den = _coordinate_map(rd, d, cap)
-    vec = coeff_vector(poly, rd.rank, d)
-    vden = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (vden // x.denominator) for x in vec]
-    coords = (Fraction(sum(a * b for a, b in zip(row, ints)), den * vden) for row in rows)
-    return SchubertExpansion(d, {idx: c for idx, c in zip(indices, coords) if c})
-
-
 def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAULT_CAP) -> SchubertExpansion:
     """Write a degree-d polynomial, mod the coinvariant ideal, in the P_w.
 
@@ -269,16 +265,34 @@ def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAU
     """
     if poly_degree(poly) not in (None, d):
         raise ValueError(f"polynomial is not homogeneous of degree {d}")
-    return _expand(rd, weyl_group(rd, cap=cap), poly, d, cap)
+    if d > weyl_group(rd, cap=cap).lengths[-1]:  # the longest element has length N
+        return SchubertExpansion(d, {})
+    indices, rows, den = _coordinate_map(rd, d, cap)
+    vec = coeff_vector(poly, rd.rank, d)
+    vden = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (vden // x.denominator) for x in vec]
+    coords = (Fraction(sum(a * b for a, b in zip(row, ints)), den * vden) for row in rows)
+    return SchubertExpansion(d, {idx: c for idx, c in zip(indices, coords) if c})
+
+
+@lru_cache(maxsize=REPRESENTATIVE_TABLE_CACHE_SIZE)
+def _integer_table(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[tuple[dict[tuple[int, ...], int], ...], int]:
+    """``(reps, scale)``: the BGG representatives times ``scale``, the lcm of
+    their denominators, as polynomials with int coefficients."""
+    table = _representative_table(rd, cap)
+    scale = lcm(*(c.denominator for p in table for c in p.values()))
+    return tuple({m: c.numerator * (scale // c.denominator) for m, c in p.items()} for p in table), scale
 
 
 def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) -> SchubertExpansion:
     """sigma_{w1} * sigma_{w2} by coinvariant multiplication.
 
-    The structure constants must come out nonnegative integers; anything
-    else raises :class:`NonIntegralStructureConstant` (it would mean a bug,
-    not bad input).  An index that is not an integer in [0, |W|) raises
-    ValueError.
+    The representatives are multiplied with int coefficients
+    (:func:`_integer_table`) and the product is read off the int rows of
+    :func:`_coordinate_map`.  The structure constants must come out
+    nonnegative integers; anything else raises
+    :class:`NonIntegralStructureConstant` (it would mean a bug, not bad
+    input).  An index that is not an integer in [0, |W|) raises ValueError.
 
     >>> from .lattice import IntMatrix
     >>> a1 = RootDatum(1, IntMatrix(((2,),)), IntMatrix(((1,),)))
@@ -288,11 +302,21 @@ def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) ->
     w = weyl_group(rd, cap=cap)
     if not all(isinstance(i, int) and 0 <= i < len(w) for i in (w1, w2)):
         raise ValueError(f"Weyl indices ({w1!r}, {w2!r}) are not both integers in [0, {len(w)})")
-    table = _representative_table(rd, cap)
-    expansion = _expand(rd, w, poly_mul(table[w1], table[w2]), w.lengths[w1] + w.lengths[w2], cap)
-    for idx, c in expansion.terms.items():
-        if c.denominator != 1 or c < 0:
+    d = w.lengths[w1] + w.lengths[w2]
+    if d > w.lengths[-1]:
+        return SchubertExpansion(d, {})
+    table, scale = _integer_table(rd, cap)
+    indices, rows, den = _coordinate_map(rd, d, cap)
+    vec = coeff_vector(poly_mul(table[w1], table[w2]), rd.rank, d)
+    den *= scale * scale
+    terms: dict[int, Fraction] = {}
+    for idx, row in zip(indices, rows):
+        total = sum(map(mul, row, vec))
+        c, rem = divmod(total, den)
+        if rem or c < 0:
             raise NonIntegralStructureConstant(
-                f"sigma_{w1} * sigma_{w2} has coefficient {c} at class {idx}"
+                f"sigma_{w1} * sigma_{w2} has coefficient {Fraction(total, den)} at class {idx}"
             )
-    return expansion
+        if c:
+            terms[idx] = Fraction(c)
+    return SchubertExpansion(d, terms)

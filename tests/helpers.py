@@ -6,6 +6,7 @@ import math
 import pathlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from chevalley_chow import schubert
@@ -289,6 +290,34 @@ def schubert_product_by_reduction(rd, u, v):
     of the product of the two BGG representatives."""
     w, table = weyl_group(rd), schubert._representative_table(rd)
     return expand_by_reduction(rd, poly_mul(table[u], table[v]), w.lengths[u] + w.lengths[v])
+
+
+@lru_cache(maxsize=None)
+def weyl_matrix_index(rd):
+    """Weyl index of each element of ``weyl_group(rd)``, keyed by its matrix."""
+    return {m: i for i, m in enumerate(weyl_group(rd).elements)}
+
+
+def chevalley_by_matrices(rd, lam, w_index):
+    """Oracle for ``schubert.chevalley_multiply``: each w s_beta is the matrix
+    product ``elements[w] @ s_beta``, looked up by its matrix."""
+    w = weyl_group(rd)
+    index = weyl_matrix_index(rd)
+    target = w.lengths[w_index] + 1
+    terms = {}
+    for root in root_system(rd).positive:
+        idx = index[w.elements[w_index] @ reflection(root.vector, root.coroot)]
+        c = rd.pairing(lam, root.coroot)
+        if w.lengths[idx] == target and c:
+            terms[idx] = Fraction(c)
+    return schubert.SchubertExpansion(target, terms)
+
+
+def product_by_fractions(rd, u, v):
+    """Oracle for ``schubert.schubert_product``: the Fraction representatives
+    multiplied and expanded by ``expand_in_schubert_basis``."""
+    w, table = weyl_group(rd), schubert.schubert_representatives(rd)
+    return schubert.expand_in_schubert_basis(rd, poly_mul(table[u], table[v]), w.lengths[u] + w.lengths[v])
 
 
 def reynolds_slice(rank, generators, d):

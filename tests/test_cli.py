@@ -156,6 +156,19 @@ def test_schema_error_exits_3(tmp_path, capsys):
     assert "abelian" in err
 
 
+def test_characteristic_not_prime_exits_3(tmp_path, capsys):
+    # a torus glued to an elliptic curve, in the meaningless characteristic 4
+    doc = {"group": {"root_datum": {"rank": 1, "simple_roots": [], "simple_coroots": []},
+                     "abelian": {"g": 1, "ns_rank": 1},
+                     "gluing": {"xd_rank": 1, "v": [[1]], "xd_relations": [[4]], "char": 4}}}
+    p = tmp_path / "char4.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(p))
+    assert code == 3
+    assert out == ""
+    assert "group.gluing: characteristic 4 is neither 0 nor a prime" in err
+
+
 @pytest.mark.parametrize("blob", [
     b'{"group": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
     b'{"group": {"abelian": {"g": "' + b"1" * 5000 + b'"}}}',

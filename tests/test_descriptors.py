@@ -1,5 +1,7 @@
 """Group and subgroup descriptors: validation and derived attributes."""
 
+import time
+
 import pytest
 
 import helpers as z
@@ -16,6 +18,7 @@ from chevalley_chow.descriptors import (
     validate_group,
     validate_subgroup,
 )
+from chevalley_chow.errors import SchemaError
 from chevalley_chow.formats import parse_descriptor
 from chevalley_chow.lattice import FGAbelianGroup, IntMatrix, Presentation
 
@@ -212,13 +215,13 @@ def test_torsion_warnings_factor_one_entry(monkeypatch):
     real = descriptors._prime_factors
     monkeypatch.setattr(descriptors, "_prime_factors", lambda n: factored.append(n) or real(n))
     # X(D) = Z/2 + Z/6 + Z/30 + Z/30 over g = 1: of the torsion only t_{4-2} = 6
-    # is factored, then the characteristic is checked to be prime
+    # is factored; the characteristic is prime by construction and is not
     warn = GroupDescriptor(
         "warn", z.torus1, z.A1_AV,
         AntiAffineGluing(Presentation(4, M(((2, 0, 0, 0), (0, 6, 0, 0), (0, 0, 30, 0), (0, 0, 0, 30)))),
                          M(((1,), (0,), (0,), (0,))), M((), 4), char=5))
     rep = validate_group(warn)
-    assert factored == [6, 5]
+    assert factored == [6]
     assert rep.warnings == (
         "X(D)/ker sigma has 2-torsion rank 4 > 2g = 2; no 1-dimensional abelian variety can host it",
         "X(D)/ker sigma has 3-torsion rank 3 > 2g = 2; no 1-dimensional abelian variety can host it",
@@ -231,6 +234,38 @@ def test_prime_factors_bounded():
     # a cofactor past the trial bound is named as it stands
     big = (2**61 - 1) * (2**31 - 1)
     assert descriptors._prime_factors(6 * big) == {2, 3, big}
+
+
+def torus_with_char(char) -> bytes:
+    return ('{"group": {"root_datum": {"rank": 1, "simple_roots": [], "simple_coroots": []},'
+            ' "abelian": {"g": 1, "ns_rank": 1},'
+            ' "gluing": {"xd_rank": 1, "v": [[1]], "char": %d}}}' % char).encode()
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(5000):
+        assert descriptors._is_prime(n) == (n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))), n
+    # a strong pseudoprime to every prime base up to 37 (Sorenson and Webster)
+    assert not descriptors._is_prime(399165290221 * 798330580441)
+    assert descriptors._is_prime(2**61 - 1)
+
+
+@pytest.mark.parametrize("char", [4, 1, (2**31 - 1) * (2**13 - 1), 399165290221 * 798330580441, 10**30])
+def test_characteristic_neither_zero_nor_prime_is_refused(char):
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        parse_descriptor(torus_with_char(char))
+    assert time.perf_counter() - start < 1.0
+    assert err.value.path == "group.gluing"
+    if char == 10**30:
+        assert "3317044064679887385961981" in err.value.reason
+    else:
+        assert err.value.reason == f"characteristic {char} is neither 0 nor a prime"
+
+
+@pytest.mark.parametrize("char", [0, 2, 3, 5, 2**31 - 1])
+def test_characteristic_zero_or_prime_parses(char):
+    assert parse_descriptor(torus_with_char(char)).group.gluing.char == char
 
 
 def test_descriptor_shape_errors():

@@ -183,6 +183,7 @@ def test_process_caches_are_bounded():
         (rootdata.weyl_group, rootdata.WEYL_CACHE_SIZE, 12),
         (rootdata.root_system, rootdata.ROOT_SYSTEM_CACHE_SIZE, 12),
         (schubert._representative_table, schubert.REPRESENTATIVE_TABLE_CACHE_SIZE, 12),
+        (schubert._integer_table, schubert.REPRESENTATIVE_TABLE_CACHE_SIZE, 12),
         (schubert._coinvariant_reducer, schubert.COINVARIANT_REDUCER_CACHE_SIZE, 36),
         (schubert._coordinate_map, schubert.COORDINATE_MAP_CACHE_SIZE, 36))
     for cache, size, warm_keys in table:

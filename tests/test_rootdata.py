@@ -1,5 +1,8 @@
 """Root data: classification, Weyl enumeration, roots, flag Picard map."""
 
+import hashlib
+from operator import mul
+
 import pytest
 
 import helpers as z
@@ -90,6 +93,57 @@ def test_weyl_group_order_words_and_lengths(name):
         assert prod == elem
         inversions = sum(1 for r in rs.positive if rs.by_vector[elem.apply(r.vector)][1] < 0)
         assert len(word) == length == inversions
+
+
+ORBIT_TYPES = (("A1", z.sl2), ("A2", z.sl3), ("A3", z.sl4), ("A4", z.a4), ("A5", z.a5),
+               ("B2", WEYL_CONTRACT_DATA["B2"]), ("C3", z.c3), ("D4", z.d4),
+               ("G2", WEYL_CONTRACT_DATA["G2"]), ("F4", z.f4))
+ORBIT_DATA = {
+    f"{name}-{form}": rd
+    for name, sc in ORBIT_TYPES
+    for form, rd in (("sc", sc), ("adj", z.adjoint_datum(sc)),
+                     ("transvected", z.transvected(sc, 0, 1) if sc.rank > 1 else None))
+    if rd is not None
+}
+ORBIT_DATA["E6-sc"] = z.e6
+#: sha256 of repr(words) of W(E6): the enumeration order must not move
+E6_WORDS_SHA256 = "d2b9c8979f1008d613d7d72a0ddee75ff7ba0ba87b89272aa5e3ad692ff71ae2"
+
+
+@pytest.mark.parametrize("name", ORBIT_DATA)
+def test_weyl_orbit_of_two_rho_check(name):
+    rd = ORBIT_DATA[name]
+    w = weyl_group.__wrapped__(rd)  # bypass the process cache: walk the orbit from scratch
+    rs = root_system(rd)
+    rho2 = tuple(map(sum, zip(*(r.coroot for r in rs.positive))))
+    # the walk stops after the last element of the asked length
+    for length in range(1, 3):
+        index = w.orbit_index(length)
+        assert len(w.orbit) == len(index) == sum(1 for n in w.lengths if n <= length)
+    index = w.orbit_index(w.lengths[-1])
+    assert w.orbit[0] == rho2
+    assert all(rd.pairing(alpha, rho2) == 2 for alpha in rd.simple_roots.rows)  # regular
+    # orbit[k] is the row vector 2rho^vee times elements[k], and orbit_index inverts it
+    for mu, m in zip(w.orbit, w.elements):
+        assert mu == tuple(sum(map(mul, rho2, col)) for col in zip(*m.rows))
+    assert len(w.orbit) == len(index) == len(w)
+    assert all(index[mu] == k for k, mu in enumerate(w.orbit))
+    # independent oracle: length(w) = #{beta > 0 : <2rho^vee w, beta> < 0}
+    positive = [r.vector for r in rs.positive]
+    for mu, length in zip(w.orbit, w.lengths):
+        assert sum(1 for beta in positive if sum(map(mul, mu, beta)) < 0) == length
+    # the enumeration order, words and lengths are those of the matrix closure
+    if name == "E6-sc":
+        assert hashlib.sha256(repr(w.words).encode()).hexdigest() == E6_WORDS_SHA256
+    else:
+        gens = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+        elements, steps = z.naive_closure(gens)
+        words = [()]
+        for step in steps[1:]:
+            words.append(words[step // len(gens)] + (step % len(gens),))
+        assert w.elements == tuple(elements)
+        assert w.words == tuple(words)
+    assert w.lengths == tuple(map(len, w.words))
 
 
 def test_reflection_on_both_lattices():

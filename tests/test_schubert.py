@@ -1,5 +1,6 @@
 """Schubert calculus on flag varieties: two multiplication routes, one answer."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ from hypothesis import example, given, strategies as st
 import helpers as z
 from chevalley_chow import qlinalg, schubert
 from chevalley_chow.errors import NonIntegralStructureConstant
+from chevalley_chow.formats import parse_descriptor
 from chevalley_chow.invariants import linear_poly, poly_mul, sym_basis
-from chevalley_chow.lattice import IntMatrix
+from chevalley_chow.lattice import DEFAULT_CAP, IntMatrix
 from chevalley_chow.rootdata import RootDatum, root_system, weyl_group
 from chevalley_chow.schubert import (
     chevalley_multiply,
@@ -267,3 +269,73 @@ def test_warm_product_reads_one_cached_map(monkeypatch):
         compared.clear()
         assert schubert_product(fresh, u, v) == expected
         assert len(compared) <= 3, (u, v, len(compared))
+
+
+# -- the orbit lookup and the integer representatives against the old routes --
+
+CHEVALLEY_DATA = {
+    "A1": z.sl2, "A2": z.sl3, "A3": z.sl4, "A4": z.a4, "B2": z.sp4, "C3": z.c3, "G2": z.g2, "D4": z.d4,
+    **{f"fixture-{name}": parse_descriptor(z.fixture_bytes(name)).group.rd for name in z.FIXTURE_NAMES},
+}
+
+
+@pytest.mark.parametrize("name", CHEVALLEY_DATA)
+def test_chevalley_matches_the_matrix_route(name):
+    rd = CHEVALLEY_DATA[name]
+    basis = [tuple(int(i == j) for j in range(rd.rank)) for i in range(rd.rank)]
+    for k in range(len(weyl_group(rd))):
+        for lam in basis:
+            want = typed_terms(z.chevalley_by_matrices(rd, lam, k))
+            assert typed_terms(chevalley_multiply(rd, lam, k)) == want, (k, lam)
+
+
+def test_chevalley_matches_the_matrix_route_on_an_f4_sample():
+    rd = z.f4
+    rng = random.Random(14)
+    for k in rng.sample(range(len(weyl_group(rd))), 60):
+        lam = tuple(rng.randint(-3, 3) for _ in range(rd.rank))
+        assert typed_terms(chevalley_multiply(rd, lam, k)) == typed_terms(z.chevalley_by_matrices(rd, lam, k))
+
+
+INTEGER_PRODUCT_DATA = {
+    **{name: (rd, 4) for name, rd in (("A2", z.sl3), ("B2", z.sp4), ("G2", z.g2), ("A3", z.sl4), ("C3", z.c3))},
+    "A4": (z.a4, 3), "SL2": (z.sl2, 2), "PGL2": (z.pgl2, 2), "GL2": (z.gl2, 2),
+    "A2-transvected": (z.transvected(z.sl3, 0, 1), 3),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_PRODUCT_DATA)
+def test_integer_products_match_the_fraction_route(name):
+    rd, top = INTEGER_PRODUCT_DATA[name]
+    w = weyl_group(rd)
+    for u in range(len(w)):
+        for v in range(len(w)):
+            if w.lengths[u] + w.lengths[v] <= top:
+                got = typed_terms(schubert_product(rd, u, v))
+                assert got == typed_terms(z.product_by_fractions(rd, u, v)), (u, v)
+                assert all(t is F for _, t, _ in got[1])
+
+
+SCHUBERT_WARM_DATA = (z.sl3, z.sl4, z.a4, z.sp4, z.g2, z.c3)
+
+
+def test_warm_calls_make_no_matrix_product(monkeypatch):
+    calls = []
+    for rd in SCHUBERT_WARM_DATA:
+        w = weyl_group(rd)
+        pairs = [(u, v) for u in range(len(w)) for v in range(len(w)) if w.lengths[u] + w.lengths[v] <= 3]
+        lam = tuple(range(1, rd.rank + 1))
+        for u, v in pairs:  # cold: builds the tables, the maps and the orbit
+            schubert_product(rd, u, v)
+        chevalley_multiply(rd, lam, 0)
+        matmul = IntMatrix.__matmul__
+        monkeypatch.setattr(IntMatrix, "__matmul__", lambda a, b: calls.append(rd) or matmul(a, b))
+        for u, v in pairs:
+            schubert_product(rd, u, v)
+        for k in range(len(w)):
+            chevalley_multiply(rd, lam, k)
+        monkeypatch.undo()
+        reps, scale = schubert._integer_table(rd, DEFAULT_CAP)  # the entry the products read
+        assert all(type(c) is int for p in reps for c in p.values())
+        assert all(type(x) is int for p in reps for m in p for x in m)
+    assert calls == []
