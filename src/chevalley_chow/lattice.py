@@ -19,6 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -43,7 +44,11 @@ class IntMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(map(tuple, rows))
+        if not all(type(x) is int for r in rows for x in r):  # else: ints, or Fractions with denominator 1
+            if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for r in rows for x in r):
+                raise ValueError(f"matrix entries are not all integers: {rows!r}")
+            rows = tuple(tuple(map(int, r)) for r in rows)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -53,9 +58,9 @@ class IntMatrix:
             ncols = width
         elif ncols is None:
             raise ValueError("empty matrix needs explicit ncols")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
+        _set_rows(self, rows)
+        _set_nrows(self, len(rows))
+        _set_ncols(self, ncols)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -64,23 +69,21 @@ class IntMatrix:
     def _from_int_rows(cls, rows: tuple[Vec, ...], ncols: int) -> "IntMatrix":
         """Wrap rows that are already equal-width tuples of ints, sharing them."""
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "nrows", len(rows))
-        object.__setattr__(m, "ncols", ncols)
+        _set_rows(m, rows)
+        _set_nrows(m, len(rows))
+        _set_ncols(m, ncols)
         return m
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        return cls._from_int_rows(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, cols, nrows: int | None = None) -> "IntMatrix":
-        cols = tuple(tuple(int(x) for x in c) for c in cols)
-        if not cols:
-            if nrows is None:
-                raise ValueError("empty column list needs explicit nrows")
-            return cls((), nrows).transpose()
-        return cls(cols).transpose()
+        cols = tuple(cols)
+        if not cols and nrows is None:
+            raise ValueError("empty column list needs explicit nrows")
+        return cls(cols, None if cols else nrows).transpose()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -90,11 +93,7 @@ class IntMatrix:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "IntMatrix":
-        if self.nrows == 0:
-            return IntMatrix(tuple(() for _ in range(self.ncols)), 0) if self.ncols else IntMatrix((), 0)
-        if self.ncols == 0:
-            return IntMatrix((), self.nrows)
-        return IntMatrix(tuple(zip(*self.rows)), self.nrows)
+        return IntMatrix._from_int_rows(tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols, self.nrows)
 
     def apply(self, vec) -> Vec:
         vec = tuple(vec)
@@ -106,18 +105,17 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         cols = tuple(zip(*other.rows)) if other.nrows else ((),) * other.ncols
-        return IntMatrix(
-            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows),
-            other.ncols,
-        )
+        return IntMatrix._from_int_rows(tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows),
+                                        other.ncols)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return IntMatrix(tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)), self.ncols)
+        return IntMatrix._from_int_rows(
+            tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)), self.ncols)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows), self.ncols)
+        return IntMatrix._from_int_rows(tuple(tuple(-a for a in r) for r in self.rows), self.ncols)
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination.
@@ -159,6 +157,10 @@ class IntMatrix:
         return f"IntMatrix({list(map(list, self.rows))!r}, ncols={self.ncols})"
 
 
+# the slots' own setters: __setattr__ refuses, and object.__setattr__ is twice as slow
+_set_rows, _set_nrows, _set_ncols = (IntMatrix.__dict__[name].__set__ for name in IntMatrix.__slots__)
+
+
 def vstack(*mats: IntMatrix) -> IntMatrix:
     if not mats:
         raise ValueError("nothing to stack")
@@ -168,7 +170,7 @@ def vstack(*mats: IntMatrix) -> IntMatrix:
     rows: list[Vec] = []
     for m in mats:
         rows.extend(m.rows)
-    return IntMatrix(tuple(rows), ncols)
+    return IntMatrix._from_int_rows(tuple(rows), ncols)
 
 
 def hstack(*mats: IntMatrix) -> IntMatrix:
@@ -177,7 +179,7 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
     nrows = mats[0].nrows
     if any(m.nrows != nrows for m in mats):
         raise ValueError("row count mismatch")
-    return IntMatrix(
+    return IntMatrix._from_int_rows(
         tuple(tuple(x for m in mats for x in m.rows[i]) for i in range(nrows)),
         sum(m.ncols for m in mats),
     )
@@ -230,22 +232,29 @@ def hermite_row_basis(m: IntMatrix) -> IntMatrix:
                 if q:
                     a[i] = [x - q * y for x, y in zip(a[i], a[r])]
             r += 1
-    return IntMatrix(tuple(tuple(row) for row in a[:r]), nc)
+    return IntMatrix._from_int_rows(tuple(map(tuple, a[:r])), nc)
 
 
-def _column_transform(m: IntMatrix) -> tuple[list[tuple[Vec, Vec]], IntMatrix]:
+COLUMN_TRANSFORM_CACHE_SIZE = 128  # transforms kept, one per matrix
+
+
+@lru_cache(maxsize=COLUMN_TRANSFORM_CACHE_SIZE)
+def _column_transform(m: IntMatrix, /) -> tuple[tuple[tuple[Vec, Vec], ...], IntMatrix]:
     """Echelon basis of the column lattice of ``m``, with coordinates, and ker ``m``.
 
     One Hermite form of ``[m^T | I]``: each row ``(h, u)`` with ``h != 0``
     has ``m @ u == h``, and these ``h`` are an echelon basis of the column
     lattice.  The transform is unimodular, so the rows with ``h == 0`` span
     ker ``m``; they are the bottom rows of a Hermite form, hence already the
-    Hermite basis of the kernel.
+    Hermite basis of the kernel.  Memoized per matrix in a cache of
+    ``COLUMN_TRANSFORM_CACHE_SIZE``, so every solve against and the kernel of
+    a matrix seen before are lookups; the result is all tuples, so no caller
+    can change a cached value.
     """
     nr, nc = m.nrows, m.ncols
     h = hermite_row_basis(hstack(m.transpose(), IntMatrix.identity(nc))).rows
     r = sum(1 for row in h if any(row[:nr]))
-    return [(row[:nr], row[nr:]) for row in h[:r]], IntMatrix._from_int_rows(tuple(row[nr:] for row in h[r:]), nc)
+    return tuple((row[:nr], row[nr:]) for row in h[:r]), IntMatrix._from_int_rows(tuple(row[nr:] for row in h[r:]), nc)
 
 
 def integer_kernel(m: IntMatrix) -> IntMatrix:
@@ -304,7 +313,8 @@ def smith_normal_form(m: IntMatrix) -> IntMatrix:
             g = math.gcd(d[i], d[j])
             d[i], d[j] = g, d[i] // g * d[j]
     d += [0] * (m.nrows - len(d))
-    return IntMatrix(tuple(tuple(d[i] if i == j else 0 for j in range(m.ncols)) for i in range(m.nrows)), m.ncols)
+    return IntMatrix._from_int_rows(tuple(tuple(d[i] if i == j else 0 for j in range(m.ncols)) for i in range(m.nrows)),
+                                    m.ncols)
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
@@ -338,7 +348,7 @@ def intersect_rows(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
     stacked = hstack(m1.transpose(), -m2.transpose())
     ker = integer_kernel(stacked)  # rows are (a, b) with a @ m1 == b @ m2
     rows = tuple(m1.transpose().apply(r[: m1.nrows]) for r in ker.rows)
-    return hermite_row_basis(IntMatrix(rows, m1.ncols))
+    return hermite_row_basis(IntMatrix._from_int_rows(rows, m1.ncols))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +485,7 @@ class GroupHom(Record):
             stacked = hstack(self.matrix, -rel.transpose())
             ker = integer_kernel(stacked)
             rows = tuple(r[: self.domain.ngens] for r in ker.rows)
-            return hermite_row_basis(IntMatrix(rows, self.domain.ngens))
+            return hermite_row_basis(IntMatrix._from_int_rows(rows, self.domain.ngens))
         return integer_kernel(self.matrix)
 
     def cokernel_group(self) -> FGAbelianGroup:
@@ -522,65 +532,55 @@ def _closed_group(gens: tuple[IntMatrix, ...], cap: int) -> tuple[tuple[IntMatri
     return tuple(elements), tuple(steps)
 
 
-class _RowTable(dict):
-    """Memo ``row -> fn(row)``: a row missing from the table is computed on first lookup."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, row):
-        value = self[row] = self.fn(row)
-        return value
-
-
 def group_closure(gens, n: int, cap: int) -> tuple[list[IntMatrix], list[int]]:
     """Breadth-first closure of n x n matrices under right multiplication.
 
     Returns ``(elements, steps)``: the identity first, then the elements in
     discovery order; ``steps[k] = pos * len(gens) + i`` records that element
     k was first reached as ``elements[pos] @ gens[i]`` (``steps[0]`` is -1).
-    Row i of ``a @ g`` is ``a``'s row i times ``g``, so each generator keeps a
-    table from a row to its image, filled the first time that row is reached:
-    a product costs n lookups, and the dot products are paid once per
-    (distinct row, generator), not once per (element, generator).  A second
-    table keeps each row's residue mod 3, so an element's residue is the
-    concatenation of its rows'.  Images are interned, so the matrices
-    returned share one tuple per distinct row.
+    Each distinct row gets a small int id and an element is the tuple of its
+    n row ids.  Row i of ``a @ g`` is ``a``'s row i times ``g``, so each
+    generator keeps a list from row id to image id, filled for every row
+    known when an element is reached: a product is n list lookups, and the
+    dot products are paid once per (distinct row, generator), not once per
+    (element, generator).  Each row also keeps the id of its residue mod 3,
+    so an element's residue is the tuple of its rows'.  The matrices are
+    built from the ids once, at the end, sharing one tuple per distinct row.
     Raises :class:`GroupTooLarge` beyond ``cap`` elements, and as soon as two
     distinct elements agree mod 3, which proves the group infinite (reduction
     mod 3 is injective on finite subgroups of GL_n(Z), by Minkowski), so no
     closure visits more than |GL_n(F_3)| elements.
     """
-    pool: dict[Vec, Vec] = {}  # one tuple per distinct row, shared by the elements
+    rows, ids = [], {}  # the distinct rows, a row's id being its index; row -> id
+    mod3, mod3_ids = [], {}  # per row id, the id of its residue mod 3; residue -> id
 
-    def image_table(g: IntMatrix) -> _RowTable:
-        cols = tuple(zip(*g.rows))
+    def intern(row: Vec) -> int:
+        k = ids.get(row)
+        if k is None:
+            k = ids[row] = len(rows)
+            rows.append(row)
+            mod3.append(mod3_ids.setdefault(bytes(x % 3 for x in row), len(mod3_ids)))
+        return k
 
-        def image(row: Vec) -> Vec:
-            img = tuple(sum(map(mul, row, col)) for col in cols)
-            return pool.setdefault(img, img)
-
-        return _RowTable(image)
-
-    images = [image_table(g) for g in gens]
-    residue_of = _RowTable(lambda row: bytes(x % 3 for x in row))
-    ident = tuple(pool.setdefault(row, row) for row in IntMatrix.identity(n).rows)
-    elements = [ident]
-    steps = [-1]
-    seen = {ident}
-    residues = {b"".join(map(residue_of.__getitem__, ident))}
+    cols = [tuple(zip(*g.rows)) for g in gens]
+    images: list[list[int]] = [[] for _ in gens]  # images[i][k]: id of rows[k] @ gens[i]
+    lookups = [table.__getitem__ for table in images]
+    ident = tuple(map(intern, IntMatrix.identity(n).rows))
+    elements, steps, seen, filled = [ident], [-1], {ident}, 0
+    residues = {tuple(map(mod3.__getitem__, ident))}
     # the element list doubles as the BFS queue: iteration reaches what is appended
-    for pos, rows in enumerate(elements):
+    for pos, elem in enumerate(elements):
+        for row in rows[filled:]:  # elem's rows are among them
+            for table, g_cols in zip(images, cols):
+                table.append(intern(tuple(sum(map(mul, row, col)) for col in g_cols)))
+            filled += 1
         step = pos * len(gens)
-        for image in images:
-            prod = tuple(map(image.__getitem__, rows))
+        for lookup in lookups:
+            prod = tuple(map(lookup, elem))
             if prod not in seen:
                 if len(seen) >= cap:
                     raise GroupTooLarge(f"matrix group exceeds cap {cap}")
-                residue = b"".join(map(residue_of.__getitem__, prod))
+                residue = tuple(map(mod3.__getitem__, prod))
                 if residue in residues:
                     raise GroupTooLarge(f"infinite matrix group: two of its first {len(seen) + 1} elements agree mod 3")
                 residues.add(residue)
@@ -588,7 +588,7 @@ def group_closure(gens, n: int, cap: int) -> tuple[list[IntMatrix], list[int]]:
                 elements.append(prod)
                 steps.append(step)
             step += 1
-    return [IntMatrix._from_int_rows(rows, n) for rows in elements], steps
+    return [IntMatrix._from_int_rows(tuple(map(rows.__getitem__, e)), n) for e in elements], steps
 
 
 def fixed_sublattice(gens, n: int, cap: int = DEFAULT_CAP) -> IntMatrix:

@@ -132,7 +132,7 @@ REPRESENTATIVE_TABLE_CACHE_SIZE = 32  # BGG tables kept, one per (root datum, ca
 
 
 @lru_cache(maxsize=REPRESENTATIVE_TABLE_CACHE_SIZE)
-def _representative_table(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[Poly, ...]:
+def _representative_table(rd: RootDatum, cap: int, /) -> tuple[Poly, ...]:
     """BGG representatives P_w in Sym X(T)_Q, one per Weyl element.
 
     P_{w0} is the product of the positive roots over |W|; going down,
@@ -206,7 +206,7 @@ COINVARIANT_REDUCER_CACHE_SIZE = 128  # reducers kept, one per (root datum, d, c
 
 
 @lru_cache(maxsize=COINVARIANT_REDUCER_CACHE_SIZE)
-def _coinvariant_reducer(rd: RootDatum, d: int, cap: int = DEFAULT_CAP) -> tuple[tuple[Poly, ...], SpanBuilder]:
+def _coinvariant_reducer(rd: RootDatum, d: int, cap: int, /) -> tuple[tuple[Poly, ...], SpanBuilder]:
     """Minimal generators of the coinvariant ideal in degrees 1..d, and its degree-d slice.
 
     Extends the result for d - 1: the slice the kept generators span is
@@ -227,8 +227,7 @@ COORDINATE_MAP_CACHE_SIZE = 128  # coordinate maps kept, one per (root datum, d,
 
 
 @lru_cache(maxsize=COORDINATE_MAP_CACHE_SIZE)
-def _coordinate_map(rd: RootDatum, d: int,
-                    cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
+def _coordinate_map(rd: RootDatum, d: int, cap: int, /) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
     """``(indices, rows, den)``: modulo the coinvariant ideal, a degree-d
     coefficient vector v is the sum of ``(row . v) / den`` P_w, w in ``indices``.
 
@@ -238,7 +237,7 @@ def _coordinate_map(rd: RootDatum, d: int,
 
     >>> from .lattice import IntMatrix
     >>> a2 = RootDatum(2, IntMatrix(((2, -1), (-1, 2))), IntMatrix.identity(2))
-    >>> _coordinate_map(a2, 2)  # x0 x1 = P_s0 P_s1 is P_3 + P_4
+    >>> _coordinate_map(a2, 2, DEFAULT_CAP)  # x0 x1 = P_s0 P_s1 is P_3 + P_4
     ((3, 4), ((0, 1, 1), (1, 1, 0)), 1)
     """
     w = weyl_group(rd, cap=cap)
@@ -276,7 +275,7 @@ def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAU
 
 
 @lru_cache(maxsize=REPRESENTATIVE_TABLE_CACHE_SIZE)
-def _integer_table(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[tuple[dict[tuple[int, ...], int], ...], int]:
+def _integer_table(rd: RootDatum, cap: int, /) -> tuple[tuple[dict[tuple[int, ...], int], ...], int]:
     """``(reps, scale)``: the BGG representatives times ``scale``, the lcm of
     their denominators, as polynomials with int coefficients."""
     table = _representative_table(rd, cap)

@@ -20,6 +20,7 @@ from chevalley_chow.descriptors import (
 )
 from chevalley_chow.invariants import coeff_vector, poly_add, poly_degree, poly_mul, poly_scale, substitute, sym_basis
 from chevalley_chow.lattice import (
+    DEFAULT_CAP,
     FGAbelianGroup,
     GroupHom,
     IntMatrix,
@@ -275,9 +276,9 @@ def expand_by_reduction(rd, poly, d):
     w = weyl_group(rd)
     if d > len(root_system(rd).positive):
         return schubert.SchubertExpansion(d, {})
-    table = schubert._representative_table(rd)
+    table = schubert._representative_table(rd, DEFAULT_CAP)
     indices = [i for i in range(len(w)) if w.lengths[i] == d]
-    reducer = schubert._coinvariant_reducer(rd, d)[1]
+    reducer = schubert._coinvariant_reducer(rd, d, DEFAULT_CAP)[1]
     cols = [span_reduce(reducer, coeff_vector(table[i], rd.rank, d)) for i in indices]
     rhs = span_reduce(reducer, coeff_vector(poly, rd.rank, d))
     sol = qsolve([[col[r] for col in cols] for r in range(len(rhs))], rhs)
@@ -288,7 +289,7 @@ def expand_by_reduction(rd, poly, d):
 def schubert_product_by_reduction(rd, u, v):
     """Oracle for ``schubert.schubert_product``: :func:`expand_by_reduction`
     of the product of the two BGG representatives."""
-    w, table = weyl_group(rd), schubert._representative_table(rd)
+    w, table = weyl_group(rd), schubert._representative_table(rd, DEFAULT_CAP)
     return expand_by_reduction(rd, poly_mul(table[u], table[v]), w.lengths[u] + w.lengths[v])
 
 

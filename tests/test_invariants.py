@@ -175,9 +175,12 @@ def package_caches() -> dict[str, object]:
 
 def test_process_caches_are_bounded():
     # keys one schubert-warm benchmark pass creates (12 root data, degrees up
-    # to 3, counted by cache_info().currsize); twice that never evicts
+    # to 3, counted by cache_info().currsize); twice that never evicts.  The
+    # column transforms are counted on a ladder-cold pass (44 matrices, seed 1),
+    # since a schubert-warm pass asks for none.
     table = (
         (lattice._closed_group, lattice.MATRIX_GROUP_CACHE_SIZE, 12),
+        (lattice._column_transform, lattice.COLUMN_TRANSFORM_CACHE_SIZE, 44),
         (invariants._invariant_slice, invariants.SLICE_CACHE_SIZE, 36),
         (invariants.sym_basis, invariants.SYM_BASIS_CACHE_SIZE, 12),
         (rootdata.weyl_group, rootdata.WEYL_CACHE_SIZE, 12),

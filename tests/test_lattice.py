@@ -1,11 +1,14 @@
 """Exact integer linear algebra: Smith and Hermite forms, kernels, groups."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
 import helpers as z
-from chevalley_chow import lattice
+from chevalley_chow import lattice, structure
+from chevalley_chow.chow import homogeneous_rational_chow
+from chevalley_chow.descriptors import GroupDescriptor, SubgroupDescriptor, validate_subgroup
 from chevalley_chow.errors import GroupTooLarge, IllFormedHom, TorsionDomain
 from chevalley_chow.lattice import (
     FGAbelianGroup,
@@ -48,6 +51,24 @@ def test_matrix_rejects_ragged_rows():
         M(((1, 2), (3,)))
     with pytest.raises(ValueError):
         M(())  # width not inferable
+
+
+@pytest.mark.parametrize("entry", [Fraction(3, 2), 2.7, 2.0, "5", None, 1j])
+def test_matrix_refuses_non_integer_entries(entry):
+    # these used to be cut down by int(): Fraction(3, 2) -> 1, 2.7 -> 2, "5" -> 5
+    with pytest.raises(ValueError, match="not all integers"):
+        M(((1, entry),))
+    with pytest.raises(ValueError, match="not all integers"):
+        M.from_columns([(1,), (entry,)])
+
+
+def test_matrix_accepts_integer_values():
+    m = M([[Fraction(4, 2), True, -3], (x for x in (10**40, 0, Fraction(-7)))])
+    assert m.rows == ((2, 1, -3), (10**40, 0, -7))
+    assert all(type(x) is int for row in m.rows for x in row)
+    assert all(type(row) is tuple for row in m.rows)
+    assert M.from_columns([(Fraction(2), 3)]).rows == ((2,), (3,))
+    assert M(((1, 2),)) == M([[1, 2]]) == M(((Fraction(1), 2),))
 
 
 def test_smith_normal_form_oracle():
@@ -119,6 +140,54 @@ def test_column_transform_splits_image_and_kernel():
     assert M([h for h, _ in pairs], 2) == hermite_row_basis(m.transpose())
     assert ker == hermite_row_basis(ker) == z.integer_kernel_by_columns(m)
     assert len(pairs) + ker.nrows == m.ncols
+
+
+def test_column_transform_is_all_tuples():
+    for m in (M(((2, 4, 1), (6, 8, 3))), M(((0, 0),)), M((), 2), M(((), ()), 0)):
+        pairs, ker = lattice._column_transform(m)
+        assert type(pairs) is tuple and type(ker.rows) is tuple
+        assert all(type(p) is tuple and type(p[0]) is tuple and type(p[1]) is tuple for p in pairs)
+        assert all(type(row) is tuple for row in ker.rows)
+
+
+def test_equal_matrix_reuses_its_column_transform(monkeypatch):
+    lattice._column_transform.cache_clear()
+    rows = ((3, 5, 7), (2, 4, 6))
+    assert solve_integer(M(rows), (1, 0)) is not None
+    assert integer_kernel(M(rows)).nrows == 1
+
+    def no_hermite(m):
+        raise AssertionError("a second Hermite transform of an equal matrix")
+
+    monkeypatch.setattr(lattice, "hermite_row_basis", no_hermite)
+    m = M([list(r) for r in rows])  # a new, equal object
+    assert m.apply(solve_integer(m, (5, 2))) == (5, 2)
+    assert integer_kernel(m).rows == integer_kernel(M(rows)).rows
+    assert lattice._column_transform.cache_info().misses == 1
+
+
+def test_normalizer_requests_transform_each_matrix_once(monkeypatch):
+    rd = z.transvected(z.f4, 3, 0)
+    gd = GroupDescriptor("f4", rd, z.POINT, z.no_d(4))
+    normalizer = SubgroupDescriptor("normalizer", M.identity(4), (),
+                                    component_generators=tuple(simple_reflection(rd, i) for i in range(4)),
+                                    translations=(False,) * 4)
+    asked = []
+    cached = lattice._column_transform
+
+    def spy(m):
+        asked.append(m)
+        return cached(m)
+
+    for module in (lattice, structure):
+        monkeypatch.setattr(module, "_column_transform", spy)
+    cached.cache_clear()
+    assert validate_subgroup(gd, normalizer).ok
+    homogeneous_rational_chow(gd, normalizer, 1)
+    info = cached.cache_info()
+    # the component action alone solves 16 right-hand sides against one basis
+    assert info.misses == len(set(asked)) < len(asked) == info.misses + info.hits
+    assert info.currsize == info.misses <= lattice.COLUMN_TRANSFORM_CACHE_SIZE
 
 
 def test_saturation_and_intersection():

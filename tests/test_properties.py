@@ -21,11 +21,13 @@ from chevalley_chow.lattice import (
     Presentation,
     group_from_relations,
     hermite_row_basis,
+    hstack,
     integer_kernel,
     intersect_rows,
     invariant_factors,
     smith_normal_form,
     solve_integer,
+    vstack,
 )
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -83,6 +85,37 @@ def test_smith_normal_form_matches_determinantal_divisors(a):
     assert s == IntMatrix([[diag[i] if i == j else 0 for j in range(a.ncols)] for i in range(a.nrows)], a.ncols)
     assert invariant_factors(a) == facs
     assert all(b % f == 0 for f, b in zip(facs, facs[1:]))
+
+
+big_entries = st.one_of(entries, st.integers(-(10**30), 10**30))
+
+
+def shaped(nr, nc):
+    return st.lists(st.lists(big_entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr).map(
+        lambda rows: IntMatrix(rows, nc))
+
+
+def assert_built_as_checked(m):
+    """``m`` is what the validating constructor makes of its rows: tuples of ints."""
+    assert m == IntMatrix(m.rows, m.ncols)
+    assert type(m.rows) is tuple and len(m.rows) == m.nrows
+    assert all(type(row) is tuple and len(row) == m.ncols for row in m.rows)
+    assert all(type(x) is int for row in m.rows for x in row)
+
+
+@given(st.data())
+def test_unchecked_builders_match_the_checked_constructor(data):
+    nr, nc, k = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a = data.draw(shaped(nr, nc))
+    assert_built_as_checked(a.transpose())
+    assert_built_as_checked(a @ data.draw(shaped(nc, k)))
+    assert_built_as_checked(vstack(a, data.draw(shaped(k, nc))))
+    assert_built_as_checked(hstack(a, data.draw(shaped(nr, k))))
+    assert_built_as_checked(a - data.draw(shaped(nr, nc)))
+    assert_built_as_checked(-a)
+    assert_built_as_checked(hermite_row_basis(a))
+    assert_built_as_checked(smith_normal_form(a))
+    assert_built_as_checked(IntMatrix.identity(k))
 
 
 @given(matrices())

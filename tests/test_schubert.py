@@ -1,5 +1,6 @@
 """Schubert calculus on flag varieties: two multiplication routes, one answer."""
 
+import inspect
 import random
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import helpers as z
-from chevalley_chow import qlinalg, schubert
+from chevalley_chow import lattice, qlinalg, schubert
 from chevalley_chow.errors import NonIntegralStructureConstant
 from chevalley_chow.formats import parse_descriptor
 from chevalley_chow.invariants import linear_poly, poly_mul, sym_basis
@@ -209,7 +210,7 @@ ORACLE_DATA = {
 def test_products_match_the_per_call_route(name):
     rd = ORACLE_DATA[name]
     w = weyl_group(rd)
-    table = schubert._representative_table(rd)
+    table = schubert._representative_table(rd, DEFAULT_CAP)
     for u in range(len(w)):
         for v in range(len(w)):
             if (d := w.lengths[u] + w.lengths[v]) <= 3:
@@ -269,6 +270,28 @@ def test_warm_product_reads_one_cached_map(monkeypatch):
         compared.clear()
         assert schubert_product(fresh, u, v) == expected
         assert len(compared) <= 3, (u, v, len(compared))
+
+
+
+def test_each_cached_builder_keeps_one_entry_per_datum():
+    # cap is positional-only with no default, so no way of passing it makes a second key
+    builders = (schubert._representative_table, schubert._integer_table,
+                schubert._coinvariant_reducer, schubert._coordinate_map)
+    for builder in (*builders, lattice._column_transform):
+        params = inspect.signature(builder).parameters.values()
+        assert all(p.kind is p.POSITIONAL_ONLY and p.default is p.empty for p in params), builder
+    for builder in builders:
+        builder.cache_clear()
+    rd, x0 = z.sl3, linear_poly((1, 0))
+    assert weyl_group(rd).lengths[1] == 1
+    schubert_representatives(rd)
+    schubert_representatives(rd, 1, cap=DEFAULT_CAP)
+    schubert_product(rd, 0, 1)
+    schubert_product(rd, 1, 0, cap=DEFAULT_CAP)
+    expand_in_schubert_basis(rd, x0, 1)
+    # the test oracle reads the same entries
+    assert z.expand_by_reduction(rd, x0, 1) == expand_in_schubert_basis(rd, x0, 1, cap=DEFAULT_CAP)
+    assert [builder.cache_info().currsize for builder in builders] == [1, 1, 1, 1]
 
 
 # -- the orbit lookup and the integer representatives against the old routes --
