@@ -83,7 +83,7 @@ class IntMatrix:
         cols = tuple(cols)
         if not cols and nrows is None:
             raise ValueError("empty column list needs explicit nrows")
-        return cls(cols, None if cols else nrows).transpose()
+        return cls(cols, nrows).transpose()  # a column of another length than nrows raises
 
     @property
     def shape(self) -> tuple[int, int]:

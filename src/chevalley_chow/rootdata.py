@@ -312,14 +312,19 @@ class WeylGroup:
 WEYL_CACHE_SIZE = 32  # Weyl groups kept, one per (root datum, cap)
 
 
-@lru_cache(maxsize=WEYL_CACHE_SIZE)
 def weyl_group(rd: RootDatum, cap: int = DEFAULT_CAP) -> WeylGroup:
     """Enumerate W by breadth-first closure over the simple reflections.
 
     The order formula for the Cartan type refuses ``|W| > cap`` up front
     (:class:`GroupTooLarge`), then checks the count.  The closure is the one
     ``enumerate_matrix_group`` memoizes, shared with equal component groups.
+    One cache entry per (root datum, cap), however ``cap`` is passed.
     """
+    return _weyl_group(rd, cap)
+
+
+@lru_cache(maxsize=WEYL_CACHE_SIZE)
+def _weyl_group(rd: RootDatum, cap: int, /) -> WeylGroup:
     ctype = validate_root_datum(rd)
     expected = ctype.weyl_order
     if expected > cap:
@@ -331,6 +336,9 @@ def weyl_group(rd: RootDatum, cap: int = DEFAULT_CAP) -> WeylGroup:
             f"enumerated {len(elements)} Weyl elements but type {ctype.describe()} has {expected}"
         )
     return WeylGroup(rd, elements, steps, gens)
+
+
+weyl_group.cache_info, weyl_group.cache_clear = _weyl_group.cache_info, _weyl_group.cache_clear
 
 
 class PositiveRoot(Record):

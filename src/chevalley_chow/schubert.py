@@ -1,23 +1,25 @@
 """Chow ring of the flag variety of a reductive datum.
 
 Schubert classes are indexed by Weyl elements (their position in the
-breadth-first enumeration); the codegree of sigma_w is length(w).  Two
-independent multiplication routes are provided: the closed divisor formula
-(:func:`chevalley_multiply`) and polynomial representatives in the
-coinvariant algebra (:func:`schubert_product`), which agree on divisors and
-cross-check each other in the tests.
+breadth-first enumeration); the codegree of sigma_w is length(w).  A
+divisor multiplies by the closed Chevalley formula (:func:`chevalley_multiply`),
+any two classes through their BGG representatives in the coinvariant algebra
+(:func:`schubert_product`).
 
-Both run on plain integers once their tables are built.  The divisor
-formula finds each w s_beta by its point in the orbit of 2rho^vee
-(:meth:`WeylGroup.orbit_index`), O(rank) integer work per positive root.  A
-product multiplies the BGG representatives scaled to integer polynomials
-(:func:`_integer_table`) and reads the result off the integer rows of
-:func:`_coordinate_map`: one integer polynomial multiplication and one
-integer matrix-vector product.
+Both read one Bruhat-cover table per root datum (:func:`_covers`): for each
+w, the w s_beta one step longer, found by their points in the orbit of
+2rho^vee (:meth:`WeylGroup.orbit_index`).  A divisor product sums one row.
+The Schubert coordinates of the degree-d monomials are built from degree
+d - 1 by one Chevalley step each (:func:`_coordinate_map`): an integer
+matrix, with no coinvariant ideal and no elimination.  A product multiplies
+the representatives scaled to integer polynomials (:func:`_integer_table`)
+and applies that matrix.  The ideal serves G/H alone
+(:func:`coinvariant_ideal_generators`); the tests reduce modulo it as an oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -40,7 +42,6 @@ from .invariants import (
     sym_basis,
 )
 from .lattice import DEFAULT_CAP
-from .qlinalg import SpanBuilder, echelon
 from .rootdata import RootDatum, root_system, simple_reflection, validate_root_datum, weyl_group
 
 
@@ -105,7 +106,6 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP)
     {1: Fraction(1, 1)}
     """
     w = weyl_group(rd, cap=cap)
-    rs = root_system(rd)
     lam = tuple(lam)
     if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in lam):
         raise ValueError(f"character {lam!r} has an entry that is not an integer")
@@ -114,18 +114,12 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP)
     if not (isinstance(w_index, int) and 0 <= w_index < len(w)):
         raise ValueError(f"Weyl index {w_index} is outside [0, {len(w)})")
     lam = tuple(map(int, lam))
-    target_len = w.lengths[w_index] + 1
-    index = w.orbit_index(target_len)  # a point it lacks is longer than target_len
-    mu = w.orbit[w_index]  # w s_beta is the element at mu - <mu, beta> beta^vee
+    length = w.lengths[w_index]
     terms: dict[int, Fraction] = {}
-    for root in rs.positive:  # w s_beta differs for every beta, so no index repeats
-        c = sum(map(mul, lam, root.coroot))
-        k = sum(map(mul, mu, root.vector))
-        if c and k > 0:  # length(w s_beta) > length(w) iff w beta > 0 iff <mu, beta> > 0
-            idx = index.get(tuple([x - k * y for x, y in zip(mu, root.coroot)]))
-            if idx is not None and w.lengths[idx] == target_len:
-                terms[idx] = Fraction(c)
-    return SchubertExpansion(target_len, terms)
+    for idx, coroot in _covers(rd, length, cap)[w_index - bisect_left(w.lengths, length)]:
+        if c := sum(map(mul, lam, coroot)):
+            terms[idx] = Fraction(c)
+    return SchubertExpansion(length + 1, terms)
 
 
 REPRESENTATIVE_TABLE_CACHE_SIZE = 32  # BGG tables kept, one per (root datum, cap)
@@ -196,67 +190,96 @@ def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = DEFA
         raise GroupTooLarge(f"|W| = {order} exceeds cap {cap}")
     gens: tuple[Poly, ...] = ()
     for e in range(1, max_degree + 1):
-        gens = _coinvariant_reducer(rd, e, cap)[0]
+        gens = _coinvariant_reducer(rd, e, cap)
         if len(gens) == rd.rank:
             break
     return [dict(g) for g in gens]
 
 
-COINVARIANT_REDUCER_CACHE_SIZE = 128  # reducers kept, one per (root datum, d, cap)
+COINVARIANT_REDUCER_CACHE_SIZE = 128  # generator lists kept, one per (root datum, d, cap)
 
 
 @lru_cache(maxsize=COINVARIANT_REDUCER_CACHE_SIZE)
-def _coinvariant_reducer(rd: RootDatum, d: int, cap: int, /) -> tuple[tuple[Poly, ...], SpanBuilder]:
-    """Minimal generators of the coinvariant ideal in degrees 1..d, and its degree-d slice.
+def _coinvariant_reducer(rd: RootDatum, d: int, cap: int, /) -> tuple[Poly, ...]:
+    """Minimal generators of the coinvariant ideal in degrees 1..d.
 
     Extends the result for d - 1: the slice the kept generators span is
     eliminated once (:func:`ideal_slice`), then takes each degree-d W-invariant
     that enlarges it, kept as a generator (Reynolds: a W-invariant in (g_i)S is
     in (g_i)S^W).  The ideal has ``rank`` minimal generators (Chevalley), so
-    no invariant slice is asked for once that many are kept.
+    no slice is asked for once that many are kept.
     """
-    gens = _coinvariant_reducer(rd, d - 1, cap)[0] if d > 1 else ()
-    builder = ideal_slice(full_algebra(rd.rank), gens, d)
+    gens = _coinvariant_reducer(rd, d - 1, cap) if d > 1 else ()
     if 0 < d and len(gens) < rd.rank:
+        builder = ideal_slice(full_algebra(rd.rank), gens, d)
         refl = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
         gens += tuple(p for p in invariant_slice(rd.rank, refl, d) if builder.add(coeff_vector(p, rd.rank, d)))
-    return gens, builder
+    return gens
 
 
-COORDINATE_MAP_CACHE_SIZE = 128  # coordinate maps kept, one per (root datum, d, cap)
+COORDINATE_MAP_CACHE_SIZE = 128  # cover rows and coordinate maps kept, one per (root datum, degree, cap)
 
 
 @lru_cache(maxsize=COORDINATE_MAP_CACHE_SIZE)
-def _coordinate_map(rd: RootDatum, d: int, cap: int, /) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
-    """``(indices, rows, den)``: modulo the coinvariant ideal, a degree-d
-    coefficient vector v is the sum of ``(row . v) / den`` P_w, w in ``indices``.
+def _covers(rd: RootDatum, length: int, cap: int, /) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """For each Weyl element w of this length, in index order, the pairs
+    (index of w s_beta, beta^vee) with length(w s_beta) = length + 1.  With mu
+    the orbit point of w, w s_beta is at mu - <mu, beta> beta^vee and is longer
+    iff <mu, beta> > 0; the identity row walks 1 + nsimple orbit points.
+    """
+    w = weyl_group(rd, cap=cap)
+    index = w.orbit_index(length + 1)  # a point it lacks is longer than length + 1
+    positive = root_system(rd).positive
+    rows = []
+    for mu in w.orbit[bisect_left(w.lengths, length):bisect_right(w.lengths, length)]:
+        row = []
+        for root in positive:
+            if (k := sum(map(mul, mu, root.vector))) > 0:
+                idx = index.get(tuple([x - k * y for x, y in zip(mu, root.coroot)]))
+                if idx is not None and w.lengths[idx] == length + 1:
+                    row.append((idx, root.coroot))
+        rows.append(tuple(row))
+    return tuple(rows)
 
-    The rows are the first #{length = d} rows of M^-1, for M with columns the
-    P_w of length d and then the ideal's degree-d rows; M is invertible by BGG
-    and Chevalley.  One elimination solves M^T X = (I; 0), ideal rows first.
+
+@lru_cache(maxsize=COORDINATE_MAP_CACHE_SIZE)
+def _coordinate_map(rd: RootDatum, d: int, cap: int, /) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """``(indices, rows)``: modulo the coinvariant ideal, a degree-d
+    coefficient vector v is the sum of ``(row . v)`` P_w, w in ``indices``.
+
+    Column m is the expansion of x^m = x_j x^(m - e_j), x_j the first variable
+    of m: x_j P_u is the sum of <e_j, beta^vee> P_{u s_beta} over the covers
+    of u (:func:`_covers`), so the entries are integers.
 
     >>> from .lattice import IntMatrix
     >>> a2 = RootDatum(2, IntMatrix(((2, -1), (-1, 2))), IntMatrix.identity(2))
     >>> _coordinate_map(a2, 2, DEFAULT_CAP)  # x0 x1 = P_s0 P_s1 is P_3 + P_4
-    ((3, 4), ((0, 1, 1), (1, 1, 0)), 1)
+    ((3, 4), ((0, 1, 1), (1, 1, 0)))
     """
+    if d == 0:
+        return (0,), ((1,),)  # x^0 = 1 = P_e
     w = weyl_group(rd, cap=cap)
-    table = _representative_table(rd, cap)
-    indices = tuple(i for i, length in enumerate(w.lengths) if length == d)
-    k = len(indices)
-    rows = [row + [0] * k for row in _coinvariant_reducer(rd, d, cap)[1].rows]
-    rows += [[*coeff_vector(table[i], rd.rank, d), *(int(i == j) for j in indices)] for i in indices]
-    n = len(sym_basis(rd.rank, d))
-    red, pivots = echelon(rows, n)
-    assert len(rows) == len(pivots) == n, f"M has {len(rows)} columns and rank {len(pivots)}, not {n}"
-    den = lcm(*(row[c] for c, row in enumerate(red)))
-    return indices, tuple(tuple(row[n + j] * (den // row[c]) for c, row in enumerate(red)) for j in range(k)), den
+    start, end = bisect_left(w.lengths, d), bisect_right(w.lengths, d)
+    prev = _coordinate_map(rd, d - 1, cap)[1] if d > 1 else ((1,),)
+    position = {m: k for k, m in enumerate(sym_basis(rd.rank, d - 1))}
+    covers = _covers(rd, d - 1, cap)
+    cols = []
+    for m in sym_basis(rd.rank, d):
+        j = next(i for i, e in enumerate(m) if e)
+        k = position[(*m[:j], m[j] - 1, *m[j + 1:])]
+        col = [0] * (end - start)
+        for row, cover in zip(prev, covers):
+            if c := row[k]:
+                for idx, coroot in cover:
+                    col[idx - start] += c * coroot[j]
+        cols.append(col)
+    return tuple(range(start, end)), tuple(zip(*cols))
 
 
 def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAULT_CAP) -> SchubertExpansion:
     """Write a degree-d polynomial, mod the coinvariant ideal, in the P_w.
 
-    The coordinates come from one cached linear map per degree
+    The coordinates come from one cached integer map per degree
     (:func:`_coordinate_map`).  Above degree N = |positive roots| the answer
     is zero without any reduction: the coinvariant algebra vanishes there
     (Chevalley).  Raises ValueError when the polynomial is not homogeneous of
@@ -266,12 +289,10 @@ def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAU
         raise ValueError(f"polynomial is not homogeneous of degree {d}")
     if d > weyl_group(rd, cap=cap).lengths[-1]:  # the longest element has length N
         return SchubertExpansion(d, {})
-    indices, rows, den = _coordinate_map(rd, d, cap)
+    indices, rows = _coordinate_map(rd, d, cap)
     vec = coeff_vector(poly, rd.rank, d)
-    vden = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (vden // x.denominator) for x in vec]
-    coords = (Fraction(sum(a * b for a, b in zip(row, ints)), den * vden) for row in rows)
-    return SchubertExpansion(d, {idx: c for idx, c in zip(indices, coords) if c})
+    coords = (sum(map(mul, row, vec)) for row in rows)
+    return SchubertExpansion(d, {idx: Fraction(c) for idx, c in zip(indices, coords) if c})
 
 
 @lru_cache(maxsize=REPRESENTATIVE_TABLE_CACHE_SIZE)
@@ -305,9 +326,9 @@ def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) ->
     if d > w.lengths[-1]:
         return SchubertExpansion(d, {})
     table, scale = _integer_table(rd, cap)
-    indices, rows, den = _coordinate_map(rd, d, cap)
+    indices, rows = _coordinate_map(rd, d, cap)
     vec = coeff_vector(poly_mul(table[w1], table[w2]), rd.rank, d)
-    den *= scale * scale
+    den = scale * scale
     terms: dict[int, Fraction] = {}
     for idx, row in zip(indices, rows):
         total = sum(map(mul, row, vec))

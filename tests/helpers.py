@@ -18,7 +18,8 @@ from chevalley_chow.descriptors import (
     SubgroupDescriptor,
     validate_group,
 )
-from chevalley_chow.invariants import coeff_vector, poly_add, poly_degree, poly_mul, poly_scale, substitute, sym_basis
+from chevalley_chow.invariants import (
+    coeff_vector, full_algebra, ideal_slice, poly_add, poly_degree, poly_mul, poly_scale, substitute, sym_basis)
 from chevalley_chow.lattice import (
     DEFAULT_CAP,
     FGAbelianGroup,
@@ -271,19 +272,28 @@ def expand_by_reduction(rd, poly, d):
     """Oracle for ``schubert.expand_in_schubert_basis``: the per-call route,
     which reduces ``poly`` and every degree-d representative modulo the
     coinvariant ideal and solves for the coordinates with ``qsolve``."""
-    if poly_degree(poly) not in (None, d):
+    return expand_all_by_reduction(rd, [poly], d)[0]
+
+
+def expand_all_by_reduction(rd, polys, d):
+    """:func:`expand_by_reduction` of each of ``polys``, all of degree d,
+    with the ideal slice and the representatives reduced once."""
+    if any(poly_degree(poly) not in (None, d) for poly in polys):
         raise ValueError(f"polynomial is not homogeneous of degree {d}")
     w = weyl_group(rd)
     if d > len(root_system(rd).positive):
-        return schubert.SchubertExpansion(d, {})
+        return [schubert.SchubertExpansion(d, {}) for _ in polys]
     table = schubert._representative_table(rd, DEFAULT_CAP)
     indices = [i for i in range(len(w)) if w.lengths[i] == d]
-    reducer = schubert._coinvariant_reducer(rd, d, DEFAULT_CAP)[1]
+    reducer = ideal_slice(full_algebra(rd.rank), schubert._coinvariant_reducer(rd, d, DEFAULT_CAP), d)
     cols = [span_reduce(reducer, coeff_vector(table[i], rd.rank, d)) for i in indices]
-    rhs = span_reduce(reducer, coeff_vector(poly, rd.rank, d))
-    sol = qsolve([[col[r] for col in cols] for r in range(len(rhs))], rhs)
-    assert sol is not None, "not a combination of Schubert classes"
-    return schubert.SchubertExpansion(d, {idx: c for idx, c in zip(indices, sol) if c})
+    out = []
+    for poly in polys:
+        rhs = span_reduce(reducer, coeff_vector(poly, rd.rank, d))
+        sol = qsolve([[col[r] for col in cols] for r in range(len(rhs))], rhs)
+        assert sol is not None, "not a combination of Schubert classes"
+        out.append(schubert.SchubertExpansion(d, {idx: c for idx, c in zip(indices, sol) if c}))
+    return out
 
 
 def schubert_product_by_reduction(rd, u, v):

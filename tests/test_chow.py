@@ -27,7 +27,7 @@ from chevalley_chow.invariants import (
     truncated_quotient,
 )
 from chevalley_chow.lattice import FGAbelianGroup, IntMatrix
-from chevalley_chow.rootdata import simple_reflection
+from chevalley_chow.rootdata import simple_reflection, weyl_group
 from chevalley_chow.schubert import coinvariant_ideal_generators
 from chevalley_chow.structure import albanese_split_test
 
@@ -88,6 +88,14 @@ def test_chow_presentation_product_sl2():
     assert formal == () and exp.codegree == 1 and exp.terms == {1: Fraction(1)}
     assert c.degree1_concrete.is_trivial
     assert c.abelian_factor() == "A*(A_1)"
+
+
+def test_chow_presentation_walks_only_the_covers_of_the_identity():
+    rd = z.transvected(z.f4, 1, 2)  # an F4 datum whose orbit no other test walks
+    c = chow_presentation(GroupDescriptor("f4", rd, z.POINT, z.no_d(4)), 1)
+    assert len(weyl_group(rd).orbit) <= 1 + rd.nsimple
+    for j, (_, exp) in enumerate(c.ideal_degree1):
+        assert exp == z.chevalley_by_matrices(rd, tuple(int(i == j) for i in range(rd.rank)), 0)
 
 
 def test_chow_presentation_semiabelian():

@@ -184,11 +184,13 @@ def test_process_caches_are_bounded():
         (invariants._invariant_slice, invariants.SLICE_CACHE_SIZE, 36),
         (invariants.sym_basis, invariants.SYM_BASIS_CACHE_SIZE, 12),
         (rootdata.weyl_group, rootdata.WEYL_CACHE_SIZE, 12),
+        (rootdata._weyl_group, rootdata.WEYL_CACHE_SIZE, 12),
         (rootdata.root_system, rootdata.ROOT_SYSTEM_CACHE_SIZE, 12),
         (schubert._representative_table, schubert.REPRESENTATIVE_TABLE_CACHE_SIZE, 12),
         (schubert._integer_table, schubert.REPRESENTATIVE_TABLE_CACHE_SIZE, 12),
         (schubert._coinvariant_reducer, schubert.COINVARIANT_REDUCER_CACHE_SIZE, 36),
-        (schubert._coordinate_map, schubert.COORDINATE_MAP_CACHE_SIZE, 36))
+        (schubert._coordinate_map, schubert.COORDINATE_MAP_CACHE_SIZE, 36),
+        (schubert._covers, schubert.COORDINATE_MAP_CACHE_SIZE, 36))
     for cache, size, warm_keys in table:
         assert cache.cache_info().maxsize == size
         assert isinstance(size, int) and size >= 2 * warm_keys
@@ -299,9 +301,9 @@ def test_coinvariant_generators_stop_at_the_largest_basic_degree(monkeypatch):
     asked = _count_slices(monkeypatch)
     assert len(coinvariant_ideal_generators(z.gl2, 20)) == 2
     assert asked == {"ideal": [1, 2], "invariant": [1, 2]}
-    # a reducer past degree 2 extends the cached chain with ideal slices alone
-    assert len(schubert._coinvariant_reducer(z.gl2, 5, DEFAULT_CAP)[0]) == 2
-    assert asked == {"ideal": [1, 2, 3, 4, 5], "invariant": [1, 2]}
+    # a reducer past degree 2 reads the cached chain and asks for no slice
+    assert len(schubert._coinvariant_reducer(z.gl2, 5, DEFAULT_CAP)) == 2
+    assert asked == {"ideal": [1, 2], "invariant": [1, 2]}
     for name, (rd, degrees) in FUNDAMENTAL_DEGREES.items():
         asked["invariant"].clear()
         assert len(coinvariant_ideal_generators(rd, max(degrees) + 3)) == rd.rank
@@ -319,7 +321,7 @@ def test_coinvariant_reducer_spans_the_ideal_of_every_invariant():
                 if (e := poly_degree(f)) <= d:
                     for m in sym_basis(rd.rank, d - e):
                         want.add(coeff_vector(poly_mul(f, {m: Fraction(1)}), rd.rank, d))
-            got = schubert._coinvariant_reducer(rd, d, DEFAULT_CAP)[1]
+            got = ideal_slice(full_algebra(rd.rank), schubert._coinvariant_reducer(rd, d, DEFAULT_CAP), d)
             assert got.dim == len(want.rows), (name, d)
             assert all(want.contains(row) for row in got.rows), (name, d)
 

@@ -46,6 +46,16 @@ def test_matrix_basics():
     assert M.from_columns([(1, 2), (3, 4)]).rows == ((1, 3), (2, 4))
 
 
+def test_from_columns_keeps_the_row_count():
+    assert M.from_columns([(1, 2)], 2).shape == (2, 1)
+    assert M.from_columns([], 3).shape == (3, 0)
+    for nrows in (1, 3):  # a column of another length is a shape mistake
+        with pytest.raises(ValueError):
+            M.from_columns([(1, 2)], nrows)
+    with pytest.raises(ValueError):
+        M.from_columns([])
+
+
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError):
         M(((1, 2), (3,)))

@@ -8,7 +8,7 @@ import pytest
 import helpers as z
 from chevalley_chow import lattice, qlinalg, rootdata
 from chevalley_chow.errors import GroupTooLarge, InvalidCartan
-from chevalley_chow.lattice import FGAbelianGroup, IntMatrix, enumerate_matrix_group
+from chevalley_chow.lattice import DEFAULT_CAP, FGAbelianGroup, IntMatrix, enumerate_matrix_group
 from chevalley_chow.rootdata import (
     RootDatum,
     cartan_matrix,
@@ -113,7 +113,7 @@ E6_WORDS_SHA256 = "d2b9c8979f1008d613d7d72a0ddee75ff7ba0ba87b89272aa5e3ad692ff71
 @pytest.mark.parametrize("name", ORBIT_DATA)
 def test_weyl_orbit_of_two_rho_check(name):
     rd = ORBIT_DATA[name]
-    w = weyl_group.__wrapped__(rd)  # bypass the process cache: walk the orbit from scratch
+    w = rootdata._weyl_group.__wrapped__(rd, DEFAULT_CAP)  # bypass the cache: walk the orbit afresh
     rs = root_system(rd)
     rho2 = tuple(map(sum, zip(*(r.coroot for r in rs.positive))))
     # the walk stops after the last element of the asked length
@@ -201,12 +201,21 @@ def test_root_system_matches_per_root_solves(name, monkeypatch):
     assert [(r.height, r.coords, r.vector, r.coroot) for r in rs.positive] == z.root_system_by_solves(rd)
 
 
+def test_weyl_group_keeps_one_entry_however_cap_is_passed():
+    rd = z.transvected(z.sp4, 1, 0)  # a datum no other test enumerates
+    before = weyl_group.cache_info()
+    w = weyl_group(rd)
+    assert weyl_group(rd, DEFAULT_CAP) is w and weyl_group(rd, cap=DEFAULT_CAP) is w
+    after = weyl_group.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+
+
 def test_weyl_group_shares_the_matrix_group_closure(monkeypatch):
     calls = []
     closure = lattice.group_closure
     monkeypatch.setattr(lattice, "group_closure", lambda *a: calls.append(a) or closure(*a))
     lattice._closed_group.cache_clear()
-    w = weyl_group.__wrapped__(z.c3)  # bypass the process cache
+    w = rootdata._weyl_group.__wrapped__(z.c3, DEFAULT_CAP)  # bypass the process cache
     # a component group generated by the simple reflections (N(T)) is W itself
     assert enumerate_matrix_group(w.generators) is w.elements
     assert len(calls) == 1

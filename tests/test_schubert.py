@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import helpers as z
-from chevalley_chow import lattice, qlinalg, schubert
+from chevalley_chow import lattice, qlinalg, rootdata, schubert
 from chevalley_chow.errors import NonIntegralStructureConstant
 from chevalley_chow.formats import parse_descriptor
 from chevalley_chow.invariants import linear_poly, poly_mul, sym_basis
@@ -242,6 +242,37 @@ def test_expansion_matches_the_per_call_route(case):
     assert typed_terms(got) == typed_terms(z.expand_by_reduction(rd, poly, d))
 
 
+@pytest.mark.parametrize("name", ORACLE_DATA)
+def test_every_monomial_expands_as_the_per_call_route(name):
+    # the cover-built map, column by column, up to one degree past N
+    rd = ORACLE_DATA[name]
+    for d in range(len(root_system(rd).positive) + 2):
+        monomials = [{m: F(1)} for m in sym_basis(rd.rank, d)]
+        for x, want in zip(monomials, z.expand_all_by_reduction(rd, monomials, d)):
+            assert typed_terms(expand_in_schubert_basis(rd, x, d)) == typed_terms(want), x
+
+
+def test_cold_calls_need_no_ideal_and_no_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("coinvariant ideal or elimination on a cold Schubert call")
+
+    for mod in [m for k, m in sys.modules.items() if k.startswith("chevalley_chow.")]:
+        for attr in ("_coinvariant_reducer", "invariant_slice", "ideal_slice", "echelon"):
+            if hasattr(mod, attr):
+                monkeypatch.setattr(mod, attr, refuse)
+    # data no other test asks for, so that every table is built here
+    product_rd, expand_rd = z.transvected(z.sl4, 2, 1), z.transvected(z.g2, 1, 0)
+    misses = schubert._coordinate_map.cache_info().misses
+    product = schubert_product(product_rd, 1, 4)
+    x = linear_poly((1, 2))
+    cube = poly_mul(x, poly_mul(x, x))
+    expansion = expand_in_schubert_basis(expand_rd, cube, 3)
+    assert schubert._coordinate_map.cache_info().misses - misses == 6  # degrees 1..3 of each
+    monkeypatch.undo()
+    assert typed_terms(product) == typed_terms(z.schubert_product_by_reduction(product_rd, 1, 4))
+    assert typed_terms(expansion) == typed_terms(z.expand_by_reduction(expand_rd, cube, 3))
+
+
 def test_warm_product_reads_one_cached_map(monkeypatch):
     # the benchmark's session parses a new but equal datum each pass
     rd = z.sl4
@@ -276,8 +307,8 @@ def test_warm_product_reads_one_cached_map(monkeypatch):
 def test_each_cached_builder_keeps_one_entry_per_datum():
     # cap is positional-only with no default, so no way of passing it makes a second key
     builders = (schubert._representative_table, schubert._integer_table,
-                schubert._coinvariant_reducer, schubert._coordinate_map)
-    for builder in (*builders, lattice._column_transform):
+                schubert._coinvariant_reducer, schubert._coordinate_map, schubert._covers)
+    for builder in (*builders, lattice._column_transform, rootdata._weyl_group):
         params = inspect.signature(builder).parameters.values()
         assert all(p.kind is p.POSITIONAL_ONLY and p.default is p.empty for p in params), builder
     for builder in builders:
@@ -291,7 +322,7 @@ def test_each_cached_builder_keeps_one_entry_per_datum():
     expand_in_schubert_basis(rd, x0, 1)
     # the test oracle reads the same entries
     assert z.expand_by_reduction(rd, x0, 1) == expand_in_schubert_basis(rd, x0, 1, cap=DEFAULT_CAP)
-    assert [builder.cache_info().currsize for builder in builders] == [1, 1, 1, 1]
+    assert [builder.cache_info().currsize for builder in builders] == [1, 1, 1, 1, 1]
 
 
 # -- the orbit lookup and the integer representatives against the old routes --
