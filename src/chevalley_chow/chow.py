@@ -15,6 +15,7 @@ degree 0 rationally; only G/H computes invariant slices.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from ._record import Record
 from .descriptors import (
@@ -48,7 +49,7 @@ from .lattice import (
 )
 from .qlinalg import SpanBuilder
 from .rootdata import flag_picard_map, reflection, root_system
-from .schubert import SchubertExpansion, chevalley_multiply, codegree_histogram, coinvariant_ideal_generators
+from .schubert import SchubertExpansion, codegree_histogram, coinvariant_ideal_generators
 
 
 class FormalPicardZero(Record):
@@ -186,18 +187,19 @@ def chow_presentation(gd: GroupDescriptor, max_degree: int, cap: int = DEFAULT_C
     Concrete factor: the Schubert-basis ring of the flag variety of G_aff
     (symmetric algebra modulo positive-degree Weyl invariants), whose degree-d
     dimension is #{w in W : length(w) = d} (Chevalley: sum_w q^length(w)).
-    The ideal is generated in degree 1 by, for each basis character of X(T),
-    the pair (class of v(chi) in X(D)/ker sigma_A, divisor Schubert expansion).
+    The ideal is generated in degree 1 by, for each basis character e_k of
+    X(T), the pair (class of v(e_k) in X(D)/ker sigma_A, divisor Schubert
+    expansion).  No W is enumerated: the dimensions come from the roots, and
+    the divisor is the sum of <e_k, alpha_i^vee> sigma_{s_i}, s_i at index i + 1.
     """
     _check_degree(max_degree)
     rd = gd.rd
     concrete = _concrete_factor(rd.rank, codegree_histogram(rd, cap), max_degree)
     pairs = []
-    for j in range(rd.rank):
-        chi = tuple(1 if i == j else 0 for i in range(rd.rank))
-        formal = gd.gluing.v_matrix.apply(chi)
-        # index 0 is the identity in the Weyl enumeration
-        pairs.append((formal, chevalley_multiply(rd, chi, 0, cap=cap)))
+    for k in range(rd.rank):
+        formal = gd.gluing.v_matrix.column(k)
+        terms = {i + 1: Fraction(c) for i, coroot in enumerate(rd.simple_coroots.rows) if (c := coroot[k])}
+        pairs.append((formal, SchubertExpansion(1, terms)))
     return GradedPresentation(
         mode="integral",
         concrete_factor=concrete,

@@ -37,10 +37,10 @@ from .lattice import (
 )
 from .rootdata import (
     RootDatum,
+    _weyl_matrices,
     characters_of_group,
     root_system,
     validate_root_datum,
-    weyl_group,
 )
 
 
@@ -317,14 +317,15 @@ def validate_subgroup(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DE
     _check(checks, "component-group-finite", finite_ok, detail, detail)
 
     if finite_ok and hd.component_generators:
+        unlifted = {g @ q for g in hd.component_generators}  # each g needs a Weyl m with g q = q m
         try:
-            w = weyl_group(rd, cap=cap)
-            compat = all(
-                any((g @ q) == (q @ m) for m in w.elements)
-                for g in hd.component_generators
-            )
+            for _, m in _weyl_matrices(rd, cap):  # one lazy walk for all generators
+                unlifted.discard(q @ m)
+                if not unlifted:
+                    break
         except GroupTooLarge:
-            compat = False
+            pass
+        compat = not unlifted
         _check(checks, "component-weyl-compatibility", compat,
                "a component generator is not q-compatible with any Weyl element")
         # X(H0) needs every symmetric coroot to descend along q

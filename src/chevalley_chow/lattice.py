@@ -514,12 +514,11 @@ def enumerate_matrix_group(gens, cap: int = DEFAULT_CAP) -> tuple[IntMatrix, ...
     closure is a group when it is finite.  Memoized per ``(tuple(gens), cap)``
     in a cache of ``MATRIX_GROUP_CACHE_SIZE``; exceptions are never cached.
     """
-    return _closed_group(tuple(gens), cap)[0]
+    return _closed_group(tuple(gens), cap)
 
 
 @lru_cache(maxsize=MATRIX_GROUP_CACHE_SIZE)
-def _closed_group(gens: tuple[IntMatrix, ...], cap: int) -> tuple[tuple[IntMatrix, ...], tuple[int, ...]]:
-    # the steps are kept for rootdata.weyl_group, which closes W through here
+def _closed_group(gens: tuple[IntMatrix, ...], cap: int) -> tuple[IntMatrix, ...]:
     if not gens:
         raise ValueError("need at least one generator (or pass the identity)")
     n = gens[0].nrows
@@ -528,16 +527,13 @@ def _closed_group(gens: tuple[IntMatrix, ...], cap: int) -> tuple[tuple[IntMatri
             raise ValueError("generators must be square of equal size")
         if g.det() not in (1, -1):
             raise ValueError("generator is not invertible over Z")
-    elements, steps = group_closure(gens, n, cap)
-    return tuple(elements), tuple(steps)
+    return tuple(group_closure(gens, n, cap))
 
 
-def group_closure(gens, n: int, cap: int) -> tuple[list[IntMatrix], list[int]]:
+def group_closure(gens, n: int, cap: int) -> list[IntMatrix]:
     """Breadth-first closure of n x n matrices under right multiplication.
 
-    Returns ``(elements, steps)``: the identity first, then the elements in
-    discovery order; ``steps[k] = pos * len(gens) + i`` records that element
-    k was first reached as ``elements[pos] @ gens[i]`` (``steps[0]`` is -1).
+    Returns the identity first, then the elements in discovery order.
     Each distinct row gets a small int id and an element is the tuple of its
     n row ids.  Row i of ``a @ g`` is ``a``'s row i times ``g``, so each
     generator keeps a list from row id to image id, filled for every row
@@ -566,15 +562,14 @@ def group_closure(gens, n: int, cap: int) -> tuple[list[IntMatrix], list[int]]:
     images: list[list[int]] = [[] for _ in gens]  # images[i][k]: id of rows[k] @ gens[i]
     lookups = [table.__getitem__ for table in images]
     ident = tuple(map(intern, IntMatrix.identity(n).rows))
-    elements, steps, seen, filled = [ident], [-1], {ident}, 0
+    elements, seen, filled = [ident], {ident}, 0
     residues = {tuple(map(mod3.__getitem__, ident))}
     # the element list doubles as the BFS queue: iteration reaches what is appended
-    for pos, elem in enumerate(elements):
+    for elem in elements:
         for row in rows[filled:]:  # elem's rows are among them
             for table, g_cols in zip(images, cols):
                 table.append(intern(tuple(sum(map(mul, row, col)) for col in g_cols)))
             filled += 1
-        step = pos * len(gens)
         for lookup in lookups:
             prod = tuple(map(lookup, elem))
             if prod not in seen:
@@ -586,9 +581,7 @@ def group_closure(gens, n: int, cap: int) -> tuple[list[IntMatrix], list[int]]:
                 residues.add(residue)
                 seen.add(prod)
                 elements.append(prod)
-                steps.append(step)
-            step += 1
-    return [IntMatrix._from_int_rows(tuple(map(rows.__getitem__, e)), n) for e in elements], steps
+    return [IntMatrix._from_int_rows(tuple(map(rows.__getitem__, e)), n) for e in elements]
 
 
 def fixed_sublattice(gens, n: int, cap: int = DEFAULT_CAP) -> IntMatrix:

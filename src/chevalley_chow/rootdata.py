@@ -5,16 +5,15 @@ A :class:`RootDatum` is the finite descriptor of a connected reductive group
 dimension): the character lattice X(T) = Z^rank with chosen simple roots and
 simple coroots.  The fixed simple system plays the role of a Borel subgroup.
 
-Weyl elements are integer matrices acting on column vectors in X(T)
-coordinates.  Each element w is also named by its orbit point 2rho^vee w in
-Y(T) (a row vector times w): 2rho^vee is regular, so the point determines w,
-and w s_beta is found from it by O(rank) integer work.
+W is enumerated once, as the orbit of 2rho^vee in Y(T): 2rho^vee is regular,
+so the point 2rho^vee w names w, and w s_beta is found from it by O(rank)
+integer work.  The scans that need Weyl matrices (column action on X(T)
+coordinates) build them lazily along the same walk.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -28,7 +27,6 @@ from .lattice import (
     IntMatrix,
     Presentation,
     Vec,
-    _closed_group,
     hermite_row_basis,
     integer_kernel,
 )
@@ -182,6 +180,10 @@ def _classify_component(c, nodes, weight):
     raise InvalidCartan(f"branching arms {tuple(arms)} are not finite type")
 
 
+CARTAN_TYPE_CACHE_SIZE = 32  # classifications kept, one per root datum
+
+
+@lru_cache(maxsize=CARTAN_TYPE_CACHE_SIZE)
 def validate_root_datum(rd: RootDatum) -> CartanType:
     """Classify the datum into irreducible Cartan components.
 
@@ -253,92 +255,90 @@ def simple_reflection(rd: RootDatum, i: int) -> IntMatrix:
     return reflection(rd.simple_roots.rows[i], rd.simple_coroots.rows[i])
 
 
-class WeylGroup:
-    """Fully enumerated Weyl group with lengths and reduced words.
+def _weyl_order(rd: RootDatum, cap: int) -> int:
+    """|W| by the order formula of the Cartan type; :class:`GroupTooLarge` past ``cap``."""
+    if (order := validate_root_datum(rd).weyl_order) > cap:
+        raise GroupTooLarge(f"|W| = {order} exceeds cap {cap}")
+    return order
 
-    Elements are listed in breadth-first order from the identity (so lengths
-    are nondecreasing) and each element carries its lexicographically least
-    reduced word.  ``orbit[k]`` is the point 2rho^vee elements[k] of Y(T),
-    2rho^vee the sum of the positive coroots.  The orbit is walked on demand
-    (:meth:`orbit_index`) along the same breadth-first steps as the words:
-    for the k-th element w s_i, mu_k = mu - <mu, alpha_i> alpha_i^vee with
-    mu the point of w.  So w s_beta is the element at mu - <mu, beta> beta^vee,
-    found with no matrix product.
+
+def _walk(rd: RootDatum, value, step):
+    """Yield ``(mu, value)`` per Weyl element in index order: 2rho^vee (the sum
+    of the positive coroots) with ``value``, then breadth first, for w s_i
+    first reached from w, mu - <mu, alpha_i> alpha_i^vee with ``step(value, i)``.
+    Only ascents (<mu, alpha_i> > 0) are followed, which keeps the order of the
+    matrix closure over the simple reflections; an element of length l + 1 is
+    reached from length l alone, so just two lengths are held."""
+    simple = tuple(zip(rd.simple_roots.rows, rd.simple_coroots.rows))
+    level = [(tuple(map(sum, zip(*(r.coroot for r in root_system(rd).positive)))) or (0,) * rd.rank, value)]
+    yield level[0]
+    while level:
+        longer = {}  # point -> value, in discovery order
+        for mu, value in level:
+            for i, (alpha, alpha_v) in enumerate(simple):
+                c = sum(map(mul, mu, alpha))
+                if c > 0 and (nu := tuple([x - c * y for x, y in zip(mu, alpha_v)])) not in longer:
+                    longer[nu] = step(value, i)
+                    yield nu, longer[nu]
+        level = longer.items()
+
+
+class WeylGroup:
+    """W, enumerated once by :func:`_walk`: lengths are nondecreasing and each
+    element carries its lexicographically least reduced word.  ``orbit[k]`` is
+    the point 2rho^vee w_k of Y(T) (a row vector times w_k), which names w_k as
+    2rho^vee is regular; ``index`` maps it back to k, so w s_beta is the element
+    at mu - <mu, beta> beta^vee.  No matrix is kept (see :func:`_weyl_matrices`).
     """
 
-    def __init__(self, rd, elements, steps, generators):
-        self.rd = rd
-        self.elements: tuple[IntMatrix, ...] = tuple(elements)
-        self.steps: tuple[int, ...] = tuple(steps)  # pos * len(generators) + i, -1 for the identity
-        self.generators: tuple[IntMatrix, ...] = tuple(generators)
-        words: list[tuple[int, ...]] = [()]
-        for step in self.steps[1:]:
-            pos, i = divmod(step, len(self.generators))
-            words.append(words[pos] + (i,))
-        self.words: tuple[tuple[int, ...], ...] = tuple(words)
+    def __init__(self, rd: RootDatum):
+        self.generators: tuple[IntMatrix, ...] = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+        orbit, words = zip(*_walk(rd, (), lambda word, i: word + (i,)))
+        self.orbit: tuple[Vec, ...] = orbit
+        self.index: dict[Vec, int] = {mu: k for k, mu in enumerate(orbit)}
+        self.words: tuple[tuple[int, ...], ...] = words
         self.lengths: tuple[int, ...] = tuple(map(len, words))
-        self.orbit: list[Vec] = []  # the prefix walked so far
-        self._orbit_index: dict[Vec, int] = {}
 
     def __len__(self):
-        return len(self.elements)
-
-    @property
-    def longest(self) -> IntMatrix:
-        return self.elements[-1]
-
-    def orbit_index(self, length: int) -> dict[Vec, int]:
-        """Orbit point -> Weyl index, once ``orbit`` holds every element of
-        length <= ``length`` (it may hold more).  A call near the identity
-        walks only the short elements."""
-        end = bisect_right(self.lengths, length)
-        points, index = self.orbit, self._orbit_index
-        if len(points) < end:
-            rd = self.rd
-            simple = tuple(zip(rd.simple_roots.rows, rd.simple_coroots.rows))
-            if not points:
-                points.append(tuple(map(sum, zip(*(r.coroot for r in root_system(rd).positive)))) or (0,) * rd.rank)
-                index[points[0]] = 0
-            for k in range(len(points), end):
-                pos, i = divmod(self.steps[k], len(simple))
-                mu = points[pos]
-                alpha, alpha_v = simple[i]
-                c = sum(map(mul, mu, alpha))
-                points.append(tuple([x - c * y for x, y in zip(mu, alpha_v)]))
-                index[points[k]] = k
-        return index
+        return len(self.orbit)
 
 
 WEYL_CACHE_SIZE = 32  # Weyl groups kept, one per (root datum, cap)
 
 
 def weyl_group(rd: RootDatum, cap: int = DEFAULT_CAP) -> WeylGroup:
-    """Enumerate W by breadth-first closure over the simple reflections.
-
-    The order formula for the Cartan type refuses ``|W| > cap`` up front
-    (:class:`GroupTooLarge`), then checks the count.  The closure is the one
-    ``enumerate_matrix_group`` memoizes, shared with equal component groups.
-    One cache entry per (root datum, cap), however ``cap`` is passed.
-    """
+    """Enumerate W once (:class:`WeylGroup`); the order formula refuses
+    ``|W| > cap`` up front (:class:`GroupTooLarge`), then checks the count.
+    One cache entry per (root datum, cap), however ``cap`` is passed."""
     return _weyl_group(rd, cap)
 
 
 @lru_cache(maxsize=WEYL_CACHE_SIZE)
 def _weyl_group(rd: RootDatum, cap: int, /) -> WeylGroup:
-    ctype = validate_root_datum(rd)
-    expected = ctype.weyl_order
-    if expected > cap:
-        raise GroupTooLarge(f"|W| = {expected} exceeds cap {cap}")
-    gens = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
-    elements, steps = _closed_group(gens or (IntMatrix.identity(rd.rank),), cap)
-    if len(elements) != expected:
-        raise InvalidCartan(
-            f"enumerated {len(elements)} Weyl elements but type {ctype.describe()} has {expected}"
-        )
-    return WeylGroup(rd, elements, steps, gens)
+    expected = _weyl_order(rd, cap)  # refused before any walk
+    if len(w := WeylGroup(rd)) != expected:
+        raise InvalidCartan(f"enumerated {len(w)} Weyl elements but type {validate_root_datum(rd)} has {expected}")
+    return w
 
 
 weyl_group.cache_info, weyl_group.cache_clear = _weyl_group.cache_info, _weyl_group.cache_clear
+
+
+def _weyl_matrices(rd: RootDatum, cap: int):
+    """``(word, matrix)`` per Weyl element in index order, each matrix its
+    parent's times s_i along :func:`_walk`, built only as a scan asks for it.
+    ``|W| > cap`` is refused up front by the order formula."""
+    _weyl_order(rd, cap)
+    simple = tuple(zip(rd.simple_roots.rows, rd.simple_coroots.rows))
+
+    def step(value, i):
+        (word, m), (alpha, alpha_v) = value, simple[i]
+        # m s_i = m - (m alpha_i) alpha_i^vee: a row orthogonal to alpha_i is kept
+        rows = tuple(tuple([x - c * y for x, y in zip(row, alpha_v)]) if (c := sum(map(mul, row, alpha))) else row
+                     for row in m.rows)
+        return word + (i,), IntMatrix._from_int_rows(rows, rd.rank)
+
+    return (value for _, value in _walk(rd, ((), IntMatrix.identity(rd.rank)), step))
 
 
 class PositiveRoot(Record):
@@ -542,8 +542,7 @@ def contains_borel(rd: RootDatum, root_subset, q_is_identity: bool, cap: int = D
     subset = {tuple(int(x) for x in v) for v in root_subset}
     rs = root_system(rd)
     pos = [r.vector for r in rs.positive]
-    w = weyl_group(rd, cap=cap)
-    for idx, m in enumerate(w.elements):
+    for idx, (word, m) in enumerate(_weyl_matrices(rd, cap)):
         if all(m.apply(v) in subset for v in pos):
-            return True, (idx, w.words[idx])
+            return True, (idx, word)
     return False, None

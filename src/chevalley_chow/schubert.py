@@ -8,7 +8,7 @@ any two classes through their BGG representatives in the coinvariant algebra
 
 Both read one Bruhat-cover table per root datum (:func:`_covers`): for each
 w, the w s_beta one step longer, found by their points in the orbit of
-2rho^vee (:meth:`WeylGroup.orbit_index`).  A divisor product sums one row.
+2rho^vee (``WeylGroup.index``).  A divisor product sums one row.
 The Schubert coordinates of the degree-d monomials are built from degree
 d - 1 by one Chevalley step each (:func:`_coordinate_map`): an integer
 matrix, with no coinvariant ideal and no elimination.  A product multiplies
@@ -20,13 +20,14 @@ and applies that matrix.  The ideal serves G/H alone
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
 
 from ._record import Record
-from .errors import GroupTooLarge, NonIntegralStructureConstant
+from .errors import NonIntegralStructureConstant
 from .invariants import (
     Poly,
     coeff_vector,
@@ -42,7 +43,7 @@ from .invariants import (
     sym_basis,
 )
 from .lattice import DEFAULT_CAP
-from .rootdata import RootDatum, root_system, simple_reflection, validate_root_datum, weyl_group
+from .rootdata import RootDatum, _weyl_order, root_system, simple_reflection, weyl_group
 
 
 class SchubertClass(Record):
@@ -85,11 +86,17 @@ def schubert_basis(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[SchubertClass
 
 
 def codegree_histogram(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
-    """#{w : length(w) = d} for each d; by Chevalley, the coinvariant dimensions."""
-    w = weyl_group(rd, cap=cap)
-    hist = [0] * (max(w.lengths) + 1)
-    for length in w.lengths:
-        hist[length] += 1
+    """#{w : length(w) = d} for each d; by Chevalley, the coinvariant dimensions.
+
+    Read off the roots, not W: it is the product of 1 + t + ... + t^m over the
+    exponents m, and #{m >= h} is the number of positive roots of height h
+    (Kostant; Macdonald).  ``|W| > cap`` is still refused (GroupTooLarge)."""
+    _weyl_order(rd, cap)
+    per_height = Counter(r.height for r in root_system(rd).positive)
+    hist = [1]
+    for j in range(1, rd.nsimple + 1):
+        m = sum(1 for count in per_height.values() if count >= j)  # the j-th largest exponent
+        hist = [sum(hist[max(0, d - m):d + 1]) for d in range(len(hist) + m)]
     return tuple(hist)
 
 
@@ -143,7 +150,6 @@ def _representative_table(rd: RootDatum, cap: int, /) -> tuple[Poly, ...]:
     order = sorted(range(len(w)), key=lambda i: -w.lengths[i])
     reps[order[0]] = top
     simple_linears = [linear_poly(rd.simple_roots.rows[i]) for i in range(rd.nsimple)]
-    index = w.orbit_index(w.lengths[-1])
     for pos in order[1:]:
         mu = w.orbit[pos]
         length = w.lengths[pos]
@@ -151,7 +157,7 @@ def _representative_table(rd: RootDatum, cap: int, /) -> tuple[Poly, ...]:
         for i in range(rd.nsimple):
             alpha, alpha_v = rd.simple_roots.rows[i], rd.simple_coroots.rows[i]
             k = rd.pairing(mu, alpha)
-            up_idx = index[tuple(x - k * y for x, y in zip(mu, alpha_v))]
+            up_idx = w.index[tuple(x - k * y for x, y in zip(mu, alpha_v))]
             if w.lengths[up_idx] == length + 1 and reps[up_idx] is not None:
                 f = reps[up_idx]
                 reps[pos] = exact_divide_linear(poly_sub(f, substitute(w.generators[i], f)), simple_linears[i])
@@ -186,8 +192,8 @@ def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = DEFA
     (:class:`GroupTooLarge`); the slices are projected from the simple
     reflections (:func:`invariant_slice`), so W is never enumerated here.
     """
-    if rd.nsimple and max_degree > 0 and (order := validate_root_datum(rd).weyl_order) > cap:
-        raise GroupTooLarge(f"|W| = {order} exceeds cap {cap}")
+    if rd.nsimple and max_degree > 0:
+        _weyl_order(rd, cap)
     gens: tuple[Poly, ...] = ()
     for e in range(1, max_degree + 1):
         gens = _coinvariant_reducer(rd, e, cap)
@@ -225,18 +231,17 @@ def _covers(rd: RootDatum, length: int, cap: int, /) -> tuple[tuple[tuple[int, t
     """For each Weyl element w of this length, in index order, the pairs
     (index of w s_beta, beta^vee) with length(w s_beta) = length + 1.  With mu
     the orbit point of w, w s_beta is at mu - <mu, beta> beta^vee and is longer
-    iff <mu, beta> > 0; the identity row walks 1 + nsimple orbit points.
+    iff <mu, beta> > 0.
     """
     w = weyl_group(rd, cap=cap)
-    index = w.orbit_index(length + 1)  # a point it lacks is longer than length + 1
     positive = root_system(rd).positive
     rows = []
     for mu in w.orbit[bisect_left(w.lengths, length):bisect_right(w.lengths, length)]:
         row = []
         for root in positive:
             if (k := sum(map(mul, mu, root.vector))) > 0:
-                idx = index.get(tuple([x - k * y for x, y in zip(mu, root.coroot)]))
-                if idx is not None and w.lengths[idx] == length + 1:
+                idx = w.index[tuple([x - k * y for x, y in zip(mu, root.coroot)])]
+                if w.lengths[idx] == length + 1:
                     row.append((idx, root.coroot))
         rows.append(tuple(row))
     return tuple(rows)

@@ -33,8 +33,8 @@ from .rootdata import (
     contains_borel,
     factorial_cover_with_basis,
     root_system,
+    simple_reflection,
     validate_root_datum,
-    weyl_group,
 )
 
 
@@ -227,11 +227,11 @@ def phi_local_triviality_test(gd: GroupDescriptor, hd: SubgroupDescriptor) -> Ve
     return Verdict("no", "; ".join(reasons))
 
 
-def _parabolic_witness(gd: GroupDescriptor, hd: SubgroupDescriptor, found, cap: int):
-    idx, word = found
-    w = weyl_group(gd.rd, cap=cap)
+def _parabolic_witness(gd: GroupDescriptor, hd: SubgroupDescriptor, word):
     rs = root_system(gd.rd)
-    m = w.elements[idx]
+    m = IntMatrix.identity(gd.rd.rank)
+    for i in word:
+        m = m @ simple_reflection(gd.rd, i)
     roots_h = set(hd.root_vectors(gd.rd))
     # alpha_i is a Levi simple root when H also holds the opposite root m(-alpha_i)
     levi = tuple(
@@ -265,7 +265,7 @@ def completeness_test(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DE
     if found_flag and hd.ant_contains_gantaff:
         return Verdict("yes", "H meet G_aff contains a Borel subgroup and "
                               "H meet G_ant contains (G_ant)_aff",
-                       _parabolic_witness(gd, hd, witness, cap))
+                       _parabolic_witness(gd, hd, witness[1]))
     reasons = []
     if not found_flag:
         reasons.append("no Weyl translate of the positive system lies in the subgroup roots"

@@ -82,8 +82,17 @@ a5 = cartan_datum(type_a(5))
 c3 = cartan_datum([[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
 d4 = cartan_datum([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
 f4 = cartan_datum([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
-e6 = cartan_datum([[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
-                   [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]])
+
+
+def type_e(n):
+    """Bourbaki's E_n: the chain 1-3-4-...-n with node 2 joined to node 4."""
+    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in ((0, 2), (1, 3), *((k, k + 1) for k in range(2, n - 1))):
+        c[i][j] = c[j][i] = -1
+    return c
+
+
+e6, e7, e8 = (cartan_datum(type_e(n)) for n in (6, 7, 8))
 
 
 def adjoint_datum(rd):
@@ -303,21 +312,29 @@ def schubert_product_by_reduction(rd, u, v):
     return expand_by_reduction(rd, poly_mul(table[u], table[v]), w.lengths[u] + w.lengths[v])
 
 
+def weyl_matrices(rd):
+    """W's matrices by the generic matrix-group closure of the simple
+    reflections; the tests check that its order is the Weyl index order."""
+    gens = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+    return enumerate_matrix_group(gens or (IntMatrix.identity(rd.rank),))
+
+
 @lru_cache(maxsize=None)
 def weyl_matrix_index(rd):
-    """Weyl index of each element of ``weyl_group(rd)``, keyed by its matrix."""
-    return {m: i for i, m in enumerate(weyl_group(rd).elements)}
+    """Weyl index of each element of ``weyl_matrices(rd)``, keyed by its matrix."""
+    return {m: i for i, m in enumerate(weyl_matrices(rd))}
 
 
 def chevalley_by_matrices(rd, lam, w_index):
     """Oracle for ``schubert.chevalley_multiply``: each w s_beta is the matrix
-    product ``elements[w] @ s_beta``, looked up by its matrix."""
+    product ``w @ s_beta``, looked up by its matrix in the closure."""
     w = weyl_group(rd)
     index = weyl_matrix_index(rd)
+    elem = weyl_matrices(rd)[w_index]
     target = w.lengths[w_index] + 1
     terms = {}
     for root in root_system(rd).positive:
-        idx = index[w.elements[w_index] @ reflection(root.vector, root.coroot)]
+        idx = index[elem @ reflection(root.vector, root.coroot)]
         c = rd.pairing(lam, root.coroot)
         if w.lengths[idx] == target and c:
             terms[idx] = Fraction(c)
@@ -513,9 +530,11 @@ def gamma_kernel_by_intersection(gd):
 def naive_closure(gens):
     """Oracle for ``lattice.group_closure``: breadth-first closure on IntMatrix products.
 
-    Returns ``(elements, steps)`` in the same discovery order and step
-    encoding (``pos * len(gens) + i``); it has neither a cap nor a
-    finiteness test, so it must only be given finite groups.
+    Returns ``(elements, steps)`` in the same discovery order; ``steps[k] =
+    pos * len(gens) + i`` records that element k was first reached as
+    ``elements[pos] @ gens[i]`` (-1 for the identity), which spells each
+    element's word.  It has neither a cap nor a finiteness test, so it must
+    only be given finite groups.
     """
     gens = tuple(gens)
     elements = [IntMatrix.identity(gens[0].nrows)]

@@ -12,14 +12,16 @@ import time
 import pytest
 
 import helpers as z
+from chevalley_chow import rootdata
 from chevalley_chow.chow import (
+    chow_presentation,
     homogeneous_picard,
     homogeneous_rational_chow,
     picard_group,
     rational_chow,
 )
-from chevalley_chow.descriptors import derived_attributes, validate_group
-from chevalley_chow.errors import DescriptorSyntaxError, SchemaError
+from chevalley_chow.descriptors import GroupDescriptor, derived_attributes, validate_group
+from chevalley_chow.errors import DescriptorSyntaxError, GroupTooLarge, SchemaError
 from chevalley_chow.formats import parse_descriptor
 from chevalley_chow.invariants import (
     full_algebra,
@@ -145,6 +147,30 @@ def test_length_histogram_is_the_degree_product(name):
     # fundamental degrees, independent of the closure that yields the lengths
     rd, degrees = FUNDAMENTAL_DEGREES[name]
     assert codegree_histogram(rd) == poincare_product(degrees)
+
+
+# Bourbaki, Lie groups, ch. VI, plates VI and VII
+LARGE_DEGREES = {
+    "E7": (z.e7, (2, 6, 8, 10, 12, 14, 18), 2903040),
+    "E8": (z.e8, (2, 8, 12, 14, 18, 20, 24, 30), 696729600),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_DEGREES))
+def test_length_histogram_past_the_cap_reads_no_weyl_group(name, monkeypatch):
+    rd, degrees, order = LARGE_DEGREES[name]
+
+    def no_walk(*args):
+        raise AssertionError("the histogram is read off the roots")
+
+    monkeypatch.setattr(rootdata, "_walk", no_walk)
+    hist = codegree_histogram(rd, cap=order)
+    assert hist == poincare_product(degrees) and sum(hist) == order
+    # the default cap still refuses |W|, as the enumerating calls do
+    with pytest.raises(GroupTooLarge, match=f"{order} exceeds cap"):
+        codegree_histogram(rd)
+    with pytest.raises(GroupTooLarge):
+        chow_presentation(GroupDescriptor(name, rd, z.POINT, z.no_d(rd.rank)), 2)
 
 
 def test_criterion_03_chevalley_vs_coinvariant():

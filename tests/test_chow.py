@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import helpers as z
-from chevalley_chow import chow, cli, invariants, schubert
+from chevalley_chow import chow, cli, invariants, rootdata, schubert
 from chevalley_chow.chow import (
     chow_presentation,
     homogeneous_ns,
@@ -90,10 +90,20 @@ def test_chow_presentation_product_sl2():
     assert c.abelian_factor() == "A*(A_1)"
 
 
-def test_chow_presentation_walks_only_the_covers_of_the_identity():
-    rd = z.transvected(z.f4, 1, 2)  # an F4 datum whose orbit no other test walks
-    c = chow_presentation(GroupDescriptor("f4", rd, z.POINT, z.no_d(4)), 1)
-    assert len(weyl_group(rd).orbit) <= 1 + rd.nsimple
+@pytest.mark.parametrize("name", ["F4-transvected", "E6"])
+def test_chow_presentation_reads_no_weyl_group(name, monkeypatch):
+    rd = {"F4-transvected": z.transvected(z.f4, 1, 2), "E6": z.e6}[name]
+
+    def no_walk(*args):
+        raise AssertionError("chow_presentation must not walk W")
+
+    monkeypatch.setattr(rootdata, "_walk", no_walk)
+    monkeypatch.setattr(rootdata, "_weyl_group", no_walk)  # a cached W does not count either
+    monkeypatch.setattr(schubert, "chevalley_multiply", no_walk)
+    c = chow_presentation(GroupDescriptor(name, rd, z.POINT, z.no_d(rd.rank)), 2)
+    monkeypatch.undo()
+    assert c.concrete_factor.dims == tuple(sum(1 for n in weyl_group(rd).lengths if n == d) for d in range(3))
+    assert len(c.ideal_degree1) == rd.rank
     for j, (_, exp) in enumerate(c.ideal_degree1):
         assert exp == z.chevalley_by_matrices(rd, tuple(int(i == j) for i in range(rd.rank)), 0)
 

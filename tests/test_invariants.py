@@ -110,7 +110,8 @@ def test_coinvariant_ideal_refuses_cap_without_enumerating(monkeypatch):
     def no_closure(*args, **kwargs):
         raise AssertionError("W must not be enumerated")
 
-    # every closure, W's included, goes through lattice.group_closure
+    # W is enumerated by the orbit walk alone, any other group by lattice.group_closure
+    monkeypatch.setattr(rootdata, "_walk", no_closure)
     monkeypatch.setattr(lattice, "group_closure", no_closure)
     with pytest.raises(GroupTooLarge):
         coinvariant_ideal_generators(z.f4, 2, cap=1000)
@@ -185,6 +186,7 @@ def test_process_caches_are_bounded():
         (invariants.sym_basis, invariants.SYM_BASIS_CACHE_SIZE, 12),
         (rootdata.weyl_group, rootdata.WEYL_CACHE_SIZE, 12),
         (rootdata._weyl_group, rootdata.WEYL_CACHE_SIZE, 12),
+        (rootdata.validate_root_datum, rootdata.CARTAN_TYPE_CACHE_SIZE, 12),
         (rootdata.root_system, rootdata.ROOT_SYSTEM_CACHE_SIZE, 12),
         (schubert._representative_table, schubert.REPRESENTATIVE_TABLE_CACHE_SIZE, 12),
         (schubert._integer_table, schubert.REPRESENTATIVE_TABLE_CACHE_SIZE, 12),

@@ -293,8 +293,8 @@ CLOSURE_CASES.update(z.non_weyl_groups())
 @pytest.mark.parametrize("name", sorted(CLOSURE_CASES))
 def test_group_closure_matches_naive_bfs(name):
     gens = CLOSURE_CASES[name]
-    elements, steps = group_closure(gens, gens[0].nrows, 10**6)
-    assert (elements, steps) == z.naive_closure(gens)
+    elements = group_closure(gens, gens[0].nrows, 10**6)
+    assert elements == z.naive_closure(gens)[0]
     assert all(isinstance(e, M) for e in elements)
 
 
@@ -308,7 +308,7 @@ def test_group_closure_multiplies_once_per_distinct_row(monkeypatch):
     monkeypatch.setattr(lattice, "mul", counting_mul)
     gens = CLOSURE_CASES["A5"]
     n = gens[0].nrows
-    elements, _ = group_closure(gens, n, 10**6)
+    elements = group_closure(gens, n, 10**6)
     rows = {row for e in elements for row in e.rows}
     assert (len(elements), len(rows)) == (720, 30)
     # one dot product per (distinct row, generator, column); a full product per
@@ -356,10 +356,10 @@ def test_finite_3x3_group_with_large_entries_is_not_refused():
     p_inv = M(((1, -3, 9), (0, 1, -3), (0, 0, 1)))
     assert p @ p_inv == M.identity(3)
     gens = tuple(p @ g @ p_inv for g in CLOSURE_CASES["A3"])
-    elements, steps = group_closure(gens, 3, 10**6)
+    elements = group_closure(gens, 3, 10**6)
     assert len(elements) == 24
     assert max(abs(x) for e in elements for row in e.rows for x in row) >= 3
-    assert (elements, steps) == z.naive_closure(gens)
+    assert elements == z.naive_closure(gens)[0]
 
 
 def test_matrix_group_refusals_are_not_cached():

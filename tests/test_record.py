@@ -18,7 +18,7 @@ import test_golden_cli
 from chevalley_chow import cli
 from chevalley_chow._record import Record
 from chevalley_chow.formats import parse_descriptor
-from chevalley_chow.rootdata import root_system
+from chevalley_chow.rootdata import root_system, validate_root_datum
 from chevalley_chow.schubert import schubert_basis
 
 PER_CLASS = 12  # instances checked per record class
@@ -55,7 +55,8 @@ def instances():
         for name in z.FIXTURE_NAMES:
             rd = parse_descriptor(z.fixture_bytes(name)).group.rd
             schubert_basis(rd)
-            root_system.__wrapped__(rd)  # the cached roots may predate the hook
+            root_system.__wrapped__(rd)  # the cached roots and types may predate the hook
+            validate_root_datum.__wrapped__(rd)
     finally:
         mp.undo()
     return seen

@@ -58,7 +58,7 @@ def test_weyl_orders():
     for rd, order in ((z.sl2, 2), (z.sl3, 6), (z.sp4, 8), (z.sl4, 24), (z.g2, 12)):
         assert len(weyl_group(rd)) == order
     w = weyl_group(z.sl3)
-    assert w.lengths[0] == 0 and w.elements[0] == M.identity(2)
+    assert w.lengths[0] == 0 and next(rootdata._weyl_matrices(z.sl3, DEFAULT_CAP)) == ((), M.identity(2))
     assert sorted(w.lengths) == list(w.lengths)  # breadth-first: nondecreasing
     assert w.words[0] == ()
     assert max(w.lengths) == 3  # number of positive roots of A2
@@ -83,10 +83,12 @@ def test_weyl_group_order_words_and_lengths(name):
     assert validate_root_datum(rd).describe() == name
     w = weyl_group(rd)
     gens = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+    walked = tuple(rootdata._weyl_matrices(rd, DEFAULT_CAP))
     # same elements, in the same order, as the generic matrix-group closure
-    assert w.elements == enumerate_matrix_group(gens)
+    assert tuple(m for _, m in walked) == enumerate_matrix_group(gens)
+    assert tuple(word for word, _ in walked) == w.words
     rs = root_system(rd)
-    for elem, word, length in zip(w.elements, w.words, w.lengths):
+    for (word, elem), length in zip(walked, w.lengths):
         prod = M.identity(rd.rank)
         for i in word:
             prod = prod @ gens[i]
@@ -116,18 +118,19 @@ def test_weyl_orbit_of_two_rho_check(name):
     w = rootdata._weyl_group.__wrapped__(rd, DEFAULT_CAP)  # bypass the cache: walk the orbit afresh
     rs = root_system(rd)
     rho2 = tuple(map(sum, zip(*(r.coroot for r in rs.positive))))
-    # the walk stops after the last element of the asked length
-    for length in range(1, 3):
-        index = w.orbit_index(length)
-        assert len(w.orbit) == len(index) == sum(1 for n in w.lengths if n <= length)
-    index = w.orbit_index(w.lengths[-1])
     assert w.orbit[0] == rho2
     assert all(rd.pairing(alpha, rho2) == 2 for alpha in rd.simple_roots.rows)  # regular
-    # orbit[k] is the row vector 2rho^vee times elements[k], and orbit_index inverts it
-    for mu, m in zip(w.orbit, w.elements):
+    # the k-th walked matrix is the k-th closure element, with the same word;
+    # orbit[k] is the row vector 2rho^vee times it, and index inverts the orbit
+    gens = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+    walked = tuple(rootdata._weyl_matrices(rd, DEFAULT_CAP))
+    closure = enumerate_matrix_group(gens) if name == "E6-sc" else tuple(z.naive_closure(gens)[0])
+    assert tuple(m for _, m in walked) == closure
+    assert tuple(word for word, _ in walked) == w.words
+    for mu, m in zip(w.orbit, closure):
         assert mu == tuple(sum(map(mul, rho2, col)) for col in zip(*m.rows))
-    assert len(w.orbit) == len(index) == len(w)
-    assert all(index[mu] == k for k, mu in enumerate(w.orbit))
+    assert len(w.orbit) == len(w.index) == len(w)
+    assert all(w.index[mu] == k for k, mu in enumerate(w.orbit))
     # independent oracle: length(w) = #{beta > 0 : <2rho^vee w, beta> < 0}
     positive = [r.vector for r in rs.positive]
     for mu, length in zip(w.orbit, w.lengths):
@@ -136,12 +139,9 @@ def test_weyl_orbit_of_two_rho_check(name):
     if name == "E6-sc":
         assert hashlib.sha256(repr(w.words).encode()).hexdigest() == E6_WORDS_SHA256
     else:
-        gens = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
-        elements, steps = z.naive_closure(gens)
         words = [()]
-        for step in steps[1:]:
+        for step in z.naive_closure(gens)[1][1:]:
             words.append(words[step // len(gens)] + (step % len(gens),))
-        assert w.elements == tuple(elements)
         assert w.words == tuple(words)
     assert w.lengths == tuple(map(len, w.words))
 
@@ -210,15 +210,36 @@ def test_weyl_group_keeps_one_entry_however_cap_is_passed():
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
 
 
-def test_weyl_group_shares_the_matrix_group_closure(monkeypatch):
-    calls = []
-    closure = lattice.group_closure
-    monkeypatch.setattr(lattice, "group_closure", lambda *a: calls.append(a) or closure(*a))
+def test_weyl_group_closes_no_matrix_group(monkeypatch):
+    def no_closure(*args):
+        raise AssertionError("W is the orbit walk, not a matrix-group closure")
+
+    monkeypatch.setattr(lattice, "group_closure", no_closure)
     lattice._closed_group.cache_clear()
-    w = rootdata._weyl_group.__wrapped__(z.c3, DEFAULT_CAP)  # bypass the process cache
-    # a component group generated by the simple reflections (N(T)) is W itself
-    assert enumerate_matrix_group(w.generators) is w.elements
-    assert len(calls) == 1
+    assert len(rootdata._weyl_group.__wrapped__(z.c3, DEFAULT_CAP)) == 48  # bypass the process cache
+
+
+def test_weyl_matrices_are_built_lazily(monkeypatch):
+    built = []
+    wrap = M._from_int_rows
+    monkeypatch.setattr(M, "_from_int_rows", lambda rows, n: built.append(rows) or wrap(rows, n))
+    scan = rootdata._weyl_matrices(z.e6, DEFAULT_CAP)
+    first = [next(scan) for _ in range(8)]
+    # one matrix per element taken, each its parent's times s_i: no more of W is built
+    assert len(built) == 8
+    assert [word for word, _ in first] == [(), (0,), (1,), (2,), (3,), (4,), (5,), (0, 1)]
+    assert first[-1][1] == simple_reflection(z.e6, 0) @ simple_reflection(z.e6, 1)
+
+
+def test_weyl_matrices_refuse_the_cap_before_walking(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the cap is checked by the order formula first")
+
+    monkeypatch.setattr(rootdata, "_walk", no_walk)
+    with pytest.raises(GroupTooLarge, match="51840 exceeds cap 1000"):
+        rootdata._weyl_matrices(z.e6, 1000)
+    with pytest.raises(GroupTooLarge):
+        weyl_group(z.e6, cap=1000)
 
 
 def test_characters_of_group():

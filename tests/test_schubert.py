@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import helpers as z
+from test_rootdata import ORBIT_DATA
 from chevalley_chow import lattice, qlinalg, rootdata, schubert
 from chevalley_chow.errors import NonIntegralStructureConstant
 from chevalley_chow.formats import parse_descriptor
@@ -25,6 +26,16 @@ from chevalley_chow.schubert import (
 )
 
 F = Fraction
+
+
+HISTOGRAM_DATA = {**ORBIT_DATA, **{name: parse_descriptor(z.fixture_bytes(name)).group.rd for name in z.FIXTURE_NAMES}}
+
+
+@pytest.mark.parametrize("name", HISTOGRAM_DATA)
+def test_histogram_closed_form_matches_the_enumerated_lengths(name):
+    rd = HISTOGRAM_DATA[name]
+    lengths = weyl_group(rd).lengths
+    assert codegree_histogram(rd) == tuple(lengths.count(d) for d in range(lengths[-1] + 1))
 
 
 def test_basis_and_histogram():
