@@ -21,6 +21,7 @@ from chevalley_chow.descriptors import (
 from chevalley_chow.errors import SchemaError
 from chevalley_chow.formats import parse_descriptor
 from chevalley_chow.lattice import FGAbelianGroup, IntMatrix, Presentation
+from chevalley_chow.rootdata import simple_reflection
 
 M = IntMatrix
 
@@ -187,6 +188,24 @@ def test_subgroup_weyl_compatibility():
                              component_generators=(rot,), translations=(False,))
     rep = validate_subgroup(z.gl2c, bad)
     assert any(c.name == "component-weyl-compatibility" for c in rep.failed())
+
+
+def test_subgroup_weyl_compatibility_walks_w_once_and_lazily(monkeypatch):
+    gd = GroupDescriptor("sl4", z.sl4, z.POINT, z.no_d(3))
+    refl = tuple(simple_reflection(z.sl4, i) for i in range(3))
+    normalizer = SubgroupDescriptor("normalizer", M.identity(3), (),
+                                    component_generators=refl, translations=(False,) * 3)
+    walked = []
+    scan = descriptors._weyl_matrices
+    monkeypatch.setattr(descriptors, "_weyl_matrices",
+                        lambda rd, cap: (walked.append(word) or (word, m) for word, m in scan(rd, cap)))
+    assert validate_subgroup(gd, normalizer).ok
+    # one walk for all three generators, stopped once each has its lift s_i
+    assert walked == [(), (0,), (1,), (2,)]
+    # |W(A3)| = 24 past the cap reads as a failed check, though |H/H0| = 2 is within it
+    one = SubgroupDescriptor("one", M.identity(3), (), component_generators=refl[:1], translations=(False,))
+    rep = validate_subgroup(gd, one, cap=10)
+    assert [c.name for c in rep.failed()] == ["component-weyl-compatibility"]
 
 
 def test_subgroup_root_index_out_of_range():
