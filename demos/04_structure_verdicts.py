@@ -7,7 +7,7 @@ the output reads as a short proof sketch.
 """
 
 from chevalley_chow.formats import parse_descriptor
-from chevalley_chow.rootdata import flag_picard_map
+from chevalley_chow.rootdata import affine_picard_group
 from chevalley_chow.structure import (
     affinization_test,
     albanese_split_test,
@@ -39,10 +39,10 @@ for name in ("trivial", "gaff", "ant"):
 # PGL2 x E is not factorial; its cover replaces PGL2 by SL2
 pgl = load("fixtures/product_pgl2.json")
 print("--", pgl.group.name)
-print("Pic of affine part:", flag_picard_map(pgl.group.rd).pic.describe())
+print("Pic of affine part:", affine_picard_group(pgl.group.rd).describe())
 cover = construct_cover(pgl.group)
 print("cover:", cover.name, "->",
-      flag_picard_map(cover.rd).pic.describe(), "affine Pic")
+      affine_picard_group(cover.rd).describe(), "affine Pic")
 print("cover affinization trivial:",
       affinization_test(cover).trivial.answer)
 

@@ -48,7 +48,7 @@ from .lattice import (
     vstack,
 )
 from .qlinalg import SpanBuilder
-from .rootdata import flag_picard_map, reflection, root_system
+from .rootdata import affine_picard_group, reflection, root_system
 from .schubert import SchubertExpansion, codegree_histogram, coinvariant_ideal_generators
 
 
@@ -100,14 +100,14 @@ def picard_group(gd: GroupDescriptor) -> PicardReport:
     The sequence data carries X(G) = ker(gamma_A) as a sublattice of X(T).
     """
     att = derived_attributes(gd)
-    pic_gaff = flag_picard_map(gd.rd).pic
+    pic_gaff = affine_picard_group(gd.rd)
     ns = gd.av.ns.direct_sum(pic_gaff)
     pic0 = FormalPicardZero(gd.av.g, att.im_gamma)
     seq = PicardSequence(
         x_g=att.ker_gamma,
         x_g_group=FGAbelianGroup(att.ker_gamma.nrows),
         x_gaff=att.x_gaff,
-        gamma_matrix=att.u.matrix,
+        gamma_matrix=att.u,
         gamma_target=gd.gluing.sigma_quotient(),
         pic_gaff=pic_gaff,
     )
@@ -116,7 +116,7 @@ def picard_group(gd: GroupDescriptor) -> PicardReport:
 
 def ns_group(gd: GroupDescriptor) -> FGAbelianGroup:
     """NS(G) = NS(A) + Pic(G_aff), in canonical invariant-factor form."""
-    return gd.av.ns.direct_sum(flag_picard_map(gd.rd).pic)
+    return gd.av.ns.direct_sum(affine_picard_group(gd.rd))
 
 
 class GradedPresentation(Record):
@@ -205,7 +205,7 @@ def chow_presentation(gd: GroupDescriptor, max_degree: int, cap: int = DEFAULT_C
         concrete_factor=concrete,
         abelian_g=gd.av.g,
         ideal_degree1=tuple(pairs),
-        degree1_concrete=flag_picard_map(rd).pic,
+        degree1_concrete=affine_picard_group(rd),
     )
 
 
@@ -347,7 +347,7 @@ def homogeneous_picard(gd: GroupDescriptor, hd: SubgroupDescriptor,
     if mode == "integral":
         ns_part = gd.av.ns
         x_part = group_from_relations(restr.x_h.nrows, restr.matrix.transpose())
-        tail = flag_picard_map(gd.rd).pic
+        tail = affine_picard_group(gd.rd)
     else:
         ns_part = FGAbelianGroup(gd.av.ns.rank)
         x_part = FGAbelianGroup(restr.x_h.nrows - rank_r)

@@ -24,9 +24,9 @@ from .errors import GroupTooLarge, InvalidCartan
 from .lattice import (
     DEFAULT_CAP,
     FGAbelianGroup,
-    GroupHom,
     IntMatrix,
     Presentation,
+    coordinates,
     enumerate_matrix_group,
     fixed_sublattice,
     group_from_relations,
@@ -192,8 +192,7 @@ def validate_group(gd: GroupDescriptor) -> ValidationReport:
         return ValidationReport(gd.name, tuple(checks), tuple(warnings))
 
     glue = gd.gluing
-    v_hom = GroupHom(Presentation.free(gd.rd.rank), glue.xd, glue.v_matrix)
-    _check(checks, "v-surjectivity", v_hom.is_surjective(),
+    _check(checks, "v-surjectivity", glue.xd.cokernel(glue.v_matrix).is_trivial,
            "v does not map X(T) onto X(D)")
 
     central = all(
@@ -290,8 +289,8 @@ def validate_subgroup(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DE
     if q.ncols != rd.rank:
         return ValidationReport(hd.name, tuple(checks), tuple(warnings))
 
-    q_hom = GroupHom(Presentation.free(rd.rank), Presentation.free(hd.h_rank), q)
-    q_onto = _check(checks, "q-surjectivity", q_hom.is_surjective(), "q is not onto X(T_H)")
+    q_onto = _check(checks, "q-surjectivity", Presentation.free(hd.h_rank).cokernel(q).is_trivial,
+                    "q is not onto X(T_H)")
 
     rs = root_system(rd)
     in_range = range(len(rs.positive))
@@ -318,16 +317,15 @@ def validate_subgroup(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DE
 
     if finite_ok and hd.component_generators:
         unlifted = {g @ q for g in hd.component_generators}  # each g needs a Weyl m with g q = q m
+        detail = "a component generator is not q-compatible with any Weyl element"
         try:
             for _, m in _weyl_matrices(rd, cap):  # one lazy walk for all generators
                 unlifted.discard(q @ m)
                 if not unlifted:
                     break
-        except GroupTooLarge:
-            pass
-        compat = not unlifted
-        _check(checks, "component-weyl-compatibility", compat,
-               "a component generator is not q-compatible with any Weyl element")
+        except GroupTooLarge as e:  # W past the cap is refused before any element is seen
+            detail = str(e)
+        compat = _check(checks, "component-weyl-compatibility", not unlifted, detail)
         # X(H0) needs every symmetric coroot to descend along q
         if compat and q_onto and roots_ok and descent_ok:
             stable = _component_action(_connected_character_lattice(gd, hd), hd) is not None
@@ -354,7 +352,7 @@ class AttributeReport(Record):
     dim_Aff_G: int
     dim_D: int
     x_gaff: IntMatrix            # basis rows of X(G_aff) inside X(T)
-    u: GroupHom                  # X(G_aff) -> X(D) on x_gaff coordinates; gamma_A factors through it
+    u: IntMatrix                 # v on X(G_aff): x_gaff coordinates -> X(D) generators; gamma_A factors through it
     ker_gamma: IntMatrix         # basis rows of ker gamma_A inside X(T)
     im_gamma: FGAbelianGroup     # X(G_aff)/ker gamma_A, the image inside Pic0(A)
     rank_im_gamma: int
@@ -365,7 +363,8 @@ class AttributeReport(Record):
 def derived_attributes(gd: GroupDescriptor) -> AttributeReport:
     """Dimensions and the gamma_A kernel/image data of a valid descriptor.
 
-    X(G_aff) is computed once; u is the restriction of v to it, and
+    X(G_aff) is computed once; u = v @ x_gaff^T is the restriction of v to
+    it, a matrix from X(G_aff) coordinates to the X(D) generators, and
     ker gamma_A = X(G) is the kernel of u into X(D)/ker sigma_A; im gamma_A
     is presented on the X(G_aff) coordinates with that kernel as relations.
     The tests check both against independent routes: X(G_aff) meet
@@ -380,8 +379,8 @@ def derived_attributes(gd: GroupDescriptor) -> AttributeReport:
     dim_gant = gd.av.g + dim_d
     dim_g = dim_gaff + gd.av.g
     x_gaff = characters_of_group(rd)
-    u = GroupHom(Presentation.free(x_gaff.nrows), glue.xd, glue.v_matrix @ x_gaff.transpose())
-    coords = GroupHom(u.domain, glue.sigma_quotient(), u.matrix).kernel_lattice()
+    u = glue.v_matrix @ x_gaff.transpose()
+    coords = glue.sigma_quotient().kernel(u)
     ker = hermite_row_basis(coords @ x_gaff)
     return AttributeReport(
         dim_G=dim_g,
@@ -430,17 +429,8 @@ def _connected_character_lattice(gd: GroupDescriptor, hd: SubgroupDescriptor) ->
 def _component_action(xh0: IntMatrix, hd: SubgroupDescriptor) -> tuple[IntMatrix, ...] | None:
     """Each component generator acting on X(H0), in the coordinates of the
     basis rows ``xh0``; None when some generator does not stabilize X(H0)."""
-    induced = []
-    bt = xh0.transpose()
-    for g in hd.component_generators:
-        cols = []
-        for row in xh0.rows:
-            sol = solve_integer(bt, g.apply(row))
-            if sol is None:
-                return None
-            cols.append(sol)
-        induced.append(IntMatrix.from_columns(cols, xh0.nrows))
-    return tuple(induced)
+    images = [coordinates(xh0, map(g.apply, xh0.rows)) for g in hd.component_generators]
+    return None if None in images else tuple(m.transpose() for m in images)
 
 
 def subgroup_characters(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DEFAULT_CAP) -> IntMatrix:
@@ -477,15 +467,9 @@ def restriction_to_subgroup(gd: GroupDescriptor, hd: SubgroupDescriptor, x_gaff:
     kill all coroots; integrality of the change of basis is asserted.
     """
     x_h = subgroup_characters(gd, hd, cap)
-    cols = []
-    ker_rows = []
-    xht = x_h.transpose()
-    for chi in x_gaff.rows:
-        img = hd.q_matrix.apply(chi)
-        sol = solve_integer(xht, img) if x_h.nrows else (None if any(img) else ())
-        assert sol is not None, "restriction of a group character escaped X(H)"
-        cols.append(tuple(sol))
-    matrix = IntMatrix.from_columns(cols, x_h.nrows)
+    images = coordinates(x_h, map(hd.q_matrix.apply, x_gaff.rows))
+    assert images is not None, "restriction of a group character escaped X(H)"
+    matrix = images.transpose()
     # kernel of r_H inside X(T): coordinates in the X(G_aff) basis, then back
     ker_coords = integer_kernel(matrix)
     ker = hermite_row_basis(ker_coords @ x_gaff) if x_gaff.nrows else IntMatrix((), gd.rd.rank)

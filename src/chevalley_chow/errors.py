@@ -11,14 +11,6 @@ class ChevalleyChowError(Exception):
     """Base class for all package errors."""
 
 
-class IllFormedHom(ChevalleyChowError):
-    """A homomorphism matrix does not map relations into relations."""
-
-
-class TorsionDomain(ChevalleyChowError):
-    """Kernel lattices are only defined over free (relation-less) domains."""
-
-
 class GroupTooLarge(ChevalleyChowError):
     """Group enumeration exceeded the configured cap."""
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from operator import mul
 
 from ._record import Record
-from .errors import GroupTooLarge, IllFormedHom, TorsionDomain
+from .errors import GroupTooLarge
 
 Vec = tuple[int, ...]
 
@@ -77,13 +77,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls._from_int_rows(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
-
-    @classmethod
-    def from_columns(cls, cols, nrows: int | None = None) -> "IntMatrix":
-        cols = tuple(cols)
-        if not cols and nrows is None:
-            raise ValueError("empty column list needs explicit nrows")
-        return cls(cols, nrows).transpose()  # a column of another length than nrows raises
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -293,6 +286,18 @@ def solve_integer(m: IntMatrix, b) -> Vec | None:
     return None if any(rem) else tuple(x)
 
 
+def coordinates(basis: IntMatrix, vectors) -> IntMatrix | None:
+    """Row k holds the coordinates of ``vectors[k]`` over the rows of
+    ``basis``; None when some vector lies outside their lattice.
+
+    >>> coordinates(IntMatrix(((2, 0), (0, 3))), [(4, 3), (0, -6)]).rows
+    ((2, 1), (0, -2))
+    """
+    bt = basis.transpose()
+    rows = tuple(solve_integer(bt, vec) for vec in vectors)
+    return None if None in rows else IntMatrix._from_int_rows(rows, basis.nrows)
+
+
 def smith_normal_form(m: IntMatrix) -> IntMatrix:
     """Smith form ``S`` of ``m``: ``U @ m @ V == S`` for some unimodular U, V.
 
@@ -433,10 +438,6 @@ class Presentation(Record):
     def free(cls, n: int) -> "Presentation":
         return cls(n, IntMatrix((), n))
 
-    @property
-    def is_free(self) -> bool:
-        return self.relations.nrows == 0 or hermite_row_basis(self.relations).nrows == 0
-
     def group(self) -> FGAbelianGroup:
         return group_from_relations(self.ngens, self.relations)
 
@@ -446,54 +447,20 @@ class Presentation(Record):
             return all(x == 0 for x in vec)
         return lattice_contains(hermite_row_basis(self.relations), vec)
 
+    def cokernel(self, m: IntMatrix) -> FGAbelianGroup:
+        """This group modulo the image of ``m``, a map into it from Z^m.ncols."""
+        return group_from_relations(self.ngens, vstack(m.transpose(), self.relations))
 
-class GroupHom(Record):
-    """Homomorphism between presented groups, as a matrix on generator coords.
-
-    ``matrix`` has shape (codomain.ngens, domain.ngens) and acts on column
-    vectors.  Well-definedness (relations land in relations) is checked at
-    construction time and raises :class:`IllFormedHom` when violated.
-    """
-
-    domain: Presentation
-    codomain: Presentation
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.codomain.ngens, self.domain.ngens):
-            raise ValueError(
-                f"hom matrix shape {self.matrix.shape} does not match "
-                f"({self.codomain.ngens}, {self.domain.ngens})"
-            )
-        for rel in self.domain.relations.rows:
-            if not self.codomain.contains_relation(self.matrix.apply(rel)):
-                raise IllFormedHom(f"relation {rel} maps to a nonzero element")
-
-    def apply(self, vec) -> Vec:
-        return self.matrix.apply(vec)
-
-    def kernel_lattice(self) -> IntMatrix:
-        """Canonical basis of ``{x : f(x) = 0 in codomain}``.
-
-        Only defined when the domain is an honest lattice; a domain with
-        relations raises :class:`TorsionDomain`.
-        """
-        if self.domain.relations.nrows and not self.domain.is_free:
-            raise TorsionDomain("kernel lattice of a torsion domain is not a lattice")
-        rel = hermite_row_basis(self.codomain.relations)
-        if rel.nrows:
-            stacked = hstack(self.matrix, -rel.transpose())
-            ker = integer_kernel(stacked)
-            rows = tuple(r[: self.domain.ngens] for r in ker.rows)
-            return hermite_row_basis(IntMatrix._from_int_rows(rows, self.domain.ngens))
-        return integer_kernel(self.matrix)
-
-    def cokernel_group(self) -> FGAbelianGroup:
-        rels = vstack(self.matrix.transpose(), self.codomain.relations)
-        return group_from_relations(self.codomain.ngens, rels)
-
-    def is_surjective(self) -> bool:
-        return self.cokernel_group().is_trivial
+    def kernel(self, m: IntMatrix) -> IntMatrix:
+        """Canonical basis of ``{x in Z^m.ncols : m @ x == 0 in this group}``."""
+        if m.nrows != self.ngens:
+            raise ValueError("map does not land in the generators")
+        rel = hermite_row_basis(self.relations)
+        if not rel.nrows:
+            return integer_kernel(m)
+        # (x, y) with m @ x == rel^T @ y, cut down to x
+        ker = integer_kernel(hstack(m, -rel.transpose()))
+        return hermite_row_basis(IntMatrix._from_int_rows(tuple(r[:m.ncols] for r in ker.rows), m.ncols))
 
 
 # ---------------------------------------------------------------------------

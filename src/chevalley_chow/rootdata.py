@@ -1,4 +1,4 @@
-"""Reductive root data: validation, Weyl groups, characters, flag Picard map.
+"""Reductive root data: validation, Weyl groups, characters, Pic(G_aff).
 
 A :class:`RootDatum` is the finite descriptor of a connected reductive group
 ``G_aff`` (up to its unipotent radical, which is tracked only as a
@@ -23,10 +23,10 @@ from .errors import GroupTooLarge, InvalidCartan
 from .lattice import (
     DEFAULT_CAP,
     FGAbelianGroup,
-    GroupHom,
     IntMatrix,
     Presentation,
     Vec,
+    coordinates,
     hermite_row_basis,
     integer_kernel,
 )
@@ -421,29 +421,15 @@ def characters_of_group(rd: RootDatum) -> IntMatrix:
     return integer_kernel(rd.simple_coroots)
 
 
-class FlagPicardMap(Record):
-    """The coroot-pairing map X(B) = X(T) -> Pic(flag variety) = Z^nsimple.
-
-    ``pic`` is the cokernel: the Picard group of G_aff itself.
-    """
-
-    hom: GroupHom
-    pic: FGAbelianGroup
-
-
-def flag_picard_map(rd: RootDatum) -> FlagPicardMap:
-    """chi |-> (<chi, alpha_1^vee>, ...) and its cokernel Pic(G_aff).
+def affine_picard_group(rd: RootDatum) -> FGAbelianGroup:
+    """Pic(G_aff), the cokernel of the coroot pairing X(T) -> Pic(G/B) = Z^nsimple,
+    chi |-> (<chi, alpha_1^vee>, ...).
 
     >>> pgl2 = RootDatum(1, IntMatrix(((1,),)), IntMatrix(((2,),)))
-    >>> flag_picard_map(pgl2).pic.describe()
+    >>> affine_picard_group(pgl2).describe()
     'Z/2'
     """
-    hom = GroupHom(
-        Presentation.free(rd.rank),
-        Presentation.free(rd.nsimple),
-        rd.simple_coroots,
-    )
-    return FlagPicardMap(hom, hom.cokernel_group())
+    return Presentation.free(rd.nsimple).cokernel(rd.simple_coroots)
 
 
 def fundamental_weights_q(rd: RootDatum) -> list[tuple[Fraction, ...]]:
@@ -508,36 +494,28 @@ def factorial_cover_with_basis(rd: RootDatum) -> tuple[RootDatum, IntMatrix, int
     gens += [tuple(int(x * denom) for x in w) for w in weights]
     scaled = hermite_row_basis(IntMatrix(gens, n))
     assert scaled.nrows == n, "enlarged lattice must have full rank"
-    # columns of basis_q are the new basis vectors in old (rational) coords
-    basis_q = [[Fraction(scaled.rows[i][j], denom) for i in range(n)] for j in range(n)]
-
-    def to_new(vec):
-        sol = qsolve(basis_q, [Fraction(x) for x in vec])
-        assert sol is not None and all(x.denominator == 1 for x in sol)
-        return tuple(int(x) for x in sol)
-
-    new_roots = IntMatrix(tuple(to_new(r) for r in rd.simple_roots.rows), n)
-    new_coroots = []
-    for cov in rd.simple_coroots.rows:
-        row = []
-        for i in range(n):
-            val = sum(basis_q[c][i] * cov[c] for c in range(n))
-            assert val.denominator == 1, "coroot fails to pair integrally with the new lattice"
-            row.append(int(val))
-        new_coroots.append(tuple(row))
-    return RootDatum(n, new_roots, IntMatrix(new_coroots, n), rd.u_rad), scaled, denom
+    # the rows of scaled are denom times the new basis vectors, so a root's
+    # new coordinates are those of denom times it over scaled
+    new_roots = coordinates(scaled, (tuple(denom * x for x in r) for r in rd.simple_roots.rows))
+    assert new_roots is not None, "a root left the enlarged lattice"
+    pairings = rd.simple_coroots @ scaled.transpose()  # row i: <new basis vectors, alpha_i^vee> times denom
+    assert all(x % denom == 0 for row in pairings.rows for x in row), \
+        "coroot fails to pair integrally with the new lattice"
+    new_coroots = IntMatrix(tuple(tuple(x // denom for x in row) for row in pairings.rows), n)
+    return RootDatum(n, new_roots, new_coroots, rd.u_rad), scaled, denom
 
 
-def contains_borel(rd: RootDatum, root_subset, q_is_identity: bool, cap: int = DEFAULT_CAP):
+def contains_borel(rd: RootDatum, root_subset, q_unimodular: bool, cap: int = DEFAULT_CAP):
     """Does the root subset contain w(positive system) for some w in W?
 
     ``root_subset`` is an iterable of root vectors (X(T) coordinates, either
     sign).  Returns ``(found, witness)`` where the witness is the first such
     Weyl element in enumeration order, as a pair (index, reduced word), or
-    None.  A subgroup whose torus is a proper quotient (``q_is_identity``
-    false) never contains a Borel subgroup.
+    None.  A subgroup whose torus is a proper quotient (``q_unimodular``
+    false: q is not a square matrix of determinant +-1) never contains a
+    Borel subgroup.
     """
-    if not q_is_identity:
+    if not q_unimodular:
         return False, None
     subset = {tuple(int(x) for x in v) for v in root_subset}
     rs = root_system(rd)

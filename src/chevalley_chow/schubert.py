@@ -172,11 +172,13 @@ def schubert_representatives(rd: RootDatum, max_degree: int | None = None, cap: 
     """Coinvariant-algebra representatives, keyed by Weyl index.
 
     Only classes of codegree <= max_degree are returned when a bound is given.
+    The polynomials are fresh dicts, so a caller that mutates them cannot
+    change the cached table that later products read.
     """
     table = _representative_table(rd, cap)
     w = weyl_group(rd, cap=cap)
     return {
-        i: table[i]
+        i: dict(table[i])
         for i in range(len(w))
         if max_degree is None or w.lengths[i] <= max_degree
     }

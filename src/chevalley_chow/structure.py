@@ -21,13 +21,12 @@ from .lattice import (
     FGAbelianGroup,
     IntMatrix,
     Presentation,
-    _column_transform,
+    coordinates,
     enumerate_matrix_group,
     hermite_row_basis,
     integer_kernel,
     intersect_rows,
     saturate_rows,
-    solve_integer,
 )
 from .rootdata import (
     contains_borel,
@@ -89,7 +88,7 @@ def affinization_test(gd: GroupDescriptor) -> AffinizationReport:
                      {"xd": att.xd_group.describe()})
     else:
         lt = Verdict("no", f"D is not smooth and connected (X(D) = {att.xd_group.describe()})")
-    if lt.answer == "yes" and att.u.is_surjective():
+    if lt.answer == "yes" and gd.gluing.xd.cokernel(att.u).is_trivial:
         tv = Verdict("yes", "D is smooth connected and every character of D extends to G_aff",
                      {"u_surjective": "yes"})
     elif lt.answer == "yes":
@@ -117,18 +116,14 @@ def construct_cover(gd: GroupDescriptor) -> GroupDescriptor:
     scaled_images = [proj.apply(glue.v_matrix.apply(row)) for row in basis_num.rows]
     lattice = hermite_row_basis(IntMatrix(scaled_images, f))
     r = lattice.nrows
-    lt = lattice.transpose()
-    cols = []
-    for img in scaled_images:
-        sol = solve_integer(lt, img) if r else ()
-        assert sol is not None, "image must lie in the lattice it generates"
-        cols.append(tuple(sol))
-    v2 = IntMatrix.from_columns(cols, r)
+    images = coordinates(lattice, scaled_images)
+    assert images is not None, "image must lie in the lattice it generates"
+    v2 = images.transpose()
     if glue.sigma_kernel_gens.nrows and r:
         pushed = IntMatrix([proj.apply(k) for k in glue.sigma_kernel_gens.rows], f)
         sat = saturate_rows(pushed)
         meet = intersect_rows(lattice, sat) if sat.nrows else IntMatrix((), f)
-        ker2 = IntMatrix([solve_integer(lt, k) for k in meet.rows], r)
+        ker2 = coordinates(lattice, meet.rows)
     else:
         ker2 = IntMatrix((), r)
     glue2 = AntiAffineGluing(Presentation.free(r), v2, ker2, glue.unipotent_dim, glue.char)
@@ -160,9 +155,9 @@ class FibrationReport(Record):
 
 
 def _matrix_inverse(m: IntMatrix) -> IntMatrix:
-    # m is unimodular, so its echelon column basis is the unit vectors and
-    # their coordinates are the columns of the inverse
-    return IntMatrix.from_columns([u for _, u in _column_transform(m)[0]], m.nrows)
+    # m is unimodular: the coordinates of the unit vectors over its columns
+    # are the columns of its inverse
+    return coordinates(m.transpose(), IntMatrix.identity(m.nrows).rows).transpose()
 
 
 def _translation_index_bound(hd: SubgroupDescriptor, cap: int) -> int:

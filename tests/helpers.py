@@ -23,7 +23,6 @@ from chevalley_chow.invariants import (
 from chevalley_chow.lattice import (
     DEFAULT_CAP,
     FGAbelianGroup,
-    GroupHom,
     IntMatrix,
     Presentation,
     enumerate_matrix_group,
@@ -37,7 +36,8 @@ from chevalley_chow.lattice import (
 )
 from chevalley_chow.qlinalg import qsolve
 from chevalley_chow.rootdata import (
-    RootDatum, characters_of_group, reflection, root_system, simple_reflection, weyl_group)
+    RootDatum, characters_of_group, fundamental_weights_q, reflection, root_system, simple_reflection,
+    validate_root_datum, weyl_group)
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = (
@@ -523,8 +523,38 @@ def random_gluings(seed: int, count: int, data=(torus2, gl2, rank3)):
 
 def gamma_kernel_by_intersection(gd):
     """Oracle for ``derived_attributes(gd).ker_gamma``: X(G_aff) meet v^{-1}(ker sigma_A)."""
-    hom = GroupHom(Presentation.free(gd.rd.rank), gd.gluing.sigma_quotient(), gd.gluing.v_matrix)
-    return intersect_rows(characters_of_group(gd.rd), hom.kernel_lattice())
+    v_inverse = gd.gluing.sigma_quotient().kernel(gd.gluing.v_matrix)
+    return intersect_rows(characters_of_group(gd.rd), v_inverse)
+
+
+def factorial_cover_by_fractions(rd):
+    """Oracle for ``rootdata.factorial_cover_with_basis``: the same enlarged
+    lattice, with the new roots and coroots found over Q by ``qsolve`` on the
+    rational basis and checked integral, instead of by integer coordinates."""
+    validate_root_datum(rd)
+    weights = fundamental_weights_q(rd)
+    if all(x.denominator == 1 for w in weights for x in w):
+        return rd, IntMatrix.identity(rd.rank), 1
+    denom = math.lcm(*[x.denominator for w in weights for x in w])
+    n = rd.rank
+    gens = [tuple(denom if i == j else 0 for j in range(n)) for i in range(n)]
+    gens += [tuple(int(x * denom) for x in w) for w in weights]
+    scaled = hermite_row_basis(IntMatrix(gens, n))
+    # columns of basis_q are the new basis vectors in old (rational) coordinates
+    basis_q = [[Fraction(scaled.rows[i][j], denom) for i in range(n)] for j in range(n)]
+
+    def to_new(vec):
+        sol = qsolve(basis_q, [Fraction(x) for x in vec])
+        assert sol is not None and all(x.denominator == 1 for x in sol)
+        return tuple(int(x) for x in sol)
+
+    new_roots = IntMatrix(tuple(to_new(r) for r in rd.simple_roots.rows), n)
+    new_coroots = []
+    for cov in rd.simple_coroots.rows:
+        row = [sum(basis_q[c][i] * cov[c] for c in range(n)) for i in range(n)]
+        assert all(x.denominator == 1 for x in row)
+        new_coroots.append(tuple(map(int, row)))
+    return RootDatum(n, new_roots, IntMatrix(new_coroots, n), rd.u_rad), scaled, denom
 
 
 def naive_closure(gens):

@@ -36,7 +36,7 @@ from chevalley_chow.lattice import (
     group_from_relations,
     invariant_factors,
 )
-from chevalley_chow.rootdata import flag_picard_map, weyl_group
+from chevalley_chow.rootdata import affine_picard_group, weyl_group
 from chevalley_chow.schubert import (
     chevalley_multiply,
     codegree_histogram,
@@ -76,7 +76,7 @@ def test_criterion_01_flag_picard_table():
         ]
         seen = []
         for rd, expected in table:
-            got = flag_picard_map(rd).pic
+            got = affine_picard_group(rd)
             assert got == expected, (rd, got)
             factors = invariant_factors(rd.simple_coroots)
             torsion = tuple(f for f in factors if f > 1)
@@ -215,7 +215,7 @@ def test_criterion_05_ns_direct_sum_and_rank_law():
     def body():
         for gd in z.ALL_GROUPS:
             p = picard_group(gd)
-            pic_gaff = flag_picard_map(gd.rd).pic
+            pic_gaff = affine_picard_group(gd.rd)
             assert p.presentation.pic_gaff == pic_gaff, gd.name
             assert p.ns == gd.av.ns.direct_sum(pic_gaff), gd.name
             att = derived_attributes(gd)
@@ -245,7 +245,7 @@ def test_criterion_07_cover_laws():
             cover = construct_cover(gd)
             assert construct_cover(cover) is cover, gd.name
             assert affinization_test(cover).trivial.answer == "yes", gd.name
-            assert flag_picard_map(cover.rd).pic.is_trivial, gd.name
+            assert affine_picard_group(cover.rd).is_trivial, gd.name
             assert validate_group(cover).ok, gd.name
         return f"idempotent, trivial affinization, factorial, {len(z.ALL_GROUPS)} fixtures"
 

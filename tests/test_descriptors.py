@@ -53,9 +53,8 @@ def test_gl2_center_attributes():
     att = derived_attributes(z.gl2c)
     assert att.x_gaff == M(((1, 1),))
     assert att.ker_gamma.nrows == 0 and att.rank_im_gamma == 1
-    u = att.u
-    assert not u.is_surjective()  # image 2Z inside X(D) = Z
-    assert u.cokernel_group() == FGAbelianGroup(0, (2,))
+    assert att.u == M(((2,),))
+    assert z.gl2c.gluing.xd.cokernel(att.u) == FGAbelianGroup(0, (2,))  # image 2Z inside X(D) = Z
 
 
 def test_cover_torsion_attributes():
@@ -208,6 +207,17 @@ def test_subgroup_weyl_compatibility_walks_w_once_and_lazily(monkeypatch):
     assert [c.name for c in rep.failed()] == ["component-weyl-compatibility"]
 
 
+def test_subgroup_weyl_compatibility_past_the_cap_names_the_cap():
+    gd = GroupDescriptor("sl3", z.sl3, z.POINT, z.no_d(2))
+    one = SubgroupDescriptor("one", M.identity(2), (), component_generators=(simple_reflection(z.sl3, 0),),
+                             translations=(False,))
+    # |H/H0| = 2 is within cap 2, |W| = 6 is not: the detail blames the cap, not the generator
+    (failed,) = validate_subgroup(gd, one, cap=2).failed()
+    assert failed.name == "component-weyl-compatibility"
+    assert failed.detail == "|W| = 6 exceeds cap 2"
+    assert validate_subgroup(gd, one, cap=6).ok
+
+
 def test_subgroup_root_index_out_of_range():
     bad = SubgroupDescriptor("bad", M.identity(1), ((7, 1),))
     rep = validate_subgroup(z.product_sl2, bad)
@@ -306,7 +316,7 @@ def test_descriptor_shape_errors():
 
 def test_u_has_one_construction_site():
     att = derived_attributes(z.gl2c)
-    assert chow.picard_group(z.gl2c).presentation.gamma_matrix == att.u.matrix
+    assert chow.picard_group(z.gl2c).presentation.gamma_matrix == att.u
     assert structure.affinization_test(z.gl2c).trivial.answer == "no"  # u is not onto X(D)
 
 

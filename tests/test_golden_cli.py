@@ -20,7 +20,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import helpers as z
-from chevalley_chow import cli, descriptors, lattice, structure
+from chevalley_chow import cli, descriptors, lattice
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden_cli.json"
 
@@ -79,7 +79,7 @@ def test_every_solve_has_a_unique_solution(monkeypatch, capsysbinary):
         seen.append(m)
         return real(m, b)
 
-    for mod in (lattice, descriptors, structure):
+    for mod in (lattice, descriptors):
         monkeypatch.setattr(mod, "solve_integer", recording)
     for _, argv in CASES:
         cli.main(argv)

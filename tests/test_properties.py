@@ -19,6 +19,7 @@ from chevalley_chow.lattice import (
     FGAbelianGroup,
     IntMatrix,
     Presentation,
+    coordinates,
     group_from_relations,
     hermite_row_basis,
     hstack,
@@ -168,6 +169,23 @@ def test_solve_integer_finds_constructed_solutions(data):
     assert a.apply(y) == tuple(b)
 
 
+@given(st.data())
+def test_coordinates_recover_combinations_of_independent_rows(data):
+    basis = data.draw(matrices())
+    if hermite_row_basis(basis).nrows < basis.nrows:  # dependent rows: coordinates are not unique
+        basis = hermite_row_basis(basis)
+    k = data.draw(st.integers(0, 4))
+    coeffs = IntMatrix([data.draw(st.lists(entries, min_size=basis.nrows, max_size=basis.nrows))
+                        for _ in range(k)], basis.nrows)
+    vectors = coeffs @ basis
+    got = coordinates(basis, vectors.rows)
+    assert got == coeffs and got @ basis == vectors
+    # a vector off the lattice has no coordinates
+    off = data.draw(st.lists(entries, min_size=basis.ncols, max_size=basis.ncols))
+    if hermite_row_basis(vstack(basis, IntMatrix([off]))) != hermite_row_basis(basis):
+        assert coordinates(basis, [*vectors.rows, off]) is None
+
+
 @given(matrices(3), matrices(3))
 def test_intersection_contained_in_both(a, b):
     if a.ncols != b.ncols:
@@ -211,7 +229,7 @@ def _inverse_transpose(u):
         e[i] = 1
         sol = solve_integer(u.transpose(), e)
         cols.append(sol)
-    return IntMatrix.from_columns(cols, n)
+    return IntMatrix(cols, n).transpose()
 
 
 @settings(max_examples=40)

@@ -8,15 +8,16 @@ import pytest
 import helpers as z
 from chevalley_chow import lattice, qlinalg, rootdata
 from chevalley_chow.errors import GroupTooLarge, InvalidCartan
+from chevalley_chow.formats import parse_descriptor
 from chevalley_chow.lattice import DEFAULT_CAP, FGAbelianGroup, IntMatrix, enumerate_matrix_group
 from chevalley_chow.rootdata import (
     RootDatum,
+    affine_picard_group,
     cartan_matrix,
     characters_of_group,
     contains_borel,
     factorial_cover_datum,
     factorial_cover_with_basis,
-    flag_picard_map,
     fundamental_weights_q,
     reflection,
     root_system,
@@ -253,14 +254,14 @@ def test_characters_of_group():
 
 
 def test_flag_picard_table():
-    assert flag_picard_map(z.sl2).pic.is_trivial
-    assert flag_picard_map(z.gl2).pic.is_trivial
-    assert flag_picard_map(z.sp4).pic.is_trivial
-    assert flag_picard_map(z.pgl2).pic == FGAbelianGroup(0, (2,))
-    assert flag_picard_map(z.pgl3).pic == FGAbelianGroup(0, (3,))
-    assert flag_picard_map(z.so5).pic == FGAbelianGroup(0, (2,))
-    assert flag_picard_map(z.g2).pic.is_trivial
-    assert flag_picard_map(z.torus1).pic.is_trivial
+    assert affine_picard_group(z.sl2).is_trivial
+    assert affine_picard_group(z.gl2).is_trivial
+    assert affine_picard_group(z.sp4).is_trivial
+    assert affine_picard_group(z.pgl2) == FGAbelianGroup(0, (2,))
+    assert affine_picard_group(z.pgl3) == FGAbelianGroup(0, (3,))
+    assert affine_picard_group(z.so5) == FGAbelianGroup(0, (2,))
+    assert affine_picard_group(z.g2).is_trivial
+    assert affine_picard_group(z.torus1).is_trivial
 
 
 def test_fundamental_weights():
@@ -281,18 +282,31 @@ def test_factorial_cover_datum():
     gcover = factorial_cover_datum(z.gl2)
     assert gcover is not z.gl2
     assert validate_root_datum(gcover).describe() == "A1 x T1"
-    assert flag_picard_map(gcover).pic.is_trivial
+    assert affine_picard_group(gcover).is_trivial
     assert factorial_cover_datum(gcover) is gcover
     cover = factorial_cover_datum(z.pgl2)
     assert cover.simple_roots.rows == ((2,),) and cover.simple_coroots.rows == ((1,),)
     cover3 = factorial_cover_datum(z.pgl3)
-    assert flag_picard_map(cover3).pic.is_trivial
+    assert affine_picard_group(cover3).is_trivial
     assert validate_root_datum(cover3).describe() == "A2"
     # idempotent and root system preserved through the basis change
     assert factorial_cover_datum(cover3) is cover3
     _, basis, denom = factorial_cover_with_basis(z.pgl3)
     assert denom == 3 and basis.nrows == 2
     assert len(root_system(cover3).positive) == 3
+
+
+COVER_DATA = {
+    **ORBIT_DATA,
+    **{name: rd for name, rd in vars(z).items() if isinstance(rd, RootDatum)},
+    **{f"fixture-{name}": parse_descriptor(z.fixture_bytes(name)).group.rd for name in z.FIXTURE_NAMES},
+}
+
+
+@pytest.mark.parametrize("name", COVER_DATA)
+def test_factorial_cover_matches_the_fraction_route(name):
+    rd = COVER_DATA[name]
+    assert factorial_cover_with_basis(rd) == z.factorial_cover_by_fractions(rd)
 
 
 def test_contains_borel():

@@ -78,6 +78,17 @@ def test_representatives_shape():
     assert set(reps1) == {0, 1, 2}
 
 
+def test_mutating_the_representatives_changes_no_later_product():
+    rd = z.transvected(z.sl3, 1, 0)  # a datum no other test caches products for
+    reps = schubert_representatives(rd)
+    want = {i: dict(p) for i, p in reps.items()}
+    for p in reps.values():
+        p.clear()
+    schubert._integer_table.cache_clear()  # the products must reread the BGG table
+    assert schubert_representatives(rd) == want
+    assert schubert_product(rd, 1, 2).terms == {3: 1, 4: 1} == schubert_product(z.sl3, 1, 2).terms
+
+
 def test_divisor_products_agree_both_ways_rank_le_2():
     for name, rd in z.RANK_LE2.items():
         w = weyl_group(rd)
