@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 from ._record import Record
 from .descriptors import AbelianVarietyData, AntiAffineGluing, GroupDescriptor, SubgroupDescriptor
 from .errors import DescriptorSyntaxError, SchemaError
-from .lattice import FGAbelianGroup, IntMatrix, Presentation
+from .lattice import FGAbelianGroup, IntMatrix, Presentation, Vec
+from .rootdata import RootDatum
 
 SCHEMA_TAG = "chevalley-chow/1"
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
@@ -60,6 +63,8 @@ def _object(value, path, required, optional):
 
 
 def _int(value, path) -> int:
+    if type(value) is int:
+        return value
     # bool is an int subclass in Python; reject it explicitly
     if isinstance(value, bool):
         raise SchemaError(path, "expected an integer, got a boolean")
@@ -88,7 +93,22 @@ def _str(value, path) -> str:
     return value
 
 
+def _int_rows(value, width) -> tuple[Vec, ...] | None:
+    """``value`` as int tuples when it is a list of lists of ``width`` plain
+    ints each (a bool is not one), checked at C speed; None otherwise."""
+    if type(value) is list and (not value or {*map(type, value)} <= {list} and {*map(len, value)} <= {width}
+                                and {*map(type, chain.from_iterable(value))} <= {int}):
+        return tuple(map(tuple, value))
+    return None
+
+
 def _matrix(value, path, ncols=None) -> IntMatrix:
+    width = ncols
+    if width is None and type(value) is list and value and type(value[0]) is list:
+        width = len(value[0])
+    if width is not None and (rows := _int_rows(value, width)) is not None:
+        return IntMatrix._from_int_rows(rows, width)
+    # anything else is walked entry by entry, to name the first bad one
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list of rows")
     rows = []
@@ -96,7 +116,7 @@ def _matrix(value, path, ncols=None) -> IntMatrix:
     for i, row in enumerate(value):
         if not isinstance(row, list):
             raise SchemaError(f"{path}[{i}]", "expected a row (list of integers)")
-        parsed = tuple(_int(x, f"{path}[{i}][{j}]") for j, x in enumerate(row))
+        parsed = tuple(x if type(x) is int else _int(x, f"{path}[{i}][{j}]") for j, x in enumerate(row))
         if width is None:
             width = len(parsed)
         elif len(parsed) != width:
@@ -104,13 +124,13 @@ def _matrix(value, path, ncols=None) -> IntMatrix:
         rows.append(parsed)
     if width is None:
         raise SchemaError(path, "cannot infer the width of an empty matrix here")
-    return IntMatrix(tuple(rows), width)
+    return IntMatrix._from_int_rows(tuple(rows), width)
 
 
 def _int_list(value, path) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise SchemaError(path, "expected a list of integers")
-    return tuple(_int(x, f"{path}[{i}]") for i, x in enumerate(value))
+    return tuple(x if type(x) is int else _int(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
 def _canonical_group(rank: int, torsion, path) -> FGAbelianGroup:
@@ -126,9 +146,7 @@ def _canonical_group(rank: int, torsion, path) -> FGAbelianGroup:
     return out
 
 
-def _parse_root_datum(value, path):
-    from .rootdata import RootDatum
-
+def _parse_root_datum(value, path) -> RootDatum:
     obj = _object(value, path, ("rank", "simple_roots", "simple_coroots"), ("u_rad",))
     rank = _int(obj["rank"], f"{path}.rank")
     if rank < 0:
@@ -173,25 +191,34 @@ def _parse_gluing(value, path, rank) -> AntiAffineGluing:
         raise SchemaError(path, str(e))
 
 
+def _root_pairs(value, path) -> tuple[tuple[int, int], ...]:
+    """A ``roots`` list walked pair by pair, to name the first bad one."""
+    if not isinstance(value, list):
+        raise SchemaError(path, "expected a list of [index, sign] pairs")
+    roots = []
+    for i, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(f"{path}[{i}]", "expected [index, sign]")
+        idx = _int(pair[0], f"{path}[{i}][0]")
+        sign = _int(pair[1], f"{path}[{i}][1]")
+        if sign not in (1, -1):
+            raise SchemaError(f"{path}[{i}][1]", "sign must be 1 or -1")
+        if idx < 0:
+            raise SchemaError(f"{path}[{i}][0]", "root index must be nonnegative")
+        roots.append((idx, sign))
+    return tuple(roots)
+
+
 def _parse_subgroup(name, value, path, rank) -> SubgroupDescriptor:
     obj = _object(value, path, ("q",),
                   ("roots", "extra_unipotent_dim", "component_group",
                    "contains_G_ant", "ant_contains_gantaff"))
     q = _matrix(obj["q"], f"{path}.q", ncols=rank)
     rlist = obj.get("roots", [])
-    if not isinstance(rlist, list):
-        raise SchemaError(f"{path}.roots", "expected a list of [index, sign] pairs")
-    roots = []
-    for i, pair in enumerate(rlist):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{path}.roots[{i}]", "expected [index, sign]")
-        idx = _int(pair[0], f"{path}.roots[{i}][0]")
-        sign = _int(pair[1], f"{path}.roots[{i}][1]")
-        if sign not in (1, -1):
-            raise SchemaError(f"{path}.roots[{i}][1]", "sign must be 1 or -1")
-        if idx < 0:
-            raise SchemaError(f"{path}.roots[{i}][0]", "root index must be nonnegative")
-        roots.append((idx, sign))
+    roots = _int_rows(rlist, 2)
+    if roots is None or not ({*map(itemgetter(1), roots)} <= {1, -1}
+                             and min(map(itemgetter(0), roots), default=0) >= 0):
+        roots = _root_pairs(rlist, f"{path}.roots")
     gens: tuple[IntMatrix, ...] = ()
     flags: tuple[bool, ...] = ()
     if "component_group" in obj:
@@ -207,11 +234,11 @@ def _parse_subgroup(name, value, path, rank) -> SubgroupDescriptor:
         traw = cg.get("translations", [False] * len(gens))
         if not isinstance(traw, list):
             raise SchemaError(f"{path}.component_group.translations", "expected a list of booleans")
-        flags = tuple(_bool(t, f"{path}.component_group.translations[{i}]")
+        flags = tuple(t if type(t) is bool else _bool(t, f"{path}.component_group.translations[{i}]")
                       for i, t in enumerate(traw))
     try:
         return SubgroupDescriptor(
-            name, q, tuple(roots),
+            name, q, roots,
             _int(obj.get("extra_unipotent_dim", 0), f"{path}.extra_unipotent_dim"),
             gens, flags,
             _bool(obj.get("contains_G_ant", False), f"{path}.contains_G_ant"),

@@ -211,7 +211,7 @@ def _invariant_slice(rank: int, gens: tuple[IntMatrix, ...], d: int) -> tuple[Po
         return tuple({m: Fraction(1)} for m in basis)
     n = len(basis)
     # images[k][j]: coordinates of rho_d(gens[k]) applied to monomial j
-    images = [[coeff_vector(substitute(g, {m: 1}), rank, d) for m in basis] for g in gens]
+    images = _power_images(rank, gens, d)
     fixed = [v for _, v in kernel([[img[j][t] - (j == t) for j in range(n)] for img in images for t in range(n)], n)]
     cofixed = [v for _, v in kernel([[img[t][j] - (j == t) for j in range(n)] for img in images for t in range(n)], n)]
     # rows [L^T N | L^T] reduce to [D | D (L^T N)^-1 L^T], D diagonal and positive
@@ -225,6 +225,38 @@ def _invariant_slice(rank: int, gens: tuple[IntMatrix, ...], d: int) -> tuple[Po
         if any(avg) and builder.add(avg):
             polys.append({m: Fraction(c, scale) for m, c in zip(basis, avg) if c})
     return tuple(polys)
+
+
+def _power_images(rank: int, gens: tuple[IntMatrix, ...], d: int) -> list[list[list[int]]]:
+    """Per generator g, the int coordinates of ``substitute(g, {m: 1})`` for
+    each monomial m of :func:`sym_basis` ``(rank, d)``, stepped up degree by
+    degree: the image of x^m is the image of x_j times that of x^(m - e_j),
+    for j the first variable of m."""
+    # per generator and variable j, the image of x_j as (t, coefficient of x_t) pairs
+    linear = [[[(t, c) for t, c in enumerate(g.column(j)) if c] for j in range(rank)] for g in gens]
+    images = [[[1]] for _ in gens]
+    prev = {m: 0 for m in sym_basis(rank, 0)}  # monomial -> index, one degree down
+    for e in range(1, d + 1):
+        index = {m: i for i, m in enumerate(sym_basis(rank, e))}
+        # times[b][t]: index of x_t times monomial b of degree e - 1
+        times = [[index[m[:t] + (m[t] + 1,) + m[t + 1:]] for t in range(rank)] for m in prev]
+        steps = []  # per monomial m of degree e: (j, index of x^(m - e_j))
+        for m in index:
+            j = next(i for i, x in enumerate(m) if x)
+            steps.append((j, prev[m[:j] + (m[j] - 1,) + m[j + 1:]]))
+        stepped = []
+        for lin, lower in zip(linear, images):
+            stepped.append([])
+            for j, a in steps:
+                vec = [0] * len(index)
+                for b, c in enumerate(lower[a]):
+                    if c:
+                        row = times[b]
+                        for t, gc in lin[j]:
+                            vec[row[t]] += c * gc
+                stepped[-1].append(vec)
+        images, prev = stepped, index
+    return images
 
 
 class GradedAlgebra(Record):

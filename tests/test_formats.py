@@ -5,6 +5,7 @@ import json
 import pytest
 
 import helpers as z
+from chevalley_chow import formats
 from chevalley_chow.chow import picard_group, chow_presentation, homogeneous_picard
 from chevalley_chow.descriptors import validate_group, validate_subgroup
 from chevalley_chow.errors import DescriptorSyntaxError, SchemaError
@@ -128,6 +129,35 @@ def test_schema_type_and_shape_errors():
     expect_schema_error(
         mutate(lambda d: d["group"]["abelian"].update(ns_torsion=[0])),
         "ns_torsion")
+    # a bad matrix entry is named by its own path, whatever its type
+    for bad, reason in ((True, "expected an integer, got a boolean"),
+                        (1.0, "expected an integer (or a decimal string)"),
+                        ([1], "expected an integer (or a decimal string)"),
+                        ("x", "not an integer string: 'x'")):
+        with pytest.raises(SchemaError) as ei:
+            parse_descriptor(mutate(lambda d: d["group"]["root_datum"].update(simple_roots=[[bad]])))
+        assert (ei.value.path, ei.value.reason) == ("group.root_datum.simple_roots[0][0]", reason)
+    # a ragged row, against the known width and against the first row's
+    with pytest.raises(SchemaError) as ei:
+        parse_descriptor(mutate(lambda d: d.update(subgroups={"b": {"q": [[1], [1, 0]]}})))
+    assert (ei.value.path, ei.value.reason) == ("subgroups.b.q[1]", "row has 2 entries, expected 1")
+    with pytest.raises(SchemaError) as ei:
+        formats._matrix([[1, 2], [3]], "m")
+    assert (ei.value.path, ei.value.reason) == ("m[1]", "row has 1 entries, expected 2")
+    # an empty matrix takes its known width; with none known it is refused
+    assert parse_descriptor(mutate(lambda d: None)).group.gluing.v_matrix.shape == (0, 1)
+    assert formats._matrix([], "m", ncols=3).shape == (0, 3)
+    with pytest.raises(SchemaError) as ei:
+        formats._matrix([], "m")
+    assert (ei.value.path, ei.value.reason) == ("m", "cannot infer the width of an empty matrix here")
+    # a decimal string among plain ints parses to the same matrix
+    def relations(rows):
+        return mutate(lambda d: d["group"]["gluing"].update(xd_rank=2, v=[[1], [0]], xd_relations=rows))
+
+    doc = parse_descriptor(relations([[2, "-4"], [0, 6]]))
+    assert doc == parse_descriptor(relations([[2, -4], [0, 6]]))
+    assert doc.group.gluing.xd.relations.rows == ((2, -4), (0, 6))
+    assert all(type(x) is int for row in doc.group.gluing.xd.relations.rows for x in row)
 
 
 def test_ns_torsion_canonicalized():

@@ -98,7 +98,11 @@ def test_invariant_slices_match_bruteforce():
              for name, rd, top in (
                  ("A1", z.sl2, 3), ("A2", z.sl3, 3), ("A3", z.sl4, 3), ("A4", z.a4, 3),
                  ("B2", z.sp4, 3), ("C3", z.c3, 3), ("D4", z.d4, 3), ("G2", z.g2, 3),
-                 ("F4", z.f4, 2), ("A5", z.a5, 2))]
+                 ("F4", z.f4, 2), ("A5", z.a5, 2),
+                 # dense reflection matrices: the stepped monomial images have many nonzeros
+                 ("F4 transvected", z.transvected(z.f4, 3, 0), 2), ("A4 adjoint", z.adjoint_datum(z.a4), 3),
+                 ("C3 transvected", z.transvected(z.c3, 2, 0), 3),
+                 ("G2 transvected", z.transvected(z.g2, 1, 0), 3))]
     cases += [(name, gens, 3) for name, gens in z.non_weyl_groups()]
     for name, gens, top in cases:
         rank = gens[0].nrows
