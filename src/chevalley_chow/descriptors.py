@@ -27,7 +27,6 @@ from .lattice import (
     IntMatrix,
     Presentation,
     coordinates,
-    enumerate_matrix_group,
     fixed_sublattice,
     group_from_relations,
     hermite_row_basis,
@@ -39,6 +38,7 @@ from .rootdata import (
     RootDatum,
     _weyl_matrices,
     characters_of_group,
+    matrix_group_order,
     root_system,
     validate_root_datum,
 )
@@ -308,8 +308,7 @@ def validate_subgroup(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DE
     detail = ""
     if hd.component_generators:
         try:
-            gamma = enumerate_matrix_group(hd.component_generators, cap=cap)
-            detail = f"|H/H0| = {len(gamma)}"
+            detail = f"|H/H0| = {matrix_group_order(hd.component_generators, cap)}"
         except (GroupTooLarge, ValueError) as e:
             finite_ok = False
             detail = str(e)
@@ -437,7 +436,10 @@ def subgroup_characters(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = 
     """Basis rows of X(H) inside X(T_H).
 
     X(H) is the fixed part of X(H0) under the component group; X(H0) is cut
-    out of X(T_H) by the descended coroots of the symmetric roots.
+    out of X(T_H) by the descended coroots of the symmetric roots.  The
+    group acting on X(H0) must be finite of order at most ``cap``
+    (:func:`~chevalley_chow.rootdata.matrix_group_order`, GroupTooLarge
+    otherwise).
     """
     xh0 = _connected_character_lattice(gd, hd)
     if not hd.component_generators or xh0.nrows == 0:
@@ -445,7 +447,8 @@ def subgroup_characters(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = 
     induced = _component_action(xh0, hd)
     if induced is None:
         raise ValueError("component group does not stabilize X(H0)")
-    fixed = fixed_sublattice(induced, xh0.nrows, cap=cap)
+    matrix_group_order(induced, cap)
+    fixed = fixed_sublattice(induced, xh0.nrows)
     return hermite_row_basis(fixed @ xh0) if fixed.nrows else IntMatrix((), hd.h_rank)
 
 

@@ -20,8 +20,9 @@ from operator import add
 
 from ._record import Record
 from .errors import DegreeTooLarge
-from .lattice import DEFAULT_CAP, IntMatrix, enumerate_matrix_group
+from .lattice import DEFAULT_CAP, IntMatrix
 from .qlinalg import SpanBuilder, echelon, kernel
+from .rootdata import matrix_group_order
 
 Poly = dict[tuple[int, ...], Fraction]
 
@@ -190,8 +191,9 @@ def invariant_slice(rank: int, generators, d: int) -> list[Poly]:
     monomials are kept in monomial order when they enlarge the span: the
     basis Reynolds averaging over the enumerated group gives, at a cost
     independent of |G|.  Nothing here checks that the group is finite;
-    callers bound it first (:func:`invariant_algebra` enumerates it under
-    its cap, ``schubert.coinvariant_ideal_generators`` checks |W| by formula).
+    callers bound it first (:func:`invariant_algebra` bounds its order by
+    ``rootdata.matrix_group_order``, ``schubert.coinvariant_ideal_generators``
+    checks |W| by formula).
 
     Memoized per ``(rank, tuple(generators), d)`` in a cache of
     ``SLICE_CACHE_SIZE``; exceptions are never cached, and every call returns
@@ -281,15 +283,19 @@ def full_algebra(rank: int) -> GradedAlgebra:
 def invariant_algebra(rank: int, generators, cap: int = DEFAULT_CAP) -> GradedAlgebra:
     """The invariant subalgebra of a finite matrix-group action.
 
-    Each slice first closes the group under ``cap`` (:class:`GroupTooLarge`
-    for an infinite group or one past the cap), then takes the slice from
-    :func:`invariant_slice`; both are memoized, so each is computed once.
+    The first slice asked for bounds the group's order once by
+    ``rootdata.matrix_group_order`` (:class:`GroupTooLarge` for an infinite
+    group or one past ``cap``); each slice then comes from the memoized
+    :func:`invariant_slice`.
     """
     gens = tuple(generators)
+    bounded = not gens
 
     def slices(d: int) -> list[Poly]:
-        if gens:
-            enumerate_matrix_group(gens, cap=cap)
+        nonlocal bounded
+        if not bounded:
+            matrix_group_order(gens, cap)
+            bounded = True
         return invariant_slice(rank, gens, d)
 
     return GradedAlgebra(rank, slices)

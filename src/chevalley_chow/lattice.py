@@ -468,7 +468,7 @@ class Presentation(Record):
 # ---------------------------------------------------------------------------
 
 
-MATRIX_GROUP_CACHE_SIZE = 32  # closed groups kept, one per (generators, cap)
+MATRIX_GROUP_CACHE_SIZE = 64  # closed groups, and group orders, kept: one per (generators, cap)
 
 
 def enumerate_matrix_group(gens, cap: int = DEFAULT_CAP) -> tuple[IntMatrix, ...]:
@@ -478,8 +478,11 @@ def enumerate_matrix_group(gens, cap: int = DEFAULT_CAP) -> tuple[IntMatrix, ...
     the output is deterministic.  Raises :class:`GroupTooLarge` beyond
     ``cap`` elements or once :func:`group_closure` proves the group infinite.
     Generators must be invertible over Z (det +-1); this guarantees the
-    closure is a group when it is finite.  Memoized per ``(tuple(gens), cap)``
-    in a cache of ``MATRIX_GROUP_CACHE_SIZE``; exceptions are never cached.
+    closure is a group when it is finite.  Callers that need only the order
+    or finiteness go through ``rootdata.matrix_group_order``, which reads a
+    Weyl group's order off its Cartan type and closes only the other
+    generator sets here.  Memoized per ``(tuple(gens), cap)`` in a cache of
+    ``MATRIX_GROUP_CACHE_SIZE``; exceptions are never cached.
     """
     return _closed_group(tuple(gens), cap)
 
@@ -551,13 +554,12 @@ def group_closure(gens, n: int, cap: int) -> list[IntMatrix]:
     return [IntMatrix._from_int_rows(tuple(map(rows.__getitem__, e)), n) for e in elements]
 
 
-def fixed_sublattice(gens, n: int, cap: int = DEFAULT_CAP) -> IntMatrix:
+def fixed_sublattice(gens, n: int) -> IntMatrix:
     """Canonical basis of ``{x in Z^n : g @ x == x for every generator}``.
 
-    The generated group must be finite; that is enforced by enumerating it
-    under ``cap`` (GroupTooLarge otherwise).  The fixed lattice itself only
-    needs the generators: a vector fixed by all of them is fixed by the
-    whole group.
+    Only the generators are needed: a vector fixed by all of them is fixed
+    by the whole group.  Nothing here checks that the group is finite;
+    ``descriptors.subgroup_characters`` bounds its order first.
 
     >>> swap = IntMatrix(((0, 1), (1, 0)))
     >>> fixed_sublattice([swap], 2).rows
@@ -566,6 +568,5 @@ def fixed_sublattice(gens, n: int, cap: int = DEFAULT_CAP) -> IntMatrix:
     gens = tuple(gens)
     if not gens:
         return IntMatrix.identity(n)
-    enumerate_matrix_group(gens, cap=cap)
     blocks = [g - IntMatrix.identity(n) for g in gens]
     return integer_kernel(vstack(*blocks))

@@ -22,11 +22,13 @@ from ._record import Record
 from .errors import GroupTooLarge, InvalidCartan
 from .lattice import (
     DEFAULT_CAP,
+    MATRIX_GROUP_CACHE_SIZE,
     FGAbelianGroup,
     IntMatrix,
     Presentation,
     Vec,
     coordinates,
+    enumerate_matrix_group,
     hermite_row_basis,
     integer_kernel,
 )
@@ -248,6 +250,94 @@ def reflection(vec, cov) -> IntMatrix:
         tuple(tuple((1 if r == c else 0) - vec[r] * cov[c] for c in range(n)) for r in range(n)),
         n,
     )
+
+
+def matrix_group_order(gens, cap: int = DEFAULT_CAP) -> int:
+    """Order of the group the integer matrices ``gens`` generate.
+
+    When every generator is a reflection x |-> x - <x, a^vee> a and the
+    pairs (a, a^vee), signed so that the pairings along each connected
+    diagram are <= 0, form a root datum, the group is that datum's Weyl
+    group (Chevalley; Coxeter: Humphreys, *Reflection Groups and Coxeter
+    Groups*, 1990, sections 1-2), and its order is read off the Cartan type
+    with no element built.  Any other generator set is closed by
+    :func:`~chevalley_chow.lattice.enumerate_matrix_group`, with all its
+    refusals: ValueError for generators that are not square of one size or
+    not invertible over Z, :class:`GroupTooLarge` for an infinite group.
+    Either way an order past ``cap`` raises :class:`GroupTooLarge` with the
+    closure's message.  Memoized per ``(tuple(gens), cap)`` in a cache of
+    ``MATRIX_GROUP_CACHE_SIZE``; exceptions are never cached.
+
+    >>> swap = IntMatrix(((0, 1), (1, 0)))  # a reflection: the order formula
+    >>> matrix_group_order([swap])
+    2
+    >>> rot6 = IntMatrix(((0, -1), (1, 1)))  # a rotation: the closure
+    >>> matrix_group_order([rot6])
+    6
+    """
+    return _matrix_group_order(tuple(gens), cap)
+
+
+@lru_cache(maxsize=MATRIX_GROUP_CACHE_SIZE)
+def _matrix_group_order(gens: tuple[IntMatrix, ...], cap: int, /) -> int:
+    ctype = _reflection_type(gens)
+    if ctype is None:
+        return len(enumerate_matrix_group(gens, cap))
+    if ctype.weyl_order > cap:
+        raise GroupTooLarge(f"matrix group exceeds cap {cap}")
+    return ctype.weyl_order
+
+
+def _reflection_type(gens: tuple[IntMatrix, ...]) -> CartanType | None:
+    """Cartan type of the root datum whose simple reflections are ``gens``,
+    or None when they are not the simple reflections of one.
+
+    Each g must be x |-> x - <x, a^vee> a: a is the primitive vector of the
+    first nonzero column of 1 - g, a^vee is row i of 1 - g divided by a_i
+    (a_i the first nonzero entry of a), and 1 - g must be the outer product
+    of a and a^vee, so that g is :func:`reflection` ``(a, a^vee)``.  A pair
+    and its negative give the same reflection, so a breadth-first walk over
+    the nonzero pairings signs the pairs to make them <= 0;
+    :func:`validate_root_datum` checks everything else.
+    """
+    if not gens or any(g.shape != (gens[0].nrows,) * 2 for g in gens):
+        return None
+    n = gens[0].nrows
+    one = IntMatrix.identity(n)
+    pairs = []
+    for g in gens:
+        rows = (one - g).rows
+        col = next((c for c in zip(*rows) if any(c)), None)
+        if col is None:
+            return None
+        k = math.gcd(*col)
+        a = tuple(x // k for x in col)
+        i = next(i for i, x in enumerate(a) if x)
+        if any(x % a[i] for x in rows[i]):
+            return None
+        cov = tuple(x // a[i] for x in rows[i])
+        if rows != tuple(tuple(x * y for y in cov) for x in a):  # g is not reflection(a, cov)
+            return None
+        pairs.append((a, cov))
+    pairing = [[sum(map(mul, a, cov)) for _, cov in pairs] for a, _ in pairs]
+    sign = [0] * len(pairs)
+    for start in range(len(pairs)):
+        if sign[start]:
+            continue
+        sign[start] = 1
+        queue = [start]
+        for node in queue:  # the queue grows as the walk reaches new nodes
+            for j in range(len(pairs)):
+                bond = sign[node] * (pairing[node][j] + pairing[j][node])
+                if bond and not sign[j]:
+                    sign[j] = -1 if bond > 0 else 1
+                    queue.append(j)
+    roots, coroots = zip(*((tuple(s * x for x in a), tuple(s * x for x in cov)) for s, (a, cov) in zip(sign, pairs)))
+    rd = RootDatum(n, IntMatrix(roots, n), IntMatrix(coroots, n))
+    try:  # uncached: the order memo keeps the answer, and the datum is no caller's
+        return validate_root_datum.__wrapped__(rd)
+    except InvalidCartan:
+        return None
 
 
 def simple_reflection(rd: RootDatum, i: int) -> IntMatrix:

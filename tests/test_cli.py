@@ -10,8 +10,9 @@ import time
 import pytest
 
 import helpers as z
-from chevalley_chow import chow, cli, invariants, lattice, schubert
+from chevalley_chow import chow, cli, invariants, lattice, rootdata, schubert
 from chevalley_chow.formats import parse_descriptor
+from chevalley_chow.rootdata import simple_reflection
 
 
 def run_cli(capsys, *argv):
@@ -317,16 +318,34 @@ def test_chow_at_budget_computes_no_slice(capsys, monkeypatch, tail):
     assert "max_degree: 64" in out
 
 
-def test_component_group_closed_once_per_request(capsys, monkeypatch):
+def test_component_group_closed_once_per_request(tmp_path, capsys, monkeypatch):
     calls = []
     closure = lattice.group_closure
     monkeypatch.setattr(lattice, "group_closure",
                         lambda gens, n, cap: calls.append(tuple(gens)) or closure(gens, n, cap))
     lattice._closed_group.cache_clear()
-    # validation, X(H) and the invariant ring all need the component group {1, -1}
+    rootdata._matrix_group_order.cache_clear()
+    # validation, X(H) and the invariant ring all need the order of the
+    # component group; the rotation s0 s1 of order 3 is no reflection group,
+    # so it is closed as a matrix group, once for all three
+    rot3 = simple_reflection(z.sl3, 0) @ simple_reflection(z.sl3, 1)
+    doc = {"group": {"root_datum": {"rank": 2, "simple_roots": [[2, -1], [-1, 2]],
+                                    "simple_coroots": [[1, 0], [0, 1]]},
+                     "abelian": {"g": 0, "ns_rank": 0}, "gluing": {"xd_rank": 0, "v": []}},
+           "subgroups": {"rot3": {"q": [[1, 0], [0, 1]],
+                                  "component_group": {"generators": [[list(r) for r in rot3.rows]],
+                                                      "translations": [False]}}}}
+    p = tmp_path / "rot3.json"
+    p.write_text(json.dumps(doc))
+    code, _, _ = run_cli(capsys, "hchow", "rot3", str(p), "--max-degree", "2")
+    assert code == 0
+    assert calls == [(rot3,)]
+    # the component group {1, -1} is the Weyl group of A1: its order is read
+    # off the Cartan type, and no request closes it
+    calls.clear()
     code, _, _ = run_cli(capsys, "hchow", "nlt", SL2, "--max-degree", "2")
     assert code == 0
-    assert calls and len(calls) == len(set(calls))
+    assert calls == []
 
 
 def test_version_matches_pyproject():

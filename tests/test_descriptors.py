@@ -5,7 +5,7 @@ import time
 import pytest
 
 import helpers as z
-from chevalley_chow import chow, descriptors, structure
+from chevalley_chow import chow, descriptors, lattice, rootdata, structure
 from chevalley_chow.descriptors import (
     AbelianVarietyData,
     AntiAffineGluing,
@@ -216,6 +216,26 @@ def test_subgroup_weyl_compatibility_past_the_cap_names_the_cap():
     assert failed.name == "component-weyl-compatibility"
     assert failed.detail == "|W| = 6 exceeds cap 2"
     assert validate_subgroup(gd, one, cap=6).ok
+
+
+def test_normalizer_order_is_read_off_the_cartan_type(monkeypatch):
+    def no_closure(*args):
+        raise AssertionError("a Weyl group's order comes from its Cartan type, not a closure")
+
+    monkeypatch.setattr(lattice, "group_closure", no_closure)
+    rootdata._matrix_group_order.cache_clear()
+    reports = {}
+    for n in (6, 7):
+        rd = z.cartan_datum(z.type_e(n))
+        refl = tuple(simple_reflection(rd, i) for i in range(n))
+        normalizer = SubgroupDescriptor("normalizer", M.identity(n), (),
+                                        component_generators=refl, translations=(False,) * n)
+        reports[n] = validate_subgroup(GroupDescriptor(f"e{n}", rd, z.POINT, z.no_d(n)), normalizer)
+    assert reports[6].ok
+    assert [c.detail for c in reports[6].checks if c.name == "component-group-finite"] == ["|H/H0| = 51840"]
+    # |W(E7)| = 2903040 is past the default cap: refused by the order formula
+    (failed,) = reports[7].failed()
+    assert (failed.name, failed.detail) == ("component-group-finite", "matrix group exceeds cap 1000000")
 
 
 def test_subgroup_root_index_out_of_range():

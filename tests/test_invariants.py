@@ -127,17 +127,24 @@ def test_invariant_algebra_enumerates_once(monkeypatch):
     unipotent = (IntMatrix(((1, 1), (0, 1))),)
     with pytest.raises(GroupTooLarge):
         invariant_algebra(2, unipotent, cap=100).dim(0)
-    refl = tuple(simple_reflection(z.sl3, i) for i in range(2))
+    rot6 = dict(z.non_weyl_groups())["rot6"]  # a rotation of order 6: no reflection group
     calls = []
     closure = lattice.group_closure
     monkeypatch.setattr(lattice, "group_closure", lambda *a: calls.append(a) or closure(*a))
-    # the enumeration cache lives for the process: start from an empty one
+    # the order and enumeration caches live for the process: start from empty ones
     lattice._closed_group.cache_clear()
+    rootdata._matrix_group_order.cache_clear()
+    alg = invariant_algebra(2, rot6)
+    assert [alg.dim(d) for d in range(4)] == [1, 0, 1, 0]
+    assert len(calls) == 1
+    # a second algebra over the same group reuses the group's order
+    assert invariant_algebra(2, list(rot6)).dim(3) == 0
+    assert len(calls) == 1
+    # the simple reflections of A2 span W(A2), whose order is read off its
+    # Cartan type: no closure
+    refl = tuple(simple_reflection(z.sl3, i) for i in range(2))
     alg = invariant_algebra(2, refl)
     assert [alg.dim(d) for d in range(4)] == [1, 0, 1, 1]
-    assert len(calls) == 1
-    # a second algebra over the same group reuses the closed group
-    assert invariant_algebra(2, list(refl)).dim(3) == 1
     assert len(calls) == 1
 
 
@@ -181,10 +188,12 @@ def package_caches() -> dict[str, object]:
 def test_process_caches_are_bounded():
     # keys one schubert-warm benchmark pass creates (12 root data, degrees up
     # to 3, counted by cache_info().currsize); twice that never evicts.  The
-    # column transforms are counted on a ladder-cold pass (44 matrices, seed 1),
-    # since a schubert-warm pass asks for none.
+    # column transforms and the matrix-group orders are counted on a
+    # ladder-cold pass (44 matrices and 17 generator sets, seed 1), since a
+    # schubert-warm pass asks for none.
     table = (
         (lattice._closed_group, lattice.MATRIX_GROUP_CACHE_SIZE, 12),
+        (rootdata._matrix_group_order, lattice.MATRIX_GROUP_CACHE_SIZE, 17),
         (lattice._column_transform, lattice.COLUMN_TRANSFORM_CACHE_SIZE, 44),
         (invariants._invariant_slice, invariants.SLICE_CACHE_SIZE, 36),
         (invariants.sym_basis, invariants.SYM_BASIS_CACHE_SIZE, 12),

@@ -1,6 +1,7 @@
 """Root data: classification, Weyl enumeration, roots, flag Picard map."""
 
 import hashlib
+import random
 from operator import mul
 
 import pytest
@@ -9,7 +10,7 @@ import helpers as z
 from chevalley_chow import lattice, qlinalg, rootdata
 from chevalley_chow.errors import GroupTooLarge, InvalidCartan
 from chevalley_chow.formats import parse_descriptor
-from chevalley_chow.lattice import DEFAULT_CAP, FGAbelianGroup, IntMatrix, enumerate_matrix_group
+from chevalley_chow.lattice import DEFAULT_CAP, FGAbelianGroup, IntMatrix, coordinates, enumerate_matrix_group
 from chevalley_chow.rootdata import (
     RootDatum,
     affine_picard_group,
@@ -241,6 +242,77 @@ def test_weyl_matrices_refuse_the_cap_before_walking(monkeypatch):
         rootdata._weyl_matrices(z.e6, 1000)
     with pytest.raises(GroupTooLarge):
         weyl_group(z.e6, cap=1000)
+
+
+def _conjugated(gens, p):
+    p_inv = coordinates(p.transpose(), M.identity(p.nrows).rows).transpose()
+    return tuple(p @ g @ p_inv for g in gens)
+
+
+def _simple_reflections(rd):
+    return tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+
+
+def _root_reflections(rd):
+    return tuple(reflection(r.vector, r.coroot) for r in root_system(rd).positive)
+
+
+_rng = random.Random(1)  # every conjugating matrix below has an entry past +-1
+#: generator sets that are the simple reflections of a root datum
+ORDER_BY_TYPE = {name: _simple_reflections(rd) for name, rd in ORBIT_DATA.items() if name != "E6-sc"}
+ORDER_BY_TYPE.update({f"{name}-conjugated": _conjugated(_simple_reflections(rd), z.random_unimodular(_rng, rd.rank))
+                      for name, rd in (("A3", z.sl4), ("B2", z.sp4), ("G2", z.g2), ("C3", z.c3), ("F4", z.f4))})
+ORDER_BY_TYPE["A1xA1"] = _simple_reflections(z.sl2_sl2)
+# s_alpha2 and s_(alpha1 + alpha2) of A2: after a sign, alpha2 and
+# -(alpha1 + alpha2) are a simple system
+ORDER_BY_TYPE["A2-alpha2-alpha12"] = _root_reflections(z.sl3)[0:3:2]
+#: generator sets that are no simple system of reflections: the closure answers
+ORDER_BY_CLOSURE = {
+    "A2-positive": _root_reflections(z.sl3),
+    "B2-positive": _root_reflections(z.sp4),
+    "repeated": (simple_reflection(z.sl3, 0),) * 2,
+    "transvection": (M(((1, 1), (0, 1))),),
+    "identity": (M.identity(2),),
+    "affine": (M(((-1, 0), (0, 1))), M(((-1, 0), (2, 1)))),  # pairings -2 and -2: the affine A1
+    **dict(z.non_weyl_groups()),
+}
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (GroupTooLarge, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_BY_TYPE) + sorted(ORDER_BY_CLOSURE))
+def test_matrix_group_order_matches_the_closure(name, monkeypatch):
+    gens = ORDER_BY_TYPE.get(name) or ORDER_BY_CLOSURE[name]
+    calls = []
+    closure = lattice.group_closure
+    monkeypatch.setattr(lattice, "group_closure", lambda *a: calls.append(a) or closure(*a))
+    lattice._closed_group.cache_clear()
+    rootdata._matrix_group_order.cache_clear()
+    order = _outcome(lambda: rootdata.matrix_group_order(gens))
+    # a simple system of reflections is read off its Cartan type; anything
+    # else is closed, with the closure's answer or refusal
+    assert len(calls) == (name in ORDER_BY_CLOSURE)
+    assert order == _outcome(lambda: len(enumerate_matrix_group(gens)))
+    if name in ("transvection", "affine"):
+        assert order[0] is GroupTooLarge and order[1].startswith("infinite matrix group")
+    else:
+        assert order == len(z.naive_closure(gens)[0])
+
+
+def test_matrix_group_order_refuses_past_the_cap_with_the_closure_message():
+    refl = _simple_reflections(z.sl4)
+    rot6 = dict(z.non_weyl_groups())["rot6"]
+    for gens, order in ((refl, 24), (rot6, 6)):
+        assert rootdata.matrix_group_order(gens, cap=order) == order
+        with pytest.raises(GroupTooLarge, match=f"^matrix group exceeds cap {order - 1}$"):
+            rootdata.matrix_group_order(gens, cap=order - 1)
+    with pytest.raises(ValueError, match="square"):
+        rootdata.matrix_group_order((M.identity(2), M.identity(3)))
 
 
 def test_characters_of_group():
