@@ -33,7 +33,6 @@ from .invariants import (
     DEGREE_BUDGET,
     SLICE_BUDGET,
     TruncatedQuotient,
-    invariant_algebra,
     substitute,
     truncated_quotient,
 )
@@ -48,7 +47,7 @@ from .lattice import (
     vstack,
 )
 from .qlinalg import SpanBuilder
-from .rootdata import affine_picard_group, reflection, root_system
+from .rootdata import affine_picard_group, matrix_group_order, reflection, root_system
 from .schubert import SchubertExpansion, codegree_histogram, coinvariant_ideal_generators
 
 
@@ -270,8 +269,10 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
 
     The concrete ambient is the subring of Sym X(T_H)_Q invariant under
     both the reflections of the symmetric subgroup roots and the component
-    group; the ideal is generated by the q-restrictions of the
-    positive-degree Weyl invariants of G.  J on the abelian factor has
+    group, whose order is bounded once before the quotient
+    (``rootdata.matrix_group_order``: :class:`GroupTooLarge` for an infinite
+    group or one past ``cap``); the ideal is generated by the q-restrictions
+    of the positive-degree Weyl invariants of G.  J on the abelian factor has
     rank gamma_A(ker r_H), recorded in ``j_rank``.  Every slice up to
     max_degree is built, so a largest slice C(r + max_degree - 1, max_degree),
     with r = max(rank, h_rank), past ``SLICE_BUDGET`` is refused up front
@@ -284,13 +285,14 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
         raise ModeUnsupported("Chow reports for G/H need H inside the faithful model (H does not contain G_ant)")
     rd = gd.rd
     gens = _subgroup_reflections(gd, hd) + hd.component_generators
-    ambient = invariant_algebra(hd.h_rank, gens, cap=cap)
     ideal = []
     for f in coinvariant_ideal_generators(rd, max_degree, cap):
         rf = substitute(hd.q_matrix, f)
         if rf:
             ideal.append(rf)
-    concrete = truncated_quotient(ambient, ideal, max_degree)
+    if gens:  # the invariant slices assume a finite group
+        matrix_group_order(gens, cap)
+    concrete = truncated_quotient(hd.h_rank, ideal, max_degree, gens)
     # rank of gamma_A(ker r_H), measured as (ker r_H + ker gamma_A)/ker gamma_A
     ker_r = restriction_to_subgroup(gd, hd, att.x_gaff, cap).ker_r
     j_rank = hermite_row_basis(vstack(ker_r, att.ker_gamma)).nrows - att.ker_gamma.nrows

@@ -228,8 +228,14 @@ def validate_group(gd: GroupDescriptor) -> ValidationReport:
     for p in sorted(crowded | ({glue.char} if char_divides else set())):
         if p in crowded:
             p_rank = sum(1 for t in torsion if t % p == 0)
+            # a cofactor past the trial bound that is not certified prime
+            # bounds the rank of each prime dividing it from below
+            if p < PRIME_TEST_BOUND and _is_prime(p):
+                crowding = f"{p}-torsion rank {p_rank} > 2g = {2 * gd.av.g}"
+            else:
+                crowding = f"p-torsion rank >= {p_rank} > 2g = {2 * gd.av.g} for each prime p dividing {p}"
             warnings.append(
-                f"X(D)/ker sigma has {p}-torsion rank {p_rank} > 2g = {2 * gd.av.g}; "
+                f"X(D)/ker sigma has {crowding}; "
                 f"no {gd.av.g}-dimensional abelian variety can host it"
             )
         if glue.char == p:
@@ -240,13 +246,16 @@ def validate_group(gd: GroupDescriptor) -> ValidationReport:
     return ValidationReport(gd.name, tuple(checks), tuple(warnings))
 
 
+#: Miller-Rabin on the first 13 prime bases, 2 to 41, decides primality
+#: exactly below this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the first 13 prime bases, 2 to 41, which decides
-    primality exactly for n < 3317044064679887385961981 (Sorenson and
-    Webster, Math. Comp. 86, 2017); a larger n raises ValueError."""
-    bound = 3317044064679887385961981
-    if n >= bound:
-        raise ValueError(f"primality of {n} is decided only below {bound}")
+    """Miller-Rabin on the first 13 prime bases, exact below
+    ``PRIME_TEST_BOUND``; a larger n raises ValueError."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"primality of {n} is decided only below {PRIME_TEST_BOUND}")
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2 or any(n % p == 0 for p in bases):
         return n in bases
@@ -266,7 +275,8 @@ def _is_prime(n: int) -> bool:
 
 def _prime_factors(n: int) -> set[int]:
     """Prime factors of ``n`` by trial division up to 2^16; a cofactor left
-    past that bound is returned as it stands, prime or not."""
+    past that bound is returned as it stands, prime or not (callers certify
+    it with :func:`_is_prime`)."""
     out = set()
     d = 2
     while d * d <= n and d < 1 << 16:

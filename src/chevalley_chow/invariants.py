@@ -3,7 +3,9 @@
 Polynomials are dicts mapping exponent tuples to nonzero Fractions.  The
 variables are the coordinates of a character lattice Z^rank, matrices act by
 linear substitution, and every slice computation is plain exact linear
-algebra over the monomial basis.
+algebra over the monomial basis.  An ambient ring is the invariant ring of
+a finite matrix group, given by the tuple of its generators; the empty
+tuple is all of Sym(Q^rank).
 
 Monomial order everywhere: within a fixed total degree, exponent vectors in
 descending lexicographic order, so for two variables degree 2 reads
@@ -12,7 +14,6 @@ x^2, xy, y^2.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -20,9 +21,8 @@ from operator import add
 
 from ._record import Record
 from .errors import DegreeTooLarge
-from .lattice import DEFAULT_CAP, IntMatrix
+from .lattice import IntMatrix
 from .qlinalg import SpanBuilder, echelon, kernel
-from .rootdata import matrix_group_order
 
 Poly = dict[tuple[int, ...], Fraction]
 
@@ -176,7 +176,7 @@ def exact_divide_linear(a: Poly, linear: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Invariant slices and graded algebras
+# Invariant slices and graded quotients
 # ---------------------------------------------------------------------------
 
 
@@ -191,9 +191,10 @@ def invariant_slice(rank: int, generators, d: int) -> list[Poly]:
     monomials are kept in monomial order when they enlarge the span: the
     basis Reynolds averaging over the enumerated group gives, at a cost
     independent of |G|.  Nothing here checks that the group is finite;
-    callers bound it first (:func:`invariant_algebra` bounds its order by
-    ``rootdata.matrix_group_order``, ``schubert.coinvariant_ideal_generators``
-    checks |W| by formula).
+    callers bound it first (``chow.homogeneous_rational_chow`` bounds its
+    order by ``rootdata.matrix_group_order``,
+    ``schubert.coinvariant_ideal_generators`` checks |W| by formula).  The
+    empty tuple gives the monomial basis of the whole degree-d slice.
 
     Memoized per ``(rank, tuple(generators), d)`` in a cache of
     ``SLICE_CACHE_SIZE``; exceptions are never cached, and every call returns
@@ -261,61 +262,24 @@ def _power_images(rank: int, gens: tuple[IntMatrix, ...], d: int) -> list[list[l
     return images
 
 
-class GradedAlgebra(Record):
-    """A graded subalgebra of a polynomial ring, presented by its slices."""
-
-    rank: int
-    slice_basis: Callable[[int], list[Poly]]
-
-    def dim(self, d: int) -> int:
-        return len(self.slice_basis(d))
-
-
-def full_algebra(rank: int) -> GradedAlgebra:
-    """Sym(Q^rank) itself."""
-
-    def slices(d: int) -> list[Poly]:
-        return [{m: Fraction(1)} for m in sym_basis(rank, d)]
-
-    return GradedAlgebra(rank, slices)
-
-
-def invariant_algebra(rank: int, generators, cap: int = DEFAULT_CAP) -> GradedAlgebra:
-    """The invariant subalgebra of a finite matrix-group action.
-
-    The first slice asked for bounds the group's order once by
-    ``rootdata.matrix_group_order`` (:class:`GroupTooLarge` for an infinite
-    group or one past ``cap``); each slice then comes from the memoized
-    :func:`invariant_slice`.
-    """
-    gens = tuple(generators)
-    bounded = not gens
-
-    def slices(d: int) -> list[Poly]:
-        nonlocal bounded
-        if not bounded:
-            matrix_group_order(gens, cap)
-            bounded = True
-        return invariant_slice(rank, gens, d)
-
-    return GradedAlgebra(rank, slices)
-
-
-def ideal_slice(ambient: GradedAlgebra, generators, d: int) -> SpanBuilder:
-    """Degree-d piece of the ideal the generators span inside ``ambient``.
+def ideal_slice(rank: int, generators, d: int, group=()) -> SpanBuilder:
+    """Degree-d piece of the ideal the generators span inside the invariants
+    of ``group`` (all of Sym(Q^rank) for the empty tuple).
 
     Generators must be homogeneous of positive degree.  The slice is the span
-    of g * a over generators g and ambient basis elements a of complementary
-    degree, each product eliminated once into the returned :class:`SpanBuilder`
-    (coordinates in :func:`sym_basis` order).
+    of g * a over generators g and :func:`invariant_slice` basis elements a
+    of complementary degree, each product eliminated once into the returned
+    :class:`SpanBuilder` (coordinates in :func:`sym_basis` order).
 
     >>> t2 = {(2,): Fraction(1)}
-    >>> ideal_slice(full_algebra(1), [t2], 3).rows
+    >>> ideal_slice(1, [t2], 3).rows
     [[1]]
-    >>> ideal_slice(full_algebra(1), [t2], 1).dim
+    >>> ideal_slice(1, [t2], 1).dim
+    0
+    >>> ideal_slice(1, [t2], 3, [IntMatrix(((-1,),))]).dim  # t^2 * t is no invariant of t -> -t
     0
     """
-    builder = SpanBuilder(len(sym_basis(ambient.rank, d)))
+    builder = SpanBuilder(len(sym_basis(rank, d)))
     for g in generators:
         e = poly_degree(g)
         if e is None:
@@ -324,9 +288,21 @@ def ideal_slice(ambient: GradedAlgebra, generators, d: int) -> SpanBuilder:
             raise ValueError("ideal generators must have positive degree")
         if e > d:
             continue
-        for a in ambient.slice_basis(d - e):
-            builder.add(coeff_vector(poly_mul(g, a), ambient.rank, d))
+        for a in invariant_slice(rank, group, d - e):
+            builder.add(coeff_vector(poly_mul(g, a), rank, d))
     return builder
+
+
+def quotient_basis(rank: int, generators, d: int, group=()) -> list[Poly]:
+    """The degree-d invariants of ``group`` independent modulo the ideal the
+    generators span there (:func:`ideal_slice`), kept greedily in the order
+    of :func:`invariant_slice`: a basis of the degree-d quotient.
+
+    >>> quotient_basis(2, [{(1, 0): Fraction(1)}], 2)
+    [{(0, 2): Fraction(1, 1)}]
+    """
+    builder = ideal_slice(rank, generators, d, group)
+    return [p for p in invariant_slice(rank, group, d) if builder.add(coeff_vector(p, rank, d))]
 
 
 class TruncatedQuotient(Record):
@@ -361,18 +337,19 @@ class TruncatedQuotient(Record):
                 "ambient_dims": self.ambient_dims, "total_dim": self.total_dim}
 
 
-def truncated_quotient(ambient: GradedAlgebra, generators: list[Poly], max_degree: int) -> TruncatedQuotient:
-    """Quotient of ``ambient`` by the ideal the generators span, degreewise.
+def truncated_quotient(rank: int, generators: list[Poly], max_degree: int, group=()) -> TruncatedQuotient:
+    """Quotient of the invariants of ``group`` (all of Sym(Q^rank) for the
+    empty tuple) by the ideal the generators span, degreewise; callers bound
+    the group's order first.  A negative ``max_degree`` raises ValueError.
 
     >>> t = {(2,): Fraction(1)}
-    >>> truncated_quotient(full_algebra(1), [t], 3).dims
+    >>> truncated_quotient(1, [t], 3).dims
     (1, 1, 0, 0)
+    >>> truncated_quotient(1, [t], 3, [IntMatrix(((-1,),))]).dims  # even degrees only
+    (1, 0, 0, 0)
     """
-    dims = []
-    ambient_dims = []
-    for d in range(max_degree + 1):
-        amb = ambient.slice_basis(d)
-        ambient_dims.append(len(amb))
-        builder = ideal_slice(ambient, generators, d)
-        dims.append(sum(1 for p in amb if builder.add(coeff_vector(p, ambient.rank, d))))
-    return TruncatedQuotient(ambient.rank, max_degree, tuple(dims), tuple(ambient_dims))
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
+    dims = tuple(len(quotient_basis(rank, generators, d, group)) for d in range(max_degree + 1))
+    ambient_dims = tuple(len(invariant_slice(rank, group, d)) for d in range(max_degree + 1))
+    return TruncatedQuotient(rank, max_degree, dims, ambient_dims)

@@ -32,13 +32,11 @@ from .invariants import (
     Poly,
     coeff_vector,
     exact_divide_linear,
-    full_algebra,
-    ideal_slice,
-    invariant_slice,
     linear_poly,
     poly_degree,
     poly_mul,
     poly_sub,
+    quotient_basis,
     substitute,
     sym_basis,
 )
@@ -198,30 +196,30 @@ def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = DEFA
         _weyl_order(rd, cap)
     gens: tuple[Poly, ...] = ()
     for e in range(1, max_degree + 1):
-        gens = _coinvariant_reducer(rd, e, cap)
+        gens = _coinvariant_reducer(rd, e)
         if len(gens) == rd.rank:
             break
     return [dict(g) for g in gens]
 
 
-COINVARIANT_REDUCER_CACHE_SIZE = 128  # generator lists kept, one per (root datum, d, cap)
+COINVARIANT_REDUCER_CACHE_SIZE = 128  # generator lists kept, one per (root datum, d)
 
 
 @lru_cache(maxsize=COINVARIANT_REDUCER_CACHE_SIZE)
-def _coinvariant_reducer(rd: RootDatum, d: int, cap: int, /) -> tuple[Poly, ...]:
+def _coinvariant_reducer(rd: RootDatum, d: int, /) -> tuple[Poly, ...]:
     """Minimal generators of the coinvariant ideal in degrees 1..d.
 
-    Extends the result for d - 1: the slice the kept generators span is
-    eliminated once (:func:`ideal_slice`), then takes each degree-d W-invariant
-    that enlarges it, kept as a generator (Reynolds: a W-invariant in (g_i)S is
-    in (g_i)S^W).  The ideal has ``rank`` minimal generators (Chevalley), so
-    no slice is asked for once that many are kept.
+    Extends the result for d - 1 by the degree-d W-invariants independent
+    modulo the ideal the kept generators span in S^W (:func:`quotient_basis`
+    over the simple reflections): the choice made in all of S, since by
+    Reynolds a W-invariant is in (g_i)S iff it is in (g_i)S^W.  The ideal has
+    ``rank`` minimal generators (Chevalley), so no slice is asked for once
+    that many are kept.  The caller bounds |W| first.
     """
-    gens = _coinvariant_reducer(rd, d - 1, cap) if d > 1 else ()
+    gens = _coinvariant_reducer(rd, d - 1) if d > 1 else ()
     if 0 < d and len(gens) < rd.rank:
-        builder = ideal_slice(full_algebra(rd.rank), gens, d)
         refl = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
-        gens += tuple(p for p in invariant_slice(rd.rank, refl, d) if builder.add(coeff_vector(p, rd.rank, d)))
+        gens += tuple(quotient_basis(rd.rank, gens, d, refl))
     return gens
 
 

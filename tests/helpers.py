@@ -19,7 +19,7 @@ from chevalley_chow.descriptors import (
     validate_group,
 )
 from chevalley_chow.invariants import (
-    coeff_vector, full_algebra, ideal_slice, poly_add, poly_degree, poly_mul, poly_scale, substitute, sym_basis)
+    coeff_vector, ideal_slice, invariant_slice, poly_add, poly_degree, poly_mul, poly_scale, substitute, sym_basis)
 from chevalley_chow.lattice import (
     DEFAULT_CAP,
     FGAbelianGroup,
@@ -294,7 +294,7 @@ def expand_all_by_reduction(rd, polys, d):
         return [schubert.SchubertExpansion(d, {}) for _ in polys]
     table = schubert._representative_table(rd, DEFAULT_CAP)
     indices = [i for i in range(len(w)) if w.lengths[i] == d]
-    reducer = ideal_slice(full_algebra(rd.rank), schubert._coinvariant_reducer(rd, d, DEFAULT_CAP), d)
+    reducer = ideal_slice(rd.rank, schubert._coinvariant_reducer(rd, d), d)
     cols = [span_reduce(reducer, coeff_vector(table[i], rd.rank, d)) for i in indices]
     out = []
     for poly in polys:
@@ -303,6 +303,24 @@ def expand_all_by_reduction(rd, polys, d):
         assert sol is not None, "not a combination of Schubert classes"
         out.append(schubert.SchubertExpansion(d, {idx: c for idx, c in zip(indices, sol) if c}))
     return out
+
+
+def coinvariant_generators_in_s(rd, max_degree):
+    """Oracle for ``schubert.coinvariant_ideal_generators``: the selection in
+    all of S.  Each degree eliminates every kept generator times every
+    monomial of complementary degree, in Fractions, then keeps each basis
+    W-invariant of that degree that enlarges the span, until ``rank`` are kept."""
+    refl = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+    gens = []
+    for d in range(1, max_degree + 1):
+        if len(gens) == rd.rank:
+            break
+        span = FractionSpanBuilder(len(sym_basis(rd.rank, d)))
+        for g in gens:
+            for m in sym_basis(rd.rank, d - poly_degree(g)):
+                span.add(coeff_vector(poly_mul(g, {m: Fraction(1)}), rd.rank, d))
+        gens += [p for p in invariant_slice(rd.rank, refl, d) if span.add(coeff_vector(p, rd.rank, d))]
+    return gens
 
 
 def schubert_product_by_reduction(rd, u, v):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import helpers as z
-from chevalley_chow import chow, cli, invariants, rootdata, schubert
+from chevalley_chow import chow, cli, invariants, lattice, rootdata, schubert
 from chevalley_chow.chow import (
     chow_presentation,
     homogeneous_ns,
@@ -16,11 +16,9 @@ from chevalley_chow.chow import (
     picard_group,
     rational_chow,
 )
-from chevalley_chow.descriptors import GroupDescriptor, derived_attributes
-from chevalley_chow.errors import DegreeTooLarge, ModeUnsupported
+from chevalley_chow.descriptors import GroupDescriptor, SubgroupDescriptor, derived_attributes
+from chevalley_chow.errors import DegreeTooLarge, GroupTooLarge, ModeUnsupported
 from chevalley_chow.invariants import (
-    full_algebra,
-    invariant_algebra,
     invariant_slice,
     linear_poly,
     substitute,
@@ -161,7 +159,7 @@ def test_chow_concrete_factor_matches_coinvariant_quotient(name):
     gd, degrees = COINVARIANT_CASES[name]
     for d in degrees:
         got = chow_presentation(gd, d).concrete_factor
-        want = truncated_quotient(full_algebra(gd.rd.rank), coinvariant_ideal_generators(gd.rd, d), d)
+        want = truncated_quotient(gd.rd.rank, coinvariant_ideal_generators(gd.rd, d), d)
         assert (got.dims, got.ambient_dims, got.total_dim) == (want.dims, want.ambient_dims, want.total_dim)
 
 
@@ -170,7 +168,7 @@ def test_rational_chow_matches_quotient_by_linear_forms(any_group):
     linear = [linear_poly(tuple(int(i == j) for i in range(rank))) for j in range(rank)]
     for d in (0, 3):
         got = rational_chow(any_group, d).concrete_factor
-        want = truncated_quotient(full_algebra(rank), linear, d)
+        want = truncated_quotient(rank, linear, d)
         assert (got.dims, got.ambient_dims, got.total_dim) == (want.dims, want.ambient_dims, want.total_dim)
 
 
@@ -203,12 +201,46 @@ def test_homogeneous_chow_trivial_subgroup():
     assert h.concrete_factor.dims == (1, 0, 0) and h.j_rank == 0
 
 
+def _component_subgroup(name, *generators):
+    return SubgroupDescriptor(name, IntMatrix.identity(2), component_generators=generators,
+                              translations=(False,) * len(generators), ant_contains_gantaff=True)
+
+
+def test_homogeneous_chow_bounds_the_component_group_before_the_quotient(monkeypatch):
+    def no_quotient(*args, **kwargs):
+        raise AssertionError("the group order must be bounded before the quotient")
+
+    calls = []
+    closure = lattice.group_closure
+    monkeypatch.setattr(lattice, "group_closure", lambda *a: calls.append(a[0]) or closure(*a))
+    quotient = chow.truncated_quotient
+    monkeypatch.setattr(chow, "truncated_quotient", no_quotient)
+    # the order and enumeration caches live for the process: start from empty ones
+    lattice._closed_group.cache_clear()
+    rootdata._matrix_group_order.cache_clear()
+    unipotent = _component_subgroup("unipotent", IntMatrix(((1, 1), (0, 1))))
+    with pytest.raises(GroupTooLarge):
+        homogeneous_rational_chow(z.product_sl3, unipotent, 2)
+    assert len(calls) == 1
+    monkeypatch.setattr(chow, "truncated_quotient", quotient)
+    # a rotation of order 3 is closed once, and a second request reuses its order
+    rot3 = _component_subgroup("rot3", simple_reflection(z.sl3, 0) @ simple_reflection(z.sl3, 1))
+    for _ in range(2):
+        assert homogeneous_rational_chow(z.product_sl3, rot3, 3).concrete_factor.dims == (1, 0, 0, 1)
+    assert len(calls) == 2
+    # the normalizer's component group is W(A2), generated by the simple
+    # reflections: its order is read off the Cartan type, with no closure
+    normalizer = _component_subgroup("normalizer", *(simple_reflection(z.sl3, i) for i in range(2)))
+    assert homogeneous_rational_chow(z.product_sl3, normalizer, 3).concrete_factor.dims == (1, 0, 0, 0)
+    assert len(calls) == 2
+
+
 def test_negative_max_degree_refused_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a negative degree must be refused first")
 
     for name in ("derived_attributes", "truncated_quotient", "coinvariant_ideal_generators",
-                 "codegree_histogram", "invariant_algebra", "contains_nontrivial_ant"):
+                 "codegree_histogram", "matrix_group_order", "contains_nontrivial_ant"):
         monkeypatch.setattr(chow, name, no_work)
     with pytest.raises(ValueError, match="nonnegative"):
         chow_presentation(z.product_sl2, -1)
@@ -223,7 +255,6 @@ def test_degree_past_budget_refused_before_any_slice(monkeypatch):
         raise AssertionError("a degree past the budget must be refused first")
 
     monkeypatch.setattr(invariants, "invariant_slice", no_work)
-    monkeypatch.setattr(schubert, "invariant_slice", no_work)
     monkeypatch.setattr(chow, "truncated_quotient", no_work)
     monkeypatch.setattr(chow, "codegree_histogram", no_work)
     top = invariants.DEGREE_BUDGET + 1
@@ -246,7 +277,6 @@ def test_slice_past_budget_refused_before_any_slice(monkeypatch):
         raise AssertionError("a slice past the budget must be refused first")
 
     monkeypatch.setattr(invariants, "invariant_slice", no_work)
-    monkeypatch.setattr(schubert, "invariant_slice", no_work)
     monkeypatch.setattr(chow, "truncated_quotient", no_work)
     for top in (6, invariants.DEGREE_BUDGET):
         with pytest.raises(DegreeTooLarge, match="exceeds budget 21"):
@@ -326,8 +356,8 @@ def test_hchow_dims_match_every_basis_invariant_as_generator(fixture_doc):
         except ModeUnsupported:
             continue
         every = [substitute(hd.q_matrix, f) for e in range(1, top + 1) for f in invariant_slice(gd.rd.rank, refl, e)]
-        ambient = invariant_algebra(hd.h_rank, chow._subgroup_reflections(gd, hd) + hd.component_generators)
-        assert got.dims == truncated_quotient(ambient, [f for f in every if f], top).dims, name
+        group = chow._subgroup_reflections(gd, hd) + hd.component_generators
+        assert got.dims == truncated_quotient(hd.h_rank, [f for f in every if f], top, group).dims, name
 
 
 def test_hchow_gl2_degree_20_multiplies_few_polynomials(monkeypatch, capsys):

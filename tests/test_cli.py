@@ -10,7 +10,7 @@ import time
 import pytest
 
 import helpers as z
-from chevalley_chow import chow, cli, invariants, lattice, rootdata, schubert
+from chevalley_chow import chow, cli, invariants, lattice, rootdata
 from chevalley_chow.formats import parse_descriptor
 from chevalley_chow.rootdata import simple_reflection
 
@@ -281,7 +281,6 @@ def test_degree_past_budget_exits_2(capsys, monkeypatch, argv):
         raise AssertionError("the degree budget must be checked before any work")
 
     monkeypatch.setattr(invariants, "invariant_slice", no_work)
-    monkeypatch.setattr(schubert, "invariant_slice", no_work)
     monkeypatch.setattr(chow, "truncated_quotient", no_work)
     monkeypatch.setattr(chow, "codegree_histogram", no_work)
     argv = [fixture_path(a) if a in z.FIXTURE_NAMES else a for a in argv]
@@ -296,7 +295,6 @@ def test_slice_past_budget_exits_2(capsys, monkeypatch):
         raise AssertionError("the slice budget must be checked before any slice")
 
     monkeypatch.setattr(invariants, "invariant_slice", no_work)
-    monkeypatch.setattr(schubert, "invariant_slice", no_work)
     monkeypatch.setattr(chow, "truncated_quotient", no_work)
     code, out, err = run_cli(capsys, "hchow", "trivial", fixture_path("cover_torsion"), "--max-degree", "64")
     assert code == 2
@@ -311,7 +309,6 @@ def test_chow_at_budget_computes_no_slice(capsys, monkeypatch, tail):
 
     monkeypatch.setattr(invariants, "invariant_slice", no_work)
     monkeypatch.setattr(invariants, "ideal_slice", no_work)
-    monkeypatch.setattr(schubert, "invariant_slice", no_work)
     monkeypatch.setattr(chow, "truncated_quotient", no_work)
     code, out, _ = run_cli(capsys, "chow", fixture_path("cover_torsion"), "--max-degree", "64", *tail)
     assert code == 0

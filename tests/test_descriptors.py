@@ -285,6 +285,25 @@ def test_prime_factors_bounded():
     assert descriptors._prime_factors(6 * big) == {2, 3, big}
 
 
+def torus_with_torsion(order) -> bytes:
+    return ('{"group": {"root_datum": {"rank": 1, "simple_roots": [], "simple_coroots": []},'
+            ' "abelian": {"g": 0, "ns_rank": 0},'
+            ' "gluing": {"xd_rank": 1, "xd_relations": [[%d]], "v": [[1]]}}}' % order).encode()
+
+
+def test_torsion_warning_names_only_certified_primes():
+    # 65537 * 65539 survives trial division to 2^16 but is no prime
+    crowded = "X(D)/ker sigma has {}; no 0-dimensional abelian variety can host it"
+    for order, claim in (
+            (65537 * 65539, "p-torsion rank >= 1 > 2g = 0 for each prime p dividing 4295229443"),
+            (4294967311, "4294967311-torsion rank 1 > 2g = 0"),  # the least prime past 2^32
+            (6 * (2**61 - 1) * (2**31 - 1),  # a cofactor past the Miller-Rabin bound
+             "p-torsion rank >= 1 > 2g = 0 for each prime p dividing 4951760154835678088235319297"),
+            (6, "2-torsion rank 1 > 2g = 0")):
+        gd = parse_descriptor(torus_with_torsion(order)).group
+        assert crowded.format(claim) in validate_group(gd).warnings, order
+
+
 def torus_with_char(char) -> bytes:
     return ('{"group": {"root_datum": {"rank": 1, "simple_roots": [], "simple_coroots": []},'
             ' "abelian": {"g": 1, "ns_rank": 1},'

@@ -141,6 +141,12 @@ def test_formats_imports_no_report_module():
     assert package_imports((PACKAGE / "formats.py").read_text()) & REPORT_MODULES == set()
 
 
+def test_invariants_imports_no_root_datum_layer():
+    # polynomial slices and graded quotients sit below the root-datum,
+    # Schubert and Chow layers: callers bound group orders before they ask
+    assert package_imports((PACKAGE / "invariants.py").read_text()) & {"rootdata", "schubert", "chow"} == set()
+
+
 def test_cli_import_loads_no_code_generators():
     code = f"import chevalley_chow.cli, sys; print(sorted({SLOW_IMPORTS!r} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,

@@ -1,6 +1,7 @@
 """Graded polynomial algebra, invariant rings and coinvariant quotients."""
 
 import importlib
+import math
 import pkgutil
 from fractions import Fraction
 
@@ -13,18 +14,17 @@ from chevalley_chow.errors import DegreeTooLarge, GroupTooLarge
 from chevalley_chow.invariants import (
     coeff_vector,
     exact_divide_linear,
-    full_algebra,
     ideal_slice,
-    invariant_algebra,
     invariant_slice,
     linear_poly,
     poly_degree,
     poly_mul,
+    quotient_basis,
     substitute,
     sym_basis,
     truncated_quotient,
 )
-from chevalley_chow.lattice import DEFAULT_CAP, IntMatrix
+from chevalley_chow.lattice import IntMatrix
 from chevalley_chow.rootdata import simple_reflection, weyl_group
 from chevalley_chow.schubert import coinvariant_ideal_generators
 
@@ -123,31 +123,6 @@ def test_coinvariant_ideal_refuses_cap_without_enumerating(monkeypatch):
     assert len(coinvariant_ideal_generators(z.f4, 2)) == 1
 
 
-def test_invariant_algebra_enumerates_once(monkeypatch):
-    unipotent = (IntMatrix(((1, 1), (0, 1))),)
-    with pytest.raises(GroupTooLarge):
-        invariant_algebra(2, unipotent, cap=100).dim(0)
-    rot6 = dict(z.non_weyl_groups())["rot6"]  # a rotation of order 6: no reflection group
-    calls = []
-    closure = lattice.group_closure
-    monkeypatch.setattr(lattice, "group_closure", lambda *a: calls.append(a) or closure(*a))
-    # the order and enumeration caches live for the process: start from empty ones
-    lattice._closed_group.cache_clear()
-    rootdata._matrix_group_order.cache_clear()
-    alg = invariant_algebra(2, rot6)
-    assert [alg.dim(d) for d in range(4)] == [1, 0, 1, 0]
-    assert len(calls) == 1
-    # a second algebra over the same group reuses the group's order
-    assert invariant_algebra(2, list(rot6)).dim(3) == 0
-    assert len(calls) == 1
-    # the simple reflections of A2 span W(A2), whose order is read off its
-    # Cartan type: no closure
-    refl = tuple(simple_reflection(z.sl3, i) for i in range(2))
-    alg = invariant_algebra(2, refl)
-    assert [alg.dim(d) for d in range(4)] == [1, 0, 1, 1]
-    assert len(calls) == 1
-
-
 def test_invariant_slice_returns_fresh_polynomials():
     refl = tuple(simple_reflection(z.sl3, i) for i in range(2))
     first = invariant_slice(2, refl, 3)
@@ -155,9 +130,9 @@ def test_invariant_slice_returns_fresh_polynomials():
     first[0].clear()
     first.append({(3, 0): 1})
     assert invariant_slice(2, list(refl), 3) == expected
-    alg = invariant_algebra(2, refl)
-    alg.slice_basis(3)[0][(0, 3)] = 7
-    assert alg.slice_basis(3) == expected
+    # the quotient basis hands out the slice's fresh dicts too
+    quotient_basis(2, [], 3, refl)[0][(0, 3)] = 7
+    assert quotient_basis(2, [], 3, refl) == expected
 
 
 def test_invariant_slice_computed_once_per_key():
@@ -167,8 +142,9 @@ def test_invariant_slice_computed_once_per_key():
     for _ in range(3):
         assert len(coinvariant_ideal_generators(z.sl4, 3)) == 2
     info = invariants._invariant_slice.cache_info()
-    # degrees 1..3 computed once each; later calls read the reducer cache
-    assert (info.misses, info.hits) == (3, 0)
+    # degrees 1..3 computed once each; the degree-3 ideal slice rereads the
+    # degree-1 invariants; later calls read the reducer cache
+    assert (info.misses, info.hits) == (3, 1)
 
 
 def package_caches() -> dict[str, object]:
@@ -243,7 +219,7 @@ def test_coinvariant_dims_and_total():
         top = len(expected) - 1
         for e in range(1, top + 2):  # top fundamental degree can exceed top codim
             gens.extend(invariant_slice(rd.rank, refl, e))
-        tq = truncated_quotient(full_algebra(rd.rank), gens, top + 1)
+        tq = truncated_quotient(rd.rank, gens, top + 1)
         assert tq.dims[: top + 1] == expected, name
         assert tq.dims[top + 1] == 0
         assert tq.total_dim == len(weyl_group(rd)), name
@@ -251,26 +227,45 @@ def test_coinvariant_dims_and_total():
 
 
 def test_invariant_algebra_and_ideal_slice():
-    alg = invariant_algebra(1, (IntMatrix(((-1,),)),))
-    assert alg.dim(0) == 1 and alg.dim(1) == 0 and alg.dim(2) == 1
-    full = full_algebra(2)
+    minus = (IntMatrix(((-1,),)),)
+    assert [len(invariant_slice(1, minus, d)) for d in range(3)] == [1, 0, 1]
     gens = [poly_mul(linear_poly((1, 0)), linear_poly((1, 0)))]
-    slice2 = ideal_slice(full, gens, 2)
+    slice2 = ideal_slice(2, gens, 2)
     assert slice2.dim == 1 and z.span_contains(slice2, coeff_vector(gens[0], 2, 2))
-    slice3 = ideal_slice(full, gens, 3)
+    slice3 = ideal_slice(2, gens, 3)
     assert slice3.dim == 2  # x^2 * {x, y}
     assert z.span_contains(slice3, (1, 0, 0, 0)) and z.span_contains(slice3, (0, 1, 0, 0))
     assert not z.span_contains(slice3, (0, 0, 1, 0))
+    # inside the invariants of x -> -x (both coordinates) only even degrees multiply
+    negate = (IntMatrix(((-1, 0), (0, -1))),)
+    assert ideal_slice(2, gens, 3, negate).dim == 0
+    slice4 = ideal_slice(2, gens, 4, negate)
+    assert slice4.dim == 3  # x^2 * {x^2, xy, y^2}
+    assert slice4.rows == ideal_slice(2, gens, 4).rows
 
 
 def test_truncated_quotient_shape():
-    full = full_algebra(1)
-    tq = truncated_quotient(full, [linear_poly((2,))], 4)
+    tq = truncated_quotient(1, [linear_poly((2,))], 4)
     assert tq.dims == (1, 0, 0, 0, 0)
     assert tq.ambient_dims == (1, 1, 1, 1, 1)
-    tq = truncated_quotient(full, [], 2)
+    tq = truncated_quotient(1, [], 2)
     assert tq.dims == (1, 1, 1)
     assert tq.top_degree == 2 and not tq.vanishes_at_top
+    tq = truncated_quotient(1, [], 3, (IntMatrix(((-1,),)),))
+    assert tq.dims == tq.ambient_dims == (1, 0, 1, 0)
+    assert tq.dims == tuple(len(quotient_basis(1, [], d, (IntMatrix(((-1,),)),))) for d in range(4))
+    assert truncated_quotient(1, [], 0).dims == (1,)
+
+
+def test_truncated_quotient_refuses_a_negative_degree(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a negative degree must be refused before any slice")
+
+    monkeypatch.setattr(invariants, "invariant_slice", no_work)
+    monkeypatch.setattr(invariants, "quotient_basis", no_work)
+    for top in (-1, -5):
+        with pytest.raises(ValueError, match="nonnegative"):
+            truncated_quotient(1, [linear_poly((1,))], top)
 
 
 def test_coinvariant_ideal_generators_are_minimal():
@@ -285,20 +280,21 @@ def test_coinvariant_ideal_generators_are_minimal():
         refl = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
         every = [f for e in range(1, top + 1) for f in invariant_slice(rd.rank, refl, e)]
         for d in range(top + 1):
-            want = ideal_slice(full_algebra(rd.rank), every, d)
-            got = ideal_slice(full_algebra(rd.rank), coinvariant_ideal_generators(rd, top), d)
+            want = ideal_slice(rd.rank, every, d)
+            got = ideal_slice(rd.rank, coinvariant_ideal_generators(rd, top), d)
             assert got.dim == want.dim
             assert all(z.span_contains(want, row) for row in got.rows)
 
 
 def _count_slices(monkeypatch):
-    """Record the degree of every ideal and invariant slice the reducer chain asks for."""
-    asked = {"ideal": [], "invariant": []}
-    for kind, name in (("ideal", "ideal_slice"), ("invariant", "invariant_slice")):
-        def counted(*args, _kind=kind, _orig=getattr(schubert, name)):
+    """Record the degree of every ideal slice and every quotient basis the
+    reducer chain asks for."""
+    asked = {"ideal": [], "quotient": []}
+    for kind, module, name in (("ideal", invariants, "ideal_slice"), ("quotient", schubert, "quotient_basis")):
+        def counted(*args, _kind=kind, _orig=getattr(module, name)):
             asked[_kind].append(args[2])
             return _orig(*args)
-        monkeypatch.setattr(schubert, name, counted)
+        monkeypatch.setattr(module, name, counted)
     schubert._coinvariant_reducer.cache_clear()
     return asked
 
@@ -308,21 +304,21 @@ def test_coinvariant_reducer_eliminates_each_slice_once(monkeypatch):
     asked = _count_slices(monkeypatch)
     for rd in (z.sl3, z.sp4, z.g2, z.sl4, z.c3, z.a4):
         for d in range(1, 4):
-            schubert._coinvariant_reducer(rd, d, DEFAULT_CAP)
-    assert (len(asked["ideal"]), len(asked["invariant"])) == (18, 18)
+            schubert._coinvariant_reducer(rd, d)
+    assert (len(asked["ideal"]), len(asked["quotient"])) == (18, 18)
 
 
 def test_coinvariant_generators_stop_at_the_largest_basic_degree(monkeypatch):
     asked = _count_slices(monkeypatch)
     assert len(coinvariant_ideal_generators(z.gl2, 20)) == 2
-    assert asked == {"ideal": [1, 2], "invariant": [1, 2]}
+    assert asked == {"ideal": [1, 2], "quotient": [1, 2]}
     # a reducer past degree 2 reads the cached chain and asks for no slice
-    assert len(schubert._coinvariant_reducer(z.gl2, 5, DEFAULT_CAP)) == 2
-    assert asked == {"ideal": [1, 2], "invariant": [1, 2]}
+    assert len(schubert._coinvariant_reducer(z.gl2, 5)) == 2
+    assert asked == {"ideal": [1, 2], "quotient": [1, 2]}
     for name, (rd, degrees) in FUNDAMENTAL_DEGREES.items():
-        asked["invariant"].clear()
+        asked["quotient"].clear()
         assert len(coinvariant_ideal_generators(rd, max(degrees) + 3)) == rd.rank
-        assert max(asked["invariant"]) == max(degrees), name
+        assert max(asked["quotient"]) == max(degrees), name
 
 
 def test_coinvariant_reducer_spans_the_ideal_of_every_invariant():
@@ -336,9 +332,35 @@ def test_coinvariant_reducer_spans_the_ideal_of_every_invariant():
                 if (e := poly_degree(f)) <= d:
                     for m in sym_basis(rd.rank, d - e):
                         want.add(coeff_vector(poly_mul(f, {m: Fraction(1)}), rd.rank, d))
-            got = ideal_slice(full_algebra(rd.rank), schubert._coinvariant_reducer(rd, d, DEFAULT_CAP), d)
+            got = ideal_slice(rd.rank, schubert._coinvariant_reducer(rd, d), d)
             assert got.dim == len(want.rows), (name, d)
             assert all(want.contains(row) for row in got.rows), (name, d)
+
+
+LADDER = {
+    f"{name}-{form}": rd
+    for name, sc in (("A1", z.sl2), ("A2", z.sl3), ("A3", z.sl4), ("A4", z.a4), ("A5", z.a5),
+                     ("B2", z.cartan_datum([[2, -1], [-2, 2]])), ("C3", z.c3), ("D4", z.d4),
+                     ("G2", z.cartan_datum([[2, -1], [-3, 2]])), ("F4", z.f4))
+    for form, rd in (("sc", sc), ("adj", z.adjoint_datum(sc)),
+                     ("transvected", z.transvected(sc, 0, 1) if sc.rank > 1 else None))
+    if rd is not None
+}
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_coinvariant_generators_match_the_selection_in_s(name):
+    # the reducer chooses inside S^W; the oracle eliminates over all of S
+    # (Reynolds: the same invariants enlarge both spans), up to the largest
+    # degree whose slice fits the budget
+    rd = LADDER[name]
+    top = max(d for d in range(1, invariants.DEGREE_BUDGET + 1)
+              if math.comb(rd.rank + d - 1, d) <= invariants.SLICE_BUDGET)
+    schubert._coinvariant_reducer.cache_clear()
+    got = coinvariant_ideal_generators(rd, top)
+    want = z.coinvariant_generators_in_s(rd, top)
+    assert [sorted(g.items()) for g in got] == [sorted(g.items()) for g in want]
+    assert all(type(c) is Fraction for g in got for c in g.values())
 
 
 def test_coinvariant_generators_are_fresh():

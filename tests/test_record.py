@@ -87,7 +87,7 @@ def _hash(value):
 
 
 def test_every_record_class_is_covered(instances):
-    assert len(RECORDS) >= 28
+    assert len(RECORDS) >= 27
     assert [cls.__qualname__ for cls, found in instances.items() if not found] == []
 
 
