@@ -290,8 +290,7 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
         rf = substitute(hd.q_matrix, f)
         if rf:
             ideal.append(rf)
-    if gens:  # the invariant slices assume a finite group
-        matrix_group_order(gens, cap)
+    matrix_group_order(gens, cap)  # the invariant slices assume a finite group
     concrete = truncated_quotient(hd.h_rank, ideal, max_degree, gens)
     # rank of gamma_A(ker r_H), measured as (ker r_H + ker gamma_A)/ker gamma_A
     ker_r = restriction_to_subgroup(gd, hd, att.x_gaff, cap).ker_r

@@ -478,9 +478,9 @@ def enumerate_matrix_group(gens, cap: int = DEFAULT_CAP) -> tuple[IntMatrix, ...
     the output is deterministic.  Raises :class:`GroupTooLarge` beyond
     ``cap`` elements or once :func:`group_closure` proves the group infinite.
     Generators must be invertible over Z (det +-1); this guarantees the
-    closure is a group when it is finite.  Callers that need only the order
-    or finiteness go through ``rootdata.matrix_group_order``, which reads a
-    Weyl group's order off its Cartan type and closes only the other
+    closure is a group when it is finite.  Its only caller in the package is
+    ``rootdata.matrix_group_order``, which sizes every finite group there: it
+    reads a Weyl group's order off its Cartan type and closes only the other
     generator sets here.  Memoized per ``(tuple(gens), cap)`` in a cache of
     ``MATRIX_GROUP_CACHE_SIZE``; exceptions are never cached.
     """

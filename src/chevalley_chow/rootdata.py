@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 from ._record import Record
@@ -75,6 +75,12 @@ class RootDatum(Record):
     @property
     def nsimple(self) -> int:
         return self.simple_roots.nrows
+
+    @cached_property
+    def weyl_order(self) -> int:
+        """|W| by the order formula of the Cartan type, kept on the datum:
+        every public call refuses its cap by it with no cache lookup."""
+        return validate_root_datum(self).weyl_order
 
     def pairing(self, chi, coroot) -> int:
         """<chi, beta^vee> for a character and a coroot, both coordinate tuples."""
@@ -266,8 +272,11 @@ def matrix_group_order(gens, cap: int = DEFAULT_CAP) -> int:
     not invertible over Z, :class:`GroupTooLarge` for an infinite group.
     Either way an order past ``cap`` raises :class:`GroupTooLarge` with the
     closure's message.  Memoized per ``(tuple(gens), cap)`` in a cache of
-    ``MATRIX_GROUP_CACHE_SIZE``; exceptions are never cached.
+    ``MATRIX_GROUP_CACHE_SIZE``; exceptions are never cached.  No
+    generators generate the trivial group, of order 1.
 
+    >>> matrix_group_order(())
+    1
     >>> swap = IntMatrix(((0, 1), (1, 0)))  # a reflection: the order formula
     >>> matrix_group_order([swap])
     2
@@ -280,6 +289,8 @@ def matrix_group_order(gens, cap: int = DEFAULT_CAP) -> int:
 
 @lru_cache(maxsize=MATRIX_GROUP_CACHE_SIZE)
 def _matrix_group_order(gens: tuple[IntMatrix, ...], cap: int, /) -> int:
+    if not gens:
+        return 1
     ctype = _reflection_type(gens)
     if ctype is None:
         return len(enumerate_matrix_group(gens, cap))
@@ -347,7 +358,7 @@ def simple_reflection(rd: RootDatum, i: int) -> IntMatrix:
 
 def _weyl_order(rd: RootDatum, cap: int) -> int:
     """|W| by the order formula of the Cartan type; :class:`GroupTooLarge` past ``cap``."""
-    if (order := validate_root_datum(rd).weyl_order) > cap:
+    if (order := rd.weyl_order) > cap:
         raise GroupTooLarge(f"|W| = {order} exceeds cap {cap}")
     return order
 
@@ -393,19 +404,22 @@ class WeylGroup:
         return len(self.orbit)
 
 
-WEYL_CACHE_SIZE = 32  # Weyl groups kept, one per (root datum, cap)
+WEYL_CACHE_SIZE = 32  # Weyl groups kept, one per root datum
 
 
 def weyl_group(rd: RootDatum, cap: int = DEFAULT_CAP) -> WeylGroup:
     """Enumerate W once (:class:`WeylGroup`); the order formula refuses
-    ``|W| > cap`` up front (:class:`GroupTooLarge`), then checks the count.
-    One cache entry per (root datum, cap), however ``cap`` is passed."""
-    return _weyl_group(rd, cap)
+    ``|W| > cap`` up front (:class:`GroupTooLarge`), then the walk checks
+    the count.  The cap only refuses: one cache entry per root datum,
+    whatever cap is passed."""
+    _weyl_order(rd, cap)
+    return _weyl_group(rd)
 
 
 @lru_cache(maxsize=WEYL_CACHE_SIZE)
-def _weyl_group(rd: RootDatum, cap: int, /) -> WeylGroup:
-    expected = _weyl_order(rd, cap)  # refused before any walk
+def _weyl_group(rd: RootDatum, /) -> WeylGroup:
+    """:func:`weyl_group` without the refusal, for callers that made it."""
+    expected = rd.weyl_order
     if len(w := WeylGroup(rd)) != expected:
         raise InvalidCartan(f"enumerated {len(w)} Weyl elements but type {validate_root_datum(rd)} has {expected}")
     return w
@@ -603,13 +617,17 @@ def contains_borel(rd: RootDatum, root_subset, q_unimodular: bool, cap: int = DE
     Weyl element in enumeration order, as a pair (index, reduced word), or
     None.  A subgroup whose torus is a proper quotient (``q_unimodular``
     false: q is not a square matrix of determinant +-1) never contains a
-    Borel subgroup.
+    Borel subgroup, nor does a subset of fewer distinct roots than the
+    positive system; either is answered with no Weyl element built.  Past
+    ``cap`` the order formula refuses first (:class:`GroupTooLarge`).
     """
     if not q_unimodular:
         return False, None
+    _weyl_order(rd, cap)
     subset = {tuple(int(x) for x in v) for v in root_subset}
-    rs = root_system(rd)
-    pos = [r.vector for r in rs.positive]
+    pos = [r.vector for r in root_system(rd).positive]
+    if len(subset) < len(pos):  # w(positive system) has |positive| distinct roots
+        return False, None
     for idx, (word, m) in enumerate(_weyl_matrices(rd, cap)):
         if all(m.apply(v) in subset for v in pos):
             return True, (idx, word)

@@ -15,6 +15,8 @@ matrix, with no coinvariant ideal and no elimination.  A product multiplies
 the representatives scaled to integer polynomials (:func:`_integer_table`)
 and applies that matrix.  The ideal serves G/H alone
 (:func:`coinvariant_ideal_generators`); the tests reduce modulo it as an oracle.
+Each public function refuses |W| past its ``cap`` first, by the order
+formula; the cached builders take no cap, so one entry serves every cap.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .invariants import (
     sym_basis,
 )
 from .lattice import DEFAULT_CAP
-from .rootdata import RootDatum, _weyl_order, root_system, simple_reflection, weyl_group
+from .rootdata import RootDatum, _weyl_group, _weyl_order, root_system, simple_reflection, weyl_group
 
 
 class SchubertClass(Record):
@@ -121,24 +123,24 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP)
     lam = tuple(map(int, lam))
     length = w.lengths[w_index]
     terms: dict[int, Fraction] = {}
-    for idx, coroot in _covers(rd, length, cap)[w_index - bisect_left(w.lengths, length)]:
+    for idx, coroot in _covers(rd, length)[w_index - bisect_left(w.lengths, length)]:
         if c := sum(map(mul, lam, coroot)):
             terms[idx] = Fraction(c)
     return SchubertExpansion(length + 1, terms)
 
 
-REPRESENTATIVE_TABLE_CACHE_SIZE = 32  # BGG tables kept, one per (root datum, cap)
+REPRESENTATIVE_TABLE_CACHE_SIZE = 32  # BGG tables kept, one per root datum
 
 
 @lru_cache(maxsize=REPRESENTATIVE_TABLE_CACHE_SIZE)
-def _representative_table(rd: RootDatum, cap: int, /) -> tuple[Poly, ...]:
+def _representative_table(rd: RootDatum, /) -> tuple[Poly, ...]:
     """BGG representatives P_w in Sym X(T)_Q, one per Weyl element.
 
     P_{w0} is the product of the positive roots over |W|; going down,
     P_v = divided_difference_i(P_{v s_i}) for the least i ascending v.  The
     identity must come out as the constant 1, which is asserted.
     """
-    w = weyl_group(rd, cap=cap)
+    w = _weyl_group(rd)
     rs = root_system(rd)
     n = rd.rank
     reps: list[Poly | None] = [None] * len(w)
@@ -173,8 +175,8 @@ def schubert_representatives(rd: RootDatum, max_degree: int | None = None, cap: 
     The polynomials are fresh dicts, so a caller that mutates them cannot
     change the cached table that later products read.
     """
-    table = _representative_table(rd, cap)
     w = weyl_group(rd, cap=cap)
+    table = _representative_table(rd)
     return {
         i: dict(table[i])
         for i in range(len(w))
@@ -223,17 +225,17 @@ def _coinvariant_reducer(rd: RootDatum, d: int, /) -> tuple[Poly, ...]:
     return gens
 
 
-COORDINATE_MAP_CACHE_SIZE = 128  # cover rows and coordinate maps kept, one per (root datum, degree, cap)
+COORDINATE_MAP_CACHE_SIZE = 128  # cover rows and coordinate maps kept, one per (root datum, degree)
 
 
 @lru_cache(maxsize=COORDINATE_MAP_CACHE_SIZE)
-def _covers(rd: RootDatum, length: int, cap: int, /) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+def _covers(rd: RootDatum, length: int, /) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
     """For each Weyl element w of this length, in index order, the pairs
     (index of w s_beta, beta^vee) with length(w s_beta) = length + 1.  With mu
     the orbit point of w, w s_beta is at mu - <mu, beta> beta^vee and is longer
     iff <mu, beta> > 0.
     """
-    w = weyl_group(rd, cap=cap)
+    w = _weyl_group(rd)
     positive = root_system(rd).positive
     rows = []
     for mu in w.orbit[bisect_left(w.lengths, length):bisect_right(w.lengths, length)]:
@@ -248,7 +250,7 @@ def _covers(rd: RootDatum, length: int, cap: int, /) -> tuple[tuple[tuple[int, t
 
 
 @lru_cache(maxsize=COORDINATE_MAP_CACHE_SIZE)
-def _coordinate_map(rd: RootDatum, d: int, cap: int, /) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _coordinate_map(rd: RootDatum, d: int, /) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """``(indices, rows)``: modulo the coinvariant ideal, a degree-d
     coefficient vector v is the sum of ``(row . v)`` P_w, w in ``indices``.
 
@@ -258,16 +260,16 @@ def _coordinate_map(rd: RootDatum, d: int, cap: int, /) -> tuple[tuple[int, ...]
 
     >>> from .lattice import IntMatrix
     >>> a2 = RootDatum(2, IntMatrix(((2, -1), (-1, 2))), IntMatrix.identity(2))
-    >>> _coordinate_map(a2, 2, DEFAULT_CAP)  # x0 x1 = P_s0 P_s1 is P_3 + P_4
+    >>> _coordinate_map(a2, 2)  # x0 x1 = P_s0 P_s1 is P_3 + P_4
     ((3, 4), ((0, 1, 1), (1, 1, 0)))
     """
     if d == 0:
         return (0,), ((1,),)  # x^0 = 1 = P_e
-    w = weyl_group(rd, cap=cap)
+    w = _weyl_group(rd)
     start, end = bisect_left(w.lengths, d), bisect_right(w.lengths, d)
-    prev = _coordinate_map(rd, d - 1, cap)[1] if d > 1 else ((1,),)
+    prev = _coordinate_map(rd, d - 1)[1] if d > 1 else ((1,),)
     position = {m: k for k, m in enumerate(sym_basis(rd.rank, d - 1))}
-    covers = _covers(rd, d - 1, cap)
+    covers = _covers(rd, d - 1)
     cols = []
     for m in sym_basis(rd.rank, d):
         j = next(i for i, e in enumerate(m) if e)
@@ -290,23 +292,26 @@ def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAU
     (Chevalley).  Raises ValueError when the polynomial is not homogeneous of
     degree d.
     """
+    w = weyl_group(rd, cap=cap)
     if poly_degree(poly) not in (None, d):
         raise ValueError(f"polynomial is not homogeneous of degree {d}")
-    if d > weyl_group(rd, cap=cap).lengths[-1]:  # the longest element has length N
+    if d > w.lengths[-1]:  # the longest element has length N
         return SchubertExpansion(d, {})
-    indices, rows = _coordinate_map(rd, d, cap)
+    indices, rows = _coordinate_map(rd, d)
     vec = coeff_vector(poly, rd.rank, d)
     coords = (sum(map(mul, row, vec)) for row in rows)
     return SchubertExpansion(d, {idx: Fraction(c) for idx, c in zip(indices, coords) if c})
 
 
 @lru_cache(maxsize=REPRESENTATIVE_TABLE_CACHE_SIZE)
-def _integer_table(rd: RootDatum, cap: int, /) -> tuple[tuple[dict[tuple[int, ...], int], ...], int]:
-    """``(reps, scale)``: the BGG representatives times ``scale``, the lcm of
-    their denominators, as polynomials with int coefficients."""
-    table = _representative_table(rd, cap)
+def _integer_table(rd: RootDatum, /) -> tuple[tuple[dict[tuple[int, ...], int], ...], int, tuple[int, ...]]:
+    """``(reps, scale, lengths)``: the BGG representatives times ``scale``,
+    the lcm of their denominators, as polynomials with int coefficients, and
+    ``WeylGroup.lengths``, so that a product reads W off this one entry."""
+    table = _representative_table(rd)
     scale = lcm(*(c.denominator for p in table for c in p.values()))
-    return tuple({m: c.numerator * (scale // c.denominator) for m, c in p.items()} for p in table), scale
+    reps = tuple({m: c.numerator * (scale // c.denominator) for m, c in p.items()} for p in table)
+    return reps, scale, _weyl_group(rd).lengths
 
 
 def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) -> SchubertExpansion:
@@ -318,20 +323,22 @@ def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) ->
     nonnegative integers; anything else raises
     :class:`NonIntegralStructureConstant` (it would mean a bug, not bad
     input).  An index that is not an integer in [0, |W|) raises ValueError.
+    |W| past ``cap`` is refused first by the order formula
+    (:class:`GroupTooLarge`).
 
     >>> from .lattice import IntMatrix
     >>> a1 = RootDatum(1, IntMatrix(((2,),)), IntMatrix(((1,),)))
     >>> schubert_product(a1, 1, 1).terms
     {}
     """
-    w = weyl_group(rd, cap=cap)
-    if not all(isinstance(i, int) and 0 <= i < len(w) for i in (w1, w2)):
-        raise ValueError(f"Weyl indices ({w1!r}, {w2!r}) are not both integers in [0, {len(w)})")
-    d = w.lengths[w1] + w.lengths[w2]
-    if d > w.lengths[-1]:
+    _weyl_order(rd, cap)
+    table, scale, lengths = _integer_table(rd)
+    if not all(isinstance(i, int) and 0 <= i < len(lengths) for i in (w1, w2)):
+        raise ValueError(f"Weyl indices ({w1!r}, {w2!r}) are not both integers in [0, {len(lengths)})")
+    d = lengths[w1] + lengths[w2]
+    if d > lengths[-1]:
         return SchubertExpansion(d, {})
-    table, scale = _integer_table(rd, cap)
-    indices, rows = _coordinate_map(rd, d, cap)
+    indices, rows = _coordinate_map(rd, d)
     vec = coeff_vector(poly_mul(table[w1], table[w2]), rd.rank, d)
     den = scale * scale
     terms: dict[int, Fraction] = {}

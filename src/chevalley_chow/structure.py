@@ -22,7 +22,6 @@ from .lattice import (
     IntMatrix,
     Presentation,
     coordinates,
-    enumerate_matrix_group,
     hermite_row_basis,
     integer_kernel,
     intersect_rows,
@@ -31,6 +30,7 @@ from .lattice import (
 from .rootdata import (
     contains_borel,
     factorial_cover_with_basis,
+    matrix_group_order,
     root_system,
     simple_reflection,
     validate_root_datum,
@@ -162,16 +162,25 @@ def _matrix_inverse(m: IntMatrix) -> IntMatrix:
 
 def _translation_index_bound(hd: SubgroupDescriptor, cap: int) -> int:
     """Bound on the order of the image of H in A: the index in H/H0 of the
-    normal closure of the generators that do not translate."""
-    if not hd.component_generators or not any(hd.translations):
+    normal closure N of the generators that do not translate.
+
+    Those generators, closed under conjugation by each component generator,
+    hold their conjugates by every element (each element is a product of
+    generators), so they generate N; both orders come from
+    :func:`matrix_group_order`, |H/H0| first, with its refusals."""
+    if not any(hd.translations):
         return 1
-    elements = enumerate_matrix_group(hd.component_generators, cap=cap)
-    unflagged = [g for g, t in zip(hd.component_generators, hd.translations) if not t]
-    if not unflagged:
-        return len(elements)
-    conj = tuple(e @ u @ _matrix_inverse(e) for e in elements for u in unflagged)
-    closure = enumerate_matrix_group(conj, cap=cap)
-    return len(elements) // len(closure)
+    gens = hd.component_generators
+    order = matrix_group_order(gens, cap)
+    pairs = [(g, _matrix_inverse(g)) for g in gens]
+    closed = list(dict.fromkeys(u for u, t in zip(gens, hd.translations) if not t))
+    seen = set(closed)
+    for u in closed:  # the list grows as new conjugates are found
+        for g, g_inv in pairs:
+            if (c := g @ u @ g_inv) not in seen:
+                seen.add(c)
+                closed.append(c)
+    return order // matrix_group_order(closed, cap)
 
 
 def fibration_report(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DEFAULT_CAP) -> FibrationReport:

@@ -38,6 +38,7 @@ from chevalley_chow.qlinalg import qsolve
 from chevalley_chow.rootdata import (
     RootDatum, characters_of_group, fundamental_weights_q, reflection, root_system, simple_reflection,
     validate_root_datum, weyl_group)
+from chevalley_chow.structure import _matrix_inverse
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = (
@@ -292,7 +293,7 @@ def expand_all_by_reduction(rd, polys, d):
     w = weyl_group(rd)
     if d > len(root_system(rd).positive):
         return [schubert.SchubertExpansion(d, {}) for _ in polys]
-    table = schubert._representative_table(rd, DEFAULT_CAP)
+    table = schubert._representative_table(rd)
     indices = [i for i in range(len(w)) if w.lengths[i] == d]
     reducer = ideal_slice(rd.rank, schubert._coinvariant_reducer(rd, d), d)
     cols = [span_reduce(reducer, coeff_vector(table[i], rd.rank, d)) for i in indices]
@@ -326,7 +327,7 @@ def coinvariant_generators_in_s(rd, max_degree):
 def schubert_product_by_reduction(rd, u, v):
     """Oracle for ``schubert.schubert_product``: :func:`expand_by_reduction`
     of the product of the two BGG representatives."""
-    w, table = weyl_group(rd), schubert._representative_table(rd, DEFAULT_CAP)
+    w, table = weyl_group(rd), schubert._representative_table(rd)
     return expand_by_reduction(rd, poly_mul(table[u], table[v]), w.lengths[u] + w.lengths[v])
 
 
@@ -598,6 +599,24 @@ def naive_closure(gens):
                 steps.append(pos * len(gens) + i)
         pos += 1
     return elements, steps
+
+
+_element_inverse = lru_cache(maxsize=None)(_matrix_inverse)  # each element of a group is inverted once
+
+
+def translation_index_by_conjugates(hd, cap=DEFAULT_CAP):
+    """Oracle for ``structure._translation_index_bound``: enumerate H/H0,
+    conjugate every non-translating generator by every element, and divide
+    |H/H0| by the order of the closure of those conjugates.  Repeated
+    conjugates are closed once."""
+    if not any(hd.translations):
+        return 1
+    elements = enumerate_matrix_group(hd.component_generators, cap=cap)
+    unflagged = [g for g, t in zip(hd.component_generators, hd.translations) if not t]
+    if not unflagged:
+        return len(elements)
+    conj = dict.fromkeys(e @ u @ _element_inverse(e) for e in elements for u in unflagged)
+    return len(elements) // len(enumerate_matrix_group(tuple(conj), cap=cap))
 
 
 def non_weyl_groups():

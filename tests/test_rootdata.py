@@ -117,7 +117,7 @@ E6_WORDS_SHA256 = "d2b9c8979f1008d613d7d72a0ddee75ff7ba0ba87b89272aa5e3ad692ff71
 @pytest.mark.parametrize("name", ORBIT_DATA)
 def test_weyl_orbit_of_two_rho_check(name):
     rd = ORBIT_DATA[name]
-    w = rootdata._weyl_group.__wrapped__(rd, DEFAULT_CAP)  # bypass the cache: walk the orbit afresh
+    w = rootdata._weyl_group.__wrapped__(rd)  # bypass the cache: walk the orbit afresh
     rs = root_system(rd)
     rho2 = tuple(map(sum, zip(*(r.coroot for r in rs.positive))))
     assert w.orbit[0] == rho2
@@ -212,13 +212,41 @@ def test_weyl_group_keeps_one_entry_however_cap_is_passed():
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
 
 
+def test_weyl_group_cap_refuses_and_keys_no_entry():
+    rd = z.transvected(z.so5, 1, 0)  # a datum no other test enumerates
+    before = weyl_group.cache_info()
+    w = weyl_group(rd, cap=2 * DEFAULT_CAP)
+    assert weyl_group(rd) is w
+    after = weyl_group.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    with pytest.raises(GroupTooLarge, match="8 exceeds cap 7"):  # a cached W is refused all the same
+        weyl_group(rd, cap=7)
+
+
+def test_warm_weyl_group_reads_the_order_off_the_datum(monkeypatch):
+    # an equal datum parsed anew compares against each cache key it meets
+    fresh = RootDatum(z.sl4.rank, M(z.sl4.simple_roots.rows), M(z.sl4.simple_coroots.rows))
+    assert fresh.weyl_order == 24 and "weyl_order" in vars(fresh)
+    w = weyl_group(z.sl4)
+    compared = []
+
+    def counted_eq(self, other, _eq=RootDatum.__eq__):
+        compared.append(self)
+        return _eq(self, other)
+
+    monkeypatch.setattr(RootDatum, "__eq__", counted_eq)
+    assert weyl_group(fresh) is w
+    assert len(compared) == 1  # the W cache's key; the cap is refused by the kept order
+    assert fresh.weyl_order == validate_root_datum(fresh).weyl_order
+
+
 def test_weyl_group_closes_no_matrix_group(monkeypatch):
     def no_closure(*args):
         raise AssertionError("W is the orbit walk, not a matrix-group closure")
 
     monkeypatch.setattr(lattice, "group_closure", no_closure)
     lattice._closed_group.cache_clear()
-    assert len(rootdata._weyl_group.__wrapped__(z.c3, DEFAULT_CAP)) == 48  # bypass the process cache
+    assert len(rootdata._weyl_group.__wrapped__(z.c3)) == 48  # bypass the process cache
 
 
 def test_weyl_matrices_are_built_lazily(monkeypatch):
@@ -395,6 +423,21 @@ def test_contains_borel():
     assert not found
     found, _ = contains_borel(z.sl3, pos, False)
     assert not found
+
+
+def test_contains_borel_counts_roots_before_walking(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("fewer roots than the positive system need no Weyl element")
+
+    monkeypatch.setattr(rootdata, "_weyl_matrices", no_walk)
+    # the normalizer of the torus of E6 has no roots: the walk would visit all 51840 elements
+    normalizer = z.SubgroupDescriptor("normalizer", M.identity(6),
+                                      component_generators=_simple_reflections(z.e6), translations=(False,) * 6)
+    assert contains_borel(z.e6, normalizer.root_vectors(z.e6), True) == (False, None)
+    pos = [r.vector for r in root_system(z.e6).positive]
+    assert contains_borel(z.e6, pos[1:] + pos[1:], True) == (False, None)  # repeats count once
+    with pytest.raises(GroupTooLarge, match="51840 exceeds cap 1000"):  # the cap is still refused first
+        contains_borel(z.e6, (), True, cap=1000)
 
 
 def test_cartan_matrix():

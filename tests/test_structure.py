@@ -1,11 +1,12 @@
 """Structural criteria: Albanese, affinization, covers, fibrations, completeness."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 import helpers as z
-from chevalley_chow import chow, lattice, structure
+from chevalley_chow import chow, lattice, rootdata, structure
 from chevalley_chow.chow import homogeneous_picard, homogeneous_rational_chow, picard_group
 from chevalley_chow.descriptors import (
     AntiAffineGluing,
@@ -16,9 +17,9 @@ from chevalley_chow.descriptors import (
     validate_group,
     validate_subgroup,
 )
-from chevalley_chow.errors import ModeUnsupported
+from chevalley_chow.errors import GroupTooLarge, ModeUnsupported
 from chevalley_chow.lattice import FGAbelianGroup, IntMatrix, Presentation
-from chevalley_chow.rootdata import affine_picard_group
+from chevalley_chow.rootdata import affine_picard_group, simple_reflection
 from chevalley_chow.structure import (
     affine_test,
     affinization_test,
@@ -138,6 +139,71 @@ def test_fibration_reports():
     assert f.index_bound_over_gant_aff == 2  # torsion order of X(D)
     f = fibration_report(z.semiab, z.g_ant_sub)
     assert f.dim_aut_ant == 0 and f.translation_index_bound is None
+
+
+def _simple_reflections(rd):
+    return tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+
+
+INDEX_TYPES = (("A1", z.sl2), ("A2", z.sl3), ("A3", z.sl4), ("A4", z.a4), ("B2", z.cartan_datum([[2, -2], [-1, 2]])),
+               ("C3", z.c3), ("D4", z.d4), ("G2", z.cartan_datum([[2, -3], [-1, 2]])), ("F4", z.f4))
+#: component generator sets: the simple reflections of each type in three forms, and two non-Weyl groups
+INDEX_GENERATORS = {
+    f"{name}-{form}": _simple_reflections(rd)
+    for name, sc in INDEX_TYPES
+    for form, rd in (("sc", sc), ("adj", z.adjoint_datum(sc)),
+                     ("transvected", z.transvected(sc, 0, 1) if sc.rank > 1 else None))
+    if rd is not None
+}
+INDEX_GENERATORS.update(z.non_weyl_groups())
+
+
+@pytest.mark.parametrize("name", INDEX_GENERATORS)
+def test_translation_index_matches_the_conjugates_of_every_element(name):
+    gens = INDEX_GENERATORS[name]
+    for k in range(1, len(gens) + 1):
+        for flagged in combinations(range(len(gens)), k):
+            flags = tuple(i in flagged for i in range(len(gens)))
+            hd = SubgroupDescriptor("n", M.identity(gens[0].nrows), component_generators=gens, translations=flags)
+            assert structure._translation_index_bound(hd, lattice.DEFAULT_CAP) == \
+                z.translation_index_by_conjugates(hd), flags
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (GroupTooLarge, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("gens, cap", [
+    ((M(((1, 1), (0, 1))), M(((-1, 0), (0, 1)))), lattice.DEFAULT_CAP),  # infinite
+    (_simple_reflections(z.sl4), 23),  # |W(A3)| = 24 past the cap
+    ((M(((2, 0), (0, 1))), M(((-1, 0), (0, 1)))), lattice.DEFAULT_CAP),  # not invertible over Z
+], ids=["infinite", "over-cap", "singular"])
+def test_translation_index_refuses_as_the_closure_does(gens, cap):
+    hd = SubgroupDescriptor("n", M.identity(gens[0].nrows), component_generators=gens,
+                            translations=(True,) + (False,) * (len(gens) - 1))
+    refusal = _outcome(lambda: structure._translation_index_bound(hd, cap))
+    assert refusal[0] in (GroupTooLarge, ValueError)
+    assert refusal == _outcome(lambda: z.translation_index_by_conjugates(hd, cap))
+
+
+def test_translation_index_closes_the_conjugates_of_the_generators_only(monkeypatch):
+    sizes = []
+    closure = lattice.group_closure
+    monkeypatch.setattr(lattice, "group_closure", lambda gens, *a: sizes.append(len(gens)) or closure(gens, *a))
+    lattice._closed_group.cache_clear()
+    rootdata._matrix_group_order.cache_clear()
+    gd = GroupDescriptor("F4", z.f4, z.A1_AV, z.no_d(4))
+    hd = SubgroupDescriptor("normalizer", M.identity(4), component_generators=_simple_reflections(z.f4),
+                            translations=(True, False, False, False))
+    assert fibration_report(gd, hd).translation_index_bound == 1
+    # W(F4) is read off its Cartan type; the three unflagged reflections close
+    # under conjugation by the generators to the 24 reflections, not to the
+    # 3 * 1152 conjugates by every element
+    assert sizes == [24]
+    assert not hasattr(structure, "enumerate_matrix_group")
 
 
 def test_phi_local_triviality():
