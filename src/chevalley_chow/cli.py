@@ -30,7 +30,7 @@ def _add_common(p: argparse.ArgumentParser, subgroup: bool = False):
         p.add_argument("subgroup", help="name of a subgroup entry in the descriptor")
     p.add_argument("descriptor", help="path to a descriptor JSON file")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP,
                    help="finite-enumeration budget (Weyl and component groups)")
 
 
@@ -38,6 +38,13 @@ def _max_degree(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def _cap(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 

@@ -3,9 +3,9 @@
 Everything here is exact and deterministic: matrices are immutable tuples of
 ints, and every lattice-valued answer is returned in row Hermite normal form
 so equal lattices compare equal.  The row Hermite form is also the only
-elimination: kernels and integer solutions are read off one Hermite form of
-``[m^T | I]``, and Smith forms come from alternating row and column Hermite
-forms (Kannan and Bachem, 1979), so no unimodular transform is ever tracked.
+elimination: kernels, integer solutions and unimodularity come from one
+Hermite form of ``[m^T | I]``, Smith forms from alternating row and column
+Hermite forms (Kannan and Bachem, 1979); no unimodular transform is tracked.
 
 Conventions:
 
@@ -109,36 +109,6 @@ class IntMatrix:
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix._from_int_rows(tuple(tuple(-a for a in r) for r in self.rows), self.ncols)
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination.
-
-        >>> IntMatrix(((2, 3), (4, 5))).det()
-        -2
-        """
-        if self.nrows != self.ncols:
-            raise ValueError("det of non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.rows == other.rows and self.ncols == other.ncols
@@ -284,6 +254,21 @@ def solve_integer(m: IntMatrix, b) -> Vec | None:
             rem = [a - q * c for a, c in zip(rem, h)]
             x = [a + q * c for a, c in zip(x, u)]
     return None if any(rem) else tuple(x)
+
+
+def is_unimodular(m: IntMatrix) -> bool:
+    """Is ``m`` square and invertible over Z (determinant +-1)?  Exactly then
+    the echelon basis of its column lattice (:func:`_column_transform`) is
+    the identity: n rows, row k's pivot a 1 at column k.  No other shape is,
+    0 x r included.
+
+    >>> is_unimodular(IntMatrix(((2, 1), (1, 1)))), is_unimodular(IntMatrix(((2, 0), (0, 1))))
+    (True, False)
+    """
+    if m.nrows != m.ncols:
+        return False
+    basis = _column_transform(m)[0]
+    return len(basis) == m.nrows and all(h[k] == 1 for k, (h, _) in enumerate(basis))
 
 
 def coordinates(basis: IntMatrix, vectors) -> IntMatrix | None:
@@ -468,34 +453,26 @@ class Presentation(Record):
 # ---------------------------------------------------------------------------
 
 
-MATRIX_GROUP_CACHE_SIZE = 64  # closed groups, and group orders, kept: one per (generators, cap)
-
-
 def enumerate_matrix_group(gens, cap: int = DEFAULT_CAP) -> tuple[IntMatrix, ...]:
     """All products of the generators, by breadth-first closure.
 
     The identity comes first and elements appear in BFS discovery order, so
     the output is deterministic.  Raises :class:`GroupTooLarge` beyond
     ``cap`` elements or once :func:`group_closure` proves the group infinite.
-    Generators must be invertible over Z (det +-1); this guarantees the
-    closure is a group when it is finite.  Its only caller in the package is
-    ``rootdata.matrix_group_order``, which sizes every finite group there: it
-    reads a Weyl group's order off its Cartan type and closes only the other
-    generator sets here.  Memoized per ``(tuple(gens), cap)`` in a cache of
-    ``MATRIX_GROUP_CACHE_SIZE``; exceptions are never cached.
+    Generators must be square of one size and invertible over Z
+    (:func:`is_unimodular`); this guarantees the closure is a group when it
+    is finite.  Nothing is memoized: the one caller in the package is the
+    order memo ``rootdata.matrix_group_order``, which closes here only the
+    generator sets that are not a Weyl group's simple reflections.
     """
-    return _closed_group(tuple(gens), cap)
-
-
-@lru_cache(maxsize=MATRIX_GROUP_CACHE_SIZE)
-def _closed_group(gens: tuple[IntMatrix, ...], cap: int) -> tuple[IntMatrix, ...]:
+    gens = tuple(gens)
     if not gens:
         raise ValueError("need at least one generator (or pass the identity)")
     n = gens[0].nrows
     for g in gens:
         if g.shape != (n, n):
             raise ValueError("generators must be square of equal size")
-        if g.det() not in (1, -1):
+        if not is_unimodular(g):
             raise ValueError("generator is not invertible over Z")
     return tuple(group_closure(gens, n, cap))
 

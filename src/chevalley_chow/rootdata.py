@@ -22,7 +22,6 @@ from ._record import Record
 from .errors import GroupTooLarge, InvalidCartan
 from .lattice import (
     DEFAULT_CAP,
-    MATRIX_GROUP_CACHE_SIZE,
     FGAbelianGroup,
     IntMatrix,
     Presentation,
@@ -258,6 +257,9 @@ def reflection(vec, cov) -> IntMatrix:
     )
 
 
+MATRIX_GROUP_CACHE_SIZE = 64  # group orders kept, one per (generators, cap)
+
+
 def matrix_group_order(gens, cap: int = DEFAULT_CAP) -> int:
     """Order of the group the integer matrices ``gens`` generate.
 
@@ -272,7 +274,8 @@ def matrix_group_order(gens, cap: int = DEFAULT_CAP) -> int:
     not invertible over Z, :class:`GroupTooLarge` for an infinite group.
     Either way an order past ``cap`` raises :class:`GroupTooLarge` with the
     closure's message.  Memoized per ``(tuple(gens), cap)`` in a cache of
-    ``MATRIX_GROUP_CACHE_SIZE``; exceptions are never cached.  No
+    ``MATRIX_GROUP_CACHE_SIZE``, the one memo of a finite group in the
+    package (the closure keeps none); exceptions are never cached.  No
     generators generate the trivial group, of order 1.
 
     >>> matrix_group_order(())

@@ -12,8 +12,9 @@ w, the w s_beta one step longer, found by their points in the orbit of
 The Schubert coordinates of the degree-d monomials are built from degree
 d - 1 by one Chevalley step each (:func:`_coordinate_map`): an integer
 matrix, with no coinvariant ideal and no elimination.  A product multiplies
-the representatives scaled to integer polynomials (:func:`_integer_table`)
-and applies that matrix.  The ideal serves G/H alone
+two BGG representatives, kept scaled to integer polynomials beside their
+Fraction form in one entry (:func:`_representative_table`), and applies
+that matrix.  The ideal serves G/H alone
 (:func:`coinvariant_ideal_generators`); the tests reduce modulo it as an oracle.
 Each public function refuses |W| past its ``cap`` first, by the order
 formula; the cached builders take no cap, so one entry serves every cap.
@@ -133,8 +134,12 @@ REPRESENTATIVE_TABLE_CACHE_SIZE = 32  # BGG tables kept, one per root datum
 
 
 @lru_cache(maxsize=REPRESENTATIVE_TABLE_CACHE_SIZE)
-def _representative_table(rd: RootDatum, /) -> tuple[Poly, ...]:
-    """BGG representatives P_w in Sym X(T)_Q, one per Weyl element.
+def _representative_table(rd: RootDatum, /) -> tuple[tuple[Poly, ...], tuple[dict[tuple[int, ...], int], ...],
+                                                     int, tuple[int, ...]]:
+    """``(reps, ints, scale, lengths)``: the BGG representatives P_w in
+    Sym X(T)_Q, one per Weyl element, with Fraction coefficients and, in
+    ``ints``, times ``scale`` (the lcm of their denominators) with int ones;
+    and ``WeylGroup.lengths``, so that a product reads W off this one entry.
 
     P_{w0} is the product of the positive roots over |W|; going down,
     P_v = divided_difference_i(P_{v s_i}) for the least i ascending v.  The
@@ -165,7 +170,9 @@ def _representative_table(rd: RootDatum, /) -> tuple[Poly, ...]:
                 break
         assert done, "every non-longest element has an ascent"
     assert reps[0] == {(0,) * n: Fraction(1)}, f"degree-0 representative came out as {reps[0]}"
-    return tuple(reps)
+    scale = lcm(*(c.denominator for p in reps for c in p.values()))
+    ints = tuple({m: c.numerator * (scale // c.denominator) for m, c in p.items()} for p in reps)
+    return tuple(reps), ints, scale, w.lengths
 
 
 def schubert_representatives(rd: RootDatum, max_degree: int | None = None, cap: int = DEFAULT_CAP) -> dict[int, Poly]:
@@ -176,7 +183,7 @@ def schubert_representatives(rd: RootDatum, max_degree: int | None = None, cap: 
     change the cached table that later products read.
     """
     w = weyl_group(rd, cap=cap)
-    table = _representative_table(rd)
+    table = _representative_table(rd)[0]
     return {
         i: dict(table[i])
         for i in range(len(w))
@@ -289,10 +296,13 @@ def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAU
     The coordinates come from one cached integer map per degree
     (:func:`_coordinate_map`).  Above degree N = |positive roots| the answer
     is zero without any reduction: the coinvariant algebra vanishes there
-    (Chevalley).  Raises ValueError when the polynomial is not homogeneous of
-    degree d.
+    (Chevalley).  Raises ValueError when a key is not a tuple of ``rank``
+    nonnegative ints, naming it, or the polynomial is not homogeneous of degree d.
     """
     w = weyl_group(rd, cap=cap)
+    for m in poly:
+        if len(m) != rd.rank or not all(type(e) is int and e >= 0 for e in m):
+            raise ValueError(f"{m!r} is not a monomial in {rd.rank} variables")
     if poly_degree(poly) not in (None, d):
         raise ValueError(f"polynomial is not homogeneous of degree {d}")
     if d > w.lengths[-1]:  # the longest element has length N
@@ -303,22 +313,11 @@ def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAU
     return SchubertExpansion(d, {idx: Fraction(c) for idx, c in zip(indices, coords) if c})
 
 
-@lru_cache(maxsize=REPRESENTATIVE_TABLE_CACHE_SIZE)
-def _integer_table(rd: RootDatum, /) -> tuple[tuple[dict[tuple[int, ...], int], ...], int, tuple[int, ...]]:
-    """``(reps, scale, lengths)``: the BGG representatives times ``scale``,
-    the lcm of their denominators, as polynomials with int coefficients, and
-    ``WeylGroup.lengths``, so that a product reads W off this one entry."""
-    table = _representative_table(rd)
-    scale = lcm(*(c.denominator for p in table for c in p.values()))
-    reps = tuple({m: c.numerator * (scale // c.denominator) for m, c in p.items()} for p in table)
-    return reps, scale, _weyl_group(rd).lengths
-
-
 def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) -> SchubertExpansion:
     """sigma_{w1} * sigma_{w2} by coinvariant multiplication.
 
-    The representatives are multiplied with int coefficients
-    (:func:`_integer_table`) and the product is read off the int rows of
+    The representatives are multiplied with int coefficients (``ints`` of
+    :func:`_representative_table`) and the product is read off the int rows of
     :func:`_coordinate_map`.  The structure constants must come out
     nonnegative integers; anything else raises
     :class:`NonIntegralStructureConstant` (it would mean a bug, not bad
@@ -332,7 +331,7 @@ def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) ->
     {}
     """
     _weyl_order(rd, cap)
-    table, scale, lengths = _integer_table(rd)
+    _, table, scale, lengths = _representative_table(rd)
     if not all(isinstance(i, int) and 0 <= i < len(lengths) for i in (w1, w2)):
         raise ValueError(f"Weyl indices ({w1!r}, {w2!r}) are not both integers in [0, {len(lengths)})")
     d = lengths[w1] + lengths[w2]

@@ -25,6 +25,7 @@ from .lattice import (
     hermite_row_basis,
     integer_kernel,
     intersect_rows,
+    is_unimodular,
     saturate_rows,
 )
 from .rootdata import (
@@ -264,7 +265,7 @@ def completeness_test(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DE
     factor with its parabolic type.
     """
     q = hd.q_matrix
-    q_full = q.nrows == q.ncols == gd.rd.rank and abs(q.det()) == 1
+    q_full = q.ncols == gd.rd.rank and is_unimodular(q)
     found_flag, witness = contains_borel(gd.rd, hd.root_vectors(gd.rd), q_full, cap=cap)
     if found_flag and hd.ant_contains_gantaff:
         return Verdict("yes", "H meet G_aff contains a Borel subgroup and "

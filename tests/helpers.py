@@ -25,19 +25,21 @@ from chevalley_chow.lattice import (
     FGAbelianGroup,
     IntMatrix,
     Presentation,
+    coordinates,
     enumerate_matrix_group,
     group_from_relations,
     hermite_row_basis,
     integer_kernel,
     intersect_rows,
+    invariant_factors,
     lattice_contains,
     solve_integer,
     vstack,
 )
 from chevalley_chow.qlinalg import qsolve
 from chevalley_chow.rootdata import (
-    RootDatum, characters_of_group, fundamental_weights_q, reflection, root_system, simple_reflection,
-    validate_root_datum, weyl_group)
+    RootDatum, cartan_matrix, characters_of_group, fundamental_weights_q, reflection, root_system,
+    simple_reflection, validate_root_datum, weyl_group)
 from chevalley_chow.structure import _matrix_inverse
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -293,7 +295,7 @@ def expand_all_by_reduction(rd, polys, d):
     w = weyl_group(rd)
     if d > len(root_system(rd).positive):
         return [schubert.SchubertExpansion(d, {}) for _ in polys]
-    table = schubert._representative_table(rd)
+    table = schubert._representative_table(rd)[0]
     indices = [i for i in range(len(w)) if w.lengths[i] == d]
     reducer = ideal_slice(rd.rank, schubert._coinvariant_reducer(rd, d), d)
     cols = [span_reduce(reducer, coeff_vector(table[i], rd.rank, d)) for i in indices]
@@ -327,7 +329,7 @@ def coinvariant_generators_in_s(rd, max_degree):
 def schubert_product_by_reduction(rd, u, v):
     """Oracle for ``schubert.schubert_product``: :func:`expand_by_reduction`
     of the product of the two BGG representatives."""
-    w, table = weyl_group(rd), schubert._representative_table(rd)
+    w, table = weyl_group(rd), schubert._representative_table(rd)[0]
     return expand_by_reduction(rd, poly_mul(table[u], table[v]), w.lengths[u] + w.lengths[v])
 
 
@@ -483,6 +485,27 @@ def quotient_group(sup: IntMatrix, sub: IntMatrix) -> FGAbelianGroup:
     return group_from_relations(basis.nrows, IntMatrix(tuple(rel_rows), basis.nrows))
 
 
+def det_by_fractions(m: IntMatrix) -> int:
+    """Oracle determinant of a square matrix, by Gaussian elimination over Q
+    in Fractions; the 0 x 0 determinant is 1."""
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    a = [[Fraction(x) for x in row] for row in m.rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(det)
+
+
 def smith_diagonal_by_minors(m: IntMatrix) -> tuple[int, ...]:
     """Oracle for the Smith diagonal: ``s_k = d_k / d_(k-1)``, where the
     determinantal divisor ``d_k`` is the gcd of all k x k minors (``d_0 = 1``);
@@ -493,7 +516,7 @@ def smith_diagonal_by_minors(m: IntMatrix) -> tuple[int, ...]:
         d = 0
         for rows in combinations(range(m.nrows), k):
             for cols in combinations(range(m.ncols), k):
-                d = math.gcd(d, IntMatrix([[m.rows[i][j] for j in cols] for i in rows], k).det())
+                d = math.gcd(d, det_by_fractions(IntMatrix([[m.rows[i][j] for j in cols] for i in rows], k)))
         if d == 0:
             break
         out.append(d // prev)
@@ -552,12 +575,34 @@ def factorial_cover_by_fractions(rd):
     rational basis and checked integral, instead of by integer coordinates."""
     validate_root_datum(rd)
     weights = fundamental_weights_q(rd)
-    if all(x.denominator == 1 for w in weights for x in w):
+    denom = math.lcm(1, *[x.denominator for w in weights for x in w])
+    return _cover_of_weights(rd, [tuple(int(x * denom) for x in w) for w in weights], denom)
+
+
+def factorial_cover_by_integers(rd):
+    """Second oracle for ``rootdata.factorial_cover_with_basis``, whose
+    fundamental weights share no code with ``fundamental_weights_q``: with e
+    the largest invariant factor of the Cartan matrix C, e C^-1 is integral,
+    and e times the weights are ``coordinates(C, e I)`` times the simple
+    roots; over the denominator e / gcd(e, entries) they are in lowest terms."""
+    validate_root_datum(rd)
+    cartan = cartan_matrix(rd)
+    if not rd.nsimple:
+        return _cover_of_weights(rd, [], 1)
+    e = invariant_factors(cartan)[-1]
+    scaled = coordinates(cartan, [tuple(e * int(i == j) for j in range(rd.nsimple)) for i in range(rd.nsimple)])
+    weights = scaled @ rd.simple_roots
+    g = math.gcd(e, *(x for row in weights.rows for x in row))
+    return _cover_of_weights(rd, [tuple(x // g for x in row) for row in weights.rows], e // g)
+
+
+def _cover_of_weights(rd, weights, denom):
+    """The factorial cover from the fundamental weights, given as integer
+    rows over the common denominator ``denom`` in lowest terms."""
+    if denom == 1:
         return rd, IntMatrix.identity(rd.rank), 1
-    denom = math.lcm(*[x.denominator for w in weights for x in w])
     n = rd.rank
-    gens = [tuple(denom if i == j else 0 for j in range(n)) for i in range(n)]
-    gens += [tuple(int(x * denom) for x in w) for w in weights]
+    gens = [tuple(denom if i == j else 0 for j in range(n)) for i in range(n)] + list(weights)
     scaled = hermite_row_basis(IntMatrix(gens, n))
     # columns of basis_q are the new basis vectors in old (rational) coordinates
     basis_q = [[Fraction(scaled.rows[i][j], denom) for i in range(n)] for j in range(n)]

@@ -216,7 +216,6 @@ def test_homogeneous_chow_bounds_the_component_group_before_the_quotient(monkeyp
     quotient = chow.truncated_quotient
     monkeypatch.setattr(chow, "truncated_quotient", no_quotient)
     # the order and enumeration caches live for the process: start from empty ones
-    lattice._closed_group.cache_clear()
     rootdata._matrix_group_order.cache_clear()
     unipotent = _component_subgroup("unipotent", IntMatrix(((1, 1), (0, 1))))
     with pytest.raises(GroupTooLarge):

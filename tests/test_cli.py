@@ -264,6 +264,16 @@ def test_negative_max_degree_exits_2(capsys, head, tail):
     assert "--max-degree" in captured.err and "nonnegative" in captured.err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_exits_2(capsys, cap):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["chow", fixture_path("semiabelian"), "--cap", cap])
+    captured = capsys.readouterr()
+    assert ei.value.code == 2
+    assert captured.out == ""
+    assert "--cap" in captured.err and "positive" in captured.err
+
+
 def test_cap_exceeded_exits_2(capsys):
     code, _, err = run_cli(capsys, "chow", SL2, "--max-degree", "1", "--cap", "1")
     assert code == 2
@@ -320,7 +330,6 @@ def test_component_group_closed_once_per_request(tmp_path, capsys, monkeypatch):
     closure = lattice.group_closure
     monkeypatch.setattr(lattice, "group_closure",
                         lambda gens, n, cap: calls.append(tuple(gens)) or closure(gens, n, cap))
-    lattice._closed_group.cache_clear()
     rootdata._matrix_group_order.cache_clear()
     # validation, X(H) and the invariant ring all need the order of the
     # component group; the rotation s0 s1 of order 3 is no reflection group,

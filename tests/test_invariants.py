@@ -165,12 +165,11 @@ def test_process_caches_are_bounded():
     # keys one schubert-warm benchmark pass creates (12 root data, degrees up
     # to 3, counted by cache_info().currsize); twice that never evicts.  The
     # column transforms and the matrix-group orders are counted on a
-    # ladder-cold pass (44 matrices and 17 generator sets, seed 1), since a
+    # ladder-cold pass (45 matrices and 18 generator sets, seed 1), since a
     # schubert-warm pass asks for none.
     table = (
-        (lattice._closed_group, lattice.MATRIX_GROUP_CACHE_SIZE, 12),
-        (rootdata._matrix_group_order, lattice.MATRIX_GROUP_CACHE_SIZE, 17),
-        (lattice._column_transform, lattice.COLUMN_TRANSFORM_CACHE_SIZE, 44),
+        (rootdata._matrix_group_order, rootdata.MATRIX_GROUP_CACHE_SIZE, 18),
+        (lattice._column_transform, lattice.COLUMN_TRANSFORM_CACHE_SIZE, 45),
         (invariants._invariant_slice, invariants.SLICE_CACHE_SIZE, 36),
         (invariants.sym_basis, invariants.SYM_BASIS_CACHE_SIZE, 12),
         (rootdata.weyl_group, rootdata.WEYL_CACHE_SIZE, 12),
@@ -178,7 +177,6 @@ def test_process_caches_are_bounded():
         (rootdata.validate_root_datum, rootdata.CARTAN_TYPE_CACHE_SIZE, 12),
         (rootdata.root_system, rootdata.ROOT_SYSTEM_CACHE_SIZE, 12),
         (schubert._representative_table, schubert.REPRESENTATIVE_TABLE_CACHE_SIZE, 12),
-        (schubert._integer_table, schubert.REPRESENTATIVE_TABLE_CACHE_SIZE, 12),
         (schubert._coinvariant_reducer, schubert.COINVARIANT_REDUCER_CACHE_SIZE, 36),
         (schubert._coordinate_map, schubert.COORDINATE_MAP_CACHE_SIZE, 36),
         (schubert._covers, schubert.COORDINATE_MAP_CACHE_SIZE, 36))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import helpers as z
-from chevalley_chow import lattice
+from chevalley_chow import lattice, rootdata
 from chevalley_chow.chow import homogeneous_rational_chow
 from chevalley_chow.descriptors import GroupDescriptor, SubgroupDescriptor, derived_attributes, validate_subgroup
 from chevalley_chow.errors import GroupTooLarge
@@ -24,6 +24,7 @@ from chevalley_chow.lattice import (
     integer_kernel,
     intersect_rows,
     invariant_factors,
+    is_unimodular,
     saturate_rows,
     smith_normal_form,
     solve_integer,
@@ -40,7 +41,7 @@ def test_matrix_basics():
     assert m.transpose().rows == ((1, 3), (2, 4))
     assert (m @ M.identity(2)) == m
     assert m.apply((1, 0)) == (1, 3)  # applies column vectors
-    assert m.det() == -2
+    assert not is_unimodular(m) and is_unimodular(M(((2, 1), (1, 1))))
     assert vstack(m, M.identity(2)).nrows == 4
     assert hstack(m, m).ncols == 4
 
@@ -406,13 +407,13 @@ def test_matrix_group_closed_once_per_key(monkeypatch):
     calls = []
     closure = lattice.group_closure
     monkeypatch.setattr(lattice, "group_closure", lambda *a: calls.append(a) or closure(*a))
-    lattice._closed_group.cache_clear()
-    gens = CLOSURE_CASES["A3"]
-    first = enumerate_matrix_group(gens)
-    assert enumerate_matrix_group(list(gens)) is first
-    assert enumerate_matrix_group(gens, cap=10**6) is first
+    rootdata._matrix_group_order.cache_clear()
+    gens = CLOSURE_CASES["levi_rot3"]  # no reflection group, so it is closed, not read off a Cartan type
+    first = rootdata.matrix_group_order(gens)
+    assert rootdata.matrix_group_order(list(gens)) == first
+    assert rootdata.matrix_group_order(gens, cap=10**6) == first
     assert len(calls) == 1
-    enumerate_matrix_group(gens, cap=24)  # another cap is another key
+    rootdata.matrix_group_order(gens, cap=first)  # another cap is another key
     assert len(calls) == 2
 
 

@@ -26,6 +26,7 @@ from chevalley_chow.lattice import (
     integer_kernel,
     intersect_rows,
     invariant_factors,
+    is_unimodular,
     smith_normal_form,
     solve_integer,
     vstack,
@@ -94,6 +95,30 @@ big_entries = st.one_of(entries, st.integers(-(10**30), 10**30))
 def shaped(nr, nc):
     return st.lists(st.lists(big_entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr).map(
         lambda rows: IntMatrix(rows, nc))
+
+
+def square_matrices(n):
+    """n x n matrices: random entries, ``helpers.random_unimodular``, and
+    a random unimodular times a random matrix, whose |det| is the matrix's."""
+    plain = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n).map(
+        lambda rows: IntMatrix(rows, n))
+    unimod = st.randoms(use_true_random=False).map(lambda rng: z.random_unimodular(rng, n))
+    return st.one_of(plain, unimod, st.tuples(unimod, plain).map(lambda p: p[0] @ p[1]))
+
+
+@given(st.integers(0, 4).flatmap(square_matrices))
+def test_is_unimodular_matches_the_determinant(m):
+    assert is_unimodular(m) == (abs(z.det_by_fractions(m)) == 1)
+
+
+@given(st.data())
+def test_is_unimodular_is_false_off_the_square(data):
+    nr, nc = data.draw(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda s: s[0] != s[1]))
+    assert not is_unimodular(data.draw(shaped(nr, nc)))
+    # nor is a unimodular matrix cut down to that shape: 0 x r included,
+    # whose columns span the zero lattice Z^0
+    u = z.random_unimodular(data.draw(st.randoms(use_true_random=False)), max(nr, nc))
+    assert not is_unimodular(IntMatrix(tuple(row[:nc] for row in u.rows[:nr]), nc))
 
 
 def assert_built_as_checked(m):

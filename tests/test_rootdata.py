@@ -245,7 +245,6 @@ def test_weyl_group_closes_no_matrix_group(monkeypatch):
         raise AssertionError("W is the orbit walk, not a matrix-group closure")
 
     monkeypatch.setattr(lattice, "group_closure", no_closure)
-    lattice._closed_group.cache_clear()
     assert len(rootdata._weyl_group.__wrapped__(z.c3)) == 48  # bypass the process cache
 
 
@@ -319,7 +318,6 @@ def test_matrix_group_order_matches_the_closure(name, monkeypatch):
     calls = []
     closure = lattice.group_closure
     monkeypatch.setattr(lattice, "group_closure", lambda *a: calls.append(a) or closure(*a))
-    lattice._closed_group.cache_clear()
     rootdata._matrix_group_order.cache_clear()
     order = _outcome(lambda: rootdata.matrix_group_order(gens))
     # a simple system of reflections is read off its Cartan type; anything
@@ -407,6 +405,22 @@ COVER_DATA = {
 def test_factorial_cover_matches_the_fraction_route(name):
     rd = COVER_DATA[name]
     assert factorial_cover_with_basis(rd) == z.factorial_cover_by_fractions(rd)
+
+
+INTEGER_COVER_DATA = {
+    **COVER_DATA,
+    **{f"{name}-{form}": rd
+       for name, sc in (("E6", z.e6), ("E7", z.e7), ("E8", z.e8))
+       for form, rd in (("adj", z.adjoint_datum(sc)), ("transvected", z.transvected(sc, 0, 1)))},
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_COVER_DATA)
+def test_factorial_cover_matches_the_integer_route(name):
+    # the weights come from the integer inverse of the Cartan matrix, not
+    # from the production fundamental_weights_q that the fraction route reads
+    rd = INTEGER_COVER_DATA[name]
+    assert factorial_cover_with_basis(rd) == z.factorial_cover_by_integers(rd)
 
 
 def test_contains_borel():

@@ -193,7 +193,6 @@ def test_translation_index_closes_the_conjugates_of_the_generators_only(monkeypa
     sizes = []
     closure = lattice.group_closure
     monkeypatch.setattr(lattice, "group_closure", lambda gens, *a: sizes.append(len(gens)) or closure(gens, *a))
-    lattice._closed_group.cache_clear()
     rootdata._matrix_group_order.cache_clear()
     gd = GroupDescriptor("F4", z.f4, z.A1_AV, z.no_d(4))
     hd = SubgroupDescriptor("normalizer", M.identity(4), component_generators=_simple_reflections(z.f4),
