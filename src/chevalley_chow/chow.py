@@ -43,7 +43,6 @@ from .lattice import (
     group_from_relations,
     hermite_row_basis,
     intersect_rows,
-    saturate_rows,
     vstack,
 )
 from .qlinalg import SpanBuilder
@@ -211,11 +210,9 @@ def chow_presentation(gd: GroupDescriptor, max_degree: int, cap: int = DEFAULT_C
 def _independent_formal_generators(gd: GroupDescriptor, att: AttributeReport):
     """Characters of G_aff whose images form a Q-basis of im(gamma_A)."""
     glue = gd.gluing
-    rel = glue.sigma_quotient().relations
     sb = SpanBuilder(glue.xd.ngens)
-    if rel.nrows:
-        for row in saturate_rows(rel).rows:
-            sb.add(row)
+    for row in glue.sigma_quotient().relations.rows:
+        sb.add(row)
     kept = []
     for chi in att.x_gaff.rows:
         if sb.add(glue.v_matrix.apply(chi)):
@@ -290,7 +287,7 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
         rf = substitute(hd.q_matrix, f)
         if rf:
             ideal.append(rf)
-    matrix_group_order(gens, cap)  # the invariant slices assume a finite group
+    matrix_group_order(gens, cap)  # G/H needs a finite group here, the fixed spaces do not
     concrete = truncated_quotient(hd.h_rank, ideal, max_degree, gens)
     # rank of gamma_A(ker r_H), measured as (ker r_H + ker gamma_A)/ker gamma_A
     ker_r = restriction_to_subgroup(gd, hd, att.x_gaff, cap).ker_r

@@ -34,18 +34,20 @@ def _add_common(p: argparse.ArgumentParser, subgroup: bool = False):
                    help="finite-enumeration budget (Weyl and component groups)")
 
 
-def _max_degree(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _integer_at_least(lowest: int, condition: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be {condition}, got {value}")
+        return value
+    return parse
 
 
-def _cap(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+_max_degree = _integer_at_least(0, "nonnegative")
+_cap = _integer_at_least(1, "positive")
 
 
 def _build_parser() -> argparse.ArgumentParser:

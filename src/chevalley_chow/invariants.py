@@ -5,7 +5,8 @@ variables are the coordinates of a character lattice Z^rank, matrices act by
 linear substitution, and every slice computation is plain exact linear
 algebra over the monomial basis.  An ambient ring is the invariant ring of
 a finite matrix group, given by the tuple of its generators; the empty
-tuple is all of Sym(Q^rank).
+tuple is all of Sym(Q^rank).  Its degree-d slice is the space of degree-d
+polynomials every generator fixes, one nullspace over the monomials.
 
 Monomial order everywhere: within a fixed total degree, exponent vectors in
 descending lexicographic order, so for two variables degree 2 reads
@@ -16,13 +17,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import add
 
 from ._record import Record
 from .errors import DegreeTooLarge
 from .lattice import IntMatrix
-from .qlinalg import SpanBuilder, echelon, kernel
+from .qlinalg import SpanBuilder, kernel
 
 Poly = dict[tuple[int, ...], Fraction]
 
@@ -96,6 +96,13 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
             else:
                 out.pop(m, None)
     return out
+
+
+def check_monomials(a: Poly, rank: int) -> None:
+    """ValueError naming the first key of ``a`` that is no tuple of ``rank`` nonnegative ints."""
+    for m in a:
+        if type(m) is not tuple or len(m) != rank or not all(type(e) is int and e >= 0 for e in m):
+            raise ValueError(f"{m!r} is not a monomial in {rank} variables")
 
 
 def poly_degree(a: Poly) -> int | None:
@@ -181,18 +188,16 @@ def exact_divide_linear(a: Poly, linear: Poly) -> Poly:
 
 
 def invariant_slice(rank: int, generators, d: int) -> list[Poly]:
-    """Basis of the degree-d invariants of the finite group the generators span.
+    """A basis of the degree-d invariants of the group the generators span.
 
-    The group average R is the projection of V = Sym^d onto V^G along
-    U = sum of im(rho_d(s) - 1) over the generators s, so it is read off the
-    generators alone: R = N (L^T N)^-1 L^T, where N spans the nullspace of
-    the stacked rho_d(s) - 1 (that is V^G) and L that of the stacked
-    rho_d(s)^T - 1 (the forms vanishing on U).  The averages R(m) of the
-    monomials are kept in monomial order when they enlarge the span: the
-    basis Reynolds averaging over the enumerated group gives, at a cost
-    independent of |G|.  Nothing here checks that the group is finite;
-    callers bound it first (``chow.homogeneous_rational_chow`` bounds its
-    order by ``rootdata.matrix_group_order``,
+    They are the polynomials of V = Sym^d that every generator s fixes, the
+    nullspace of the stacked rho_d(s) - 1, read off the generators alone at
+    a cost independent of |G|: one polynomial per :func:`qlinalg.kernel`
+    vector, with its primitive integer coefficients, in kernel order.  That
+    is *a* basis of the invariants, not the one Reynolds averaging gives.
+    The fixed space needs no finite group, but its quotients are the rings
+    wanted only for one, so callers bound the order first
+    (``chow.homogeneous_rational_chow`` by ``rootdata.matrix_group_order``,
     ``schubert.coinvariant_ideal_generators`` checks |W| by formula).  The
     empty tuple gives the monomial basis of the whole degree-d slice.
 
@@ -215,19 +220,8 @@ def _invariant_slice(rank: int, gens: tuple[IntMatrix, ...], d: int) -> tuple[Po
     n = len(basis)
     # images[k][j]: coordinates of rho_d(gens[k]) applied to monomial j
     images = _power_images(rank, gens, d)
-    fixed = [v for _, v in kernel([[img[j][t] - (j == t) for j in range(n)] for img in images for t in range(n)], n)]
-    cofixed = [v for _, v in kernel([[img[t][j] - (j == t) for j in range(n)] for img in images for t in range(n)], n)]
-    # rows [L^T N | L^T] reduce to [D | D (L^T N)^-1 L^T], D diagonal and positive
-    coords, _ = echelon([[sum(a * b for a, b in zip(ell, v)) for v in fixed] + ell for ell in cofixed], len(fixed))
-    scale = lcm(*[row[r] for r, row in enumerate(coords)])
-    weights = [[scale // row[r] * x for x in row[len(fixed):]] for r, row in enumerate(coords)]
-    builder = SpanBuilder(n)
-    polys = []
-    for j in range(n):
-        avg = [sum(w[j] * v[t] for w, v in zip(weights, fixed)) for t in range(n)]  # scale * R(m_j)
-        if any(avg) and builder.add(avg):
-            polys.append({m: Fraction(c, scale) for m, c in zip(basis, avg) if c})
-    return tuple(polys)
+    fixed = kernel([[img[j][t] - (j == t) for j in range(n)] for img in images for t in range(n)], n)
+    return tuple({m: Fraction(c) for m, c in zip(basis, v) if c} for _, v in fixed)
 
 
 def _power_images(rank: int, gens: tuple[IntMatrix, ...], d: int) -> list[list[list[int]]]:
@@ -340,7 +334,8 @@ class TruncatedQuotient(Record):
 def truncated_quotient(rank: int, generators: list[Poly], max_degree: int, group=()) -> TruncatedQuotient:
     """Quotient of the invariants of ``group`` (all of Sym(Q^rank) for the
     empty tuple) by the ideal the generators span, degreewise; callers bound
-    the group's order first.  A negative ``max_degree`` raises ValueError.
+    the group's order first.  A negative ``max_degree``, a group matrix not
+    rank x rank or a key that is no monomial raises ValueError naming it.
 
     >>> t = {(2,): Fraction(1)}
     >>> truncated_quotient(1, [t], 3).dims
@@ -350,6 +345,11 @@ def truncated_quotient(rank: int, generators: list[Poly], max_degree: int, group
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
+    for g in group:
+        if g.shape != (rank, rank):
+            raise ValueError(f"group matrix {g!r} is not {rank} x {rank}")
+    for p in generators:
+        check_monomials(p, rank)
     dims = tuple(len(quotient_basis(rank, generators, d, group)) for d in range(max_degree + 1))
     ambient_dims = tuple(len(invariant_slice(rank, group, d)) for d in range(max_degree + 1))
     return TruncatedQuotient(rank, max_degree, dims, ambient_dims)

@@ -33,6 +33,7 @@ from ._record import Record
 from .errors import NonIntegralStructureConstant
 from .invariants import (
     Poly,
+    check_monomials,
     coeff_vector,
     exact_divide_linear,
     linear_poly,
@@ -196,9 +197,10 @@ def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = DEFA
 
     They are the minimal generators :func:`_coinvariant_reducer` keeps (GL2
     up to degree 20: 2, not 120), read off it up to the degree where all
-    ``rank`` are found and returned as fresh dicts.  A Weyl group past
+    ``rank`` are found and returned as fresh dicts; their degrees and ideal
+    are fixed, the choice follows the slice bases.  A Weyl group past
     ``cap`` is refused up front from the order formula of its Cartan type
-    (:class:`GroupTooLarge`); the slices are projected from the simple
+    (:class:`GroupTooLarge`); the slices are the fixed spaces of the simple
     reflections (:func:`invariant_slice`), so W is never enumerated here.
     """
     if rd.nsimple and max_degree > 0:
@@ -300,9 +302,7 @@ def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAU
     nonnegative ints, naming it, or the polynomial is not homogeneous of degree d.
     """
     w = weyl_group(rd, cap=cap)
-    for m in poly:
-        if len(m) != rd.rank or not all(type(e) is int and e >= 0 for e in m):
-            raise ValueError(f"{m!r} is not a monomial in {rd.rank} variables")
+    check_monomials(poly, rd.rank)
     if poly_degree(poly) not in (None, d):
         raise ValueError(f"polynomial is not homogeneous of degree {d}")
     if d > w.lengths[-1]:  # the longest element has length N

@@ -369,11 +369,26 @@ def product_by_fractions(rd, u, v):
     return schubert.expand_in_schubert_basis(rd, poly_mul(table[u], table[v]), w.lengths[u] + w.lengths[v])
 
 
+def same_span(polys, others, rank, d):
+    """Whether two lists of degree-d polynomials span the same subspace of
+    Sym^d(Q^rank): the spans have the same dimension and the first holds every
+    polynomial of the second, by Fraction elimination over the monomials."""
+    spans = []
+    for group in (polys, others):
+        spans.append(FractionSpanBuilder(len(sym_basis(rank, d))))
+        for p in group:
+            spans[-1].add(coeff_vector(p, rank, d))
+    return len(spans[0].rows) == len(spans[1].rows) and all(
+        spans[0].contains(coeff_vector(p, rank, d)) for p in others)
+
+
 def reynolds_slice(rank, generators, d):
-    """Oracle for ``invariant_slice``: average each monomial over the enumerated group.
+    """Oracle for the span of ``invariant_slice``: average each monomial over
+    the enumerated group.
 
     The averages are kept greedily in monomial order when they enlarge the
-    span, which is the basis the production projection must reproduce.
+    span, so they are a basis of the degree-d invariants; the production
+    basis is another one of the same span (compare with :func:`same_span`).
     """
     gens = tuple(generators)
     if not gens:

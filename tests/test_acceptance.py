@@ -27,6 +27,7 @@ from chevalley_chow.invariants import (
     invariant_slice,
     linear_poly,
     poly_mul,
+    substitute,
     truncated_quotient,
 )
 from chevalley_chow.lattice import (
@@ -127,8 +128,11 @@ def test_criterion_02_coinvariant_dimensions():
             gens = []
             for e in range(1, top + 2):
                 slice_e = invariant_slice(rd.rank, refl, e)
-                # oracle: Reynolds averaging over the enumerated Weyl group
-                assert slice_e == z.reynolds_slice(rd.rank, refl, e), (name, e)
+                # oracle: the span of Reynolds averaging over the enumerated
+                # Weyl group, and each polynomial W-invariant
+                want = z.reynolds_slice(rd.rank, refl, e)
+                assert len(slice_e) == len(want) and z.same_span(slice_e, want, rd.rank, e), (name, e)
+                assert all(substitute(g, p) == p for g in refl for p in slice_e), (name, e)
                 gens.extend(slice_e)
             tq = truncated_quotient(rd.rank, gens, top + 1)
             assert tq.dims[: top + 1] == expected, name

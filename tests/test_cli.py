@@ -274,6 +274,19 @@ def test_cap_below_one_exits_2(capsys, cap):
     assert "--cap" in captured.err and "positive" in captured.err
 
 
+@pytest.mark.parametrize("option, text", [
+    ("--max-degree", "x"), ("--max-degree", "2.5"), ("--cap", "1e3"), ("--cap", ""),
+])
+def test_non_integer_option_exits_2_without_parser_names(capsys, option, text):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["chow", fixture_path("semiabelian"), option, text])
+    captured = capsys.readouterr()
+    assert ei.value.code == 2
+    assert captured.out == ""
+    assert f"{option}: expected an integer, got {text!r}" in captured.err
+    assert "_max_degree" not in captured.err and "_cap" not in captured.err
+
+
 def test_cap_exceeded_exits_2(capsys):
     code, _, err = run_cli(capsys, "chow", SL2, "--max-degree", "1", "--cap", "1")
     assert code == 2

@@ -3,9 +3,11 @@
 import importlib
 import math
 import pkgutil
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import helpers as z
 import chevalley_chow
@@ -92,8 +94,8 @@ def test_restrict_symmetric():
 
 
 def test_invariant_slices_match_bruteforce():
-    # the projection from the generators must return exactly the polynomials
-    # that Reynolds averaging over the enumerated group keeps
+    # the fixed space of the generators must span what Reynolds averaging
+    # over the enumerated group spans, with invariant, independent polynomials
     cases = [(name, tuple(simple_reflection(rd, i) for i in range(rd.nsimple)), top)
              for name, rd, top in (
                  ("A1", z.sl2, 3), ("A2", z.sl3, 3), ("A3", z.sl4, 3), ("A4", z.a4, 3),
@@ -107,7 +109,9 @@ def test_invariant_slices_match_bruteforce():
     for name, gens, top in cases:
         rank = gens[0].nrows
         for d in range(top + 1):
-            assert invariant_slice(rank, gens, d) == z.reynolds_slice(rank, gens, d), (name, d)
+            got, want = invariant_slice(rank, gens, d), z.reynolds_slice(rank, gens, d)
+            assert all(substitute(g, p) == p for g in gens for p in got), (name, d)
+            assert len(got) == len(want) and z.same_span(got, want, rank, d), (name, d)
 
 
 def test_coinvariant_ideal_refuses_cap_without_enumerating(monkeypatch):
@@ -255,6 +259,21 @@ def test_truncated_quotient_shape():
     assert truncated_quotient(1, [], 0).dims == (1,)
 
 
+@pytest.mark.parametrize("rank, generators, group, message", [
+    (2, [], (IntMatrix(((0, 1, 0), (1, 0, 0))),), "is not 2 x 2"),
+    (2, [], (IntMatrix(((0, 1, 0), (1, 0, 0), (0, 0, 1))),), "is not 2 x 2"),
+    (3, [], (IntMatrix(((0, 1), (1, 0))),), "is not 3 x 3"),
+    (2, [{(1, 0, 0): Fraction(1)}], (), re.escape("(1, 0, 0) is not a monomial in 2 variables")),
+    (2, [{(1,): Fraction(1)}], (), re.escape("(1,) is not a monomial in 2 variables")),
+    (2, [{(1, 0): Fraction(1), (-1, 2): Fraction(1)}], (), re.escape("(-1, 2) is not a monomial")),
+])
+def test_truncated_quotient_refuses_misshapen_input(rank, generators, group, message):
+    # each once acted as its top-left block, cut the monomial short, or
+    # raised a bare IndexError or KeyError
+    with pytest.raises(ValueError, match=message):
+        truncated_quotient(rank, generators, 2, group)
+
+
 def test_truncated_quotient_refuses_a_negative_degree(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a negative degree must be refused before any slice")
@@ -359,6 +378,41 @@ def test_coinvariant_generators_match_the_selection_in_s(name):
     want = z.coinvariant_generators_in_s(rd, top)
     assert [sorted(g.items()) for g in got] == [sorted(g.items()) for g in want]
     assert all(type(c) is Fraction for g in got for c in g.values())
+
+
+NON_WEYL_GROUPS = tuple(gens for _, gens in z.non_weyl_groups())
+
+
+@st.composite
+def finite_groups(draw):
+    """(rank, generators): a non-Weyl group, or a random subset of the simple
+    reflections of a ladder datum, either one conjugated by a random
+    unimodular matrix half the time."""
+    if draw(st.booleans()):
+        gens = draw(st.sampled_from(NON_WEYL_GROUPS))
+        rank = gens[0].nrows
+    else:
+        rd = LADDER[draw(st.sampled_from(sorted(LADDER)))]
+        rank = rd.rank
+        gens = tuple(simple_reflection(rd, i) for i in sorted(draw(st.sets(st.integers(0, rd.nsimple - 1)))))
+    if draw(st.booleans()):
+        u = z.random_unimodular(draw(st.randoms(use_true_random=False)), rank)
+        u_inv = lattice.coordinates(u.transpose(), IntMatrix.identity(rank).rows).transpose()
+        gens = tuple(u @ g @ u_inv for g in gens)
+    return rank, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_groups(), st.integers(0, 3))
+def test_invariant_slice_is_a_basis_of_the_fixed_space(group, d):
+    rank, gens = group
+    assume(math.comb(rank + d - 1, d) <= invariants.SLICE_BUDGET)
+    got = invariant_slice(rank, gens, d)
+    assert all(substitute(g, p) == p for g in gens for p in got)
+    independent = z.FractionSpanBuilder(len(sym_basis(rank, d)))
+    assert all(independent.add(coeff_vector(p, rank, d)) for p in got)
+    want = z.reynolds_slice(rank, gens, d)
+    assert len(got) == len(want) and z.same_span(got, want, rank, d)
 
 
 def test_coinvariant_generators_are_fresh():
