@@ -86,6 +86,17 @@ def poly_sub(a: Poly, b: Poly) -> Poly:
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
+    """The product; ValueError, naming a monomial of each, when the factors
+    live in different numbers of variables.  Once per call, the last key of
+    each factor is checked after the loop, where the loop has already read
+    it: taking a key first would cost an iterator on every call, and the BGG
+    build makes most of its calls with one-term factors.
+
+    >>> poly_mul({(1, 0, 0): 1}, {(1, 0): 1})
+    Traceback (most recent call last):
+    ...
+    ValueError: cannot multiply (1, 0, 0) by (1, 0): monomials in 3 and 2 variables
+    """
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -95,6 +106,8 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
                 out[m] = s
             else:
                 out.pop(m, None)
+    if a and b and len(ma) != len(mb):
+        raise ValueError(f"cannot multiply {ma!r} by {mb!r}: monomials in {len(ma)} and {len(mb)} variables")
     return out
 
 

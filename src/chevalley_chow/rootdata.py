@@ -50,6 +50,11 @@ class RootDatum(Record):
 
     ``u_rad`` is the dimension of the unipotent radical, bookkeeping only;
     no formula in this package looks past the reductive quotient.
+
+    Every process cache is keyed by the root datum, and parsing the same
+    descriptor again gives a new but equal datum, so two data compare by one
+    comparison of plain int tuples (``_key``, built with the datum), not
+    field by field through :class:`IntMatrix`.
     """
 
     rank: int
@@ -65,11 +70,24 @@ class RootDatum(Record):
         for mat, what in ((self.simple_roots, "roots"), (self.simple_coroots, "coroots")):
             if mat.ncols != self.rank:
                 raise ValueError(f"simple {what} must live in Z^{self.rank}")
-        # every process cache is keyed by the root datum, so hash it once
-        object.__setattr__(self, "_hash", hash((self.rank, self.simple_roots, self.simple_coroots, self.u_rad)))
+        # the rank fixes the width of the rows, so these four determine the datum
+        object.__setattr__(self, "_key", (self.rank, self.u_rad, self.simple_roots.rows, self.simple_coroots.rows))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
 
     def __hash__(self):
         return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """Hashed once, on the first cache probe, so that building a datum
+        costs no pass over its entries.  The entries are doubled first:
+        hash(-1) == hash(-2), so the raw entries would hash A3 like C3."""
+        return hash((self.rank, self.u_rad, *[2 * x for row in self.simple_roots.rows + self.simple_coroots.rows
+                                              for x in row]))
 
     @property
     def nsimple(self) -> int:

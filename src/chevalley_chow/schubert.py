@@ -11,10 +11,11 @@ w, the w s_beta one step longer, found by their points in the orbit of
 2rho^vee (``WeylGroup.index``).  A divisor product sums one row.
 The Schubert coordinates of the degree-d monomials are built from degree
 d - 1 by one Chevalley step each (:func:`_coordinate_map`): an integer
-matrix, with no coinvariant ideal and no elimination.  A product multiplies
-two BGG representatives, kept scaled to integer polynomials beside their
-Fraction form in one entry (:func:`_representative_table`), and applies
-that matrix.  The ideal serves G/H alone
+matrix, with no coinvariant ideal and no elimination.  A product scatters
+the products of the terms of two BGG representatives, kept once as integer
+tuples (:func:`_representative_table`), into one integer vector through a
+table of monomial positions (:func:`_product_positions`), and applies that
+matrix.  The ideal serves G/H alone
 (:func:`coinvariant_ideal_generators`); the tests reduce modulo it as an oracle.
 Each public function refuses |W| past its ``cap`` first, by the order
 formula; the cached builders take no cap, so one entry serves every cap.
@@ -27,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from ._record import Record
 from .errors import NonIntegralStructureConstant
@@ -133,18 +134,31 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP)
 
 REPRESENTATIVE_TABLE_CACHE_SIZE = 32  # BGG tables kept, one per root datum
 
+#: one BGG representative: the positions of its monomials in
+#: ``sym_basis(rank, length)`` and its coefficients times the table's scale
+Packed = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 @lru_cache(maxsize=REPRESENTATIVE_TABLE_CACHE_SIZE)
-def _representative_table(rd: RootDatum, /) -> tuple[tuple[Poly, ...], tuple[dict[tuple[int, ...], int], ...],
-                                                     int, tuple[int, ...]]:
-    """``(reps, ints, scale, lengths)``: the BGG representatives P_w in
-    Sym X(T)_Q, one per Weyl element, with Fraction coefficients and, in
-    ``ints``, times ``scale`` (the lcm of their denominators) with int ones;
-    and ``WeylGroup.lengths``, so that a product reads W off this one entry.
+def _representative_table(rd: RootDatum, /) -> tuple[tuple[Packed, ...], int, tuple[int, ...], list]:
+    """``(reps, scale, lengths, maps)``: the BGG representatives P_w in
+    Sym X(T)_Q, one per Weyl element, each held once as a pair of int
+    tuples (:data:`Packed`), ascending positions in ``sym_basis(rank,
+    length(w))`` and the coefficients times ``scale``, the lcm of all their
+    denominators; ``WeylGroup.lengths``, so that a product reads W off this
+    one entry; and ``maps``, by degree, the :func:`_coordinate_map` entry
+    the products of that degree read, stored by the first of them, so that
+    a warm product probes no second cache keyed by the root datum.
 
     P_{w0} is the product of the positive roots over |W|; going down,
     P_v = divided_difference_i(P_{v s_i}) for the least i ascending v.  The
     identity must come out as the constant 1, which is asserted.
+
+    >>> from .lattice import IntMatrix
+    >>> a2 = RootDatum(2, IntMatrix(((2, -1), (-1, 2))), IntMatrix.identity(2))
+    >>> reps, scale, lengths, maps = _representative_table(a2)
+    >>> scale, reps[1], reps[3]  # x0, and (-x0^2 + x0 x1 + 2 x1^2) / 3, times 6
+    (6, ((0,), (6,)), ((0, 1, 2), (-2, 2, 4)))
     """
     w = _weyl_group(rd)
     rs = root_system(rd)
@@ -172,24 +186,30 @@ def _representative_table(rd: RootDatum, /) -> tuple[tuple[Poly, ...], tuple[dic
         assert done, "every non-longest element has an ascent"
     assert reps[0] == {(0,) * n: Fraction(1)}, f"degree-0 representative came out as {reps[0]}"
     scale = lcm(*(c.denominator for p in reps for c in p.values()))
-    ints = tuple({m: c.numerator * (scale // c.denominator) for m, c in p.items()} for p in reps)
-    return tuple(reps), ints, scale, w.lengths
+    top_degree = w.lengths[-1]
+    position = [{m: k for k, m in enumerate(sym_basis(n, d))} for d in range(top_degree + 1)]
+    packed = tuple(
+        tuple(zip(*sorted((position[length][m], c.numerator * (scale // c.denominator)) for m, c in p.items())))
+        for p, length in zip(reps, w.lengths)
+    )
+    return packed, scale, w.lengths, [None] * (top_degree + 1)
 
 
 def schubert_representatives(rd: RootDatum, max_degree: int | None = None, cap: int = DEFAULT_CAP) -> dict[int, Poly]:
     """Coinvariant-algebra representatives, keyed by Weyl index.
 
     Only classes of codegree <= max_degree are returned when a bound is given.
-    The polynomials are fresh dicts, so a caller that mutates them cannot
-    change the cached table that later products read.
+    The polynomials are fresh Fraction dicts, rebuilt from the cached integer
+    table on each call, so a caller that mutates them changes no later product.
     """
-    w = weyl_group(rd, cap=cap)
-    table = _representative_table(rd)[0]
-    return {
-        i: dict(table[i])
-        for i in range(len(w))
-        if max_degree is None or w.lengths[i] <= max_degree
-    }
+    _weyl_order(rd, cap)
+    reps, scale, lengths, _ = _representative_table(rd)
+    out = {}
+    for i, (positions, coeffs) in enumerate(reps):
+        if max_degree is None or lengths[i] <= max_degree:
+            basis = sym_basis(rd.rank, lengths[i])
+            out[i] = {basis[k]: Fraction(c, scale) for k, c in zip(positions, coeffs)}
+    return out
 
 
 def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = DEFAULT_CAP) -> list[Poly]:
@@ -313,12 +333,30 @@ def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAU
     return SchubertExpansion(d, {idx: Fraction(c) for idx, c in zip(indices, coords) if c})
 
 
+PRODUCT_POSITION_CACHE_SIZE = 64  # monomial-product tables kept, one per (rank, a, b)
+
+
+@lru_cache(maxsize=PRODUCT_POSITION_CACHE_SIZE)
+def _product_positions(rank: int, a: int, b: int, /) -> tuple[tuple[int, ...], ...]:
+    """Row i, column j: the position of x^m x^n in ``sym_basis(rank, a + b)``,
+    for x^m the i-th monomial of degree a and x^n the j-th of degree b.
+
+    >>> _product_positions(2, 1, 1)  # x0 x0, x0 x1 and x1 x0, x1 x1 among x0^2, x0 x1, x1^2
+    ((0, 1), (1, 2))
+    """
+    position = {m: k for k, m in enumerate(sym_basis(rank, a + b))}
+    right = sym_basis(rank, b)
+    return tuple(tuple([position[tuple(map(add, m, r))] for r in right]) for m in sym_basis(rank, a))
+
+
 def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) -> SchubertExpansion:
     """sigma_{w1} * sigma_{w2} by coinvariant multiplication.
 
-    The representatives are multiplied with int coefficients (``ints`` of
-    :func:`_representative_table`) and the product is read off the int rows of
-    :func:`_coordinate_map`.  The structure constants must come out
+    Every product of a term of P_{w1} and a term of P_{w2}, integer
+    coefficients over one scale (:func:`_representative_table`), is added
+    into one integer vector at the position :func:`_product_positions`
+    gives its monomial; each row of :func:`_coordinate_map` dotted with that
+    vector is a coordinate.  The structure constants must come out
     nonnegative integers; anything else raises
     :class:`NonIntegralStructureConstant` (it would mean a bug, not bad
     input).  An index that is not an integer in [0, |W|) raises ValueError.
@@ -331,14 +369,23 @@ def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) ->
     {}
     """
     _weyl_order(rd, cap)
-    _, table, scale, lengths = _representative_table(rd)
-    if not all(isinstance(i, int) and 0 <= i < len(lengths) for i in (w1, w2)):
+    reps, scale, lengths, maps = _representative_table(rd)
+    if not (isinstance(w1, int) and isinstance(w2, int) and 0 <= w1 < len(lengths) and 0 <= w2 < len(lengths)):
         raise ValueError(f"Weyl indices ({w1!r}, {w2!r}) are not both integers in [0, {len(lengths)})")
     d = lengths[w1] + lengths[w2]
     if d > lengths[-1]:
         return SchubertExpansion(d, {})
-    indices, rows = _coordinate_map(rd, d)
-    vec = coeff_vector(poly_mul(table[w1], table[w2]), rd.rank, d)
+    if (cmap := maps[d]) is None:
+        cmap = maps[d] = _coordinate_map(rd, d)
+    indices, rows = cmap
+    short, long = (w1, w2) if lengths[w1] <= lengths[w2] else (w2, w1)
+    (left, lcoeffs), (right, rcoeffs) = reps[short], reps[long]
+    where = _product_positions(rd.rank, lengths[short], lengths[long])
+    vec = [0] * len(rows[0])
+    for i, c in zip(left, lcoeffs):
+        row = where[i]
+        for j, e in zip(right, rcoeffs):
+            vec[row[j]] += c * e
     den = scale * scale
     terms: dict[int, Fraction] = {}
     for idx, row in zip(indices, rows):

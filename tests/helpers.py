@@ -295,7 +295,7 @@ def expand_all_by_reduction(rd, polys, d):
     w = weyl_group(rd)
     if d > len(root_system(rd).positive):
         return [schubert.SchubertExpansion(d, {}) for _ in polys]
-    table = schubert._representative_table(rd)[0]
+    table = schubert.schubert_representatives(rd, d)
     indices = [i for i in range(len(w)) if w.lengths[i] == d]
     reducer = ideal_slice(rd.rank, schubert._coinvariant_reducer(rd, d), d)
     cols = [span_reduce(reducer, coeff_vector(table[i], rd.rank, d)) for i in indices]
@@ -329,7 +329,7 @@ def coinvariant_generators_in_s(rd, max_degree):
 def schubert_product_by_reduction(rd, u, v):
     """Oracle for ``schubert.schubert_product``: :func:`expand_by_reduction`
     of the product of the two BGG representatives."""
-    w, table = weyl_group(rd), schubert._representative_table(rd)[0]
+    w, table = weyl_group(rd), schubert.schubert_representatives(rd)
     return expand_by_reduction(rd, poly_mul(table[u], table[v]), w.lengths[u] + w.lengths[v])
 
 

@@ -81,6 +81,14 @@ def test_poly_ops():
         exact_divide_linear({(1, 0): Fraction(1), (0, 0): Fraction(1)}, x)
 
 
+@pytest.mark.parametrize("a, b", [({(1, 0, 0): 1}, {(1, 0): 1}), ({(1, 0): 1}, {(0, 2, 1): 3, (1, 1, 1): 1})])
+def test_poly_mul_refuses_factors_of_different_ranks(a, b):
+    ma, mb = list(a)[-1], list(b)[-1]
+    with pytest.raises(ValueError, match=re.escape(f"cannot multiply {ma!r} by {mb!r}")):
+        poly_mul(a, b)
+    assert poly_mul(a, {}) == poly_mul({}, b) == {}
+
+
 def test_restrict_symmetric():
     # substitute x -> s, y -> 2s along q = [[1, 2]] (rows of q are images of
     # the ambient coordinates in the subgroup coordinates, acting on exponents)
@@ -167,7 +175,10 @@ def package_caches() -> dict[str, object]:
 
 def test_process_caches_are_bounded():
     # keys one schubert-warm benchmark pass creates (12 root data, degrees up
-    # to 3, counted by cache_info().currsize); twice that never evicts.  The
+    # to 3, counted by cache_info().currsize; the monomial bases go up to the
+    # top degree of each rank, where the BGG table places its representatives,
+    # and the product positions are keyed by rank and the two factors'
+    # lengths, shorter first); twice that never evicts.  The
     # column transforms and the matrix-group orders are counted on a
     # ladder-cold pass (45 matrices and 18 generator sets, seed 1), since a
     # schubert-warm pass asks for none.
@@ -175,7 +186,7 @@ def test_process_caches_are_bounded():
         (rootdata._matrix_group_order, rootdata.MATRIX_GROUP_CACHE_SIZE, 18),
         (lattice._column_transform, lattice.COLUMN_TRANSFORM_CACHE_SIZE, 45),
         (invariants._invariant_slice, invariants.SLICE_CACHE_SIZE, 36),
-        (invariants.sym_basis, invariants.SYM_BASIS_CACHE_SIZE, 12),
+        (invariants.sym_basis, invariants.SYM_BASIS_CACHE_SIZE, 28),
         (rootdata.weyl_group, rootdata.WEYL_CACHE_SIZE, 12),
         (rootdata._weyl_group, rootdata.WEYL_CACHE_SIZE, 12),
         (rootdata.validate_root_datum, rootdata.CARTAN_TYPE_CACHE_SIZE, 12),
@@ -183,7 +194,8 @@ def test_process_caches_are_bounded():
         (schubert._representative_table, schubert.REPRESENTATIVE_TABLE_CACHE_SIZE, 12),
         (schubert._coinvariant_reducer, schubert.COINVARIANT_REDUCER_CACHE_SIZE, 36),
         (schubert._coordinate_map, schubert.COORDINATE_MAP_CACHE_SIZE, 36),
-        (schubert._covers, schubert.COORDINATE_MAP_CACHE_SIZE, 36))
+        (schubert._covers, schubert.COORDINATE_MAP_CACHE_SIZE, 36),
+        (schubert._product_positions, schubert.PRODUCT_POSITION_CACHE_SIZE, 15))
     for cache, size, warm_keys in table:
         assert cache.cache_info().maxsize == size
         assert isinstance(size, int) and size >= 2 * warm_keys

@@ -2,13 +2,15 @@
 
 Every :class:`Record` subclass is checked against a
 ``dataclasses.make_dataclass(..., frozen=True)`` twin with the same fields,
-defaults and ``__post_init__``, on instances the CLI builds for every
+defaults, ``__post_init__`` and any ``__eq__`` and ``__hash__`` of the
+class's own, on instances the CLI builds for every
 fixture: same repr, equality and hash, the same refusal to assign, and the
 same accepted and refused constructor calls.
 """
 
 import contextlib
 import dataclasses
+import functools
 import io
 
 import pytest
@@ -67,7 +69,10 @@ def twin(cls):
     own = vars(cls)
     spec = [(f, object, dataclasses.field(default=own[f])) if f in own else (f, object)
             for f in own["__annotations__"]]
-    namespace = {"__post_init__": own["__post_init__"]} if "__post_init__" in own else {}
+    # a class that keys its equality and hash on its own carries them over,
+    # with the cached values they read
+    namespace = {k: v for k, v in own.items()
+                 if k in ("__post_init__", "__eq__", "__hash__") or isinstance(v, functools.cached_property)}
     return dataclasses.make_dataclass(cls.__name__, spec, frozen=True, namespace=namespace)
 
 

@@ -30,6 +30,17 @@ from chevalley_chow.rootdata import (
 M = IntMatrix
 
 
+@pytest.mark.parametrize("a, b", [("sl4", "c3"), ("a4", "f4")])
+def test_data_whose_matrices_differ_hash_apart(a, b):
+    # they differ only where one has -1 and the other -2, and hash(-1) == hash(-2)
+    first, second = getattr(z, a), getattr(z, b)
+    assert first != second and hash(first) != hash(second)
+    again = RootDatum(first.rank, M(first.simple_roots.rows), M(first.simple_coroots.rows))
+    assert again == first and again is not first and hash(again) == hash(first)
+    assert RootDatum(first.rank, first.simple_roots, first.simple_coroots, 1) != first
+    assert RootDatum(first.rank, first.simple_coroots, first.simple_roots) != first
+
+
 def test_classification():
     assert validate_root_datum(z.sl2).describe() == "A1"
     assert validate_root_datum(z.sl3).describe() == "A2"
