@@ -18,7 +18,7 @@ from operator import itemgetter
 from ._record import Record
 from .descriptors import AbelianVarietyData, AntiAffineGluing, GroupDescriptor, SubgroupDescriptor
 from .errors import DescriptorSyntaxError, SchemaError
-from .lattice import FGAbelianGroup, IntMatrix, Presentation, Vec
+from .lattice import FGAbelianGroup, IntMatrix, Presentation, Vec, group_from_relations
 from .rootdata import RootDatum
 
 SCHEMA_TAG = "chevalley-chow/1"
@@ -136,14 +136,15 @@ def _int_list(value, path) -> tuple[int, ...]:
 def _canonical_group(rank: int, torsion, path) -> FGAbelianGroup:
     if rank < 0:
         raise SchemaError(path, "rank must be nonnegative")
-    out = FGAbelianGroup(rank)
     for i, t in enumerate(torsion):
         if t < 1:
             raise SchemaError(f"{path}[{i}]", "torsion orders must be positive")
-        if t == 1:
-            continue
-        out = out.direct_sum(FGAbelianGroup(0, (t,)))
-    return out
+    orders = [t for t in torsion if t > 1]
+    if not orders:
+        return FGAbelianGroup(rank)
+    n = len(orders)
+    diagonal = IntMatrix([[t if i == j else 0 for j in range(n)] for i, t in enumerate(orders)], n)
+    return FGAbelianGroup(rank, group_from_relations(n, diagonal).torsion)
 
 
 def _parse_root_datum(value, path) -> RootDatum:

@@ -21,7 +21,7 @@ from operator import add
 
 from ._record import Record
 from .errors import DegreeTooLarge
-from .lattice import IntMatrix
+from .lattice import CACHE_SIZE, IntMatrix
 from .qlinalg import SpanBuilder, kernel
 
 Poly = dict[tuple[int, ...], Fraction]
@@ -32,11 +32,9 @@ DEGREE_BUDGET = 64
 #: Sym(Q^rank), for the quotients that build every slice up to d: it admits
 #: rank 2 up to degree 20, rank 3 up to 5 and rank 6 up to 2
 SLICE_BUDGET = 21
-SLICE_CACHE_SIZE = 128  # invariant slices kept, one per (rank, generators, d)
-SYM_BASIS_CACHE_SIZE = 64  # monomial bases kept, one per (rank, d)
 
 
-@lru_cache(maxsize=SYM_BASIS_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def sym_basis(rank: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Monomials of total degree d in ``rank`` variables, lex descending.
 
@@ -215,8 +213,9 @@ def invariant_slice(rank: int, generators, d: int) -> list[Poly]:
     empty tuple gives the monomial basis of the whole degree-d slice.
 
     Memoized per ``(rank, tuple(generators), d)`` in a cache of
-    ``SLICE_CACHE_SIZE``; exceptions are never cached, and every call returns
-    fresh dicts, so a caller that mutates them cannot change a later answer.
+    ``lattice.CACHE_SIZE``; exceptions are never cached, and every call
+    returns fresh dicts, so a caller that mutates them cannot change a later
+    answer.
 
     >>> minus = IntMatrix(((-1,),))
     >>> [len(invariant_slice(1, [minus], d)) for d in range(4)]
@@ -225,7 +224,7 @@ def invariant_slice(rank: int, generators, d: int) -> list[Poly]:
     return [dict(p) for p in _invariant_slice(rank, tuple(generators), d)]
 
 
-@lru_cache(maxsize=SLICE_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _invariant_slice(rank: int, gens: tuple[IntMatrix, ...], d: int) -> tuple[Poly, ...]:
     basis = sym_basis(rank, d)
     if not gens:

@@ -29,6 +29,11 @@ from .errors import GroupTooLarge
 Vec = tuple[int, ...]
 
 DEFAULT_CAP = 1_000_000  # default ceiling on the order of any enumerated group
+#: the one cache policy: entries kept by a memo keyed by a root datum alone
+#: (W, its root system and classification, the BGG table: the large entries)
+DATUM_CACHE_SIZE = 32
+#: entries kept by every other memo
+CACHE_SIZE = 128
 
 
 class IntMatrix:
@@ -198,10 +203,7 @@ def hermite_row_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix._from_int_rows(tuple(map(tuple, a[:r])), nc)
 
 
-COLUMN_TRANSFORM_CACHE_SIZE = 128  # transforms kept, one per matrix
-
-
-@lru_cache(maxsize=COLUMN_TRANSFORM_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _column_transform(m: IntMatrix, /) -> tuple[tuple[tuple[Vec, Vec], ...], IntMatrix]:
     """Echelon basis of the column lattice of ``m``, with coordinates, and ker ``m``.
 
@@ -210,9 +212,9 @@ def _column_transform(m: IntMatrix, /) -> tuple[tuple[tuple[Vec, Vec], ...], Int
     lattice.  The transform is unimodular, so the rows with ``h == 0`` span
     ker ``m``; they are the bottom rows of a Hermite form, hence already the
     Hermite basis of the kernel.  Memoized per matrix in a cache of
-    ``COLUMN_TRANSFORM_CACHE_SIZE``, so every solve against and the kernel of
-    a matrix seen before are lookups; the result is all tuples, so no caller
-    can change a cached value.
+    ``CACHE_SIZE``, so every solve against and the kernel of a matrix seen
+    before are lookups; the result is all tuples, so no caller can change a
+    cached value.
     """
     nr, nc = m.nrows, m.ncols
     h = hermite_row_basis(hstack(m.transpose(), IntMatrix.identity(nc))).rows
@@ -311,14 +313,6 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith form, in divisibility order."""
     s = smith_normal_form(m)
     return tuple(s.rows[i][i] for i in range(min(s.shape)) if s.rows[i][i])
-
-
-def lattice_contains(basis: IntMatrix, vec) -> bool:
-    """Is ``vec`` in the row lattice of ``basis``?"""
-    vec = tuple(int(x) for x in vec)
-    if len(vec) != basis.ncols:
-        raise ValueError("vector length mismatch")
-    return solve_integer(basis.transpose(), vec) is not None
 
 
 def saturate_rows(m: IntMatrix) -> IntMatrix:
@@ -427,10 +421,11 @@ class Presentation(Record):
         return group_from_relations(self.ngens, self.relations)
 
     def contains_relation(self, vec) -> bool:
-        """Is ``vec`` zero in the presented group?"""
+        """Is ``vec`` zero in the presented group?  Solved against the
+        relations as given: any rows that generate the lattice do."""
         if self.relations.nrows == 0:
             return all(x == 0 for x in vec)
-        return lattice_contains(hermite_row_basis(self.relations), vec)
+        return solve_integer(self.relations.transpose(), vec) is not None
 
     def cokernel(self, m: IntMatrix) -> FGAbelianGroup:
         """This group modulo the image of ``m``, a map into it from Z^m.ncols."""
@@ -440,11 +435,10 @@ class Presentation(Record):
         """Canonical basis of ``{x in Z^m.ncols : m @ x == 0 in this group}``."""
         if m.nrows != self.ngens:
             raise ValueError("map does not land in the generators")
-        rel = hermite_row_basis(self.relations)
-        if not rel.nrows:
+        if not self.relations.nrows:
             return integer_kernel(m)
-        # (x, y) with m @ x == rel^T @ y, cut down to x
-        ker = integer_kernel(hstack(m, -rel.transpose()))
+        # (x, y) with m @ x == relations^T @ y, cut down to x
+        ker = integer_kernel(hstack(m, -self.relations.transpose()))
         return hermite_row_basis(IntMatrix._from_int_rows(tuple(r[:m.ncols] for r in ker.rows), m.ncols))
 
 

@@ -21,6 +21,8 @@ from operator import mul
 from ._record import Record
 from .errors import GroupTooLarge, InvalidCartan
 from .lattice import (
+    CACHE_SIZE,
+    DATUM_CACHE_SIZE,
     DEFAULT_CAP,
     FGAbelianGroup,
     IntMatrix,
@@ -205,10 +207,7 @@ def _classify_component(c, nodes, weight):
     raise InvalidCartan(f"branching arms {tuple(arms)} are not finite type")
 
 
-CARTAN_TYPE_CACHE_SIZE = 32  # classifications kept, one per root datum
-
-
-@lru_cache(maxsize=CARTAN_TYPE_CACHE_SIZE)
+@lru_cache(maxsize=DATUM_CACHE_SIZE)
 def validate_root_datum(rd: RootDatum) -> CartanType:
     """Classify the datum into irreducible Cartan components.
 
@@ -275,9 +274,6 @@ def reflection(vec, cov) -> IntMatrix:
     )
 
 
-MATRIX_GROUP_CACHE_SIZE = 64  # group orders kept, one per (generators, cap)
-
-
 def matrix_group_order(gens, cap: int = DEFAULT_CAP) -> int:
     """Order of the group the integer matrices ``gens`` generate.
 
@@ -292,9 +288,9 @@ def matrix_group_order(gens, cap: int = DEFAULT_CAP) -> int:
     not invertible over Z, :class:`GroupTooLarge` for an infinite group.
     Either way an order past ``cap`` raises :class:`GroupTooLarge` with the
     closure's message.  Memoized per ``(tuple(gens), cap)`` in a cache of
-    ``MATRIX_GROUP_CACHE_SIZE``, the one memo of a finite group in the
-    package (the closure keeps none); exceptions are never cached.  No
-    generators generate the trivial group, of order 1.
+    ``lattice.CACHE_SIZE``, the one memo of a finite group in the package
+    (the closure keeps none); exceptions are never cached.  No generators
+    generate the trivial group, of order 1.
 
     >>> matrix_group_order(())
     1
@@ -308,7 +304,7 @@ def matrix_group_order(gens, cap: int = DEFAULT_CAP) -> int:
     return _matrix_group_order(tuple(gens), cap)
 
 
-@lru_cache(maxsize=MATRIX_GROUP_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _matrix_group_order(gens: tuple[IntMatrix, ...], cap: int, /) -> int:
     if not gens:
         return 1
@@ -425,9 +421,6 @@ class WeylGroup:
         return len(self.orbit)
 
 
-WEYL_CACHE_SIZE = 32  # Weyl groups kept, one per root datum
-
-
 def weyl_group(rd: RootDatum, cap: int = DEFAULT_CAP) -> WeylGroup:
     """Enumerate W once (:class:`WeylGroup`); the order formula refuses
     ``|W| > cap`` up front (:class:`GroupTooLarge`), then the walk checks
@@ -437,7 +430,7 @@ def weyl_group(rd: RootDatum, cap: int = DEFAULT_CAP) -> WeylGroup:
     return _weyl_group(rd)
 
 
-@lru_cache(maxsize=WEYL_CACHE_SIZE)
+@lru_cache(maxsize=DATUM_CACHE_SIZE)
 def _weyl_group(rd: RootDatum, /) -> WeylGroup:
     """:func:`weyl_group` without the refusal, for callers that made it."""
     expected = rd.weyl_order
@@ -481,9 +474,8 @@ class RootSystem:
     descriptors to name roots.
     """
 
-    def __init__(self, positive, by_vector):
+    def __init__(self, positive):
         self.positive: tuple[PositiveRoot, ...] = tuple(positive)
-        self.by_vector: dict[Vec, tuple[int, int]] = dict(by_vector)  # vector -> (index, sign)
 
     def __len__(self):
         return 2 * len(self.positive)
@@ -493,10 +485,7 @@ class RootSystem:
         return v if sign > 0 else tuple(-x for x in v)
 
 
-ROOT_SYSTEM_CACHE_SIZE = 32  # root systems kept, one per root datum
-
-
-@lru_cache(maxsize=ROOT_SYSTEM_CACHE_SIZE)
+@lru_cache(maxsize=DATUM_CACHE_SIZE)
 def root_system(rd: RootDatum) -> RootSystem:
     """Generate the full root system by reflection closure.
 
@@ -524,13 +513,8 @@ def root_system(rd: RootDatum) -> RootSystem:
                     nxt.append((c, roots[c]))
         frontier = nxt
     records = sorted((sum(c), c, vec, cov) for c, (vec, cov) in roots.items() if min(c) >= 0)
-    positive = []
-    by_vector = {}
-    for idx, (height, coords, vec, cov) in enumerate(records):
-        positive.append(PositiveRoot(idx, vec, cov, coords, height))
-        by_vector[vec] = (idx, 1)
-        by_vector[tuple(-x for x in vec)] = (idx, -1)
-    return RootSystem(positive, by_vector)
+    return RootSystem(PositiveRoot(idx, vec, cov, coords, height)
+                      for idx, (height, coords, vec, cov) in enumerate(records))
 
 
 def characters_of_group(rd: RootDatum) -> IntMatrix:

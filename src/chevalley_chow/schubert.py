@@ -45,7 +45,7 @@ from .invariants import (
     substitute,
     sym_basis,
 )
-from .lattice import DEFAULT_CAP
+from .lattice import CACHE_SIZE, DATUM_CACHE_SIZE, DEFAULT_CAP
 from .rootdata import RootDatum, _weyl_group, _weyl_order, root_system, simple_reflection, weyl_group
 
 
@@ -132,14 +132,12 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP)
     return SchubertExpansion(length + 1, terms)
 
 
-REPRESENTATIVE_TABLE_CACHE_SIZE = 32  # BGG tables kept, one per root datum
-
 #: one BGG representative: the positions of its monomials in
 #: ``sym_basis(rank, length)`` and its coefficients times the table's scale
 Packed = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@lru_cache(maxsize=REPRESENTATIVE_TABLE_CACHE_SIZE)
+@lru_cache(maxsize=DATUM_CACHE_SIZE)
 def _representative_table(rd: RootDatum, /) -> tuple[tuple[Packed, ...], int, tuple[int, ...], list]:
     """``(reps, scale, lengths, maps)``: the BGG representatives P_w in
     Sym X(T)_Q, one per Weyl element, each held once as a pair of int
@@ -233,10 +231,7 @@ def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = DEFA
     return [dict(g) for g in gens]
 
 
-COINVARIANT_REDUCER_CACHE_SIZE = 128  # generator lists kept, one per (root datum, d)
-
-
-@lru_cache(maxsize=COINVARIANT_REDUCER_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _coinvariant_reducer(rd: RootDatum, d: int, /) -> tuple[Poly, ...]:
     """Minimal generators of the coinvariant ideal in degrees 1..d.
 
@@ -254,10 +249,7 @@ def _coinvariant_reducer(rd: RootDatum, d: int, /) -> tuple[Poly, ...]:
     return gens
 
 
-COORDINATE_MAP_CACHE_SIZE = 128  # cover rows and coordinate maps kept, one per (root datum, degree)
-
-
-@lru_cache(maxsize=COORDINATE_MAP_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _covers(rd: RootDatum, length: int, /) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
     """For each Weyl element w of this length, in index order, the pairs
     (index of w s_beta, beta^vee) with length(w s_beta) = length + 1.  With mu
@@ -278,7 +270,7 @@ def _covers(rd: RootDatum, length: int, /) -> tuple[tuple[tuple[int, tuple[int, 
     return tuple(rows)
 
 
-@lru_cache(maxsize=COORDINATE_MAP_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _coordinate_map(rd: RootDatum, d: int, /) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """``(indices, rows)``: modulo the coinvariant ideal, a degree-d
     coefficient vector v is the sum of ``(row . v)`` P_w, w in ``indices``.
@@ -333,10 +325,7 @@ def expand_in_schubert_basis(rd: RootDatum, poly: Poly, d: int, cap: int = DEFAU
     return SchubertExpansion(d, {idx: Fraction(c) for idx, c in zip(indices, coords) if c})
 
 
-PRODUCT_POSITION_CACHE_SIZE = 64  # monomial-product tables kept, one per (rank, a, b)
-
-
-@lru_cache(maxsize=PRODUCT_POSITION_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _product_positions(rank: int, a: int, b: int, /) -> tuple[tuple[int, ...], ...]:
     """Row i, column j: the position of x^m x^n in ``sym_basis(rank, a + b)``,
     for x^m the i-th monomial of degree a and x^n the j-th of degree b.

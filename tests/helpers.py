@@ -32,7 +32,6 @@ from chevalley_chow.lattice import (
     integer_kernel,
     intersect_rows,
     invariant_factors,
-    lattice_contains,
     solve_integer,
     vstack,
 )
@@ -483,7 +482,8 @@ def integer_kernel_by_columns(m: IntMatrix) -> IntMatrix:
 
 def lattice_le(sub: IntMatrix, sup: IntMatrix) -> bool:
     """Oracle for lattice containment: is every row of ``sub`` in the row lattice of ``sup``?"""
-    return all(lattice_contains(sup, r) for r in sub.rows)
+    supt = sup.transpose()
+    return all(solve_integer(supt, r) is not None for r in sub.rows)
 
 
 def quotient_group(sup: IntMatrix, sub: IntMatrix) -> FGAbelianGroup:

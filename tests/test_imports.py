@@ -3,11 +3,11 @@ the package leaves unused, and importing the package generates no code.
 
 No linter ships with the project, so this reads each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must be read somewhere in
-the module, or be listed in its ``__all__``; a module-level function or
-class must be referenced outside its own definition somewhere in the
-package, or be listed in ``__all__``.  No module may import
-``dataclasses`` or ``inspect`` or call ``exec``, ``eval`` or ``compile``:
-a CLI call pays for everything the package runs at import.
+the module, or be listed in its ``__all__``; a module-level function,
+class or UPPER_CASE constant must be referenced outside its own definition
+somewhere in the package, or be listed in ``__all__``.  No module may
+import ``dataclasses`` or ``inspect`` or call ``exec``, ``eval`` or
+``compile``: a CLI call pays for everything the package runs at import.
 """
 
 import ast
@@ -55,15 +55,34 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each module-level function or class that no other
-    top-level statement of any module references, and no ``__all__`` lists."""
+def defined_functions(stmt: ast.stmt) -> list[str]:
+    """The function or class a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    return []
+
+
+def defined_constants(stmt: ast.stmt) -> list[str]:
+    """The UPPER_CASE names a top-level assignment binds."""
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+
+
+def unreferenced_definitions(sources: dict[str, str], defines=defined_functions) -> list[str]:
+    """``module.name`` of each module-level name that ``defines`` reports
+    (by default each function or class) that no other top-level statement
+    of any module references, and no ``__all__`` lists."""
     defined, used = {}, {}
     for module, source in sources.items():
         for index, stmt in enumerate(ast.parse(source).body):
             where = (module, index)
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined[f"{module}.{stmt.name}"] = (stmt.name, where)
+            for name in defines(stmt):
+                defined[f"{module}.{name}"] = (name, where)
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     names = [node.id]
@@ -90,6 +109,19 @@ def test_finds_an_unreferenced_definition():
 def test_every_definition_is_referenced():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert unreferenced_definitions(sources) == []
+
+
+def test_finds_an_unread_constant():
+    sources = {"a": "LIMIT = 3\nSPARE: int = 4\nOLD = 5\nspare = 6\n\ndef f():\n    return LIMIT\n",
+               "b": "from .a import OLD\n\n__all__ = ['SPARE']\n",
+               "c": "SIZE: int = 1\nCAP = 2\nprint(CAP)\n"}
+    assert unreferenced_definitions(sources, defined_constants) == ["c.SIZE"]
+
+
+def test_every_constant_is_read():
+    # a retired knob must go with the code that read it
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unreferenced_definitions(sources, defined_constants) == []
 
 
 SLOW_IMPORTS = {"dataclasses", "inspect"}

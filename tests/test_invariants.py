@@ -182,20 +182,22 @@ def test_process_caches_are_bounded():
     # column transforms and the matrix-group orders are counted on a
     # ladder-cold pass (45 matrices and 18 generator sets, seed 1), since a
     # schubert-warm pass asks for none.
+    # one bound per key kind: a memo keyed by a root datum alone, or any other
+    datum, other = lattice.DATUM_CACHE_SIZE, lattice.CACHE_SIZE
     table = (
-        (rootdata._matrix_group_order, rootdata.MATRIX_GROUP_CACHE_SIZE, 18),
-        (lattice._column_transform, lattice.COLUMN_TRANSFORM_CACHE_SIZE, 45),
-        (invariants._invariant_slice, invariants.SLICE_CACHE_SIZE, 36),
-        (invariants.sym_basis, invariants.SYM_BASIS_CACHE_SIZE, 28),
-        (rootdata.weyl_group, rootdata.WEYL_CACHE_SIZE, 12),
-        (rootdata._weyl_group, rootdata.WEYL_CACHE_SIZE, 12),
-        (rootdata.validate_root_datum, rootdata.CARTAN_TYPE_CACHE_SIZE, 12),
-        (rootdata.root_system, rootdata.ROOT_SYSTEM_CACHE_SIZE, 12),
-        (schubert._representative_table, schubert.REPRESENTATIVE_TABLE_CACHE_SIZE, 12),
-        (schubert._coinvariant_reducer, schubert.COINVARIANT_REDUCER_CACHE_SIZE, 36),
-        (schubert._coordinate_map, schubert.COORDINATE_MAP_CACHE_SIZE, 36),
-        (schubert._covers, schubert.COORDINATE_MAP_CACHE_SIZE, 36),
-        (schubert._product_positions, schubert.PRODUCT_POSITION_CACHE_SIZE, 15))
+        (rootdata._matrix_group_order, other, 18),
+        (lattice._column_transform, other, 45),
+        (invariants._invariant_slice, other, 36),
+        (invariants.sym_basis, other, 28),
+        (rootdata.weyl_group, datum, 12),
+        (rootdata._weyl_group, datum, 12),
+        (rootdata.validate_root_datum, datum, 12),
+        (rootdata.root_system, datum, 12),
+        (schubert._representative_table, datum, 12),
+        (schubert._coinvariant_reducer, other, 36),
+        (schubert._coordinate_map, other, 36),
+        (schubert._covers, other, 36),
+        (schubert._product_positions, other, 15))
     for cache, size, warm_keys in table:
         assert cache.cache_info().maxsize == size
         assert isinstance(size, int) and size >= 2 * warm_keys

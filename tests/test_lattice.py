@@ -183,7 +183,7 @@ def test_normalizer_requests_transform_each_matrix_once(monkeypatch):
     info = cached.cache_info()
     # the component action alone solves 16 right-hand sides against one basis
     assert info.misses == len(set(asked)) < len(asked) == info.misses + info.hits
-    assert info.currsize == info.misses <= lattice.COLUMN_TRANSFORM_CACHE_SIZE
+    assert info.currsize == info.misses <= lattice.CACHE_SIZE
 
 
 def test_saturation_and_intersection():

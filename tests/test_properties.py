@@ -14,7 +14,7 @@ from chevalley_chow.descriptors import (
 )
 from chevalley_chow.chow import ns_group, picard_group
 from chevalley_chow.errors import DescriptorSyntaxError, SchemaError
-from chevalley_chow.formats import parse_descriptor
+from chevalley_chow.formats import _canonical_group, parse_descriptor
 from chevalley_chow.lattice import (
     FGAbelianGroup,
     IntMatrix,
@@ -227,6 +227,43 @@ def test_direct_sum_commutes(ranks, torsion):
         torsion[i] and torsion[i + 1] % torsion[i] == 0
         for i in range(len(torsion) - 1)) else ())
     assert g.direct_sum(h) == h.direct_sum(g)
+
+
+@given(st.integers(0, 3), st.lists(st.sampled_from((1, 2, 3, 4, 5, 8, 9, 12)), max_size=6))
+def test_canonical_group_matches_the_direct_sum_fold(rank, torsion):
+    folded = FGAbelianGroup(rank)
+    for t in torsion:
+        if t > 1:
+            folded = folded.direct_sum(FGAbelianGroup(0, (t,)))
+    assert _canonical_group(rank, torsion, "ns_torsion") == folded
+
+
+@st.composite
+def relations_and_padded_hermite_basis(draw):
+    """Relations R on n generators, and the Hermite basis of R with some of
+    its rows repeated and zero rows added, in a drawn order."""
+    n = draw(st.integers(1, 3))
+    rel = IntMatrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=3)), n)
+    basis = hermite_row_basis(rel).rows
+    rows = list(basis) + draw(st.lists(st.sampled_from(basis), max_size=2) if basis else st.just([]))
+    rows += [(0,) * n] * draw(st.integers(0, 2))
+    return rel, IntMatrix(draw(st.permutations(rows)), n)
+
+
+@given(relations_and_padded_hermite_basis(), st.data())
+def test_presentation_reads_any_generating_relations(pair, data):
+    rel, padded = pair
+    n = rel.ncols
+    p, q = Presentation(n, rel), Presentation(n, padded)
+    coeffs = data.draw(st.lists(entries, min_size=rel.nrows, max_size=rel.nrows))
+    offset = data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    # a combination of the relations, moved off the lattice or not
+    vec = tuple(sum(c * r[j] for c, r in zip(coeffs, rel.rows)) + offset[j] for j in range(n))
+    assert p.contains_relation(vec) == q.contains_relation(vec)
+    k = data.draw(st.integers(0, 3))
+    m = IntMatrix(data.draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n)), k)
+    ker = p.kernel(m)
+    assert ker == q.kernel(m) == hermite_row_basis(ker)
 
 
 def unimodular_change(gd, u):

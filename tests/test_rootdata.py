@@ -100,13 +100,14 @@ def test_weyl_group_order_words_and_lengths(name):
     # same elements, in the same order, as the generic matrix-group closure
     assert tuple(m for _, m in walked) == enumerate_matrix_group(gens)
     assert tuple(word for word, _ in walked) == w.words
-    rs = root_system(rd)
+    positive = {r.vector for r in root_system(rd).positive}
     for (word, elem), length in zip(walked, w.lengths):
         prod = M.identity(rd.rank)
         for i in word:
             prod = prod @ gens[i]
         assert prod == elem
-        inversions = sum(1 for r in rs.positive if rs.by_vector[elem.apply(r.vector)][1] < 0)
+        # W permutes the roots, so a positive root not sent to a positive one goes negative
+        inversions = sum(1 for v in positive if elem.apply(v) not in positive)
         assert len(word) == length == inversions
 
 
@@ -185,8 +186,6 @@ def test_root_system_enumeration_order():
     # contract: positives sorted by (height, coords over simple roots)
     assert [r.coords for r in rs.positive] == [(0, 1), (1, 0), (1, 1)]
     assert rs.positive[2].height == 2
-    assert rs.by_vector[(1, 1)] == (2, 1)
-    assert rs.by_vector[(-1, -1)] == (2, -1)
 
     rs = root_system(z.sp4)
     assert [r.coords for r in rs.positive] == [(0, 1), (1, 0), (1, 1), (2, 1)]
