@@ -9,7 +9,11 @@ Chow rings are reported as a concrete graded factor (symmetric algebra
 data over Q, truncated at a requested degree) times a symbolic factor
 A*(A_g), plus the degree-1 ideal generators tying the two together.  For G
 the concrete dims are sum over w in W of q^length(w) (Chevalley), or Q in
-degree 0 rationally; only G/H computes invariant slices.
+degree 0 rationally; only G/H computes invariant slices.  For H of full
+rank (q unimodular) the G/H dims are the ambient slice dimensions times
+prod_i (1 - t^{d_i}) over the degrees of W, since the ambient invariant
+ring is free over the Weyl invariants; only a rank-deficient H eliminates
+the restricted Weyl invariants degree by degree.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from .descriptors import (
     AttributeReport,
     GroupDescriptor,
     SubgroupDescriptor,
+    _component_action,
+    _connected_character_lattice,
     contains_nontrivial_ant,
     derived_attributes,
     descended_coroot,
@@ -33,6 +39,7 @@ from .invariants import (
     DEGREE_BUDGET,
     SLICE_BUDGET,
     TruncatedQuotient,
+    invariant_slice,
     substitute,
     truncated_quotient,
 )
@@ -43,6 +50,7 @@ from .lattice import (
     group_from_relations,
     hermite_row_basis,
     intersect_rows,
+    is_unimodular,
     vstack,
 )
 from .qlinalg import SpanBuilder
@@ -264,34 +272,41 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
                               max_degree: int, cap: int = DEFAULT_CAP) -> GradedPresentation:
     """A*(G/H)_Q as (invariant algebra of X(T_H) mod restricted invariants) x A*(A)_Q / J.
 
-    The concrete ambient is the subring of Sym X(T_H)_Q invariant under
-    both the reflections of the symmetric subgroup roots and the component
-    group, whose order is bounded once before the quotient
+    The concrete ambient is S^K, the subring of S = Sym X(T_H)_Q invariant
+    under K, the group of the reflections of the symmetric subgroup roots
+    and the component group; its order is bounded once before any slice
     (``rootdata.matrix_group_order``: :class:`GroupTooLarge` for an infinite
-    group or one past ``cap``); the ideal is generated by the q-restrictions
-    of the positive-degree Weyl invariants of G.  J on the abelian factor has
-    rank gamma_A(ker r_H), recorded in ``j_rank``.  Every slice up to
-    max_degree is built, so a largest slice C(r + max_degree - 1, max_degree),
-    with r = max(rank, h_rank), past ``SLICE_BUDGET`` is refused up front
-    (:class:`DegreeTooLarge`).
+    group or one past ``cap``).  The ideal is generated by the q-restrictions
+    of the positive-degree Weyl invariants S^W_+ of G.  J on the abelian
+    factor has rank gamma_A(ker r_H), recorded in ``j_rank``.
+
+    The route is chosen from q.  When q is unimodular (H of full rank), q
+    carries K into W, so S^K is a direct summand of S, which is free over
+    S^W (Chevalley, *Amer. J. Math.* 77, 1955): S^K is free over S^W too,
+    and the quotient's Hilbert series is Hilb(S^K) times
+    prod_i (1 - t^{d_i}) over the degrees of W, central directions counted
+    with d_i = 1.  Only the ambient slices are built, and j_rank is 0, since
+    ker r_H lies in ker q = 0.  This needs every component generator to be
+    q-compatible with a Weyl element, as ``validate_subgroup`` checks
+    (``component-weyl-compatibility``); a descriptor that fails it, which
+    the CLI refuses, can get another answer here than by elimination.  A
+    rank-deficient H eliminates the ideal degree by degree
+    (:func:`~chevalley_chow.invariants.truncated_quotient`).
+
+    Either way every slice up to max_degree is built, so a largest slice
+    C(r + max_degree - 1, max_degree), with r = max(rank, h_rank), past
+    ``SLICE_BUDGET`` is refused up front (:class:`DegreeTooLarge`).
     """
     _check_degree(max_degree)
     _check_slice(max(gd.rd.rank, hd.h_rank), max_degree)
     att = derived_attributes(gd)
     if contains_nontrivial_ant(att, hd):
         raise ModeUnsupported("Chow reports for G/H need H inside the faithful model (H does not contain G_ant)")
-    rd = gd.rd
     gens = _subgroup_reflections(gd, hd) + hd.component_generators
-    ideal = []
-    for f in coinvariant_ideal_generators(rd, max_degree, cap):
-        rf = substitute(hd.q_matrix, f)
-        if rf:
-            ideal.append(rf)
-    matrix_group_order(gens, cap)  # G/H needs a finite group here, the fixed spaces do not
-    concrete = truncated_quotient(hd.h_rank, ideal, max_degree, gens)
-    # rank of gamma_A(ker r_H), measured as (ker r_H + ker gamma_A)/ker gamma_A
-    ker_r = restriction_to_subgroup(gd, hd, att.x_gaff, cap).ker_r
-    j_rank = hermite_row_basis(vstack(ker_r, att.ker_gamma)).nrows - att.ker_gamma.nrows
+    if is_unimodular(hd.q_matrix):
+        concrete, j_rank = _free_quotient(gd, hd, gens, max_degree, cap), 0
+    else:
+        concrete, j_rank = _eliminated_quotient(gd, hd, att, gens, max_degree, cap)
     return GradedPresentation(
         mode="rational",
         concrete_factor=concrete,
@@ -301,6 +316,40 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
         degree_bound=None,
         j_rank=j_rank,
     )
+
+
+def _free_quotient(gd: GroupDescriptor, hd: SubgroupDescriptor, gens,
+                   max_degree: int, cap: int) -> TruncatedQuotient:
+    """S^K / (S^W_+) for a full-rank H, off the Hilbert series of S^K and the
+    degrees of W, behind the elimination route's refusals in its order."""
+    rd = gd.rd
+    # prod_i (1 - t^{d_i}): the Poincare polynomial of W times (1 - t)^rank
+    series = codegree_histogram(rd, cap) if rd.nsimple and max_degree > 0 else (1,)
+    for _ in range(rd.rank):
+        series = [a - b for a, b in zip((*series, 0), (0, *series))]
+    matrix_group_order(gens, cap)
+    if hd.component_generators and _component_action(_connected_character_lattice(gd, hd), hd) is None:
+        raise ValueError("component group does not stabilize X(H0)")
+    ambient = tuple(len(invariant_slice(hd.h_rank, gens, d)) for d in range(max_degree + 1))
+    dims = tuple(sum(ambient[j] * series[d - j] for j in range(max(0, d + 1 - len(series)), d + 1))
+                 for d in range(max_degree + 1))
+    return TruncatedQuotient(hd.h_rank, max_degree, dims, ambient)
+
+
+def _eliminated_quotient(gd: GroupDescriptor, hd: SubgroupDescriptor, att: AttributeReport, gens,
+                         max_degree: int, cap: int) -> tuple[TruncatedQuotient, int]:
+    """S^K modulo the restricted Weyl invariants, eliminated degree by degree,
+    and j_rank from ker r_H; valid for any H."""
+    ideal = []
+    for f in coinvariant_ideal_generators(gd.rd, max_degree, cap):
+        rf = substitute(hd.q_matrix, f)
+        if rf:
+            ideal.append(rf)
+    matrix_group_order(gens, cap)  # G/H needs a finite group here, the fixed spaces do not
+    concrete = truncated_quotient(hd.h_rank, ideal, max_degree, gens)
+    # rank of gamma_A(ker r_H), measured as (ker r_H + ker gamma_A)/ker gamma_A
+    ker_r = restriction_to_subgroup(gd, hd, att.x_gaff, cap).ker_r
+    return concrete, hermite_row_basis(vstack(ker_r, att.ker_gamma)).nrows - att.ker_gamma.nrows
 
 
 class HomogeneousPicardReport(Record):

@@ -213,22 +213,24 @@ def invariant_slice(rank: int, generators, d: int) -> list[Poly]:
     empty tuple gives the monomial basis of the whole degree-d slice.
 
     Memoized per ``(rank, tuple(generators), d)`` in a cache of
-    ``lattice.CACHE_SIZE``; exceptions are never cached, and every call
-    returns fresh dicts, so a caller that mutates them cannot change a later
-    answer.
+    ``lattice.CACHE_SIZE``, except for the empty tuple, whose monomials
+    :func:`sym_basis` already caches; exceptions are never cached, and every
+    call returns fresh dicts, so a caller that mutates them cannot change a
+    later answer.
 
     >>> minus = IntMatrix(((-1,),))
     >>> [len(invariant_slice(1, [minus], d)) for d in range(4)]
     [1, 0, 1, 0]
     """
-    return [dict(p) for p in _invariant_slice(rank, tuple(generators), d)]
+    gens = tuple(generators)
+    if not gens:
+        return [{m: Fraction(1)} for m in sym_basis(rank, d)]
+    return [dict(p) for p in _invariant_slice(rank, gens, d)]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _invariant_slice(rank: int, gens: tuple[IntMatrix, ...], d: int) -> tuple[Poly, ...]:
     basis = sym_basis(rank, d)
-    if not gens:
-        return tuple({m: Fraction(1)} for m in basis)
     n = len(basis)
     # images[k][j]: coordinates of rho_d(gens[k]) applied to monomial j
     images = _power_images(rank, gens, d)

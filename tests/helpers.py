@@ -8,16 +8,20 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
-from chevalley_chow import schubert
+from chevalley_chow import chow, schubert
 from chevalley_chow.chow import _subgroup_reflections
 from chevalley_chow.descriptors import (
     AbelianVarietyData,
     AntiAffineGluing,
     GroupDescriptor,
     SubgroupDescriptor,
+    contains_nontrivial_ant,
+    derived_attributes,
     validate_group,
 )
+from chevalley_chow.errors import ModeUnsupported
 from chevalley_chow.invariants import (
     coeff_vector, ideal_slice, invariant_slice, poly_add, poly_degree, poly_mul, poly_scale, substitute, sym_basis)
 from chevalley_chow.lattice import (
@@ -112,6 +116,18 @@ def transvected(rd, i, j):
     m = IntMatrix(tuple(tuple(int(r == c) + int((r, c) == (i, j)) for c in range(n)) for r in range(n)))
     m_inv_t = IntMatrix(tuple(tuple(int(r == c) - int((r, c) == (j, i)) for c in range(n)) for r in range(n)))
     return RootDatum(n, rd.simple_roots @ m, rd.simple_coroots @ m_inv_t)
+
+
+#: simply connected forms of the hchow sweep, A1-A5, B2, C3, D4, G2 and F4
+SWEEP_SC = {
+    **{f"A{n}": cartan_datum(type_a(n)) for n in range(1, 6)},
+    "B2": cartan_datum([[2, -2], [-1, 2]]), "C3": c3, "D4": d4,
+    "G2": cartan_datum([[2, -1], [-3, 2]]), "F4": f4,
+}
+#: each sweep type in its simply connected and its adjoint form
+SWEEP = {f"{name}-{form}": rd if form == "sc" else adjoint_datum(rd)
+         for name, rd in SWEEP_SC.items() for form in ("sc", "adj")}
+
 
 RANK_LE2 = {
     "sl2": sl2, "pgl2": pgl2, "gl2": gl2, "sl2_sl2": sl2_sl2,
@@ -690,3 +706,78 @@ def non_weyl_groups():
                                 component_generators=(rot6,), translations=(False,))
     for hd in (levi, cyclic):
         yield hd.name, _subgroup_reflections(product_sl3, hd) + hd.component_generators
+
+
+def affine_group(name, rd):
+    """The affine group G = G_aff of a root datum: no abelian variety, no D."""
+    return GroupDescriptor(name, rd, POINT, no_d(rd.rank))
+
+
+def full_rank_subgroups(rd, max_levi=3):
+    """Full-rank subgroup descriptors of G_aff, by name: the Borel, N(T), and
+    for each set I of 1..max_levi simple roots the Levi ``levi(I)``, the
+    parabolic ``par(I)`` and, when some positive root beta outside Phi_I is
+    orthogonal to all of I, the Levi with the component generator s_beta,
+    ``levi(I)+s{beta}``.  Phi_I is read off ``root_system(rd).positive[i].coords``;
+    q is the identity throughout."""
+    pos = root_system(rd).positive
+    q = IntMatrix.identity(rd.rank)
+    yield "borel", SubgroupDescriptor("borel", q, tuple((i, 1) for i in range(len(pos))))
+    yield "normalizer", SubgroupDescriptor(
+        "normalizer", q, component_generators=tuple(simple_reflection(rd, i) for i in range(rd.nsimple)),
+        translations=(False,) * rd.nsimple)
+    for size in range(1, min(max_levi, rd.nsimple) + 1):
+        for sub in combinations(range(rd.nsimple), size):
+            inside = [i for i, r in enumerate(pos) if all(c == 0 for k, c in enumerate(r.coords) if k not in sub)]
+            levi = tuple((i, s) for i in inside for s in (1, -1))
+            tag = str(sub).replace(" ", "")
+            yield f"levi{tag}", SubgroupDescriptor(f"levi{tag}", q, levi)
+            par = tuple((i, 1) for i in range(len(pos))) + tuple((i, -1) for i in inside)
+            yield f"par{tag}", SubgroupDescriptor(f"par{tag}", q, par)
+            for b, r in enumerate(pos):
+                if b not in inside and all(sum(map(mul, rd.simple_roots.rows[a], r.coroot)) == 0 for a in sub):
+                    beta = reflection(r.vector, r.coroot)
+                    yield f"levi{tag}+s{b}", SubgroupDescriptor(
+                        f"levi{tag}+s{b}", q, levi, component_generators=(beta,), translations=(False,))
+                    break
+
+
+def hchow_by_elimination(gd, hd, max_degree, cap=DEFAULT_CAP):
+    """Oracle for the full-rank route of ``chow.homogeneous_rational_chow``:
+    ``(concrete factor, j_rank)`` by eliminating the restricted Weyl
+    invariants degree by degree, the route rank-deficient H take, on any H,
+    behind the same refusals."""
+    chow._check_degree(max_degree)
+    chow._check_slice(max(gd.rd.rank, hd.h_rank), max_degree)
+    att = derived_attributes(gd)
+    if contains_nontrivial_ant(att, hd):
+        raise ModeUnsupported("Chow reports for G/H need H inside the faithful model (H does not contain G_ant)")
+    gens = _subgroup_reflections(gd, hd) + hd.component_generators
+    return chow._eliminated_quotient(gd, hd, att, gens, max_degree, cap)
+
+
+def degrees_from_heights(positive_roots, rank):
+    """The ``rank`` degrees of the invariants of the Weyl group of a root
+    subsystem, from the heights of its positive roots alone: #{exponents >= h}
+    is the number of roots of height h (Kostant), a degree is an exponent
+    plus one, and the directions no root reaches have degree 1.  Heights are
+    sums of simple-root coordinates, which for a standard Levi subsystem are
+    its own heights."""
+    per_height = {}
+    for r in positive_roots:
+        h = sum(r.coords)
+        per_height[h] = per_height.get(h, 0) + 1
+    nsimple = per_height.get(1, 0)
+    exponents = [sum(1 for count in per_height.values() if count >= j) for j in range(1, nsimple + 1)]
+    return [m + 1 for m in exponents] + [1] * (rank - nsimple)
+
+
+def quotient_series(numerator_degrees, denominator_degrees, top):
+    """Coefficients up to t^top of prod (1 - t^d) / prod (1 - t^e), as a power series."""
+    series = [1] + [0] * top
+    for d in numerator_degrees:
+        series = [c - (series[k - d] if k >= d else 0) for k, c in enumerate(series)]
+    for e in denominator_degrees:
+        for k in range(e, top + 1):
+            series[k] += series[k - e]
+    return tuple(series)

@@ -8,6 +8,7 @@ import pytest
 import helpers as z
 from chevalley_chow import chow, cli, invariants, lattice, rootdata, schubert
 from chevalley_chow.chow import (
+    GradedPresentation,
     chow_presentation,
     homogeneous_ns,
     homogeneous_picard,
@@ -24,8 +25,8 @@ from chevalley_chow.invariants import (
     substitute,
     truncated_quotient,
 )
-from chevalley_chow.lattice import FGAbelianGroup, IntMatrix
-from chevalley_chow.rootdata import simple_reflection, weyl_group
+from chevalley_chow.lattice import DEFAULT_CAP, FGAbelianGroup, IntMatrix
+from chevalley_chow.rootdata import root_system, simple_reflection, weyl_group
 from chevalley_chow.schubert import coinvariant_ideal_generators
 from chevalley_chow.structure import albanese_split_test
 
@@ -213,8 +214,9 @@ def test_homogeneous_chow_bounds_the_component_group_before_the_quotient(monkeyp
     calls = []
     closure = lattice.group_closure
     monkeypatch.setattr(lattice, "group_closure", lambda *a: calls.append(a[0]) or closure(*a))
-    quotient = chow.truncated_quotient
+    quotient, slices = chow.truncated_quotient, chow.invariant_slice
     monkeypatch.setattr(chow, "truncated_quotient", no_quotient)
+    monkeypatch.setattr(chow, "invariant_slice", no_quotient)
     # the order and enumeration caches live for the process: start from empty ones
     rootdata._matrix_group_order.cache_clear()
     unipotent = _component_subgroup("unipotent", IntMatrix(((1, 1), (0, 1))))
@@ -222,6 +224,7 @@ def test_homogeneous_chow_bounds_the_component_group_before_the_quotient(monkeyp
         homogeneous_rational_chow(z.product_sl3, unipotent, 2)
     assert len(calls) == 1
     monkeypatch.setattr(chow, "truncated_quotient", quotient)
+    monkeypatch.setattr(chow, "invariant_slice", slices)
     # a rotation of order 3 is closed once, and a second request reuses its order
     rot3 = _component_subgroup("rot3", simple_reflection(z.sl3, 0) @ simple_reflection(z.sl3, 1))
     for _ in range(2):
@@ -253,7 +256,9 @@ def test_degree_past_budget_refused_before_any_slice(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a degree past the budget must be refused first")
 
-    monkeypatch.setattr(invariants, "invariant_slice", no_work)
+    # chow.invariant_slice builds the slices of a full-rank H (borel, t_sl2),
+    # chow.truncated_quotient those of the rest (trivial3)
+    monkeypatch.setattr(chow, "invariant_slice", no_work)
     monkeypatch.setattr(chow, "truncated_quotient", no_work)
     monkeypatch.setattr(chow, "codegree_histogram", no_work)
     top = invariants.DEGREE_BUDGET + 1
@@ -275,7 +280,9 @@ def test_slice_past_budget_refused_before_any_slice(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a slice past the budget must be refused first")
 
-    monkeypatch.setattr(invariants, "invariant_slice", no_work)
+    # chow.invariant_slice builds the slices of a full-rank H (borel, t_sl2),
+    # chow.truncated_quotient those of the rest (trivial3)
+    monkeypatch.setattr(chow, "invariant_slice", no_work)
     monkeypatch.setattr(chow, "truncated_quotient", no_work)
     for top in (6, invariants.DEGREE_BUDGET):
         with pytest.raises(DegreeTooLarge, match="exceeds budget 21"):
@@ -369,3 +376,87 @@ def test_hchow_gl2_degree_20_multiplies_few_polynomials(monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert "dims: [1, 1, 0, 0" in capsys.readouterr().out
     assert len(calls) <= 4000
+
+
+def _outcome(gd, hd, top, cap):
+    """Both routes' answers as (concrete factor, j_rank), or the type and
+    message of what each raised."""
+    out = []
+    for route in (homogeneous_rational_chow, z.hchow_by_elimination):
+        try:
+            got = route(gd, hd, top, cap)
+        except Exception as e:  # the comparison is of the refusals themselves
+            got = type(e), str(e)
+        out.append((got.concrete_factor, got.j_rank) if isinstance(got, GradedPresentation) else got)
+    return out
+
+
+def test_full_rank_hchow_matches_the_elimination_route():
+    # S^K is free over S^W, so Hilb(S^K) * prod(1 - t^d_i) must be what the
+    # degree-by-degree elimination leaves, on every sweep pair
+    for key, rd in z.SWEEP.items():
+        gd = z.affine_group(key, rd)
+        top = 3 if rd.rank <= 4 else 2
+        for name, hd in z.full_rank_subgroups(rd):
+            got = homogeneous_rational_chow(gd, hd, top)
+            assert (got.concrete_factor, got.j_rank) == z.hchow_by_elimination(gd, hd, top), (key, name)
+
+
+def test_full_rank_hchow_refuses_as_the_elimination_route():
+    a2, a3 = z.affine_group("A2", z.SWEEP["A2-sc"]), z.affine_group("A3", z.SWEEP["A3-sc"])
+    subgroups = dict(z.full_rank_subgroups(a3.rd))
+    levi = subgroups["levi(0,)"]
+    # s_1 moves alpha_0, so it does not stabilize X(H0) = {chi : <chi, alpha_0^vee> = 0}
+    moved = SubgroupDescriptor("moved", levi.q_matrix, levi.roots,
+                               component_generators=(simple_reflection(a3.rd, 1),), translations=(False,))
+    unipotent = _component_subgroup("unipotent", IntMatrix(((1, 1), (0, 1))))
+    for gd, hd, top, cap, kind in ((a3, moved, 2, DEFAULT_CAP, ValueError),
+                                   (a2, unipotent, 2, DEFAULT_CAP, GroupTooLarge),  # infinite
+                                   (a3, subgroups["borel"], 2, 10, GroupTooLarge),  # |W| = 24
+                                   (a3, subgroups["normalizer"], 0, 10, GroupTooLarge)):
+        got, want = _outcome(gd, hd, top, cap)
+        assert got == want and got[0] is kind, hd.name
+    # at degree 0 no Weyl invariant is asked for, so only K meets the cap:
+    # the Borel (K = 1) is answered, every H with a reflection refused
+    for name, hd in subgroups.items():
+        got, want = _outcome(a3, hd, 0, 1)
+        assert got == want, name
+    assert _outcome(a3, subgroups["borel"], 0, 1)[0][0].dims == (1,)
+
+
+def test_full_rank_hchow_builds_no_ideal(monkeypatch):
+    def no_ideal(*args, **kwargs):
+        raise AssertionError("a full-rank H needs no ideal")
+
+    for owner, name in ((chow, "coinvariant_ideal_generators"), (chow, "restriction_to_subgroup"),
+                        (chow, "truncated_quotient"), (invariants, "quotient_basis"),
+                        (schubert, "quotient_basis")):
+        monkeypatch.setattr(owner, name, no_ideal)
+    rd = z.SWEEP["A3-adj"]
+    gd = z.affine_group("A3", rd)
+    for name, hd in z.full_rank_subgroups(rd):
+        assert homogeneous_rational_chow(gd, hd, 3).j_rank == 0
+    # a rank-deficient H still takes the elimination route
+    with pytest.raises(AssertionError, match="no ideal"):
+        homogeneous_rational_chow(z.cover_torsion, z.trivial3, 2)
+
+
+def test_parabolic_and_levi_dims_are_the_classical_series():
+    # A*(G/P)_Q = A*(G/L)_Q has Poincare series prod(1 - t^d_i(G)) / prod(1 - t^d_j(L)),
+    # with both degree lists read off root heights, no invariant built
+    assert sorted(z.degrees_from_heights(root_system(z.SWEEP["D4-sc"]).positive, 4)) == [2, 4, 4, 6]
+    a3 = z.affine_group("A3", z.SWEEP["A3-sc"])
+    subgroups = dict(z.full_rank_subgroups(a3.rd))
+    assert homogeneous_rational_chow(a3, subgroups["par(0,)"], 3).concrete_factor.dims == (1, 2, 3, 3)
+    assert homogeneous_rational_chow(a3, subgroups["levi(0,2)"], 3).concrete_factor.dims == (1, 1, 2, 1)
+    for key, rd in z.SWEEP.items():
+        gd = z.affine_group(key, rd)
+        top = 3 if rd.rank <= 4 else 2
+        pos = root_system(rd).positive
+        g_degrees = z.degrees_from_heights(pos, rd.rank)
+        for name, hd in z.full_rank_subgroups(rd):
+            if name == "normalizer" or "+" in name:  # not a Levi or a parabolic
+                continue
+            l_degrees = z.degrees_from_heights([pos[i] for i in hd.symmetric_root_indices()], rd.rank)
+            got = homogeneous_rational_chow(gd, hd, top).concrete_factor.dims
+            assert got == z.quotient_series(g_degrees, l_degrees, top), (key, name)
