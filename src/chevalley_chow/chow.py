@@ -9,11 +9,12 @@ Chow rings are reported as a concrete graded factor (symmetric algebra
 data over Q, truncated at a requested degree) times a symbolic factor
 A*(A_g), plus the degree-1 ideal generators tying the two together.  For G
 the concrete dims are sum over w in W of q^length(w) (Chevalley), or Q in
-degree 0 rationally; only G/H computes invariant slices.  For H of full
-rank (q unimodular) the G/H dims are the ambient slice dimensions times
-prod_i (1 - t^{d_i}) over the degrees of W, since the ambient invariant
-ring is free over the Weyl invariants; only a rank-deficient H eliminates
-the restricted Weyl invariants degree by degree.
+degree 0 rationally; only G/H may compute invariant slices.  For H of full
+rank (q unimodular) the G/H dims are Hilb(S^K) times prod_i (1 - t^{d_i})
+over the degrees of W, as S^K is free over the Weyl invariants, and
+Hilb(S^K) is read off K's degrees when K is trivial or a recognized Weyl
+group; only a rank-deficient H eliminates the restricted Weyl invariants
+degree by degree.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ from .lattice import (
     vstack,
 )
 from .qlinalg import SpanBuilder
-from .rootdata import affine_picard_group, matrix_group_order, reflection, root_system
+from .rootdata import (
+    _weyl_order, affine_picard_group, invariant_degrees, matrix_group_order, reflection, root_system,
+    validate_root_datum)
 from .schubert import SchubertExpansion, codegree_histogram, coinvariant_ideal_generators
 
 
@@ -285,7 +288,11 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
     S^W (Chevalley, *Amer. J. Math.* 77, 1955): S^K is free over S^W too,
     and the quotient's Hilbert series is Hilb(S^K) times
     prod_i (1 - t^{d_i}) over the degrees of W, central directions counted
-    with d_i = 1.  Only the ambient slices are built, and j_rank is 0, since
+    with d_i = 1.  Hilb(S^K) is prod_j 1/(1 - t^{e_j}) over K's degrees
+    when K is trivial or generated by simple reflections
+    (:func:`~chevalley_chow.rootdata.invariant_degrees`: the Borel, N(T));
+    any other K (a rotation, a Levi given all its roots' reflections) counts
+    its slices.  j_rank is 0, since
     ker r_H lies in ker q = 0.  This needs every component generator to be
     q-compatible with a Weyl element, as ``validate_subgroup`` checks
     (``component-weyl-compatibility``); a descriptor that fails it, which
@@ -293,9 +300,10 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
     rank-deficient H eliminates the ideal degree by degree
     (:func:`~chevalley_chow.invariants.truncated_quotient`).
 
-    Either way every slice up to max_degree is built, so a largest slice
+    Either route may build every slice up to max_degree, so a largest slice
     C(r + max_degree - 1, max_degree), with r = max(rank, h_rank), past
-    ``SLICE_BUDGET`` is refused up front (:class:`DegreeTooLarge`).
+    ``SLICE_BUDGET`` is refused up front (:class:`DegreeTooLarge`), even
+    where none is built.
     """
     _check_degree(max_degree)
     _check_slice(max(gd.rd.rank, hd.h_rank), max_degree)
@@ -321,19 +329,26 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
 def _free_quotient(gd: GroupDescriptor, hd: SubgroupDescriptor, gens,
                    max_degree: int, cap: int) -> TruncatedQuotient:
     """S^K / (S^W_+) for a full-rank H, off the Hilbert series of S^K and the
-    degrees of W, behind the elimination route's refusals in its order."""
+    degrees of W, behind the elimination route's refusals in its order; only
+    a K neither trivial nor a recognized Weyl group builds slices of S^K."""
     rd = gd.rd
-    # prod_i (1 - t^{d_i}): the Poincare polynomial of W times (1 - t)^rank
-    series = codegree_histogram(rd, cap) if rd.nsimple and max_degree > 0 else (1,)
-    for _ in range(rd.rank):
-        series = [a - b for a, b in zip((*series, 0), (0, *series))]
-    matrix_group_order(gens, cap)
+    if rd.nsimple and max_degree > 0:
+        _weyl_order(rd, cap)
+    degrees = invariant_degrees(gens, cap) if gens else (1,) * hd.h_rank
     if hd.component_generators and _component_action(_connected_character_lattice(gd, hd), hd) is None:
         raise ValueError("component group does not stabilize X(H0)")
-    ambient = tuple(len(invariant_slice(hd.h_rank, gens, d)) for d in range(max_degree + 1))
-    dims = tuple(sum(ambient[j] * series[d - j] for j in range(max(0, d + 1 - len(series)), d + 1))
-                 for d in range(max_degree + 1))
-    return TruncatedQuotient(hd.h_rank, max_degree, dims, ambient)
+    if degrees is None:
+        ambient = [len(invariant_slice(hd.h_rank, gens, d)) for d in range(max_degree + 1)]
+    else:  # prod_j 1/(1 - t^{e_j})
+        ambient = [1] + [0] * max_degree
+        for e in degrees:
+            for k in range(e, max_degree + 1):
+                ambient[k] += ambient[k - e]
+    dims = list(ambient)
+    for d in validate_root_datum(rd).degrees:  # times prod_i (1 - t^{d_i})
+        for k in range(max_degree, d - 1, -1):
+            dims[k] -= dims[k - d]
+    return TruncatedQuotient(hd.h_rank, max_degree, tuple(dims), tuple(ambient))
 
 
 def _eliminated_quotient(gd: GroupDescriptor, hd: SubgroupDescriptor, att: AttributeReport, gens,

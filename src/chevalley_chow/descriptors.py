@@ -437,7 +437,11 @@ def _connected_character_lattice(gd: GroupDescriptor, hd: SubgroupDescriptor) ->
 
 def _component_action(xh0: IntMatrix, hd: SubgroupDescriptor) -> tuple[IntMatrix, ...] | None:
     """Each component generator acting on X(H0), in the coordinates of the
-    basis rows ``xh0``; None when some generator does not stabilize X(H0)."""
+    basis rows ``xh0``; None when some generator does not stabilize X(H0).
+    With no symmetric root X(H0) is X(T_H) in its identity basis, where the
+    coordinates are the generators themselves."""
+    if xh0 == IntMatrix.identity(hd.h_rank):
+        return hd.component_generators
     images = [coordinates(xh0, map(g.apply, xh0.rows)) for g in hd.component_generators]
     return None if None in images else tuple(m.transpose() for m in images)
 

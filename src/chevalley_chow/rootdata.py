@@ -35,15 +35,16 @@ from .lattice import (
 )
 from .qlinalg import qsolve
 
-#: |W| for each irreducible type, as a function of the rank
-_WEYL_ORDERS = {
-    "A": lambda n: math.factorial(n + 1),
-    "B": lambda n: 2**n * math.factorial(n),
-    "C": lambda n: 2**n * math.factorial(n),
-    "D": lambda n: 2 ** (n - 1) * math.factorial(n),
-    "G": lambda n: 12,
-    "F": lambda n: 1152,
-    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
+#: the degrees of the basic Weyl invariants of each irreducible type, as a
+#: function of the rank (Bourbaki, *Lie*, ch. V, section 6; |W| is their product)
+_DEGREES = {
+    "A": lambda n: tuple(range(2, n + 2)),
+    "B": lambda n: tuple(range(2, 2 * n + 1, 2)),
+    "C": lambda n: tuple(range(2, 2 * n + 1, 2)),
+    "D": lambda n: tuple(sorted((*range(2, 2 * n - 1, 2), n))),
+    "G": lambda n: (2, 6),
+    "F": lambda n: (2, 6, 8, 12),
+    "E": lambda n: {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18), 8: (2, 8, 12, 14, 18, 20, 24, 30)}[n],
 }
 
 
@@ -97,13 +98,19 @@ class RootDatum(Record):
 
     @cached_property
     def weyl_order(self) -> int:
-        """|W| by the order formula of the Cartan type, kept on the datum:
+        """|W|, the product of the Cartan type's degrees, kept on the datum:
         every public call refuses its cap by it with no cache lookup."""
         return validate_root_datum(self).weyl_order
 
-    def pairing(self, chi, coroot) -> int:
-        """<chi, beta^vee> for a character and a coroot, both coordinate tuples."""
-        return sum(int(a) * int(b) for a, b in zip(chi, coroot))
+    def pairing(self, chi, coroot) -> int | Fraction:
+        """<chi, beta^vee> for a character and a coroot, both coordinate tuples;
+        exact, so a rational character pairs to a rational number.
+
+        >>> sl2 = RootDatum(1, IntMatrix(((2,),)), IntMatrix(((1,),)))
+        >>> sl2.pairing((Fraction(1, 2),), (2,)), sl2.pairing((3,), (1,))
+        (Fraction(1, 1), 3)
+        """
+        return sum(map(mul, chi, coroot))
 
 
 class CartanComponent(Record):
@@ -112,8 +119,9 @@ class CartanComponent(Record):
     nodes: tuple[int, ...]
 
     @property
-    def weyl_order(self) -> int:
-        return _WEYL_ORDERS[self.letter](self.rank)
+    def degrees(self) -> tuple[int, ...]:
+        """Degrees of the basic invariants of the Weyl group, ascending."""
+        return _DEGREES[self.letter](self.rank)
 
     def __str__(self):
         return f"{self.letter}{self.rank}"
@@ -126,8 +134,15 @@ class CartanType(Record):
     torus_rank: int
 
     @property
+    def degrees(self) -> tuple[int, ...]:
+        """The ``rank`` degrees of the basic Weyl invariants of Sym X(T)_Q,
+        ascending: each component's, and 1 per central direction."""
+        return tuple(sorted((1,) * self.torus_rank + sum((c.degrees for c in self.components), ())))
+
+    @property
     def weyl_order(self) -> int:
-        return math.prod(c.weyl_order for c in self.components) if self.components else 1
+        """|W|, the product of the degrees."""
+        return math.prod(self.degrees)
 
     def describe(self) -> str:
         parts = [str(c) for c in self.components]
@@ -289,7 +304,8 @@ def matrix_group_order(gens, cap: int = DEFAULT_CAP) -> int:
     Either way an order past ``cap`` raises :class:`GroupTooLarge` with the
     closure's message.  Memoized per ``(tuple(gens), cap)`` in a cache of
     ``lattice.CACHE_SIZE``, the one memo of a finite group in the package
-    (the closure keeps none); exceptions are never cached.  No generators
+    (the closure keeps none), together with the Cartan type's degrees
+    (:func:`invariant_degrees`); exceptions are never cached.  No generators
     generate the trivial group, of order 1.
 
     >>> matrix_group_order(())
@@ -301,19 +317,35 @@ def matrix_group_order(gens, cap: int = DEFAULT_CAP) -> int:
     >>> matrix_group_order([rot6])
     6
     """
-    return _matrix_group_order(tuple(gens), cap)
+    return _matrix_group_order(tuple(gens), cap)[0]
+
+
+def invariant_degrees(gens, cap: int = DEFAULT_CAP) -> tuple[int, ...] | None:
+    """Degrees e_j of the basic invariants, one per coordinate, of the group
+    the nonempty ``gens`` generate, when :func:`matrix_group_order` reads it
+    as a Weyl group, whose invariants are then polynomial with Hilbert series
+    prod_j 1/(1 - t^{e_j}) (Chevalley); None for a group it closes instead.
+    Refuses as :func:`matrix_group_order` does, off the same memo.
+
+    >>> invariant_degrees([IntMatrix(((0, 1), (1, 0)))])  # the swap: x + y and xy
+    (1, 2)
+    >>> invariant_degrees([IntMatrix(((0, -1), (1, 1)))]) is None  # a rotation
+    True
+    """
+    return _matrix_group_order(tuple(gens), cap)[1]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _matrix_group_order(gens: tuple[IntMatrix, ...], cap: int, /) -> int:
+def _matrix_group_order(gens: tuple[IntMatrix, ...], cap: int, /) -> tuple[int, tuple[int, ...] | None]:
+    """``(order, degrees)``: the recognized Cartan type's degrees, or None."""
     if not gens:
-        return 1
+        return 1, None
     ctype = _reflection_type(gens)
     if ctype is None:
-        return len(enumerate_matrix_group(gens, cap))
+        return len(enumerate_matrix_group(gens, cap)), None
     if ctype.weyl_order > cap:
         raise GroupTooLarge(f"matrix group exceeds cap {cap}")
-    return ctype.weyl_order
+    return ctype.weyl_order, ctype.degrees
 
 
 def _reflection_type(gens: tuple[IntMatrix, ...]) -> CartanType | None:
@@ -505,9 +537,10 @@ def root_system(rd: RootDatum) -> RootSystem:
         nxt = []
         for coords, (vec, cov) in frontier:
             for i, (alpha, alpha_v) in enumerate(simple):
-                k, m = rd.pairing(vec, alpha_v), rd.pairing(alpha, cov)
+                k = rd.pairing(vec, alpha_v)
                 c = coords[:i] + (coords[i] - k,) + coords[i + 1:]
                 if c not in roots:
+                    m = rd.pairing(alpha, cov)
                     roots[c] = (tuple(x - k * y for x, y in zip(vec, alpha)),
                                 tuple(x - m * y for x, y in zip(cov, alpha_v)))
                     nxt.append((c, roots[c]))

@@ -24,7 +24,6 @@ formula; the cached builders take no cap, so one entry serves every cap.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -46,7 +45,8 @@ from .invariants import (
     sym_basis,
 )
 from .lattice import CACHE_SIZE, DATUM_CACHE_SIZE, DEFAULT_CAP
-from .rootdata import RootDatum, _weyl_group, _weyl_order, root_system, simple_reflection, weyl_group
+from .rootdata import (
+    RootDatum, _weyl_group, _weyl_order, root_system, simple_reflection, validate_root_datum, weyl_group)
 
 
 class SchubertClass(Record):
@@ -91,15 +91,13 @@ def schubert_basis(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[SchubertClass
 def codegree_histogram(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     """#{w : length(w) = d} for each d; by Chevalley, the coinvariant dimensions.
 
-    Read off the roots, not W: it is the product of 1 + t + ... + t^m over the
-    exponents m, and #{m >= h} is the number of positive roots of height h
-    (Kostant; Macdonald).  ``|W| > cap`` is still refused (GroupTooLarge)."""
+    Read off the Cartan type, not W: it is the product of
+    1 + t + ... + t^(d - 1) over the degrees d of W (Chevalley; Solomon).
+    ``|W| > cap`` is still refused (GroupTooLarge)."""
     _weyl_order(rd, cap)
-    per_height = Counter(r.height for r in root_system(rd).positive)
     hist = [1]
-    for j in range(1, rd.nsimple + 1):
-        m = sum(1 for count in per_height.values() if count >= j)  # the j-th largest exponent
-        hist = [sum(hist[max(0, d - m):d + 1]) for d in range(len(hist) + m)]
+    for e in validate_root_datum(rd).degrees:
+        hist = [sum(hist[max(0, d - e + 1):d + 1]) for d in range(len(hist) + e - 1)]
     return tuple(hist)
 
 

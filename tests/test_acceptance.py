@@ -164,7 +164,7 @@ def test_length_histogram_past_the_cap_reads_no_weyl_group(name, monkeypatch):
     rd, degrees, order = LARGE_DEGREES[name]
 
     def no_walk(*args):
-        raise AssertionError("the histogram is read off the roots")
+        raise AssertionError("the histogram is read off the Cartan type")
 
     monkeypatch.setattr(rootdata, "_walk", no_walk)
     hist = codegree_histogram(rd, cap=order)

@@ -2,11 +2,12 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import helpers as z
-from chevalley_chow import chow, cli, invariants, lattice, rootdata, schubert
+from chevalley_chow import chow, cli, descriptors, invariants, lattice, rootdata, schubert
 from chevalley_chow.chow import (
     GradedPresentation,
     chow_presentation,
@@ -17,7 +18,7 @@ from chevalley_chow.chow import (
     picard_group,
     rational_chow,
 )
-from chevalley_chow.descriptors import GroupDescriptor, SubgroupDescriptor, derived_attributes
+from chevalley_chow.descriptors import GroupDescriptor, SubgroupDescriptor, derived_attributes, validate_subgroup
 from chevalley_chow.errors import DegreeTooLarge, GroupTooLarge, ModeUnsupported
 from chevalley_chow.invariants import (
     invariant_slice,
@@ -287,9 +288,10 @@ def test_slice_past_budget_refused_before_any_slice(monkeypatch):
     for top in (6, invariants.DEGREE_BUDGET):
         with pytest.raises(DegreeTooLarge, match="exceeds budget 21"):
             homogeneous_rational_chow(z.cover_torsion, z.trivial3, top)
-    # rank 1 slices have dimension 1, so any degree in the degree budget passes this check
-    with pytest.raises(AssertionError, match="refused first"):
-        homogeneous_rational_chow(z.product_sl2, z.t_sl2, invariants.DEGREE_BUDGET)
+    # rank 1 slices have dimension 1, so any degree in the degree budget passes
+    # this check; the torus has K = 1, so its answer is read off degrees, no slice built
+    top = invariants.DEGREE_BUDGET
+    assert homogeneous_rational_chow(z.product_sl2, z.t_sl2, top).concrete_factor.dims == (1, 1) + (0,) * (top - 1)
 
 
 def test_homogeneous_chow_refuses_g_ant():
@@ -460,3 +462,62 @@ def test_parabolic_and_levi_dims_are_the_classical_series():
             l_degrees = z.degrees_from_heights([pos[i] for i in hd.symmetric_root_indices()], rd.rank)
             got = homogeneous_rational_chow(gd, hd, top).concrete_factor.dims
             assert got == z.quotient_series(g_degrees, l_degrees, top), (key, name)
+
+
+def _slice_top(rank):
+    """The largest degree whose slice in ``rank`` variables both budgets admit."""
+    return max(d for d in range(invariants.DEGREE_BUDGET + 1)
+               if math.comb(rank + d - 1, d) <= invariants.SLICE_BUDGET)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a trivial or recognized K needs no slice and no coordinates")
+
+
+@pytest.mark.parametrize("key", sorted(z.SWEEP))
+def test_closed_invariant_series_counts_the_slices(key, monkeypatch):
+    # K generated by simple reflections is a Weyl group, whose invariants are
+    # polynomial (Chevalley): prod_j 1/(1 - t^e_j) must count every slice of
+    # S^K, for each subset of the simple reflections, the empty one (K = 1) too
+    rd = z.SWEEP[key]
+    gd, top = z.affine_group(key, rd), _slice_top(rd.rank)
+    refl = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
+    subsets = [sub for size in range(rd.nsimple + 1) for sub in combinations(refl, size)]
+    monkeypatch.setattr(chow, "invariant_slice", _no_work)
+    got = [homogeneous_rational_chow(gd, SubgroupDescriptor("k", IntMatrix.identity(rd.rank), component_generators=sub,
+                                                            translations=(False,) * len(sub)), top)
+           for sub in subsets]
+    monkeypatch.undo()
+    for sub, h in zip(subsets, got):
+        assert h.concrete_factor.ambient_dims == tuple(len(invariant_slice(rd.rank, sub, d)) for d in range(top + 1))
+
+
+@pytest.mark.parametrize("key", sorted(z.SWEEP))
+def test_normalizer_is_answered_with_no_slice_and_no_coordinates(key, monkeypatch):
+    # K = W and X(H0) = X(T): S^K = S^W, so G/N(T) has the rational Chow ring of a point
+    rd = z.SWEEP[key]
+    gd, top = z.affine_group(key, rd), _slice_top(rd.rank)
+    normalizer = dict(z.full_rank_subgroups(rd, max_levi=0))["normalizer"]
+    monkeypatch.setattr(chow, "invariant_slice", _no_work)
+    monkeypatch.setattr(descriptors, "coordinates", _no_work)
+    assert validate_subgroup(gd, normalizer).ok
+    got = homogeneous_rational_chow(gd, normalizer, top)
+    assert got.concrete_factor.dims == (1,) + (0,) * top and got.j_rank == 0
+
+
+def test_unrecognized_k_still_builds_the_slices(monkeypatch):
+    built = []
+    slices = chow.invariant_slice
+    monkeypatch.setattr(chow, "invariant_slice", lambda *a: built.append(a) or slices(*a))
+    g2, a3 = z.affine_group("G2", z.SWEEP["G2-sc"]), z.affine_group("A3", z.SWEEP["A3-sc"])
+    # the Coxeter element of G2, a rotation of order 6 inside W, is no reflection
+    rot6 = _component_subgroup("rot6", simple_reflection(g2.rd, 0) @ simple_reflection(g2.rd, 1))
+    # the Levi's reflections come from all three positive roots of A2 in A3, no simple system
+    levi = dict(z.full_rank_subgroups(a3.rd))["levi(0,1)"]
+    for gd, hd in ((g2, rot6), (a3, levi)):
+        gens = chow._subgroup_reflections(gd, hd) + hd.component_generators
+        assert rootdata.invariant_degrees(gens) is None, hd.name
+        built.clear()
+        got = homogeneous_rational_chow(gd, hd, 3)
+        assert built, hd.name
+        assert (got.concrete_factor, got.j_rank) == z.hchow_by_elimination(gd, hd, 3), hd.name

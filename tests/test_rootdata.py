@@ -1,7 +1,9 @@
 """Root data: classification, Weyl enumeration, roots, flag Picard map."""
 
 import hashlib
+import math
 import random
+from fractions import Fraction
 from operator import mul
 
 import pytest
@@ -483,3 +485,71 @@ def test_cartan_validation_needs_no_rational_elimination(monkeypatch):
         validate_root_datum(RootDatum(2, M(((2, -1), (-1, 2), (-1, -1))), M(((1, 0), (0, 1), (-1, -1)))))
     with pytest.raises(InvalidCartan, match="simple coroots are linearly dependent"):
         validate_root_datum(RootDatum(3, M.identity(3), M(affine_a2).transpose()))
+
+
+def _chain(n, short_end=None):
+    """Cartan matrix of the chain 0 - 1 - ... - (n - 1); ``short_end`` "B"
+    makes the last node short, "C" long (C[i][j] = <alpha_i, alpha_j^vee>)."""
+    c = z.type_a(n)
+    if short_end == "B":
+        c[n - 2][n - 1] = -2
+    elif short_end == "C":
+        c[n - 1][n - 2] = -2
+    return c
+
+
+def _type_d(n):
+    c = z.type_a(n)
+    c[n - 2][n - 1] = c[n - 1][n - 2] = 0
+    c[n - 3][n - 1] = c[n - 1][n - 3] = -1
+    return c
+
+
+#: every irreducible type the table is checked on, with the order formulas
+#: it replaced: (n + 1)!, 2^n n!, 2^(n - 1) n!, and the exceptional orders
+DEGREE_CASES = {
+    **{f"A{n}": (_chain(n), lambda n: math.factorial(n + 1)) for n in range(1, 9)},
+    **{f"B{n}": (_chain(n, "B"), lambda n: 2**n * math.factorial(n)) for n in range(2, 7)},
+    **{f"C{n}": (_chain(n, "C"), lambda n: 2**n * math.factorial(n)) for n in range(3, 7)},
+    **{f"D{n}": (_type_d(n), lambda n: 2 ** (n - 1) * math.factorial(n)) for n in range(4, 8)},
+    **{f"E{n}": (z.type_e(n), lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n]) for n in (6, 7, 8)},
+    "F4": (z.f4.simple_roots.rows, lambda n: 1152),
+    "G2": ([[2, -1], [-3, 2]], lambda n: 12),
+}
+
+
+@pytest.mark.parametrize("name", DEGREE_CASES)
+def test_degree_table_matches_the_root_heights_and_the_order_formulas(name):
+    cartan, order = DEGREE_CASES[name]
+    rd = z.cartan_datum(cartan)
+    ctype = validate_root_datum(rd)
+    assert ctype.describe() == name
+    want = sorted(z.degrees_from_heights(root_system(rd).positive, rd.rank))
+    assert list(ctype.degrees) == want == list(ctype.components[0].degrees)
+    assert ctype.weyl_order == math.prod(ctype.degrees) == order(rd.rank)
+    # a central direction adds a degree 1 and changes no order
+    wider = RootDatum(rd.rank + 1, M(tuple(r + (0,) for r in rd.simple_roots.rows)),
+                      M(tuple(r + (0,) for r in rd.simple_coroots.rows)))
+    assert validate_root_datum(wider).degrees == (1, *ctype.degrees)
+    assert validate_root_datum(wider).weyl_order == ctype.weyl_order
+
+
+def test_pairing_is_exact():
+    # a rational character or a float pairs to its value, not to a truncated int
+    assert z.sl2.pairing((Fraction(1, 2),), (2,)) == 1
+    assert z.sl2.pairing((Fraction(1, 3),), (1,)) == Fraction(1, 3)
+    assert z.sl2.pairing((1.5,), (1,)) == 1.5
+    assert z.gl2.pairing((1, -1), (1, -1)) == 2
+
+
+def test_invariant_degrees_share_the_order_memo():
+    rootdata._matrix_group_order.cache_clear()
+    refl = _simple_reflections(z.sl4)
+    assert rootdata.invariant_degrees(refl) == (2, 3, 4)
+    assert rootdata.matrix_group_order(refl) == 24
+    assert rootdata._matrix_group_order.cache_info().currsize == 1
+    # a rotation is closed, and has no degrees to read; past the cap both refuse alike
+    rot6 = dict(z.non_weyl_groups())["rot6"]
+    assert rootdata.invariant_degrees(rot6) is None
+    with pytest.raises(GroupTooLarge, match="^matrix group exceeds cap 23$"):
+        rootdata.invariant_degrees(refl, cap=23)
