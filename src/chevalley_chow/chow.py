@@ -9,12 +9,11 @@ Chow rings are reported as a concrete graded factor (symmetric algebra
 data over Q, truncated at a requested degree) times a symbolic factor
 A*(A_g), plus the degree-1 ideal generators tying the two together.  For G
 the concrete dims are sum over w in W of q^length(w) (Chevalley), or Q in
-degree 0 rationally; only G/H may compute invariant slices.  For H of full
-rank (q unimodular) the G/H dims are Hilb(S^K) times prod_i (1 - t^{d_i})
-over the degrees of W, as S^K is free over the Weyl invariants, and
-Hilb(S^K) is read off K's degrees when K is trivial or a recognized Weyl
-group; only a rank-deficient H eliminates the restricted Weyl invariants
-degree by degree.
+degree 0 rationally.  G/H takes one of two routes: for H of full rank (q
+unimodular) with K trivial or a recognized Weyl group the dims are
+prod_j 1/(1 - t^{e_j}) over K's degrees times prod_i (1 - t^{d_i}) over the
+degrees of W, as S^K is free over S^W; every other H eliminates the
+restricted Weyl invariants degree by degree, the one route that builds slices.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .invariants import (
     DEGREE_BUDGET,
     SLICE_BUDGET,
     TruncatedQuotient,
-    invariant_slice,
     substitute,
     truncated_quotient,
 )
@@ -283,37 +281,35 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
     of the positive-degree Weyl invariants S^W_+ of G.  J on the abelian
     factor has rank gamma_A(ker r_H), recorded in ``j_rank``.
 
-    The route is chosen from q.  When q is unimodular (H of full rank), q
-    carries K into W, so S^K is a direct summand of S, which is free over
-    S^W (Chevalley, *Amer. J. Math.* 77, 1955): S^K is free over S^W too,
-    and the quotient's Hilbert series is Hilb(S^K) times
-    prod_i (1 - t^{d_i}) over the degrees of W, central directions counted
-    with d_i = 1.  Hilb(S^K) is prod_j 1/(1 - t^{e_j}) over K's degrees
-    when K is trivial or generated by simple reflections
-    (:func:`~chevalley_chow.rootdata.invariant_degrees`: the Borel, N(T));
-    any other K (a rotation, a Levi given all its roots' reflections) counts
-    its slices.  j_rank is 0, since
-    ker r_H lies in ker q = 0.  This needs every component generator to be
-    q-compatible with a Weyl element, as ``validate_subgroup`` checks
-    (``component-weyl-compatibility``); a descriptor that fails it, which
-    the CLI refuses, can get another answer here than by elimination.  A
-    rank-deficient H eliminates the ideal degree by degree
-    (:func:`~chevalley_chow.invariants.truncated_quotient`).
-
-    Either route may build every slice up to max_degree, so a largest slice
-    C(r + max_degree - 1, max_degree), with r = max(rank, h_rank), past
-    ``SLICE_BUDGET`` is refused up front (:class:`DegreeTooLarge`), even
-    where none is built.
+    There are two routes.  When q is unimodular (H of full rank) and K is
+    trivial or a recognized Weyl group
+    (:func:`~chevalley_chow.rootdata.invariant_degrees`: the Borel, N(T),
+    every Levi and parabolic), q carries K into W, so S^K is a direct
+    summand of S, which is free over S^W (Chevalley, *Amer. J. Math.* 77,
+    1955): S^K is free over S^W too, and the quotient's Hilbert series is
+    prod_j 1/(1 - t^{e_j}) over K's degrees times prod_i (1 - t^{d_i}) over
+    the degrees of W, central directions counted with d_i = 1, and j_rank
+    is 0, since ker r_H lies in ker q = 0.  This needs every component
+    generator to be q-compatible with a Weyl element, as
+    ``validate_subgroup`` checks (``component-weyl-compatibility``).  Every
+    other H (rank-deficient, or with a K such as a rotation) eliminates the
+    ideal degree by degree (:func:`~chevalley_chow.invariants.truncated_quotient`),
+    building every slice up to max_degree, so there a largest slice
+    C(r + max_degree - 1, max_degree), r = max(rank, h_rank), past
+    ``SLICE_BUDGET`` is refused up front (:class:`DegreeTooLarge`).
     """
     _check_degree(max_degree)
-    _check_slice(max(gd.rd.rank, hd.h_rank), max_degree)
     att = derived_attributes(gd)
     if contains_nontrivial_ant(att, hd):
         raise ModeUnsupported("Chow reports for G/H need H inside the faithful model (H does not contain G_ant)")
+    if gd.rd.nsimple and max_degree > 0:
+        _weyl_order(gd.rd, cap)
     gens = _subgroup_reflections(gd, hd) + hd.component_generators
-    if is_unimodular(hd.q_matrix):
-        concrete, j_rank = _free_quotient(gd, hd, gens, max_degree, cap), 0
+    degrees = invariant_degrees(gens, cap) if gens else (1,) * hd.h_rank
+    if degrees is not None and is_unimodular(hd.q_matrix):
+        concrete, j_rank = _free_quotient(gd, hd, degrees, max_degree), 0
     else:
+        _check_slice(max(gd.rd.rank, hd.h_rank), max_degree)
         concrete, j_rank = _eliminated_quotient(gd, hd, att, gens, max_degree, cap)
     return GradedPresentation(
         mode="rational",
@@ -326,26 +322,17 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
     )
 
 
-def _free_quotient(gd: GroupDescriptor, hd: SubgroupDescriptor, gens,
-                   max_degree: int, cap: int) -> TruncatedQuotient:
-    """S^K / (S^W_+) for a full-rank H, off the Hilbert series of S^K and the
-    degrees of W, behind the elimination route's refusals in its order; only
-    a K neither trivial nor a recognized Weyl group builds slices of S^K."""
-    rd = gd.rd
-    if rd.nsimple and max_degree > 0:
-        _weyl_order(rd, cap)
-    degrees = invariant_degrees(gens, cap) if gens else (1,) * hd.h_rank
+def _free_quotient(gd: GroupDescriptor, hd: SubgroupDescriptor, degrees, max_degree: int) -> TruncatedQuotient:
+    """S^K / (S^W_+) for a full-rank H whose K has invariant ``degrees``, as
+    prod_j 1/(1 - t^{e_j}) prod_i (1 - t^{d_i}) over those of W: no slice."""
     if hd.component_generators and _component_action(_connected_character_lattice(gd, hd), hd) is None:
         raise ValueError("component group does not stabilize X(H0)")
-    if degrees is None:
-        ambient = [len(invariant_slice(hd.h_rank, gens, d)) for d in range(max_degree + 1)]
-    else:  # prod_j 1/(1 - t^{e_j})
-        ambient = [1] + [0] * max_degree
-        for e in degrees:
-            for k in range(e, max_degree + 1):
-                ambient[k] += ambient[k - e]
+    ambient = [1] + [0] * max_degree  # prod_j 1/(1 - t^{e_j})
+    for e in degrees:
+        for k in range(e, max_degree + 1):
+            ambient[k] += ambient[k - e]
     dims = list(ambient)
-    for d in validate_root_datum(rd).degrees:  # times prod_i (1 - t^{d_i})
+    for d in validate_root_datum(gd.rd).degrees:  # times prod_i (1 - t^{d_i})
         for k in range(max_degree, d - 1, -1):
             dims[k] -= dims[k - d]
     return TruncatedQuotient(hd.h_rank, max_degree, tuple(dims), tuple(ambient))

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from itertools import combinations
+from operator import add, mul
 
 from ._record import Record
 from .errors import GroupTooLarge, InvalidCartan
@@ -293,11 +294,11 @@ def matrix_group_order(gens, cap: int = DEFAULT_CAP) -> int:
     """Order of the group the integer matrices ``gens`` generate.
 
     When every generator is a reflection x |-> x - <x, a^vee> a and the
-    pairs (a, a^vee), signed so that the pairings along each connected
-    diagram are <= 0, form a root datum, the group is that datum's Weyl
-    group (Chevalley; Coxeter: Humphreys, *Reflection Groups and Coxeter
-    Groups*, 1990, sections 1-2), and its order is read off the Cartan type
-    with no element built.  Any other generator set is closed by
+    pairs (a, a^vee), cut to their base when closed under one another and
+    signed so that the pairings are <= 0, form a root datum, the group is
+    that datum's Weyl group (Chevalley; Coxeter: Humphreys, *Reflection
+    Groups and Coxeter Groups*, 1990, sections 1-2), and its order is read
+    off the Cartan type with no element built.  Any other set is closed by
     :func:`~chevalley_chow.lattice.enumerate_matrix_group`, with all its
     refusals: ValueError for generators that are not square of one size or
     not invertible over Z, :class:`GroupTooLarge` for an infinite group.
@@ -349,16 +350,21 @@ def _matrix_group_order(gens: tuple[IntMatrix, ...], cap: int, /) -> tuple[int, 
 
 
 def _reflection_type(gens: tuple[IntMatrix, ...]) -> CartanType | None:
-    """Cartan type of the root datum whose simple reflections are ``gens``,
-    or None when they are not the simple reflections of one.
+    """Cartan type of the root datum whose Weyl group ``gens`` generate, or
+    None when they are neither its simple reflections nor closed.
 
     Each g must be x |-> x - <x, a^vee> a: a is the primitive vector of the
     first nonzero column of 1 - g, a^vee is row i of 1 - g divided by a_i
     (a_i the first nonzero entry of a), and 1 - g must be the outer product
-    of a and a^vee, so that g is :func:`reflection` ``(a, a^vee)``.  A pair
-    and its negative give the same reflection, so a breadth-first walk over
-    the nonzero pairings signs the pairs to make them <= 0;
-    :func:`validate_root_datum` checks everything else.
+    of a and a^vee, so that g is :func:`reflection` ``(a, a^vee)``; a pair
+    and its negative give the same g.  Each a^vee so found is lex-positive
+    (first nonzero entry > 0), which puts the a in one positive system.
+    When each g sends each pair to +-(a pair), the roots +-a form a root
+    system, cut to its base: the a that are not the sum of two (Humphreys,
+    *Reflection Groups and Coxeter Groups*, 1.3-1.5), whose reflections
+    generate the same group.  A breadth-first walk over the nonzero
+    pairings signs the pairs to make them <= 0; :func:`validate_root_datum`
+    checks the rest.
     """
     if not gens or any(g.shape != (gens[0].nrows,) * 2 for g in gens):
         return None
@@ -379,6 +385,13 @@ def _reflection_type(gens: tuple[IntMatrix, ...]) -> CartanType | None:
         if rows != tuple(tuple(x * y for y in cov) for x in a):  # g is not reflection(a, cov)
             return None
         pairs.append((a, cov))
+    # s_a sends (c, c^vee) to (c - <c, a^vee> a, c^vee - <a, c^vee> a^vee), and (a, a^vee) to its negative
+    if all((b := tuple(x - k * y for x, y in zip(c, a)), bv := tuple(x - l * y for x, y in zip(cv, av))) in pairs
+           or (tuple(-x for x in b), tuple(-x for x in bv)) in pairs
+           for a, av in pairs for c, cv in pairs if c is not a
+           for k, l in [(sum(map(mul, c, av)), sum(map(mul, a, cv)))]):
+        sums = {tuple(map(add, a, c)) for (a, _), (c, _) in combinations(set(pairs), 2)}
+        pairs = [(a, av) for a, av in dict.fromkeys(pairs) if a not in sums]  # the base
     pairing = [[sum(map(mul, a, cov)) for _, cov in pairs] for a, _ in pairs]
     sign = [0] * len(pairs)
     for start in range(len(pairs)):

@@ -106,7 +106,7 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP)
 
     The closed formula: sum over positive roots beta with
     length(w s_beta) = length(w) + 1 of <lam, beta^vee> sigma_{w s_beta}.
-    ValueError unless ``lam`` has ``rank`` integral entries and 0 <= w_index < |W|.
+    ValueError unless ``lam`` has ``rank`` integral entries and 0 <= w_index < |W| (no bool).
 
     >>> from .lattice import IntMatrix
     >>> a1 = RootDatum(1, IntMatrix(((2,),)), IntMatrix(((1,),)))
@@ -115,11 +115,11 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP)
     """
     w = weyl_group(rd, cap=cap)
     lam = tuple(lam)
-    if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in lam):
+    if not all(type(x) is int or isinstance(x, Fraction) and x.denominator == 1 for x in lam):
         raise ValueError(f"character {lam!r} has an entry that is not an integer")
     if len(lam) != rd.rank:
         raise ValueError(f"character has {len(lam)} entries, the rank is {rd.rank}")
-    if not (isinstance(w_index, int) and 0 <= w_index < len(w)):
+    if not (type(w_index) is int and 0 <= w_index < len(w)):
         raise ValueError(f"Weyl index {w_index} is outside [0, {len(w)})")
     lam = tuple(map(int, lam))
     length = w.lengths[w_index]
@@ -346,7 +346,7 @@ def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) ->
     vector is a coordinate.  The structure constants must come out
     nonnegative integers; anything else raises
     :class:`NonIntegralStructureConstant` (it would mean a bug, not bad
-    input).  An index that is not an integer in [0, |W|) raises ValueError.
+    input).  An index that is not an integer in [0, |W|), or a bool, raises ValueError.
     |W| past ``cap`` is refused first by the order formula
     (:class:`GroupTooLarge`).
 
@@ -357,7 +357,7 @@ def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) ->
     """
     _weyl_order(rd, cap)
     reps, scale, lengths, maps = _representative_table(rd)
-    if not (isinstance(w1, int) and isinstance(w2, int) and 0 <= w1 < len(lengths) and 0 <= w2 < len(lengths)):
+    if not (type(w1) is int and type(w2) is int and 0 <= w1 < len(lengths) and 0 <= w2 < len(lengths)):
         raise ValueError(f"Weyl indices ({w1!r}, {w2!r}) are not both integers in [0, {len(lengths)})")
     d = lengths[w1] + lengths[w2]
     if d > lengths[-1]:

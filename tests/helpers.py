@@ -743,10 +743,10 @@ def full_rank_subgroups(rd, max_levi=3):
 
 
 def hchow_by_elimination(gd, hd, max_degree, cap=DEFAULT_CAP):
-    """Oracle for the full-rank route of ``chow.homogeneous_rational_chow``:
+    """Oracle for the closed-series route of ``chow.homogeneous_rational_chow``:
     ``(concrete factor, j_rank)`` by eliminating the restricted Weyl
-    invariants degree by degree, the route rank-deficient H take, on any H,
-    behind the same refusals."""
+    invariants degree by degree, the route every other H takes, run on any
+    H behind that route's refusals, the slice budget among them."""
     chow._check_degree(max_degree)
     chow._check_slice(max(gd.rd.rank, hd.h_rank), max_degree)
     att = derived_attributes(gd)

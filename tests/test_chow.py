@@ -215,9 +215,9 @@ def test_homogeneous_chow_bounds_the_component_group_before_the_quotient(monkeyp
     calls = []
     closure = lattice.group_closure
     monkeypatch.setattr(lattice, "group_closure", lambda *a: calls.append(a[0]) or closure(*a))
-    quotient, slices = chow.truncated_quotient, chow.invariant_slice
+    quotient, slices = chow.truncated_quotient, invariants.invariant_slice
     monkeypatch.setattr(chow, "truncated_quotient", no_quotient)
-    monkeypatch.setattr(chow, "invariant_slice", no_quotient)
+    monkeypatch.setattr(invariants, "invariant_slice", no_quotient)
     # the order and enumeration caches live for the process: start from empty ones
     rootdata._matrix_group_order.cache_clear()
     unipotent = _component_subgroup("unipotent", IntMatrix(((1, 1), (0, 1))))
@@ -225,7 +225,7 @@ def test_homogeneous_chow_bounds_the_component_group_before_the_quotient(monkeyp
         homogeneous_rational_chow(z.product_sl3, unipotent, 2)
     assert len(calls) == 1
     monkeypatch.setattr(chow, "truncated_quotient", quotient)
-    monkeypatch.setattr(chow, "invariant_slice", slices)
+    monkeypatch.setattr(invariants, "invariant_slice", slices)
     # a rotation of order 3 is closed once, and a second request reuses its order
     rot3 = _component_subgroup("rot3", simple_reflection(z.sl3, 0) @ simple_reflection(z.sl3, 1))
     for _ in range(2):
@@ -257,9 +257,9 @@ def test_degree_past_budget_refused_before_any_slice(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a degree past the budget must be refused first")
 
-    # chow.invariant_slice builds the slices of a full-rank H (borel, t_sl2),
-    # chow.truncated_quotient those of the rest (trivial3)
-    monkeypatch.setattr(chow, "invariant_slice", no_work)
+    # invariants.invariant_slice builds every slice, chow.truncated_quotient
+    # the quotient of the elimination route (trivial3)
+    monkeypatch.setattr(invariants, "invariant_slice", no_work)
     monkeypatch.setattr(chow, "truncated_quotient", no_work)
     monkeypatch.setattr(chow, "codegree_histogram", no_work)
     top = invariants.DEGREE_BUDGET + 1
@@ -281,17 +281,22 @@ def test_slice_past_budget_refused_before_any_slice(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a slice past the budget must be refused first")
 
-    # chow.invariant_slice builds the slices of a full-rank H (borel, t_sl2),
-    # chow.truncated_quotient those of the rest (trivial3)
-    monkeypatch.setattr(chow, "invariant_slice", no_work)
+    # invariants.invariant_slice builds every slice, chow.truncated_quotient
+    # the quotient of the elimination route (trivial3)
+    monkeypatch.setattr(invariants, "invariant_slice", no_work)
     monkeypatch.setattr(chow, "truncated_quotient", no_work)
     for top in (6, invariants.DEGREE_BUDGET):
         with pytest.raises(DegreeTooLarge, match="exceeds budget 21"):
             homogeneous_rational_chow(z.cover_torsion, z.trivial3, top)
-    # rank 1 slices have dimension 1, so any degree in the degree budget passes
-    # this check; the torus has K = 1, so its answer is read off degrees, no slice built
+    # the budget binds the elimination route only: a torus has K = 1, so its
+    # answer is read off degrees, no slice built, at any degree in the degree
+    # budget, in rank 1 and in rank 2, where the degree-21 slice has dimension 22
     top = invariants.DEGREE_BUDGET
     assert homogeneous_rational_chow(z.product_sl2, z.t_sl2, top).concrete_factor.dims == (1, 1) + (0,) * (top - 1)
+    torus = SubgroupDescriptor("torus", IntMatrix.identity(2))
+    assert homogeneous_rational_chow(z.gl2c, torus, 21).concrete_factor.dims == (1, 1) + (0,) * 20
+    with pytest.raises(DegreeTooLarge, match="dimension 22, which exceeds budget 21"):
+        homogeneous_rational_chow(z.gl2c, z.trivial2, 21)
 
 
 def test_homogeneous_chow_refuses_g_ant():
@@ -483,7 +488,7 @@ def test_closed_invariant_series_counts_the_slices(key, monkeypatch):
     gd, top = z.affine_group(key, rd), _slice_top(rd.rank)
     refl = tuple(simple_reflection(rd, i) for i in range(rd.nsimple))
     subsets = [sub for size in range(rd.nsimple + 1) for sub in combinations(refl, size)]
-    monkeypatch.setattr(chow, "invariant_slice", _no_work)
+    monkeypatch.setattr(invariants, "invariant_slice", _no_work)
     got = [homogeneous_rational_chow(gd, SubgroupDescriptor("k", IntMatrix.identity(rd.rank), component_generators=sub,
                                                             translations=(False,) * len(sub)), top)
            for sub in subsets]
@@ -498,7 +503,7 @@ def test_normalizer_is_answered_with_no_slice_and_no_coordinates(key, monkeypatc
     rd = z.SWEEP[key]
     gd, top = z.affine_group(key, rd), _slice_top(rd.rank)
     normalizer = dict(z.full_rank_subgroups(rd, max_levi=0))["normalizer"]
-    monkeypatch.setattr(chow, "invariant_slice", _no_work)
+    monkeypatch.setattr(invariants, "invariant_slice", _no_work)
     monkeypatch.setattr(descriptors, "coordinates", _no_work)
     assert validate_subgroup(gd, normalizer).ok
     got = homogeneous_rational_chow(gd, normalizer, top)
@@ -507,17 +512,21 @@ def test_normalizer_is_answered_with_no_slice_and_no_coordinates(key, monkeypatc
 
 def test_unrecognized_k_still_builds_the_slices(monkeypatch):
     built = []
-    slices = chow.invariant_slice
-    monkeypatch.setattr(chow, "invariant_slice", lambda *a: built.append(a) or slices(*a))
+    slices = invariants.invariant_slice
+    monkeypatch.setattr(invariants, "invariant_slice", lambda *a: built.append(a) or slices(*a))
     g2, a3 = z.affine_group("G2", z.SWEEP["G2-sc"]), z.affine_group("A3", z.SWEEP["A3-sc"])
-    # the Coxeter element of G2, a rotation of order 6 inside W, is no reflection
+    # the Coxeter element of G2, a rotation of order 6 inside W, is no
+    # reflection: K is not recognized, so S^K is eliminated slice by slice
     rot6 = _component_subgroup("rot6", simple_reflection(g2.rd, 0) @ simple_reflection(g2.rd, 1))
-    # the Levi's reflections come from all three positive roots of A2 in A3, no simple system
+    assert rootdata.invariant_degrees(chow._subgroup_reflections(g2, rot6) + rot6.component_generators) is None
+    got = homogeneous_rational_chow(g2, rot6, 3)
+    assert built
+    assert (got.concrete_factor, got.j_rank) == z.hchow_by_elimination(g2, rot6, 3)
+    # the Levi's reflections come from all three positive roots of A2 in A3:
+    # closed under one another, so K is read off their base, with no slice
     levi = dict(z.full_rank_subgroups(a3.rd))["levi(0,1)"]
-    for gd, hd in ((g2, rot6), (a3, levi)):
-        gens = chow._subgroup_reflections(gd, hd) + hd.component_generators
-        assert rootdata.invariant_degrees(gens) is None, hd.name
-        built.clear()
-        got = homogeneous_rational_chow(gd, hd, 3)
-        assert built, hd.name
-        assert (got.concrete_factor, got.j_rank) == z.hchow_by_elimination(gd, hd, 3), hd.name
+    assert rootdata.invariant_degrees(chow._subgroup_reflections(a3, levi)) == (1, 2, 3)
+    built.clear()
+    got = homogeneous_rational_chow(a3, levi, 3)
+    assert not built
+    assert (got.concrete_factor, got.j_rank) == z.hchow_by_elimination(a3, levi, 3)

@@ -325,6 +325,24 @@ def test_slice_past_budget_exits_2(capsys, monkeypatch):
     assert "dimension 2145, which exceeds budget 21" in err
 
 
+@pytest.mark.parametrize("sub, top, dims", [
+    ("torus", 21, [1, 1] + [0] * 20),  # K = 1: 1/(1 - t)^2 times (1 - t)(1 - t^2)
+    ("swap_component", 30, [1] + [0] * 30),  # K = W: S^K = S^W
+])
+def test_full_rank_past_the_slice_budget_answers(capsys, monkeypatch, sub, top, dims):
+    def no_work(*args):
+        raise AssertionError("the closed series builds no slice")
+
+    # the slice budget binds the elimination route only, so a full-rank H
+    # with a trivial or recognized K answers past it
+    monkeypatch.setattr(invariants, "invariant_slice", no_work)
+    monkeypatch.setattr(chow, "truncated_quotient", no_work)
+    code, out, err = run_cli(capsys, "hchow", sub, fixture_path("gl2_center"), "--max-degree", str(top),
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["concrete_factor"]["dims"] == dims
+
+
 @pytest.mark.parametrize("tail", [(), ("--rational",)])
 def test_chow_at_budget_computes_no_slice(capsys, monkeypatch, tail):
     def no_work(*args):

@@ -12,6 +12,7 @@ import helpers as z
 from chevalley_chow import lattice, qlinalg, rootdata
 from chevalley_chow.errors import GroupTooLarge, InvalidCartan
 from chevalley_chow.formats import parse_descriptor
+from chevalley_chow.invariants import invariant_slice
 from chevalley_chow.lattice import DEFAULT_CAP, FGAbelianGroup, IntMatrix, coordinates, enumerate_matrix_group
 from chevalley_chow.rootdata import (
     RootDatum,
@@ -297,7 +298,8 @@ def _root_reflections(rd):
 
 
 _rng = random.Random(1)  # every conjugating matrix below has an entry past +-1
-#: generator sets that are the simple reflections of a root datum
+#: generator sets that are the simple reflections of a root datum, or
+#: reflections closed under one another, read off their base
 ORDER_BY_TYPE = {name: _simple_reflections(rd) for name, rd in ORBIT_DATA.items() if name != "E6-sc"}
 ORDER_BY_TYPE.update({f"{name}-conjugated": _conjugated(_simple_reflections(rd), z.random_unimodular(_rng, rd.rank))
                       for name, rd in (("A3", z.sl4), ("B2", z.sp4), ("G2", z.g2), ("C3", z.c3), ("F4", z.f4))})
@@ -305,14 +307,21 @@ ORDER_BY_TYPE["A1xA1"] = _simple_reflections(z.sl2_sl2)
 # s_alpha2 and s_(alpha1 + alpha2) of A2: after a sign, alpha2 and
 # -(alpha1 + alpha2) are a simple system
 ORDER_BY_TYPE["A2-alpha2-alpha12"] = _root_reflections(z.sl3)[0:3:2]
-#: generator sets that are no simple system of reflections: the closure answers
+# all positive roots' reflections are closed: the base is kept
+ORDER_BY_TYPE["A2-positive"] = _root_reflections(z.sl3)
+ORDER_BY_TYPE["B2-positive"] = _root_reflections(z.sp4)
+# two copies of one reflection are closed too, with a base of one root
+ORDER_BY_TYPE["repeated"] = (simple_reflection(z.sl3, 0),) * 2
+#: generator sets that are neither a simple system of reflections nor closed: the closure answers
 ORDER_BY_CLOSURE = {
-    "A2-positive": _root_reflections(z.sl3),
-    "B2-positive": _root_reflections(z.sp4),
-    "repeated": (simple_reflection(z.sl3, 0),) * 2,
+    # alpha, alpha + beta, 2 alpha + beta of B2 (alpha short) generate all of
+    # W(B2), but s_alpha sends 2 alpha + beta to beta, which is not among them
+    "B2-not-closed": _root_reflections(z.sp4)[1:],
     "transvection": (M(((1, 1), (0, 1))),),
     "identity": (M.identity(2),),
     "affine": (M(((-1, 0), (0, 1))), M(((-1, 0), (2, 1)))),  # pairings -2 and -2: the affine A1
+    # one root, two coroots: the roots alone are closed, but s_1 s_2 is a transvection
+    "same-root": (reflection((1, 0), (2, 0)), reflection((1, 0), (2, 1))),
     **dict(z.non_weyl_groups()),
 }
 
@@ -336,10 +345,46 @@ def test_matrix_group_order_matches_the_closure(name, monkeypatch):
     # else is closed, with the closure's answer or refusal
     assert len(calls) == (name in ORDER_BY_CLOSURE)
     assert order == _outcome(lambda: len(enumerate_matrix_group(gens)))
-    if name in ("transvection", "affine"):
+    if name in ("transvection", "affine", "same-root"):
         assert order[0] is GroupTooLarge and order[1].startswith("infinite matrix group")
     else:
         assert order == len(z.naive_closure(gens)[0])
+
+
+def _reflections_closed(gens):
+    """The reflections of the group ``gens`` generate: their conjugates by one another."""
+    closed = list(dict.fromkeys(gens))
+    seen = set(closed)
+    for u in closed:  # the list grows as new conjugates are found
+        for g in gens:
+            if (c := g @ u @ g) not in seen:
+                seen.add(c)
+                closed.append(c)
+    return tuple(closed)
+
+
+@pytest.mark.parametrize("key", sorted(k for k, rd in z.SWEEP.items() if rd.rank <= 4))
+def test_reflection_subsets_are_sized_as_the_closure(key):
+    # seeded subsets of the positive roots' reflections, and the closed sets
+    # they generate (long-root and other non-standard subsystems among them),
+    # also in a seeded basis of X(T), where the roots change signs:
+    # the order equals the closure's, every closed set is recognized, and
+    # where degrees come back, prod_j 1/(1 - t^e_j) counts the invariant slices
+    rd = z.SWEEP[key]
+    refl = _root_reflections(rd)
+    rng = random.Random(key)
+    for _ in range(8):
+        sub = tuple(rng.sample(refl, rng.randint(1, len(refl))))
+        closed = _reflections_closed(sub)
+        for gens in (sub, closed, _conjugated(closed, z.random_unimodular(rng, rd.rank))):
+            order = rootdata.matrix_group_order(gens)
+            assert order == len(enumerate_matrix_group(gens)), key
+            degrees = rootdata.invariant_degrees(gens)
+            assert degrees is not None or gens is sub, key
+            if degrees is not None:
+                assert math.prod(degrees) == order
+                series = z.quotient_series((), degrees, 4)
+                assert series == tuple(len(invariant_slice(rd.rank, gens, d)) for d in range(5)), key
 
 
 def test_matrix_group_order_refuses_past_the_cap_with_the_closure_message():

@@ -202,6 +202,20 @@ def test_non_integral_character_or_index_is_refused():
             chevalley_multiply(z.sl3, (1, 0), bad)
 
 
+def test_boolean_character_or_index_is_refused():
+    # bool is an int subclass, so True once read as the index 1 and the entry 1
+    a2 = z.sl3
+    for args in ((True, True), (True, 0), (0, False)):
+        with pytest.raises(ValueError, match="Weyl ind"):
+            schubert_product(a2, *args)
+    with pytest.raises(ValueError, match="Weyl ind"):
+        chevalley_multiply(a2, (1, 0), True)
+    for lam in ((True, False), (1, True)):
+        with pytest.raises(ValueError, match="not an integer"):
+            chevalley_multiply(a2, lam, 1)
+    assert schubert_product(a2, 1, 1) == schubert_product(a2, int(True), 1)
+
+
 def test_polynomial_of_another_degree_is_refused():
     x = linear_poly((1, 0))
     with pytest.raises(ValueError, match="not homogeneous of degree 2"):

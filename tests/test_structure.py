@@ -200,8 +200,15 @@ def test_translation_index_closes_the_conjugates_of_the_generators_only(monkeypa
     assert fibration_report(gd, hd).translation_index_bound == 1
     # W(F4) is read off its Cartan type; the three unflagged reflections close
     # under conjugation by the generators to the 24 reflections, not to the
-    # 3 * 1152 conjugates by every element
-    assert sizes == [24]
+    # 3 * 1152 conjugates by every element, and those are closed under one
+    # another, so their group is read off their base: nothing is closed
+    assert sizes == []
+    # the same on E6, whose 36 reflections once took a closure of all of W(E6)
+    gd = GroupDescriptor("E6", z.e6, z.A1_AV, z.no_d(6))
+    hd = SubgroupDescriptor("normalizer", M.identity(6), component_generators=_simple_reflections(z.e6),
+                            translations=(True,) + (False,) * 5)
+    assert fibration_report(gd, hd).translation_index_bound == 1
+    assert sizes == []
     assert not hasattr(structure, "enumerate_matrix_group")
 
 
