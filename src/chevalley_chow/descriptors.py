@@ -328,8 +328,8 @@ def validate_subgroup(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DE
         unlifted = {g @ q for g in hd.component_generators}  # each g needs a Weyl m with g q = q m
         detail = "a component generator is not q-compatible with any Weyl element"
         try:
-            for _, m in _weyl_matrices(rd, cap):  # one lazy walk for all generators
-                unlifted.discard(q @ m)
+            for _, qm in _weyl_matrices(rd, cap, q):  # one lazy walk from q for all generators
+                unlifted.discard(qm)
                 if not unlifted:
                     break
         except GroupTooLarge as e:  # W past the cap is refused before any element is seen

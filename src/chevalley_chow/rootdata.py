@@ -5,6 +5,11 @@ A :class:`RootDatum` is the finite descriptor of a connected reductive group
 dimension): the character lattice X(T) = Z^rank with chosen simple roots and
 simple coroots.  The fixed simple system plays the role of a Borel subgroup.
 
+Validation classifies the Cartan matrix; a datum whose diagram is of finite
+type has independent simple roots and coroots, so they are ranked only when
+the diagram is refused.  The positive roots are closed upward from the
+simple ones, and no negative root is built.
+
 W is enumerated once, as the orbit of 2rho^vee in Y(T): 2rho^vee is regular,
 so the point 2rho^vee w names w, and w s_beta is found from it by O(rank)
 integer work.  The scans that need Weyl matrices (column action on X(T)
@@ -17,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import add, mul
+from operator import add, mul, sub
 
 from ._record import Record
 from .errors import GroupTooLarge, InvalidCartan
@@ -156,14 +161,8 @@ class CartanType(Record):
 
 
 def cartan_matrix(rd: RootDatum) -> IntMatrix:
-    """C[i][j] = <alpha_i, alpha_j^vee>."""
-    return IntMatrix(
-        tuple(
-            tuple(rd.pairing(rd.simple_roots.rows[i], rd.simple_coroots.rows[j]) for j in range(rd.nsimple))
-            for i in range(rd.nsimple)
-        ),
-        rd.nsimple,
-    )
+    """C[i][j] = <alpha_i, alpha_j^vee>: the simple roots times the transposed simple coroots."""
+    return rd.simple_roots @ rd.simple_coroots.transpose()
 
 
 def _classify_component(c, nodes, weight):
@@ -227,15 +226,20 @@ def _classify_component(c, nodes, weight):
 def validate_root_datum(rd: RootDatum) -> CartanType:
     """Classify the datum into irreducible Cartan components.
 
-    Raises :class:`InvalidCartan` naming the violated condition.
+    Raises :class:`InvalidCartan` naming the violated condition: first the
+    entries of the Cartan matrix C, then linear dependence of the simple
+    roots, then of the simple coroots, then the diagram.  Independence is
+    checked by Hermite forms only when the diagram is not of finite type:
+    C = (simple roots)(simple coroots)^T, and a finite-type Cartan matrix is
+    nonsingular (Bourbaki, *Lie*, ch. VI, section 4), so a classified datum
+    has both sets of rows independent already.
 
     >>> sl2 = RootDatum(1, IntMatrix(((2,),)), IntMatrix(((1,),)))
     >>> validate_root_datum(sl2).describe()
     'A1'
     """
     k = rd.nsimple
-    cm = cartan_matrix(rd)
-    c = [list(r) for r in cm.rows]
+    c = cartan_matrix(rd).rows
     for i in range(k):
         if c[i][i] != 2:
             raise InvalidCartan(f"<alpha_{i}, alpha_{i}^vee> = {c[i][i]} must equal 2")
@@ -248,10 +252,22 @@ def validate_root_datum(rd: RootDatum) -> CartanType:
                 raise InvalidCartan(f"pairing of roots {i}, {j} vanishes on one side only")
             if c[i][j] * c[j][i] > 3:
                 raise InvalidCartan(f"bond {i}-{j} has product {c[i][j] * c[j][i]} > 3")
-    if hermite_row_basis(rd.simple_roots).nrows != k:
-        raise InvalidCartan("simple roots are linearly dependent")
-    if hermite_row_basis(rd.simple_coroots).nrows != k:
-        raise InvalidCartan("simple coroots are linearly dependent")
+    try:
+        components = _classify(c)
+    except InvalidCartan:
+        if hermite_row_basis(rd.simple_roots).nrows != k:
+            raise InvalidCartan("simple roots are linearly dependent") from None
+        if hermite_row_basis(rd.simple_coroots).nrows != k:
+            raise InvalidCartan("simple coroots are linearly dependent") from None
+        raise
+    return CartanType(components, rd.rank - k)
+
+
+def _classify(c) -> tuple[CartanComponent, ...]:
+    """The irreducible components of the Cartan matrix ``c`` (rows), whose
+    entries :func:`validate_root_datum` has checked, in the order of their
+    nodes; raises :class:`InvalidCartan` for a diagram not of finite type."""
+    k = len(c)
 
     def weight(i, j):
         return c[i][j] * c[j][i]
@@ -270,8 +286,7 @@ def validate_root_datum(rd: RootDatum) -> CartanType:
                     frontier.append(j)
         remaining -= comp
         components.append(_classify_component(c, sorted(comp), weight))
-    components.sort(key=lambda comp: comp.nodes)
-    return CartanType(tuple(components), rd.rank - k)
+    return tuple(components)  # each seeded at its least node, so in node order
 
 
 def reflection(vec, cov) -> IntMatrix:
@@ -369,10 +384,10 @@ def _reflection_type(gens: tuple[IntMatrix, ...]) -> CartanType | None:
     if not gens or any(g.shape != (gens[0].nrows,) * 2 for g in gens):
         return None
     n = gens[0].nrows
-    one = IntMatrix.identity(n)
+    one = IntMatrix.identity(n).rows
     pairs = []
     for g in gens:
-        rows = (one - g).rows
+        rows = tuple(tuple(map(sub, e, row)) for e, row in zip(one, g.rows))  # 1 - g
         col = next((c for c in zip(*rows) if any(c)), None)
         if col is None:
             return None
@@ -382,15 +397,16 @@ def _reflection_type(gens: tuple[IntMatrix, ...]) -> CartanType | None:
         if any(x % a[i] for x in rows[i]):
             return None
         cov = tuple(x // a[i] for x in rows[i])
-        if rows != tuple(tuple(x * y for y in cov) for x in a):  # g is not reflection(a, cov)
+        if any(row != tuple([x * y for y in cov]) for x, row in zip(a, rows)):  # g is not reflection(a, cov)
             return None
         pairs.append((a, cov))
     # s_a sends (c, c^vee) to (c - <c, a^vee> a, c^vee - <a, c^vee> a^vee), and (a, a^vee) to its negative
-    if all((b := tuple(x - k * y for x, y in zip(c, a)), bv := tuple(x - l * y for x, y in zip(cv, av))) in pairs
-           or (tuple(-x for x in b), tuple(-x for x in bv)) in pairs
+    known = set(pairs)
+    if all((b := tuple(x - k * y for x, y in zip(c, a)), bv := tuple(x - l * y for x, y in zip(cv, av))) in known
+           or (tuple(-x for x in b), tuple(-x for x in bv)) in known
            for a, av in pairs for c, cv in pairs if c is not a
            for k, l in [(sum(map(mul, c, av)), sum(map(mul, a, cv)))]):
-        sums = {tuple(map(add, a, c)) for (a, _), (c, _) in combinations(set(pairs), 2)}
+        sums = {tuple(map(add, a, c)) for (a, _), (c, _) in combinations(known, 2)}
         pairs = [(a, av) for a, av in dict.fromkeys(pairs) if a not in sums]  # the base
     pairing = [[sum(map(mul, a, cov)) for _, cov in pairs] for a, _ in pairs]
     sign = [0] * len(pairs)
@@ -406,7 +422,7 @@ def _reflection_type(gens: tuple[IntMatrix, ...]) -> CartanType | None:
                     sign[j] = -1 if bond > 0 else 1
                     queue.append(j)
     roots, coroots = zip(*((tuple(s * x for x in a), tuple(s * x for x in cov)) for s, (a, cov) in zip(sign, pairs)))
-    rd = RootDatum(n, IntMatrix(roots, n), IntMatrix(coroots, n))
+    rd = RootDatum(n, IntMatrix._from_int_rows(roots, n), IntMatrix._from_int_rows(coroots, n))
     try:  # uncached: the order memo keeps the answer, and the datum is no caller's
         return validate_root_datum.__wrapped__(rd)
     except InvalidCartan:
@@ -487,10 +503,13 @@ def _weyl_group(rd: RootDatum, /) -> WeylGroup:
 weyl_group.cache_info, weyl_group.cache_clear = _weyl_group.cache_info, _weyl_group.cache_clear
 
 
-def _weyl_matrices(rd: RootDatum, cap: int):
-    """``(word, matrix)`` per Weyl element in index order, each matrix its
+def _weyl_matrices(rd: RootDatum, cap: int, start: IntMatrix | None = None):
+    """``(word, matrix)`` per Weyl element w in index order, each matrix its
     parent's times s_i along :func:`_walk`, built only as a scan asks for it.
-    ``|W| > cap`` is refused up front by the order formula."""
+    The matrix is ``start`` times w, ``start`` any matrix of ``rd.rank``
+    columns (the identity when None): s_i acts on each row alone, so a scan
+    for q w walks from q and multiplies no matrices.  ``|W| > cap`` is
+    refused up front by the order formula."""
     _weyl_order(rd, cap)
     simple = tuple(zip(rd.simple_roots.rows, rd.simple_coroots.rows))
 
@@ -501,7 +520,7 @@ def _weyl_matrices(rd: RootDatum, cap: int):
                      for row in m.rows)
         return word + (i,), IntMatrix._from_int_rows(rows, rd.rank)
 
-    return (value for _, value in _walk(rd, ((), IntMatrix.identity(rd.rank)), step))
+    return (value for _, value in _walk(rd, ((), IntMatrix.identity(rd.rank) if start is None else start), step))
 
 
 class PositiveRoot(Record):
@@ -532,33 +551,38 @@ class RootSystem:
 
 @lru_cache(maxsize=DATUM_CACHE_SIZE)
 def root_system(rd: RootDatum) -> RootSystem:
-    """Generate the full root system by reflection closure.
+    """Generate the positive roots by closing the simple roots upward.
 
-    Each root carries its coroot and simple-root coordinates c: s_i sends c
-    to c - <beta, alpha_i^vee> e_i and beta^vee to beta^vee - <alpha_i, beta^vee> alpha_i^vee.
+    For a positive root beta and a simple root alpha_i with
+    k = <beta, alpha_i^vee> < 0, s_i beta = beta - k alpha_i is a positive
+    root -k higher, and every positive root is reached so from the
+    simple roots (Humphreys, *Reflection Groups and Coxeter Groups*, 1990,
+    section 1.6); no negative root is built.  Each root carries its
+    simple-root coordinates c, where s_i adds -k to c_i, its coroot, where
+    s_i subtracts <alpha_i, beta^vee> alpha_i^vee, and its pairings with the
+    simple coroots, where s_i subtracts k times row i of the Cartan matrix.
 
     >>> a1 = RootDatum(1, IntMatrix(((2,),)), IntMatrix(((1,),)))
     >>> root_system(a1).positive[0].vector
     (2,)
     """
     validate_root_datum(rd)
-    simple = list(zip(rd.simple_roots.rows, rd.simple_coroots.rows))
-    # simple-root coordinates -> (root, coroot)
-    roots = {tuple(int(i == j) for j in range(rd.nsimple)): pair for i, pair in enumerate(simple)}
+    cm = cartan_matrix(rd).rows
+    simple = tuple(zip(rd.simple_roots.rows, rd.simple_coroots.rows))
+    # simple-root coordinates -> (root, coroot, (<root, alpha_j^vee>)_j)
+    roots = {tuple(int(i == j) for j in range(rd.nsimple)): (alpha, alpha_v, cm[i])
+             for i, (alpha, alpha_v) in enumerate(simple)}
     frontier = list(roots.items())
-    while frontier:
-        nxt = []
-        for coords, (vec, cov) in frontier:
-            for i, (alpha, alpha_v) in enumerate(simple):
-                k = rd.pairing(vec, alpha_v)
-                c = coords[:i] + (coords[i] - k,) + coords[i + 1:]
-                if c not in roots:
-                    m = rd.pairing(alpha, cov)
-                    roots[c] = (tuple(x - k * y for x, y in zip(vec, alpha)),
-                                tuple(x - m * y for x, y in zip(cov, alpha_v)))
-                    nxt.append((c, roots[c]))
-        frontier = nxt
-    records = sorted((sum(c), c, vec, cov) for c, (vec, cov) in roots.items() if min(c) >= 0)
+    for coords, (vec, cov, pairings) in frontier:  # the frontier grows as roots are found
+        for i, k in enumerate(pairings):
+            if k < 0 and (c := coords[:i] + (coords[i] - k,) + coords[i + 1:]) not in roots:
+                alpha, alpha_v = simple[i]
+                m = sum(map(mul, alpha, cov))
+                roots[c] = (tuple([x - k * y for x, y in zip(vec, alpha)]),
+                            tuple([x - m * y for x, y in zip(cov, alpha_v)]),
+                            tuple([x - k * y for x, y in zip(pairings, cm[i])]))
+                frontier.append((c, roots[c]))
+    records = sorted((sum(c), c, vec, cov) for c, (vec, cov, _) in roots.items())
     return RootSystem(PositiveRoot(idx, vec, cov, coords, height)
                       for idx, (height, coords, vec, cov) in enumerate(records))
 

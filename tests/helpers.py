@@ -21,7 +21,7 @@ from chevalley_chow.descriptors import (
     derived_attributes,
     validate_group,
 )
-from chevalley_chow.errors import ModeUnsupported
+from chevalley_chow.errors import InvalidCartan, ModeUnsupported
 from chevalley_chow.invariants import (
     coeff_vector, ideal_slice, invariant_slice, poly_add, poly_degree, poly_mul, poly_scale, substitute, sym_basis)
 from chevalley_chow.lattice import (
@@ -419,6 +419,32 @@ def reynolds_slice(rank, generators, d):
         if avg and builder.add(coeff_vector(avg, rank, d)):
             polys.append(avg)
     return polys
+
+
+def validate_root_datum_hermite_first(rd):
+    """Oracle for the order of ``validate_root_datum``'s refusals: the
+    entries of the Cartan matrix, then the Hermite rank of the simple roots
+    and of the simple coroots, before any diagram is read; the diagram is
+    then classified by the package."""
+    k = rd.nsimple
+    c = [[sum(map(mul, a, b)) for b in rd.simple_coroots.rows] for a in rd.simple_roots.rows]
+    for i in range(k):
+        if c[i][i] != 2:
+            raise InvalidCartan(f"<alpha_{i}, alpha_{i}^vee> = {c[i][i]} must equal 2")
+        for j in range(k):
+            if i == j:
+                continue
+            if c[i][j] > 0:
+                raise InvalidCartan(f"<alpha_{i}, alpha_{j}^vee> = {c[i][j]} must be <= 0")
+            if (c[i][j] == 0) != (c[j][i] == 0):
+                raise InvalidCartan(f"pairing of roots {i}, {j} vanishes on one side only")
+            if c[i][j] * c[j][i] > 3:
+                raise InvalidCartan(f"bond {i}-{j} has product {c[i][j] * c[j][i]} > 3")
+    if hermite_row_basis(rd.simple_roots).nrows != k:
+        raise InvalidCartan("simple roots are linearly dependent")
+    if hermite_row_basis(rd.simple_coroots).nrows != k:
+        raise InvalidCartan("simple coroots are linearly dependent")
+    return validate_root_datum.__wrapped__(rd)
 
 
 def root_system_by_solves(rd):

@@ -197,7 +197,7 @@ def test_subgroup_weyl_compatibility_walks_w_once_and_lazily(monkeypatch):
     walked = []
     scan = descriptors._weyl_matrices
     monkeypatch.setattr(descriptors, "_weyl_matrices",
-                        lambda rd, cap: (walked.append(word) or (word, m) for word, m in scan(rd, cap)))
+                        lambda rd, cap, start: (walked.append(word) or (word, m) for word, m in scan(rd, cap, start)))
     assert validate_subgroup(gd, normalizer).ok
     # one walk for all three generators, stopped once each has its lift s_i
     assert walked == [(), (0,), (1,), (2,)]

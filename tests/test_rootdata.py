@@ -4,9 +4,11 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers as z
 from chevalley_chow import lattice, qlinalg, rootdata
@@ -199,7 +201,8 @@ def test_root_system_enumeration_order():
 
 ROOT_DATA = {"A1": z.sl2, "A2": z.sl3, "A3": z.sl4, "A4": z.a4, "B2": z.sp4, "B2-adj": z.so5,
              "C3": z.c3, "D4": z.d4, "G2": z.g2, "F4": z.f4, "A2-adj": z.pgl3, "gl2": z.gl2,
-             "A1xT": z.sl2xt}
+             "A1xT": z.sl2xt, **{f"sweep-{key}": rd for key, rd in z.SWEEP.items()},
+             "E6": z.e6, "E7": z.e7, "E8": z.e8}
 
 
 @pytest.mark.parametrize("name", ROOT_DATA)
@@ -271,6 +274,21 @@ def test_weyl_matrices_are_built_lazily(monkeypatch):
     assert len(built) == 8
     assert [word for word, _ in first] == [(), (0,), (1,), (2,), (3,), (4,), (5,), (0, 1)]
     assert first[-1][1] == simple_reflection(z.e6, 0) @ simple_reflection(z.e6, 1)
+
+
+@pytest.mark.parametrize("name", ["A3-transvected", "B2-sc", "C3-adj", "G2-transvected", "F4-sc"])
+def test_weyl_matrices_walk_from_a_start_matrix(name):
+    rd = ORBIT_DATA[name]
+    n = rd.rank
+    from_identity = tuple(rootdata._weyl_matrices(rd, DEFAULT_CAP))
+    assert tuple(rootdata._weyl_matrices(rd, DEFAULT_CAP, M.identity(n))) == from_identity
+    unimodular = z.random_unimodular(random.Random(n), n)
+    deficient = M((tuple(range(1, n + 1)), tuple(range(2, 2 * n + 2, 2)), (1,) * n))  # rank 2 or less, 3 rows
+    for q in (unimodular, deficient, M(((0,) * n,))):
+        walked = tuple(rootdata._weyl_matrices(rd, DEFAULT_CAP, q))
+        # the same words in the same order, each matrix q times the walked element
+        assert [word for word, _ in walked] == [word for word, _ in from_identity]
+        assert [qm for _, qm in walked] == [q @ m for _, m in from_identity]
 
 
 def test_weyl_matrices_refuse_the_cap_before_walking(monkeypatch):
@@ -530,6 +548,80 @@ def test_cartan_validation_needs_no_rational_elimination(monkeypatch):
         validate_root_datum(RootDatum(2, M(((2, -1), (-1, 2), (-1, -1))), M(((1, 0), (0, 1), (-1, -1)))))
     with pytest.raises(InvalidCartan, match="simple coroots are linearly dependent"):
         validate_root_datum(RootDatum(3, M.identity(3), M(affine_a2).transpose()))
+
+
+def test_a_valid_datum_builds_no_hermite_form(monkeypatch):
+    built = []
+    wrap = rootdata.hermite_row_basis
+    monkeypatch.setattr(rootdata, "hermite_row_basis", lambda m: built.append(m) or wrap(m))
+    for rd in (*z.SWEEP.values(), z.e6, z.e7, z.e8, z.gl2, z.sl2xt, z.torus2, z.sl2_sl2):
+        validate_root_datum.__wrapped__(rd)  # bypass the process cache
+    assert built == []
+    # a refused diagram ranks the roots, then the coroots, before its own message
+    cycle = M(((2, -1, -1), (-1, 2, -1), (-2, -1, 2)))  # a nonsingular cycle
+    with pytest.raises(InvalidCartan, match="has a cycle"):
+        validate_root_datum.__wrapped__(RootDatum(3, cycle, M.identity(3)))
+    assert len(built) == 2
+    affine_a2 = M(((2, -1, -1), (-1, 2, -1), (-1, -1, 2)))
+    with pytest.raises(InvalidCartan, match="simple roots are linearly dependent"):
+        validate_root_datum.__wrapped__(RootDatum(3, affine_a2, M.identity(3)))
+    assert len(built) == 3
+
+
+#: affine Cartan matrices of size 3 and 4 (Kac, *Infinite dimensional Lie
+#: algebras*, 4.8, up to transposition): singular, yet every entry test passes
+AFFINE_CARTAN = (
+    ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
+    ((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -1), (-1, 0, -1, 2)),
+    ((2, -1, 0), (-2, 2, -2), (0, -1, 2)),
+    ((2, -1, 0), (-1, 2, -1), (0, -3, 2)),
+    ((2, 0, -1, 0), (0, 2, -1, 0), (-1, -1, 2, -1), (0, 0, -2, 2)),
+    ((2, -1, 0, 0), (-2, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2)),
+)
+
+
+@st.composite
+def _small_data(draw):
+    """Small integer root data: random rows; or a Cartan-like matrix C
+    (diagonal 2, off-diagonal entries 0 in pairs or a bond) or an affine
+    Cartan matrix, as the roots over unit coroots or as the coroots over
+    unit roots, with a column added that the other side pairs to 0."""
+    kind = draw(st.sampled_from(("random", "bonds", "bonds", "affine")))
+    k = draw(st.integers(1, 4))
+    if kind == "random":
+        n = draw(st.integers(1, 4))
+        rows = st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=k, max_size=k)
+        return RootDatum(n, M(draw(rows), n), M(draw(rows), n))
+    if kind == "affine":
+        c = draw(st.sampled_from(AFFINE_CARTAN))
+        k = len(c)
+    else:
+        c = [[2 * (i == j) for j in range(k)] for i in range(k)]
+        for i, j in combinations(range(k), 2):
+            if draw(st.booleans()):  # a bond of finite type, or of product 4
+                c[i][j], c[j][i] = draw(st.sampled_from(((-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1),
+                                                         (-2, -2))))
+    cartan, unit, zero = M(c), M.identity(k), (0,) * k
+    extra = draw(st.tuples(*[st.integers(-2, 2)] * k))
+
+    def padded(m, column):
+        return M(tuple(r + (x,) for r, x in zip(m.rows, column)))
+
+    if draw(st.booleans()):
+        return RootDatum(k + 1, padded(cartan, extra), padded(unit, zero))
+    return RootDatum(k + 1, padded(unit, zero), padded(cartan.transpose(), extra))  # still pairs to C
+
+
+@given(_small_data())
+@settings(max_examples=400, deadline=None)
+def test_hermite_after_the_diagram_refuses_as_hermite_first(rd):
+    def outcome(f):
+        try:
+            return f(rd)
+        except InvalidCartan as e:
+            return str(e)
+
+    assert outcome(validate_root_datum.__wrapped__) == outcome(z.validate_root_datum_hermite_first)
 
 
 def _chain(n, short_end=None):
