@@ -7,13 +7,13 @@ is never enumerated, only the modded-out data is reported.
 
 Chow rings are reported as a concrete graded factor (symmetric algebra
 data over Q, truncated at a requested degree) times a symbolic factor
-A*(A_g), plus the degree-1 ideal generators tying the two together.  For G
-the concrete dims are sum over w in W of q^length(w) (Chevalley), or Q in
-degree 0 rationally.  G/H takes one of two routes: for H of full rank (q
-unimodular) with K trivial or a recognized Weyl group the dims are
-prod_j 1/(1 - t^{e_j}) over K's degrees times prod_i (1 - t^{d_i}) over the
-degrees of W, as S^K is free over S^W; every other H eliminates the
-restricted Weyl invariants degree by degree, the one route that builds slices.
+A*(A_g), plus the degree-1 ideal generators tying the two together.  The
+concrete factor is S^K/(S^W_+).  Where S^K is free over S^W its dims are the
+series :func:`~chevalley_chow.invariants.free_quotient` reads off K's and W's
+degrees: for G (K = 1, as A*(G/B)_Q = A*(G/T)_Q; Q in degree 0 rationally)
+and for G/H with H of full rank (q unimodular) and K trivial or a recognized
+Weyl group.  Every other H eliminates the restricted Weyl invariants degree
+by degree, the one route that builds slices.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .invariants import (
     DEGREE_BUDGET,
     SLICE_BUDGET,
     TruncatedQuotient,
+    free_quotient,
     substitute,
     truncated_quotient,
 )
@@ -56,7 +57,7 @@ from .qlinalg import SpanBuilder
 from .rootdata import (
     _weyl_order, affine_picard_group, invariant_degrees, matrix_group_order, reflection, root_system,
     validate_root_datum)
-from .schubert import SchubertExpansion, codegree_histogram, coinvariant_ideal_generators
+from .schubert import SchubertExpansion, coinvariant_ideal_generators
 
 
 class FormalPicardZero(Record):
@@ -181,13 +182,6 @@ def _check_slice(rank: int, max_degree: int) -> None:
                              f"which exceeds budget {SLICE_BUDGET}")
 
 
-def _concrete_factor(rank: int, dims, max_degree: int) -> TruncatedQuotient:
-    """Quotient of Sym(Q^rank) with ``dims`` cut or zero-padded to max_degree."""
-    dims = tuple(dims[d] if d < len(dims) else 0 for d in range(max_degree + 1))
-    ambient = tuple(math.comb(rank + d - 1, d) if rank else int(d == 0) for d in range(max_degree + 1))
-    return TruncatedQuotient(rank, max_degree, dims, ambient)
-
-
 def chow_presentation(gd: GroupDescriptor, max_degree: int, cap: int = DEFAULT_CAP) -> GradedPresentation:
     """Integral presentation data for A*(G).
 
@@ -196,12 +190,14 @@ def chow_presentation(gd: GroupDescriptor, max_degree: int, cap: int = DEFAULT_C
     dimension is #{w in W : length(w) = d} (Chevalley: sum_w q^length(w)).
     The ideal is generated in degree 1 by, for each basis character e_k of
     X(T), the pair (class of v(e_k) in X(D)/ker sigma_A, divisor Schubert
-    expansion).  No W is enumerated: the dimensions come from the roots, and
-    the divisor is the sum of <e_k, alpha_i^vee> sigma_{s_i}, s_i at index i + 1.
+    expansion).  No W is enumerated: |W| past ``cap`` is refused by formula,
+    the dims are the series of W's degrees (``free_quotient``), and the
+    divisor is the sum of <e_k, alpha_i^vee> sigma_{s_i}, s_i at index i + 1.
     """
     _check_degree(max_degree)
     rd = gd.rd
-    concrete = _concrete_factor(rd.rank, codegree_histogram(rd, cap), max_degree)
+    _weyl_order(rd, cap)
+    concrete = free_quotient(rd.rank, (1,) * rd.rank, validate_root_datum(rd).degrees, max_degree)
     pairs = []
     for k in range(rd.rank):
         formal = gd.gluing.v_matrix.column(k)
@@ -239,7 +235,7 @@ def rational_chow(gd: GroupDescriptor, max_degree: int) -> GradedPresentation:
     """
     _check_degree(max_degree)
     att = derived_attributes(gd)
-    concrete = _concrete_factor(gd.rd.rank, (1,), max_degree)
+    concrete = free_quotient(gd.rd.rank, (1,) * gd.rd.rank, (1,) * gd.rd.rank, max_degree)
     pairs = tuple(
         (vec, SchubertExpansion(1, {}))
         for _, vec in _independent_formal_generators(gd, att)
@@ -323,19 +319,11 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
 
 
 def _free_quotient(gd: GroupDescriptor, hd: SubgroupDescriptor, degrees, max_degree: int) -> TruncatedQuotient:
-    """S^K / (S^W_+) for a full-rank H whose K has invariant ``degrees``, as
-    prod_j 1/(1 - t^{e_j}) prod_i (1 - t^{d_i}) over those of W: no slice."""
+    """S^K / (S^W_+) for a full-rank H whose K has invariant ``degrees``,
+    read off those and W's degrees, once K is seen to stabilize X(H0)."""
     if hd.component_generators and _component_action(_connected_character_lattice(gd, hd), hd) is None:
         raise ValueError("component group does not stabilize X(H0)")
-    ambient = [1] + [0] * max_degree  # prod_j 1/(1 - t^{e_j})
-    for e in degrees:
-        for k in range(e, max_degree + 1):
-            ambient[k] += ambient[k - e]
-    dims = list(ambient)
-    for d in validate_root_datum(gd.rd).degrees:  # times prod_i (1 - t^{d_i})
-        for k in range(max_degree, d - 1, -1):
-            dims[k] -= dims[k - d]
-    return TruncatedQuotient(hd.h_rank, max_degree, tuple(dims), tuple(ambient))
+    return free_quotient(hd.h_rank, degrees, validate_root_datum(gd.rd).degrees, max_degree)
 
 
 def _eliminated_quotient(gd: GroupDescriptor, hd: SubgroupDescriptor, att: AttributeReport, gens,

@@ -345,6 +345,24 @@ class TruncatedQuotient(Record):
                 "ambient_dims": self.ambient_dims, "total_dim": self.total_dim}
 
 
+def free_quotient(rank: int, ambient_degrees, ideal_degrees, max_degree: int) -> TruncatedQuotient:
+    """Polynomial ring on generators of degrees e_j mod a regular sequence of degrees d_i:
+    ``ambient_dims`` of prod_j 1/(1 - t^{e_j}), ``dims`` of that times prod_i (1 - t^{d_i}).
+
+    >>> free_quotient(1, (1,), (2,), 3).dims  # Q[t]/(t^2), as truncated_quotient finds
+    (1, 1, 0, 0)
+    """
+    ambient = [1] + [0] * max_degree
+    for e in ambient_degrees:
+        for k in range(e, max_degree + 1):
+            ambient[k] += ambient[k - e]
+    dims = list(ambient)
+    for d in ideal_degrees:
+        for k in range(max_degree, d - 1, -1):
+            dims[k] -= dims[k - d]
+    return TruncatedQuotient(rank, max_degree, tuple(dims), tuple(ambient))
+
+
 def truncated_quotient(rank: int, generators: list[Poly], max_degree: int, group=()) -> TruncatedQuotient:
     """Quotient of the invariants of ``group`` (all of Sym(Q^rank) for the
     empty tuple) by the ideal the generators span, degreewise; callers bound

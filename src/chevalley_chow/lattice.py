@@ -367,12 +367,22 @@ class FGAbelianGroup(Record):
     def torsion_order(self) -> int:
         return math.prod(self.torsion) if self.torsion else 1
 
+    @classmethod
+    def from_cyclic(cls, rank: int, orders) -> "FGAbelianGroup":
+        """Z^rank + Z/t_1 + ... in invariant-factor form, for any orders t_i >= 1.
+
+        >>> FGAbelianGroup.from_cyclic(1, (4, 1, 6)).describe()
+        'Z + Z/2 + Z/12'
+        """
+        orders = [t for t in orders if t > 1]
+        if not orders:
+            return cls(rank)
+        n = len(orders)
+        diagonal = IntMatrix([[t if i == j else 0 for j in range(n)] for i, t in enumerate(orders)], n)
+        return cls(rank, group_from_relations(n, diagonal).torsion)
+
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
-        rel = [[0] * (len(self.torsion) + len(other.torsion)) for _ in range(len(self.torsion) + len(other.torsion))]
-        for i, t in enumerate(self.torsion + other.torsion):
-            rel[i][i] = t
-        merged = group_from_relations(len(rel), IntMatrix(rel, len(rel)))
-        return FGAbelianGroup(self.rank + other.rank + merged.rank, merged.torsion)
+        return FGAbelianGroup.from_cyclic(self.rank + other.rank, self.torsion + other.torsion)
 
     def describe(self) -> str:
         parts = []

@@ -240,6 +240,21 @@ def validate_root_datum(rd: RootDatum) -> CartanType:
     """
     k = rd.nsimple
     c = cartan_matrix(rd).rows
+    _check_entries(c)
+    try:
+        components = _classify(c)
+    except InvalidCartan:
+        if hermite_row_basis(rd.simple_roots).nrows != k:
+            raise InvalidCartan("simple roots are linearly dependent") from None
+        if hermite_row_basis(rd.simple_coroots).nrows != k:
+            raise InvalidCartan("simple coroots are linearly dependent") from None
+        raise
+    return CartanType(components, rd.rank - k)
+
+
+def _check_entries(c) -> None:
+    """Raise :class:`InvalidCartan` at the first entry of ``c`` (rows) no finite type allows."""
+    k = len(c)
     for i in range(k):
         if c[i][i] != 2:
             raise InvalidCartan(f"<alpha_{i}, alpha_{i}^vee> = {c[i][i]} must equal 2")
@@ -252,21 +267,12 @@ def validate_root_datum(rd: RootDatum) -> CartanType:
                 raise InvalidCartan(f"pairing of roots {i}, {j} vanishes on one side only")
             if c[i][j] * c[j][i] > 3:
                 raise InvalidCartan(f"bond {i}-{j} has product {c[i][j] * c[j][i]} > 3")
-    try:
-        components = _classify(c)
-    except InvalidCartan:
-        if hermite_row_basis(rd.simple_roots).nrows != k:
-            raise InvalidCartan("simple roots are linearly dependent") from None
-        if hermite_row_basis(rd.simple_coroots).nrows != k:
-            raise InvalidCartan("simple coroots are linearly dependent") from None
-        raise
-    return CartanType(components, rd.rank - k)
 
 
 def _classify(c) -> tuple[CartanComponent, ...]:
     """The irreducible components of the Cartan matrix ``c`` (rows), whose
-    entries :func:`validate_root_datum` has checked, in the order of their
-    nodes; raises :class:`InvalidCartan` for a diagram not of finite type."""
+    entries :func:`_check_entries` has passed, in the order of their nodes;
+    raises :class:`InvalidCartan` for a diagram not of finite type."""
     k = len(c)
 
     def weight(i, j):
@@ -378,8 +384,8 @@ def _reflection_type(gens: tuple[IntMatrix, ...]) -> CartanType | None:
     system, cut to its base: the a that are not the sum of two (Humphreys,
     *Reflection Groups and Coxeter Groups*, 1.3-1.5), whose reflections
     generate the same group.  A breadth-first walk over the nonzero
-    pairings signs the pairs to make them <= 0; :func:`validate_root_datum`
-    checks the rest.
+    pairings signs the pairs to make them <= 0; the checks and classifier of
+    :func:`validate_root_datum` take their Cartan matrix, with no datum built.
     """
     if not gens or any(g.shape != (gens[0].nrows,) * 2 for g in gens):
         return None
@@ -421,10 +427,10 @@ def _reflection_type(gens: tuple[IntMatrix, ...]) -> CartanType | None:
                 if bond and not sign[j]:
                     sign[j] = -1 if bond > 0 else 1
                     queue.append(j)
-    roots, coroots = zip(*((tuple(s * x for x in a), tuple(s * x for x in cov)) for s, (a, cov) in zip(sign, pairs)))
-    rd = RootDatum(n, IntMatrix._from_int_rows(roots, n), IntMatrix._from_int_rows(coroots, n))
-    try:  # uncached: the order memo keeps the answer, and the datum is no caller's
-        return validate_root_datum.__wrapped__(rd)
+    c = [[si * sj * x for sj, x in zip(sign, row)] for si, row in zip(sign, pairing)]  # <s_i a_i, s_j a_j^vee>
+    try:
+        _check_entries(c)
+        return CartanType(_classify(c), n - len(pairs))
     except InvalidCartan:
         return None
 

@@ -36,6 +36,7 @@ from .invariants import (
     check_monomials,
     coeff_vector,
     exact_divide_linear,
+    free_quotient,
     linear_poly,
     poly_degree,
     poly_mul,
@@ -91,14 +92,12 @@ def schubert_basis(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[SchubertClass
 def codegree_histogram(rd: RootDatum, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     """#{w : length(w) = d} for each d; by Chevalley, the coinvariant dimensions.
 
-    Read off the Cartan type, not W: it is the product of
-    1 + t + ... + t^(d - 1) over the degrees d of W (Chevalley; Solomon).
-    ``|W| > cap`` is still refused (GroupTooLarge)."""
+    Read off the Cartan type, not W: the product of 1 + t + ... + t^(d - 1)
+    over the degrees d of W (Chevalley; Solomon), as ``free_quotient`` gives it
+    up to its top degree.  ``|W| > cap`` is still refused (GroupTooLarge)."""
     _weyl_order(rd, cap)
-    hist = [1]
-    for e in validate_root_datum(rd).degrees:
-        hist = [sum(hist[max(0, d - e + 1):d + 1]) for d in range(len(hist) + e - 1)]
-    return tuple(hist)
+    degrees = validate_root_datum(rd).degrees
+    return free_quotient(rd.rank, (1,) * rd.rank, degrees, sum(degrees) - rd.rank).dims
 
 
 def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP) -> SchubertExpansion:

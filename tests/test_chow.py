@@ -27,7 +27,7 @@ from chevalley_chow.invariants import (
     truncated_quotient,
 )
 from chevalley_chow.lattice import DEFAULT_CAP, FGAbelianGroup, IntMatrix
-from chevalley_chow.rootdata import root_system, simple_reflection, weyl_group
+from chevalley_chow.rootdata import RootDatum, root_system, simple_reflection, weyl_group
 from chevalley_chow.schubert import coinvariant_ideal_generators
 from chevalley_chow.structure import albanese_split_test
 
@@ -243,7 +243,7 @@ def test_negative_max_degree_refused_before_any_work(monkeypatch):
         raise AssertionError("a negative degree must be refused first")
 
     for name in ("derived_attributes", "truncated_quotient", "coinvariant_ideal_generators",
-                 "codegree_histogram", "matrix_group_order", "contains_nontrivial_ant"):
+                 "free_quotient", "matrix_group_order", "contains_nontrivial_ant"):
         monkeypatch.setattr(chow, name, no_work)
     with pytest.raises(ValueError, match="nonnegative"):
         chow_presentation(z.product_sl2, -1)
@@ -261,7 +261,7 @@ def test_degree_past_budget_refused_before_any_slice(monkeypatch):
     # the quotient of the elimination route (trivial3)
     monkeypatch.setattr(invariants, "invariant_slice", no_work)
     monkeypatch.setattr(chow, "truncated_quotient", no_work)
-    monkeypatch.setattr(chow, "codegree_histogram", no_work)
+    monkeypatch.setattr(chow, "free_quotient", no_work)
     top = invariants.DEGREE_BUDGET + 1
     with pytest.raises(DegreeTooLarge, match="exceeds budget"):
         chow_presentation(z.cover_torsion, top)
@@ -396,6 +396,47 @@ def _outcome(gd, hd, top, cap):
             got = type(e), str(e)
         out.append((got.concrete_factor, got.j_rank) if isinstance(got, GradedPresentation) else got)
     return out
+
+
+@pytest.mark.parametrize("key", [*sorted(z.SWEEP), "E6"])
+def test_flag_factor_is_the_chow_ring_of_g_mod_t(key):
+    # A*(G/B)_Q = A*(G/T)_Q: G/T -> G/B is an affine-space bundle, so the
+    # integral report's concrete factor equals hchow of the torus, q = 1 and
+    # no roots, in every degree up to one past the top N; both are the
+    # length histogram of W, zero-padded
+    rd = z.e6 if key == "E6" else z.SWEEP[key]
+    gd = z.affine_group(key, rd)
+    torus = SubgroupDescriptor("torus", IntMatrix.identity(rd.rank))
+    hist = schubert.codegree_histogram(rd)
+    top = len(hist) - 1
+    assert top == sum(rootdata.validate_root_datum(rd).degrees) - rd.rank
+    for d in range(top + 2):
+        flag = chow_presentation(gd, d).concrete_factor
+        assert flag == homogeneous_rational_chow(gd, torus, d).concrete_factor, (key, d)
+        assert flag.dims == (hist + (0,))[:d + 1], (key, d)
+
+
+def test_weyl_order_past_the_cap_refused_before_the_series(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("|W| past the cap must be refused first")
+
+    monkeypatch.setattr(chow, "free_quotient", no_work)
+    with pytest.raises(GroupTooLarge, match="51840 exceeds cap 1000"):
+        chow_presentation(z.affine_group("E6", z.e6), 2, cap=1000)
+
+
+@pytest.mark.parametrize("rank", range(7))
+def test_rational_flag_factor_is_q_in_degree_0(rank):
+    # every c1(L_chi) dies in A*(G)_Q: Q in degree 0 over Sym(Q^rank), with
+    # or without roots
+    for rd in (RootDatum(rank, IntMatrix((), rank), IntMatrix((), rank)),
+               *([z.cartan_datum(z.type_a(rank))] if rank else [])):
+        gd = z.affine_group(f"rank{rank}", rd)
+        for d in range(5):
+            got = rational_chow(gd, d).concrete_factor
+            assert got.rank == rank and got.dims == (1,) + (0,) * d
+            assert got.ambient_dims == tuple(math.comb(rank + k - 1, k) if rank else int(k == 0)
+                                             for k in range(d + 1))
 
 
 def test_full_rank_hchow_matches_the_elimination_route():

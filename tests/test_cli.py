@@ -305,7 +305,7 @@ def test_degree_past_budget_exits_2(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(invariants, "invariant_slice", no_work)
     monkeypatch.setattr(chow, "truncated_quotient", no_work)
-    monkeypatch.setattr(chow, "codegree_histogram", no_work)
+    monkeypatch.setattr(chow, "free_quotient", no_work)
     argv = [fixture_path(a) if a in z.FIXTURE_NAMES else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -16,6 +16,7 @@ from chevalley_chow.errors import DegreeTooLarge, GroupTooLarge
 from chevalley_chow.invariants import (
     coeff_vector,
     exact_divide_linear,
+    free_quotient,
     ideal_slice,
     invariant_slice,
     linear_poly,
@@ -469,3 +470,12 @@ def test_public_results_keep_fraction_coefficients():
                   schubert.chevalley_multiply(z.sl3, (1, 1), 1)]
     assert all(e.terms for e in expansions)
     assert all(type(c) is Fraction for e in expansions for c in e.terms.values())
+
+
+@given(st.lists(st.integers(1, 6), max_size=4), st.lists(st.integers(1, 6), max_size=4), st.integers(0, 12))
+def test_free_quotient_is_the_power_series(ambient, ideal, top):
+    # ambient dims are prod_j 1/(1 - t^e_j), dims that times prod_i (1 - t^d_i)
+    got = free_quotient(len(ambient), ambient, ideal, top)
+    assert got.max_degree == top and got.rank == len(ambient)
+    assert got.ambient_dims == z.quotient_series((), ambient, top)
+    assert got.dims == z.quotient_series(ideal, ambient, top)

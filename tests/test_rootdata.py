@@ -369,6 +369,28 @@ def test_matrix_group_order_matches_the_closure(name, monkeypatch):
         assert order == len(z.naive_closure(gens)[0])
 
 
+@pytest.mark.parametrize("name", sorted(ORDER_BY_TYPE) + sorted(ORDER_BY_CLOSURE))
+def test_reflection_recognition_builds_no_datum(name, monkeypatch):
+    # the recognizer classifies the Cartan matrix of its signed pairs itself:
+    # with no datum and no Cartan matrix of a datum to be had, the orders
+    # and degrees stay the closure's orders and the recognized types' degrees
+    gens = ORDER_BY_TYPE.get(name) or ORDER_BY_CLOSURE[name]
+
+    def no_datum(*args, **kwargs):
+        raise AssertionError("the recognizer builds no root datum")
+
+    monkeypatch.setattr(rootdata, "RootDatum", no_datum)
+    monkeypatch.setattr(rootdata, "cartan_matrix", no_datum)
+    rootdata._matrix_group_order.cache_clear()
+    got = _outcome(lambda: (rootdata.matrix_group_order(gens), rootdata.invariant_degrees(gens)))
+    monkeypatch.undo()
+    order = _outcome(lambda: len(enumerate_matrix_group(gens)))
+    if name in ORDER_BY_CLOSURE:  # the closure's order and no degrees, or the closure's refusal
+        assert got == (order if isinstance(order, tuple) else (order, None))
+    else:
+        assert got[0] == order and math.prod(got[1]) == order and len(got[1]) == gens[0].nrows
+
+
 def _reflections_closed(gens):
     """The reflections of the group ``gens`` generate: their conjugates by one another."""
     closed = list(dict.fromkeys(gens))
