@@ -8,8 +8,9 @@ is never enumerated, only the modded-out data is reported.
 Chow rings are reported as a concrete graded factor (symmetric algebra
 data over Q, truncated at a requested degree) times a symbolic factor
 A*(A_g), plus the degree-1 ideal generators tying the two together.  The
-concrete factor is S^K/(S^W_+).  Where S^K is free over S^W its dims are the
-series :func:`~chevalley_chow.invariants.free_quotient` reads off K's and W's
+concrete factor is S^K/(S^W_+), K the group fixing X(H).
+Where S^K is free over S^W its dims are the series
+:func:`~chevalley_chow.invariants.free_quotient` reads off K's and W's
 degrees: for G (K = 1, as A*(G/B)_Q = A*(G/T)_Q; Q in degree 0 rationally)
 and for G/H with H of full rank (q unimodular) and K trivial or a recognized
 Weyl group.  Every other H eliminates the restricted Weyl invariants degree
@@ -29,9 +30,10 @@ from .descriptors import (
     SubgroupDescriptor,
     _component_action,
     _connected_character_lattice,
+    _subgroup_reflections,
     contains_nontrivial_ant,
     derived_attributes,
-    descended_coroot,
+    restriction_kernel,
     restriction_to_subgroup,
 )
 from .errors import DegreeTooLarge, ModeUnsupported
@@ -54,9 +56,7 @@ from .lattice import (
     vstack,
 )
 from .qlinalg import SpanBuilder
-from .rootdata import (
-    _weyl_order, affine_picard_group, invariant_degrees, matrix_group_order, reflection, root_system,
-    validate_root_datum)
+from .rootdata import _weyl_order, affine_picard_group, invariant_degrees, validate_root_datum
 from .schubert import SchubertExpansion, coinvariant_ideal_generators
 
 
@@ -256,26 +256,18 @@ def rational_chow(gd: GroupDescriptor, max_degree: int) -> GradedPresentation:
 # ---------------------------------------------------------------------------
 
 
-def _subgroup_reflections(gd: GroupDescriptor, hd: SubgroupDescriptor):
-    """Reflections of the symmetric subgroup roots, acting on X(T_H)."""
-    rs = root_system(gd.rd)
-    return tuple(
-        reflection(hd.q_matrix.apply(rs.positive[i].vector), descended_coroot(gd, hd, i))
-        for i in hd.symmetric_root_indices()
-    )
-
-
 def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
                               max_degree: int, cap: int = DEFAULT_CAP) -> GradedPresentation:
     """A*(G/H)_Q as (invariant algebra of X(T_H) mod restricted invariants) x A*(A)_Q / J.
 
     The concrete ambient is S^K, the subring of S = Sym X(T_H)_Q invariant
     under K, the group of the reflections of the symmetric subgroup roots
-    and the component group; its order is bounded once before any slice
-    (``rootdata.matrix_group_order``: :class:`GroupTooLarge` for an infinite
-    group or one past ``cap``).  The ideal is generated by the q-restrictions
-    of the positive-degree Weyl invariants S^W_+ of G.  J on the abelian
-    factor has rank gamma_A(ker r_H), recorded in ``j_rank``.
+    and the component group, fixing X(H); before any slice K's order is
+    bounded (``invariant_degrees``: :class:`GroupTooLarge` if infinite or
+    past ``cap``), then both routes check that the component group
+    stabilizes X(H0).  The ideal is generated by the q-restrictions of the
+    positive-degree Weyl invariants S^W_+ of G.  J on the abelian factor
+    has rank gamma_A(ker r_H), recorded in ``j_rank``.
 
     There are two routes.  When q is unimodular (H of full rank) and K is
     trivial or a recognized Weyl group
@@ -302,10 +294,14 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
         _weyl_order(gd.rd, cap)
     gens = _subgroup_reflections(gd, hd) + hd.component_generators
     degrees = invariant_degrees(gens, cap) if gens else (1,) * hd.h_rank
-    if degrees is not None and is_unimodular(hd.q_matrix):
-        concrete, j_rank = _free_quotient(gd, hd, degrees, max_degree), 0
-    else:
+    free = degrees is not None and is_unimodular(hd.q_matrix)
+    if not free:
         _check_slice(max(gd.rd.rank, hd.h_rank), max_degree)
+    if hd.component_generators and _component_action(_connected_character_lattice(gd, hd), hd) is None:
+        raise ValueError("component group does not stabilize X(H0)")
+    if free:
+        concrete, j_rank = free_quotient(hd.h_rank, degrees, validate_root_datum(gd.rd).degrees, max_degree), 0
+    else:
         concrete, j_rank = _eliminated_quotient(gd, hd, att, gens, max_degree, cap)
     return GradedPresentation(
         mode="rational",
@@ -318,27 +314,18 @@ def homogeneous_rational_chow(gd: GroupDescriptor, hd: SubgroupDescriptor,
     )
 
 
-def _free_quotient(gd: GroupDescriptor, hd: SubgroupDescriptor, degrees, max_degree: int) -> TruncatedQuotient:
-    """S^K / (S^W_+) for a full-rank H whose K has invariant ``degrees``,
-    read off those and W's degrees, once K is seen to stabilize X(H0)."""
-    if hd.component_generators and _component_action(_connected_character_lattice(gd, hd), hd) is None:
-        raise ValueError("component group does not stabilize X(H0)")
-    return free_quotient(hd.h_rank, degrees, validate_root_datum(gd.rd).degrees, max_degree)
-
-
 def _eliminated_quotient(gd: GroupDescriptor, hd: SubgroupDescriptor, att: AttributeReport, gens,
                          max_degree: int, cap: int) -> tuple[TruncatedQuotient, int]:
     """S^K modulo the restricted Weyl invariants, eliminated degree by degree,
-    and j_rank from ker r_H; valid for any H."""
+    and j_rank from ker r_H; valid for any H, K bounded."""
     ideal = []
     for f in coinvariant_ideal_generators(gd.rd, max_degree, cap):
         rf = substitute(hd.q_matrix, f)
         if rf:
             ideal.append(rf)
-    matrix_group_order(gens, cap)  # G/H needs a finite group here, the fixed spaces do not
     concrete = truncated_quotient(hd.h_rank, ideal, max_degree, gens)
     # rank of gamma_A(ker r_H), measured as (ker r_H + ker gamma_A)/ker gamma_A
-    ker_r = restriction_to_subgroup(gd, hd, att.x_gaff, cap).ker_r
+    ker_r = restriction_kernel(hd, att.x_gaff)
     return concrete, hermite_row_basis(vstack(ker_r, att.ker_gamma)).nrows - att.ker_gamma.nrows
 
 

@@ -10,7 +10,8 @@ A group is glued from three finite pieces:
 
 Subgroups carry the character-lattice surjection q: X(T) -> X(T_H), a set
 of roots, a finite component group acting on X(T_H) with per-generator
-translation flags, and two intersection flags against G_ant.
+translation flags, and two intersection flags against G_ant.  X(H) is
+X(T_H)^K, K generated by the symmetric roots' reflections and the component group.
 
 Validation is report-based: each structural requirement becomes a named
 pass/fail entry instead of an exception, so a caller can show all failures
@@ -39,6 +40,7 @@ from .rootdata import (
     _weyl_matrices,
     characters_of_group,
     matrix_group_order,
+    reflection,
     root_system,
     validate_root_datum,
 )
@@ -426,13 +428,17 @@ def descended_coroot(gd: GroupDescriptor, hd: SubgroupDescriptor, index: int):
     return sol
 
 
+def _subgroup_reflections(gd: GroupDescriptor, hd: SubgroupDescriptor):
+    """Reflections of the symmetric subgroup roots on X(T_H); with the
+    component generators they generate K."""
+    return tuple(reflection(hd.q_matrix.apply(root_system(gd.rd).positive[i].vector), descended_coroot(gd, hd, i))
+                 for i in hd.symmetric_root_indices())
+
+
 def _connected_character_lattice(gd: GroupDescriptor, hd: SubgroupDescriptor) -> IntMatrix:
-    """Basis rows of X(H0) inside X(T_H): characters killing all descended coroots."""
-    sym = hd.symmetric_root_indices()
-    if not sym:
-        return IntMatrix.identity(hd.h_rank)
-    rows = [descended_coroot(gd, hd, i) for i in sym]
-    return integer_kernel(IntMatrix(rows, hd.h_rank))
+    """Basis rows of X(H0) = X(T_H)^{W(H0)}: the characters the reflections
+    fix, those killing each descended coroot (<q alpha, alpha^vee> = 2)."""
+    return fixed_sublattice(_subgroup_reflections(gd, hd), hd.h_rank)
 
 
 def _component_action(xh0: IntMatrix, hd: SubgroupDescriptor) -> tuple[IntMatrix, ...] | None:
@@ -447,23 +453,28 @@ def _component_action(xh0: IntMatrix, hd: SubgroupDescriptor) -> tuple[IntMatrix
 
 
 def subgroup_characters(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DEFAULT_CAP) -> IntMatrix:
-    """Basis rows of X(H) inside X(T_H).
+    """Basis rows of X(H) = X(T_H)^K, the lattice K's generators fix.
 
-    X(H) is the fixed part of X(H0) under the component group; X(H0) is cut
-    out of X(T_H) by the descended coroots of the symmetric roots.  The
-    group acting on X(H0) must be finite of order at most ``cap``
-    (:func:`~chevalley_chow.rootdata.matrix_group_order`, GroupTooLarge
-    otherwise).
+    The reflections fix exactly X(H0); the component group must stabilize
+    X(H0) (ValueError otherwise) and act on it through a finite group of
+    order at most ``cap`` (:func:`~chevalley_chow.rootdata.matrix_group_order`,
+    GroupTooLarge otherwise).
     """
-    xh0 = _connected_character_lattice(gd, hd)
+    refl = _subgroup_reflections(gd, hd)
+    xh0 = fixed_sublattice(refl, hd.h_rank)
     if not hd.component_generators or xh0.nrows == 0:
         return xh0
     induced = _component_action(xh0, hd)
     if induced is None:
         raise ValueError("component group does not stabilize X(H0)")
     matrix_group_order(induced, cap)
-    fixed = fixed_sublattice(induced, xh0.nrows)
-    return hermite_row_basis(fixed @ xh0) if fixed.nrows else IntMatrix((), hd.h_rank)
+    return fixed_sublattice(refl + hd.component_generators, hd.h_rank)
+
+
+def restriction_kernel(hd: SubgroupDescriptor, x_gaff: IntMatrix) -> IntMatrix:
+    """Basis rows of ker r_H = {chi in X(G_aff) : q(chi) = 0} inside X(T),
+    read off q alone on the ``x_gaff`` coordinates, mapped back."""
+    return hermite_row_basis(integer_kernel(hd.q_matrix @ x_gaff.transpose()) @ x_gaff) if x_gaff.nrows else x_gaff
 
 
 class SubgroupRestriction(Record):
@@ -480,14 +491,11 @@ def restriction_to_subgroup(gd: GroupDescriptor, hd: SubgroupDescriptor, x_gaff:
     """Restriction of G_aff-characters to H, in the chosen bases.
 
     ``x_gaff`` is the basis of X(G_aff) from :func:`derived_attributes`.
-    q maps X(G_aff) into X(H) because group characters are Weyl-fixed and
-    kill all coroots; integrality of the change of basis is asserted.
+    q maps X(G_aff) into X(H) = X(T_H)^K because group characters are
+    Weyl-fixed and kill all coroots; integrality of the change of basis is
+    asserted.
     """
     x_h = subgroup_characters(gd, hd, cap)
     images = coordinates(x_h, map(hd.q_matrix.apply, x_gaff.rows))
     assert images is not None, "restriction of a group character escaped X(H)"
-    matrix = images.transpose()
-    # kernel of r_H inside X(T): coordinates in the X(G_aff) basis, then back
-    ker_coords = integer_kernel(matrix)
-    ker = hermite_row_basis(ker_coords @ x_gaff) if x_gaff.nrows else IntMatrix((), gd.rd.rank)
-    return SubgroupRestriction(x_gaff, x_h, matrix, ker)
+    return SubgroupRestriction(x_gaff, x_h, images.transpose(), restriction_kernel(hd, x_gaff))

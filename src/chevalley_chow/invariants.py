@@ -348,10 +348,13 @@ class TruncatedQuotient(Record):
 def free_quotient(rank: int, ambient_degrees, ideal_degrees, max_degree: int) -> TruncatedQuotient:
     """Polynomial ring on generators of degrees e_j mod a regular sequence of degrees d_i:
     ``ambient_dims`` of prod_j 1/(1 - t^{e_j}), ``dims`` of that times prod_i (1 - t^{d_i}).
+    A negative ``max_degree`` raises ValueError.
 
     >>> free_quotient(1, (1,), (2,), 3).dims  # Q[t]/(t^2), as truncated_quotient finds
     (1, 1, 0, 0)
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     ambient = [1] + [0] * max_degree
     for e in ambient_degrees:
         for k in range(e, max_degree + 1):

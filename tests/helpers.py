@@ -11,14 +11,17 @@ from itertools import combinations
 from operator import mul
 
 from chevalley_chow import chow, schubert
-from chevalley_chow.chow import _subgroup_reflections
 from chevalley_chow.descriptors import (
     AbelianVarietyData,
     AntiAffineGluing,
     GroupDescriptor,
     SubgroupDescriptor,
+    _component_action,
+    _connected_character_lattice,
+    _subgroup_reflections,
     contains_nontrivial_ant,
     derived_attributes,
+    descended_coroot,
     validate_group,
 )
 from chevalley_chow.errors import InvalidCartan, ModeUnsupported
@@ -31,6 +34,7 @@ from chevalley_chow.lattice import (
     Presentation,
     coordinates,
     enumerate_matrix_group,
+    fixed_sublattice,
     group_from_relations,
     hermite_row_basis,
     integer_kernel,
@@ -41,8 +45,8 @@ from chevalley_chow.lattice import (
 )
 from chevalley_chow.qlinalg import qsolve
 from chevalley_chow.rootdata import (
-    RootDatum, cartan_matrix, characters_of_group, fundamental_weights_q, reflection, root_system,
-    simple_reflection, validate_root_datum, weyl_group)
+    RootDatum, cartan_matrix, characters_of_group, fundamental_weights_q, matrix_group_order, reflection,
+    root_system, simple_reflection, validate_root_datum, weyl_group)
 from chevalley_chow.structure import _matrix_inverse
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -779,7 +783,54 @@ def hchow_by_elimination(gd, hd, max_degree, cap=DEFAULT_CAP):
     if contains_nontrivial_ant(att, hd):
         raise ModeUnsupported("Chow reports for G/H need H inside the faithful model (H does not contain G_ant)")
     gens = _subgroup_reflections(gd, hd) + hd.component_generators
+    matrix_group_order(gens, cap)
+    if hd.component_generators and _component_action(_connected_character_lattice(gd, hd), hd) is None:
+        raise ValueError("component group does not stabilize X(H0)")
     return chow._eliminated_quotient(gd, hd, att, gens, max_degree, cap)
+
+
+def connected_characters_by_coroots(gd, hd):
+    """Oracle for ``descriptors._connected_character_lattice``: X(H0) as the
+    integer kernel of the descended coroots of the symmetric roots."""
+    sym = hd.symmetric_root_indices()
+    if not sym:
+        return IntMatrix.identity(hd.h_rank)
+    return integer_kernel(IntMatrix([descended_coroot(gd, hd, i) for i in sym], hd.h_rank))
+
+
+def subgroup_characters_in_xh0(gd, hd):
+    """Oracle for ``descriptors.subgroup_characters``: X(H) as the part of
+    X(H0) the component group fixes, taken in X(H0) coordinates and mapped
+    back to X(T_H)."""
+    xh0 = connected_characters_by_coroots(gd, hd)
+    if not hd.component_generators or xh0.nrows == 0:
+        return xh0
+    images = [coordinates(xh0, map(g.apply, xh0.rows)) for g in hd.component_generators]
+    if None in images:
+        raise ValueError("component group does not stabilize X(H0)")
+    fixed = fixed_sublattice([m.transpose() for m in images], xh0.nrows)
+    return hermite_row_basis(fixed @ xh0) if fixed.nrows else IntMatrix((), hd.h_rank)
+
+
+def restriction_kernel_in_xh(gd, hd, x_gaff):
+    """Oracle for ``descriptors.restriction_kernel``: ker r_H as the kernel
+    of the restriction matrix X(G_aff) -> X(H) in X(H) coordinates, mapped
+    back to X(T)."""
+    images = coordinates(subgroup_characters_in_xh0(gd, hd), map(hd.q_matrix.apply, x_gaff.rows))
+    ker_coords = integer_kernel(images.transpose())
+    return hermite_row_basis(ker_coords @ x_gaff) if x_gaff.nrows else IntMatrix((), gd.rd.rank)
+
+
+def random_subtori(seed: int, count: int, data=(torus2, gl2, sl2xt, rank3, sl4)):
+    """``count`` seeded rank-deficient subtori: a datum from ``data`` and q
+    the first 0 < h < rank rows of a random unimodular matrix, so onto X(T_H)."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        rd = rng.choice(data)
+        q = IntMatrix(random_unimodular(rng, rd.rank).rows[:rng.randrange(1, rd.rank)], rd.rank)
+        out.append((affine_group(f"subtorus{k}", rd), SubgroupDescriptor(f"subtorus{k}", q)))
+    return out
 
 
 def degrees_from_heights(positive_roots, rank):

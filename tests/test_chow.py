@@ -18,7 +18,9 @@ from chevalley_chow.chow import (
     picard_group,
     rational_chow,
 )
-from chevalley_chow.descriptors import GroupDescriptor, SubgroupDescriptor, derived_attributes, validate_subgroup
+from chevalley_chow.descriptors import (
+    GroupDescriptor, SubgroupDescriptor, _subgroup_reflections, derived_attributes, restriction_to_subgroup,
+    validate_subgroup)
 from chevalley_chow.errors import DegreeTooLarge, GroupTooLarge, ModeUnsupported
 from chevalley_chow.invariants import (
     invariant_slice,
@@ -243,7 +245,7 @@ def test_negative_max_degree_refused_before_any_work(monkeypatch):
         raise AssertionError("a negative degree must be refused first")
 
     for name in ("derived_attributes", "truncated_quotient", "coinvariant_ideal_generators",
-                 "free_quotient", "matrix_group_order", "contains_nontrivial_ant"):
+                 "free_quotient", "invariant_degrees", "contains_nontrivial_ant"):
         monkeypatch.setattr(chow, name, no_work)
     with pytest.raises(ValueError, match="nonnegative"):
         chow_presentation(z.product_sl2, -1)
@@ -369,7 +371,7 @@ def test_hchow_dims_match_every_basis_invariant_as_generator(fixture_doc):
         except ModeUnsupported:
             continue
         every = [substitute(hd.q_matrix, f) for e in range(1, top + 1) for f in invariant_slice(gd.rd.rank, refl, e)]
-        group = chow._subgroup_reflections(gd, hd) + hd.component_generators
+        group = _subgroup_reflections(gd, hd) + hd.component_generators
         assert got.dims == truncated_quotient(hd.h_rank, [f for f in every if f], top, group).dims, name
 
 
@@ -489,6 +491,56 @@ def test_full_rank_hchow_builds_no_ideal(monkeypatch):
         homogeneous_rational_chow(z.cover_torsion, z.trivial3, 2)
 
 
+def test_elimination_route_builds_no_subgroup_characters(monkeypatch):
+    # ker r_H depends on q alone, so j_rank needs no X(H); the answers are
+    # those of the route that built X(H) to read ker r_H
+    def no_x_h(*args, **kwargs):
+        raise AssertionError("the elimination route needs no X(H)")
+
+    monkeypatch.setattr(descriptors, "subgroup_characters", no_x_h)
+    monkeypatch.setattr(chow, "restriction_to_subgroup", no_x_h)
+    g2 = z.affine_group("G2", z.SWEEP["G2-sc"])
+    rot6 = _component_subgroup("rot6", simple_reflection(g2.rd, 0) @ simple_reflection(g2.rd, 1))
+    subtorus = SubgroupDescriptor("subtorus", IntMatrix(((0, 0, 1), (1, 0, 0))))
+    for gd, hd, top, dims, j_rank in ((z.cover_torsion, z.trivial3, 2, (1, 0, 0), 1),
+                                      (z.cover_torsion, subtorus, 3, (1, 1, 0, 0), 1),
+                                      (g2, rot6, 3, (1, 0, 0, 0), 0)):
+        got = homogeneous_rational_chow(gd, hd, top)
+        assert (got.concrete_factor.dims, got.j_rank) == (dims, j_rank), hd.name
+
+
+def test_x_h0_guard_runs_before_any_slice_on_the_elimination_route(monkeypatch):
+    def no_slice(*args, **kwargs):
+        raise AssertionError("a component group moving X(H0) must be refused before any slice")
+
+    a3 = z.affine_group("A3", z.SWEEP["A3-sc"])
+    levi = dict(z.full_rank_subgroups(a3.rd))["levi(0,)"]
+    # the rotation s_1 s_2 moves alpha_0, and with s_0 it generates a K that is
+    # closed, not recognized, so this H takes the elimination route
+    rot = simple_reflection(a3.rd, 1) @ simple_reflection(a3.rd, 2)
+    moved = SubgroupDescriptor("moved", levi.q_matrix, levi.roots, component_generators=(rot,), translations=(False,))
+    assert rootdata.invariant_degrees(_subgroup_reflections(a3, moved) + (rot,)) is None
+    for owner, name in ((chow, "coinvariant_ideal_generators"), (chow, "truncated_quotient"),
+                        (invariants, "invariant_slice")):
+        monkeypatch.setattr(owner, name, no_slice)
+    with pytest.raises(ValueError, match=r"component group does not stabilize X\(H0\)"):
+        homogeneous_rational_chow(a3, moved, 2)
+
+
+def test_hchow_j_rank_is_read_off_the_hpic_report(fixture_doc):
+    # j_rank = rank gamma_A(ker r_H) = rank ker r_H - rank(ker r_H meet ker gamma_A),
+    # and hpic's x_gh is that meet
+    gd = fixture_doc.group
+    x_gaff = derived_attributes(gd).x_gaff
+    for name, hd in fixture_doc.subgroups:
+        try:
+            j_rank = homogeneous_rational_chow(gd, hd, 1).j_rank
+            x_gh = homogeneous_picard(gd, hd).x_gh
+        except ModeUnsupported:
+            continue
+        assert j_rank == restriction_to_subgroup(gd, hd, x_gaff).ker_r.nrows - x_gh.nrows, name
+
+
 def test_parabolic_and_levi_dims_are_the_classical_series():
     # A*(G/P)_Q = A*(G/L)_Q has Poincare series prod(1 - t^d_i(G)) / prod(1 - t^d_j(L)),
     # with both degree lists read off root heights, no invariant built
@@ -559,14 +611,14 @@ def test_unrecognized_k_still_builds_the_slices(monkeypatch):
     # the Coxeter element of G2, a rotation of order 6 inside W, is no
     # reflection: K is not recognized, so S^K is eliminated slice by slice
     rot6 = _component_subgroup("rot6", simple_reflection(g2.rd, 0) @ simple_reflection(g2.rd, 1))
-    assert rootdata.invariant_degrees(chow._subgroup_reflections(g2, rot6) + rot6.component_generators) is None
+    assert rootdata.invariant_degrees(_subgroup_reflections(g2, rot6) + rot6.component_generators) is None
     got = homogeneous_rational_chow(g2, rot6, 3)
     assert built
     assert (got.concrete_factor, got.j_rank) == z.hchow_by_elimination(g2, rot6, 3)
     # the Levi's reflections come from all three positive roots of A2 in A3:
     # closed under one another, so K is read off their base, with no slice
     levi = dict(z.full_rank_subgroups(a3.rd))["levi(0,1)"]
-    assert rootdata.invariant_degrees(chow._subgroup_reflections(a3, levi)) == (1, 2, 3)
+    assert rootdata.invariant_degrees(_subgroup_reflections(a3, levi)) == (1, 2, 3)
     built.clear()
     got = homogeneous_rational_chow(a3, levi, 3)
     assert not built

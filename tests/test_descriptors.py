@@ -13,6 +13,7 @@ from chevalley_chow.descriptors import (
     SubgroupDescriptor,
     derived_attributes,
     descended_coroot,
+    restriction_kernel,
     restriction_to_subgroup,
     subgroup_characters,
     validate_group,
@@ -155,6 +156,37 @@ def test_restriction_maps():
     assert r.x_h.nrows == 0
     r = restrict(z.semiab, z.full_t)
     assert r.matrix == M.identity(1) and r.ker_r.nrows == 0
+
+
+def _assert_lattices_match_the_coordinate_routes(gd, hd):
+    # X(H0) is what the reflections fix, X(H) what K fixes and ker r_H the
+    # kernel of q on X(G_aff): each against the route through coordinates
+    assert descriptors._connected_character_lattice(gd, hd) == z.connected_characters_by_coroots(gd, hd), hd.name
+    assert subgroup_characters(gd, hd) == z.subgroup_characters_in_xh0(gd, hd), hd.name
+    x_gaff = derived_attributes(gd).x_gaff
+    want = z.restriction_kernel_in_xh(gd, hd, x_gaff)
+    assert restriction_kernel(hd, x_gaff) == want == restriction_to_subgroup(gd, hd, x_gaff).ker_r, hd.name
+
+
+def test_fixture_subgroup_lattices_match_the_coordinate_routes(fixture_doc):
+    gd = fixture_doc.group
+    for _, hd in fixture_doc.subgroups:
+        if validate_subgroup(gd, hd).ok:
+            _assert_lattices_match_the_coordinate_routes(gd, hd)
+
+
+def test_subgroup_lattices_match_the_coordinate_routes():
+    for key, rd in z.SWEEP.items():
+        gd = z.affine_group(key, rd)
+        for _, hd in z.full_rank_subgroups(rd):
+            _assert_lattices_match_the_coordinate_routes(gd, hd)
+    subtori = z.random_subtori(5, 40)
+    assert any(restriction_kernel(hd, derived_attributes(gd).x_gaff).nrows for gd, hd in subtori)
+    for gd, hd in subtori:
+        assert validate_subgroup(gd, hd).ok, hd.q_matrix
+        _assert_lattices_match_the_coordinate_routes(gd, hd)
+    for gd in z.ALL_GROUPS:
+        _assert_lattices_match_the_coordinate_routes(gd, z.TRIVIAL_BY_RANK[gd.rd.rank])
 
 
 def test_subgroup_failure_flags():

@@ -179,6 +179,26 @@ def test_invariants_imports_no_root_datum_layer():
     assert package_imports((PACKAGE / "invariants.py").read_text()) & {"rootdata", "schubert", "chow"} == set()
 
 
+def imported_names(source: str) -> set[str]:
+    """``module.name`` for each name a module imports from a package module."""
+    return {f"{node.module}.{alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+
+
+def test_finds_imported_names():
+    assert imported_names("from .rootdata import reflection as r\nfrom math import pi\n") == {"rootdata.reflection"}
+
+
+def test_subgroup_reflections_have_one_builder():
+    # K's reflections are built in descriptors alone, which reads X(H0) and
+    # X(H) off them; chow takes K from there and never rebuilds X(H)
+    definers = [path.stem for path in MODULES
+                if any("_subgroup_reflections" in defined_functions(stmt) for stmt in ast.parse(path.read_text()).body)]
+    assert definers == ["descriptors"]
+    forbidden = {"rootdata.reflection", "descriptors.descended_coroot", "descriptors.subgroup_characters"}
+    assert imported_names((PACKAGE / "chow.py").read_text()) & forbidden == set()
+
+
 def test_cli_import_loads_no_code_generators():
     code = f"import chevalley_chow.cli, sys; print(sorted({SLOW_IMPORTS!r} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,

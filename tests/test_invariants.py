@@ -314,6 +314,16 @@ def test_truncated_quotient_refuses_a_negative_degree(monkeypatch):
             truncated_quotient(1, [linear_poly((1,))], top)
 
 
+@pytest.mark.parametrize("top", [-1, -5])
+def test_both_quotient_routines_refuse_a_negative_degree_alike(top):
+    # free_quotient(1, (1,), (2,), -1) once answered dims (1,), one entry for an empty range
+    t = {(2,): Fraction(1)}
+    for route in (lambda: truncated_quotient(1, [t], top), lambda: free_quotient(1, (1,), (2,), top)):
+        with pytest.raises(ValueError) as err:
+            route()
+        assert str(err.value) == f"max_degree must be nonnegative, got {top}"
+
+
 def test_coinvariant_ideal_generators_are_minimal():
     # a minimal homogeneous generating set has one generator per basic invariant
     # (Chevalley), plus one linear form per dimension of the central torus
