@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
 from ._record import Record
 from .descriptors import AbelianVarietyData, AntiAffineGluing, GroupDescriptor, SubgroupDescriptor
 from .errors import DescriptorSyntaxError, SchemaError
-from .lattice import FGAbelianGroup, IntMatrix, Presentation, Vec
+from .lattice import CACHE_SIZE, FGAbelianGroup, IntMatrix, Presentation, Vec
 from .rootdata import RootDatum
 
 SCHEMA_TAG = "chevalley-chow/1"
@@ -244,17 +245,29 @@ def _parse_subgroup(name, value, path, rank) -> SubgroupDescriptor:
         raise SchemaError(path, str(e))
 
 
-def parse_descriptor(data: bytes | str) -> DescriptorDocument:
+def parse_descriptor(data: bytes | bytearray | memoryview | str) -> DescriptorDocument:
     """Parse and schema-check a descriptor document.
 
-    Total: any malformed input becomes DescriptorSyntaxError (position) or
-    SchemaError (JSON path); nothing else escapes.
+    Any bytes-like input is decoded as UTF-8, as ``bytes`` is.  Total: any
+    malformed input becomes DescriptorSyntaxError (position) or SchemaError
+    (JSON path); nothing else escapes, and it is refused alike on every call.
+    Each distinct input is parsed once per process: equal input returns the
+    one shared document, which is immutable.
 
     >>> parse_descriptor(b'')
     Traceback (most recent call last):
         ...
     chevalley_chow.errors.DescriptorSyntaxError: line 1, column 1: Expecting value
+    >>> blob = (b'{"group": {"root_datum": {"rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},'
+    ...         b' "abelian": {"g": 0, "ns_rank": 0}, "gluing": {"xd_rank": 0, "v": []}}}')
+    >>> parse_descriptor(blob) is parse_descriptor(bytearray(blob))
+    True
     """
+    return _parsed(data if isinstance(data, (bytes, str)) else memoryview(data).tobytes())
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _parsed(data: bytes | str) -> DescriptorDocument:
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")

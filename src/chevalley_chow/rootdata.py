@@ -60,10 +60,10 @@ class RootDatum(Record):
     ``u_rad`` is the dimension of the unipotent radical, bookkeeping only;
     no formula in this package looks past the reductive quotient.
 
-    Every process cache is keyed by the root datum, and parsing the same
-    descriptor again gives a new but equal datum, so two data compare by one
-    comparison of plain int tuples (``_key``, built with the datum), not
-    field by field through :class:`IntMatrix`.
+    Every process cache is keyed by the root datum.  Parsing the same bytes
+    again returns the same datum, found by identity; an equal datum from
+    other input compares by one comparison of plain int tuples (``_key``,
+    built with the datum), not field by field through :class:`IntMatrix`.
     """
 
     rank: int

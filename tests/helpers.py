@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 import pathlib
+import pkgutil
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
+import chevalley_chow
 from chevalley_chow import chow, schubert
 from chevalley_chow.descriptors import (
     AbelianVarietyData,
@@ -58,6 +61,26 @@ FIXTURE_NAMES = (
 
 def fixture_bytes(name: str) -> bytes:
     return (FIXTURE_DIR / f"{name}.json").read_bytes()
+
+
+def package_caches() -> dict[str, object]:
+    """Every object with ``cache_info`` a package module or one of its classes defines."""
+    found = {}
+    for info in pkgutil.iter_modules(chevalley_chow.__path__):
+        module = importlib.import_module(f"chevalley_chow.{info.name}")
+        owners = [(module.__name__, module), *((f"{module.__name__}.{k}", v) for k, v in vars(module).items()
+                                              if isinstance(v, type) and v.__module__ == module.__name__)]
+        for prefix, owner in owners:
+            for name, obj in vars(owner).items():
+                if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == module.__name__:
+                    found[f"{prefix}.{name}"] = obj
+    return found
+
+
+def clear_package_caches() -> None:
+    """Empty every package cache, so the next calls build their values afresh."""
+    for cache in package_caches().values():
+        cache.cache_clear()
 
 
 # root data (X(T) coordinates chosen per classical model)

@@ -1,11 +1,13 @@
 """Descriptor parsing (strict schema) and report serialization."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import helpers as z
 from chevalley_chow import formats
+from chevalley_chow._record import Record
 from chevalley_chow.chow import picard_group, chow_presentation, homogeneous_picard
 from chevalley_chow.descriptors import validate_group, validate_subgroup
 from chevalley_chow.errors import DescriptorSyntaxError, SchemaError
@@ -15,6 +17,7 @@ from chevalley_chow.formats import (
     jsonable,
     parse_descriptor,
 )
+from chevalley_chow.lattice import IntMatrix
 from chevalley_chow.structure import completeness_test, fibration_report
 
 
@@ -96,6 +99,66 @@ def expect_schema_error(blob, path_fragment):
     with pytest.raises(SchemaError) as ei:
         parse_descriptor(blob)
     assert path_fragment in ei.value.path, (ei.value.path, ei.value.reason)
+
+
+BYTES_LIKE = (bytes, bytearray, memoryview)
+
+
+def test_equal_input_returns_one_shared_document():
+    blobs = [z.fixture_bytes(name) for name in z.FIXTURE_NAMES]
+    docs = [parse_descriptor(blob) for blob in blobs]
+    # equal input in another object and of each bytes-like type, after
+    # every other fixture has been parsed in between
+    for blob, doc in zip(blobs, docs):
+        assert all(parse_descriptor(kind(bytearray(blob))) is doc for kind in BYTES_LIKE)
+
+
+@pytest.mark.parametrize("encode", [
+    lambda text: text.encode("utf-16"),
+    lambda text: text.encode("utf-8-sig"),
+    lambda text: text.encode("utf-8")[:-2] + b"\xff}",
+], ids=["utf-16", "utf-8-bom", "invalid-utf-8"])
+def test_bytes_like_inputs_decode_as_utf8_alike(encode):
+    blob = encode(z.fixture_bytes("product_sl2").decode())
+    refusals = set()
+    for kind in BYTES_LIKE:
+        with pytest.raises(DescriptorSyntaxError) as ei:
+            parse_descriptor(kind(blob))
+        refusals.add(str(ei.value))
+    assert len(refusals) == 1
+
+
+@pytest.mark.parametrize("blob", [
+    b'{"group": }', b"\xff\xfe garbage", b"{}",
+    mutate(lambda d: d["group"]["abelian"].update(g=True)),
+], ids=["syntax", "utf-8", "schema", "schema-bool"])
+def test_malformed_input_is_refused_alike_on_every_call_and_never_cached(blob):
+    formats._parsed.cache_clear()
+    refusals = set()
+    for kind in (*BYTES_LIKE, bytes):
+        with pytest.raises((DescriptorSyntaxError, SchemaError)) as ei:
+            parse_descriptor(kind(blob))
+        refusals.add((type(ei.value), str(ei.value)))
+    assert len(refusals) == 1
+    assert formats._parsed.cache_info().currsize == 0
+
+
+def test_parsed_documents_hold_only_immutable_values(fixture_doc):
+    stack, checked = [fixture_doc], 0
+    while stack:
+        obj = stack.pop()
+        checked += 1
+        if isinstance(obj, (Record, IntMatrix)):
+            field = next(iter(obj._fields)) if isinstance(obj, Record) else "rows"
+            for name in (field, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, None)
+            stack.extend(vars(obj).values() if isinstance(obj, Record) else (obj.rows,))
+        else:
+            assert type(obj) in (tuple, int, str, bool, Fraction), type(obj)
+            if type(obj) is tuple:
+                stack.extend(obj)
+    assert checked > 10
 
 
 def test_schema_unknown_keys_fatal():

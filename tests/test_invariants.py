@@ -1,8 +1,6 @@
 """Graded polynomial algebra, invariant rings and coinvariant quotients."""
 
-import importlib
 import math
-import pkgutil
 import re
 from fractions import Fraction
 
@@ -10,8 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import helpers as z
-import chevalley_chow
-from chevalley_chow import invariants, lattice, rootdata, schubert
+from chevalley_chow import formats, invariants, lattice, rootdata, schubert
 from chevalley_chow.errors import DegreeTooLarge, GroupTooLarge
 from chevalley_chow.invariants import (
     coeff_vector,
@@ -167,20 +164,6 @@ def test_empty_group_slices_are_the_monomials_unmemoized():
     assert invariants._invariant_slice.cache_info().currsize == 0
 
 
-def package_caches() -> dict[str, object]:
-    """Every object with ``cache_info`` a package module or one of its classes defines."""
-    found = {}
-    for info in pkgutil.iter_modules(chevalley_chow.__path__):
-        module = importlib.import_module(f"chevalley_chow.{info.name}")
-        owners = [(module.__name__, module), *((f"{module.__name__}.{k}", v) for k, v in vars(module).items()
-                                              if isinstance(v, type) and v.__module__ == module.__name__)]
-        for prefix, owner in owners:
-            for name, obj in vars(owner).items():
-                if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == module.__name__:
-                    found[f"{prefix}.{name}"] = obj
-    return found
-
-
 def test_process_caches_are_bounded():
     # warm keys: what one in-process benchmark pass leaves in each cache,
     # counted by cache_info().currsize from empty caches; twice that never
@@ -196,10 +179,13 @@ def test_process_caches_are_bounded():
     # workload asks for the coinvariant reducer: only hchow with a
     # rank-deficient H does.  A ladder-cold pass also takes 18 root data
     # (19 validated) into the datum caches, once each in a fresh process:
-    # the datum bound holds them, though not twice over.
+    # the datum bound holds them, though not twice over.  The parse memo is
+    # keyed by a descriptor's bytes, not a datum: a schubert-warm pass parses
+    # 12 of them, a ladder-cold pass 19.
     # one bound per key kind: a memo keyed by a root datum alone, or any other
     datum, other = lattice.DATUM_CACHE_SIZE, lattice.CACHE_SIZE
     table = (
+        (formats._parsed, other, 19),
         (rootdata._matrix_group_order, other, 17),
         (lattice._column_transform, other, 24),
         (invariants._invariant_slice, other, 0),
@@ -217,7 +203,7 @@ def test_process_caches_are_bounded():
         assert cache.cache_info().maxsize == size
         assert isinstance(size, int) and size >= 2 * warm_keys
     listed = {id(cache) for cache, _, _ in table}
-    assert [name for name, c in package_caches().items() if id(c) not in listed] == []
+    assert [name for name, c in z.package_caches().items() if id(c) not in listed] == []
 
 
 def test_invariant_dimensions_classical():

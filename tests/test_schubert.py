@@ -12,8 +12,9 @@ from hypothesis import example, given, strategies as st
 import helpers as z
 from test_rootdata import ORBIT_DATA
 from chevalley_chow import lattice, qlinalg, rootdata, schubert
+from chevalley_chow.descriptors import GroupDescriptor
 from chevalley_chow.errors import NonIntegralStructureConstant
-from chevalley_chow.formats import parse_descriptor
+from chevalley_chow.formats import DescriptorDocument, emit_report, parse_descriptor
 from chevalley_chow.invariants import linear_poly, poly_mul, sym_basis
 from chevalley_chow.lattice import DEFAULT_CAP, IntMatrix
 from chevalley_chow.rootdata import RootDatum, root_system, weyl_group
@@ -322,7 +323,8 @@ def test_cold_calls_need_no_ideal_and_no_elimination(monkeypatch):
 
 
 def test_warm_product_reads_one_cached_map(monkeypatch):
-    # the benchmark's session parses a new but equal datum each pass
+    # a datum built anew, equal to a cached one: from another descriptor
+    # file that spells the same datum, or in code
     rd = z.sl4
     fresh = RootDatum(rd.rank, IntMatrix(rd.simple_roots.rows), IntMatrix(rd.simple_coroots.rows))
     assert fresh == rd and fresh is not rd
@@ -354,6 +356,22 @@ def test_warm_product_reads_one_cached_map(monkeypatch):
         assert schubert_product(fresh, u, v) == expected
         assert len(compared) <= 2, (u, v, len(compared))
 
+
+
+def test_a_reparsed_descriptor_hits_the_warm_caches_by_identity(monkeypatch):
+    # parsing the same bytes again returns the same datum, so every cache
+    # keyed by it finds its entry by identity and compares no two data
+    z.clear_package_caches()
+    blob = emit_report(DescriptorDocument(GroupDescriptor("a3", z.sl4, z.POINT, z.no_d(3))), "json")
+    pairs = ((3, 5), (0, 0), (1, 2), (4, 0))
+    want = [schubert_product(parse_descriptor(blob).group.rd, u, v) for u, v in pairs]
+
+    def refuse(self, other):
+        raise AssertionError("a warm cache compared two root data")
+
+    monkeypatch.setattr(RootDatum, "__eq__", refuse)
+    rd = parse_descriptor(bytes(bytearray(blob))).group.rd
+    assert [schubert_product(rd, u, v) for u, v in pairs] == want
 
 
 def test_each_cached_builder_keeps_one_entry_per_datum():
