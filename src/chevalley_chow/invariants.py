@@ -6,7 +6,7 @@ linear substitution, and every slice computation is plain exact linear
 algebra over the monomial basis.  An ambient ring is the invariant ring of
 a finite matrix group, given by the tuple of its generators; the empty
 tuple is all of Sym(Q^rank).  Its degree-d slice is the space of degree-d
-polynomials every generator fixes, one nullspace over the monomials.
+polynomials every generator fixes, one integer kernel over the monomials.
 
 Monomial order everywhere: within a fixed total degree, exponent vectors in
 descending lexicographic order, so for two variables degree 2 reads
@@ -21,8 +21,8 @@ from operator import add
 
 from ._record import Record
 from .errors import DegreeTooLarge
-from .lattice import CACHE_SIZE, IntMatrix
-from .qlinalg import SpanBuilder, kernel
+from .lattice import CACHE_SIZE, IntMatrix, integer_kernel
+from .qlinalg import SpanBuilder
 
 Poly = dict[tuple[int, ...], Fraction]
 
@@ -45,6 +45,8 @@ def sym_basis(rank: int, d: int) -> tuple[tuple[int, ...], ...]:
     """
     if d < 0:
         raise ValueError("negative degree")
+    if rank < 0:
+        raise ValueError("negative rank")
     if d > DEGREE_BUDGET:
         raise DegreeTooLarge(f"degree {d} exceeds budget {DEGREE_BUDGET}")
     if rank == 0:
@@ -199,18 +201,23 @@ def exact_divide_linear(a: Poly, linear: Poly) -> Poly:
 
 
 def invariant_slice(rank: int, generators, d: int) -> list[Poly]:
-    """A basis of the degree-d invariants of the group the generators span.
+    """The Hermite basis of the integral degree-d invariants of the group
+    the generators span, from :func:`lattice.integer_kernel`.
 
     They are the polynomials of V = Sym^d that every generator s fixes, the
-    nullspace of the stacked rho_d(s) - 1, read off the generators alone at
-    a cost independent of |G|: one polynomial per :func:`qlinalg.kernel`
-    vector, with its primitive integer coefficients, in kernel order.  That
-    is *a* basis of the invariants, not the one Reynolds averaging gives.
-    The fixed space needs no finite group, but its quotients are the rings
-    wanted only for one, so callers bound the order first
+    kernel of the stacked rho_d(s) - 1, read off the generators alone at a
+    cost independent of |G|: one polynomial per row of the kernel's row
+    Hermite form, in its row order.  That lattice is saturated, so each
+    polynomial has primitive integer coefficients; it is *a* basis of the
+    invariants over Q, not the one Reynolds averaging gives.  In degree 1
+    the stack is the one :func:`lattice.fixed_sublattice` reads, so over the
+    group K of G/H the slice is X(H), basis for basis.  The fixed space
+    needs no finite group, but its quotients are the rings wanted only for
+    one, so callers bound the order first
     (``chow.homogeneous_rational_chow`` by ``rootdata.matrix_group_order``,
     ``schubert.coinvariant_ideal_generators`` checks |W| by formula).  The
-    empty tuple gives the monomial basis of the whole degree-d slice.
+    empty tuple gives the monomial basis of the whole degree-d slice.  A
+    generator that is not ``rank`` x ``rank`` raises ValueError naming it.
 
     Memoized per ``(rank, tuple(generators), d)`` in a cache of
     ``lattice.CACHE_SIZE``, except for the empty tuple, whose monomials
@@ -225,6 +232,9 @@ def invariant_slice(rank: int, generators, d: int) -> list[Poly]:
     gens = tuple(generators)
     if not gens:
         return [{m: Fraction(1)} for m in sym_basis(rank, d)]
+    for g in gens:
+        if g.shape != (rank, rank):
+            raise ValueError(f"group matrix {g!r} is not {rank} x {rank}")
     return [dict(p) for p in _invariant_slice(rank, gens, d)]
 
 
@@ -234,8 +244,9 @@ def _invariant_slice(rank: int, gens: tuple[IntMatrix, ...], d: int) -> tuple[Po
     n = len(basis)
     # images[k][j]: coordinates of rho_d(gens[k]) applied to monomial j
     images = _power_images(rank, gens, d)
-    fixed = kernel([[img[j][t] - (j == t) for j in range(n)] for img in images for t in range(n)], n)
-    return tuple({m: Fraction(c) for m, c in zip(basis, v) if c} for _, v in fixed)
+    rows = tuple(tuple([img[j][t] - (j == t) for j in range(n)]) for img in images for t in range(n))
+    fixed = integer_kernel(IntMatrix._from_int_rows(rows, n))
+    return tuple({m: Fraction(c) for m, c in zip(basis, v) if c} for v in fixed.rows)
 
 
 def _power_images(rank: int, gens: tuple[IntMatrix, ...], d: int) -> list[list[list[int]]]:
@@ -380,9 +391,6 @@ def truncated_quotient(rank: int, generators: list[Poly], max_degree: int, group
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
-    for g in group:
-        if g.shape != (rank, rank):
-            raise ValueError(f"group matrix {g!r} is not {rank} x {rank}")
     for p in generators:
         check_monomials(p, rank)
     dims = tuple(len(quotient_basis(rank, generators, d, group)) for d in range(max_degree + 1))

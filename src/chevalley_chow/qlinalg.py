@@ -56,26 +56,6 @@ def echelon(rows, ncols: int | None = None) -> tuple[list[list[int]], list[int]]
     return work[:len(pivots)], pivots
 
 
-def kernel(rows, ncols: int) -> list[tuple[int, list[int]]]:
-    """Basis of ``{x in Q^ncols : M x = 0}`` in primitive integer vectors: one
-    pair ``(c, v)`` per free column c, with v[c] > 0 and v zero at the other
-    free columns.
-
-    >>> kernel([(1, 2)], 2)
-    [(1, [-2, 1])]
-    """
-    red, pivots = echelon(rows, ncols)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        scale = lcm(*[row[pc] for row, pc in zip(red, pivots) if row[fc]])
-        v = [0] * ncols
-        v[fc] = scale
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc] * (scale // row[pc])
-        basis.append((fc, _content_free(v)))
-    return basis
-
-
 def qsolve(rows, b) -> QVec | None:
     """One solution of ``M x = b`` over Q, or None when inconsistent."""
     rows, b = [list(r) for r in rows], list(b)

@@ -690,26 +690,23 @@ def factorial_cover_with_basis(rd: RootDatum) -> tuple[RootDatum, IntMatrix, int
     return RootDatum(n, new_roots, new_coroots, rd.u_rad), scaled, denom
 
 
-def contains_borel(rd: RootDatum, root_subset, q_unimodular: bool, cap: int = DEFAULT_CAP):
-    """Does the root subset contain w(positive system) for some w in W?
+def contains_borel(rd: RootDatum, root_subset, cap: int = DEFAULT_CAP):
+    """The first Weyl element w, in enumeration order, that carries the
+    positive system into the root subset, as ``(index, word, matrix)``: its
+    index, its reduced word and its matrix on X(T), the one the walk of
+    :func:`_weyl_matrices` built; None when there is none.
 
     ``root_subset`` is an iterable of root vectors (X(T) coordinates, either
-    sign).  Returns ``(found, witness)`` where the witness is the first such
-    Weyl element in enumeration order, as a pair (index, reduced word), or
-    None.  A subgroup whose torus is a proper quotient (``q_unimodular``
-    false: q is not a square matrix of determinant +-1) never contains a
-    Borel subgroup, nor does a subset of fewer distinct roots than the
-    positive system; either is answered with no Weyl element built.  Past
-    ``cap`` the order formula refuses first (:class:`GroupTooLarge`).
+    sign).  A subset of fewer distinct roots than the positive system is
+    answered None with no Weyl element built.  Past ``cap`` the order
+    formula refuses first (:class:`GroupTooLarge`).
     """
-    if not q_unimodular:
-        return False, None
     _weyl_order(rd, cap)
     subset = {tuple(int(x) for x in v) for v in root_subset}
     pos = [r.vector for r in root_system(rd).positive]
     if len(subset) < len(pos):  # w(positive system) has |positive| distinct roots
-        return False, None
+        return None
     for idx, (word, m) in enumerate(_weyl_matrices(rd, cap)):
         if all(m.apply(v) in subset for v in pos):
-            return True, (idx, word)
-    return False, None
+            return idx, word, m
+    return None

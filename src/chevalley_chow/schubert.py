@@ -167,18 +167,10 @@ def _representative_table(rd: RootDatum, /) -> tuple[tuple[Packed, ...], int, tu
     simple_linears = [linear_poly(rd.simple_roots.rows[i]) for i in range(rd.nsimple)]
     for pos in order[1:]:
         mu = w.orbit[pos]
-        length = w.lengths[pos]
-        done = False
-        for i in range(rd.nsimple):
-            alpha, alpha_v = rd.simple_roots.rows[i], rd.simple_coroots.rows[i]
-            k = rd.pairing(mu, alpha)
-            up_idx = w.index[tuple(x - k * y for x, y in zip(mu, alpha_v))]
-            if w.lengths[up_idx] == length + 1 and reps[up_idx] is not None:
-                f = reps[up_idx]
-                reps[pos] = exact_divide_linear(poly_sub(f, substitute(w.generators[i], f)), simple_linears[i])
-                done = True
-                break
-        assert done, "every non-longest element has an ascent"
+        # w s_i is one longer exactly when <mu, alpha_i> > 0, and built already
+        i, k = next((i, k) for i, alpha in enumerate(rd.simple_roots.rows) if (k := rd.pairing(mu, alpha)) > 0)
+        f = reps[w.index[tuple(x - k * y for x, y in zip(mu, rd.simple_coroots.rows[i]))]]
+        reps[pos] = exact_divide_linear(poly_sub(f, substitute(w.generators[i], f)), simple_linears[i])
     assert reps[0] == {(0,) * n: Fraction(1)}, f"degree-0 representative came out as {reps[0]}"
     scale = lcm(*(c.denominator for p in reps for c in p.values()))
     top_degree = w.lengths[-1]

@@ -33,7 +33,6 @@ from .rootdata import (
     factorial_cover_with_basis,
     matrix_group_order,
     root_system,
-    simple_reflection,
     validate_root_datum,
 )
 
@@ -232,11 +231,8 @@ def phi_local_triviality_test(gd: GroupDescriptor, hd: SubgroupDescriptor) -> Ve
     return Verdict("no", "; ".join(reasons))
 
 
-def _parabolic_witness(gd: GroupDescriptor, hd: SubgroupDescriptor, word):
+def _parabolic_witness(gd: GroupDescriptor, hd: SubgroupDescriptor, word, m: IntMatrix):
     rs = root_system(gd.rd)
-    m = IntMatrix.identity(gd.rd.rank)
-    for i in word:
-        m = m @ simple_reflection(gd.rd, i)
     roots_h = set(hd.root_vectors(gd.rd))
     # alpha_i is a Levi simple root when H also holds the opposite root m(-alpha_i)
     levi = tuple(
@@ -266,13 +262,14 @@ def completeness_test(gd: GroupDescriptor, hd: SubgroupDescriptor, cap: int = DE
     """
     q = hd.q_matrix
     q_full = q.ncols == gd.rd.rank and is_unimodular(q)
-    found_flag, witness = contains_borel(gd.rd, hd.root_vectors(gd.rd), q_full, cap=cap)
-    if found_flag and hd.ant_contains_gantaff:
+    # a torus that is a proper quotient holds no Borel subgroup: nothing is walked
+    witness = contains_borel(gd.rd, hd.root_vectors(gd.rd), cap=cap) if q_full else None
+    if witness is not None and hd.ant_contains_gantaff:
         return Verdict("yes", "H meet G_aff contains a Borel subgroup and "
                               "H meet G_ant contains (G_ant)_aff",
-                       _parabolic_witness(gd, hd, witness[1]))
+                       _parabolic_witness(gd, hd, *witness[1:]))
     reasons = []
-    if not found_flag:
+    if witness is None:
         reasons.append("no Weyl translate of the positive system lies in the subgroup roots"
                        if q_full else "the torus of H is a proper quotient, so H contains no Borel subgroup")
     if not hd.ant_contains_gantaff:

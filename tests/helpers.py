@@ -244,20 +244,6 @@ def fraction_rref(rows, ncols=None):
     return [tuple(row) for row in work[:r]], pivots
 
 
-def fraction_nullspace(rows, ncols):
-    """Oracle for ``qlinalg.kernel`` (each vector over its free entry), read
-    off :func:`fraction_rref`."""
-    red, pivots = fraction_rref(rows, ncols)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
-
-
 def fraction_qsolve(rows, b):
     """Oracle for ``qlinalg.qsolve``: :func:`fraction_rref` of the augmented matrix."""
     rows = [[Fraction(x) for x in r] for r in rows]

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import helpers as z
 from chevalley_chow import formats, invariants, lattice, rootdata, schubert
+from chevalley_chow.descriptors import _subgroup_reflections, subgroup_characters, validate_subgroup
 from chevalley_chow.errors import DegreeTooLarge, GroupTooLarge
 from chevalley_chow.invariants import (
     coeff_vector,
@@ -64,6 +65,14 @@ def test_sym_basis():
     assert len(sym_basis(3, 4)) == 15
     assert sym_basis(0, 0) == ((),)
     assert sym_basis(0, 1) == ()
+
+
+def test_a_negative_rank_is_refused():
+    # both once recursed until RecursionError
+    with pytest.raises(ValueError, match="negative rank"):
+        sym_basis(-1, 2)
+    with pytest.raises(ValueError, match="negative rank"):
+        truncated_quotient(-1, [], 2)
 
 
 def test_poly_ops():
@@ -281,12 +290,21 @@ def test_truncated_quotient_shape():
     (2, [{(1, 0, 0): Fraction(1)}], (), re.escape("(1, 0, 0) is not a monomial in 2 variables")),
     (2, [{(1,): Fraction(1)}], (), re.escape("(1,) is not a monomial in 2 variables")),
     (2, [{(1, 0): Fraction(1), (-1, 2): Fraction(1)}], (), re.escape("(-1, 2) is not a monomial")),
+    (1, [], (IntMatrix.identity(2),), "is not 1 x 1"),
+    (2, [], (IntMatrix(((1,),)),), "is not 2 x 2"),
+    (2, [], (IntMatrix.identity(2), IntMatrix(((0, 1, 0), (1, 0, 0)))), "is not 2 x 2"),
 ])
 def test_truncated_quotient_refuses_misshapen_input(rank, generators, group, message):
     # each once acted as its top-left block, cut the monomial short, or
     # raised a bare IndexError or KeyError
     with pytest.raises(ValueError, match=message):
         truncated_quotient(rank, generators, 2, group)
+    if group:  # every slice entry point refuses the group in invariant_slice, with one message
+        x = linear_poly((1,) * rank)
+        for call in (lambda: invariant_slice(rank, group, 1), lambda: ideal_slice(rank, [x], 2, group),
+                     lambda: quotient_basis(rank, [], 1, group)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_truncated_quotient_refuses_a_negative_degree(monkeypatch):
@@ -438,6 +456,25 @@ def test_invariant_slice_is_a_basis_of_the_fixed_space(group, d):
     assert all(independent.add(coeff_vector(p, rank, d)) for p in got)
     want = z.reynolds_slice(rank, gens, d)
     assert len(got) == len(want) and z.same_span(got, want, rank, d)
+    # integral, saturated and in Hermite form: the canonical basis of the integral invariants
+    rows = IntMatrix([coeff_vector(p, rank, d) for p in got], len(sym_basis(rank, d)))
+    assert lattice.hermite_row_basis(rows) == rows == lattice.saturate_rows(rows)
+
+
+def test_degree1_slice_of_k_is_x_h():
+    # the Chow side's ambient S^K and the Picard side's X(H) = X(T_H)^K read
+    # one kernel: in degree 1 the slice is X(H), basis for basis
+    pairs = [(doc.group, hd) for doc in map(formats.parse_descriptor, map(z.fixture_bytes, z.FIXTURE_NAMES))
+             for _, hd in doc.subgroups]
+    pairs += [(z.affine_group(key, rd), hd) for key, rd in z.SWEEP.items() for _, hd in z.full_rank_subgroups(rd)]
+    checked = 0
+    for gd, hd in pairs:
+        if validate_subgroup(gd, hd).ok:
+            k = _subgroup_reflections(gd, hd) + hd.component_generators
+            got = [coeff_vector(p, hd.h_rank, 1) for p in invariant_slice(hd.h_rank, k, 1)]
+            assert got == list(subgroup_characters(gd, hd).rows), (gd.name, hd.name)
+            checked += 1
+    assert checked == 537
 
 
 def test_coinvariant_generators_are_fresh():

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import helpers as z
-from chevalley_chow.qlinalg import SpanBuilder, echelon, kernel, qsolve
+from chevalley_chow.qlinalg import SpanBuilder, echelon, qsolve
 
 
 def test_echelon_and_rank():
@@ -15,14 +15,6 @@ def test_echelon_and_rank():
     assert rows == [[1, 0, 1], [0, 1, 1]]
     assert len(echelon([], 3)[0]) == 0
     assert len(echelon([(0, 0)], 2)[0]) == 0
-
-
-def test_kernel():
-    ns = kernel([(1, 1, 0)], 3)
-    assert [fc for fc, _ in ns] == [1, 2]
-    for _, v in ns:
-        assert v[0] + v[1] == 0
-    assert kernel([], 2) == [(0, [1, 0]), (1, [0, 1])]
 
 
 def test_qsolve():
@@ -70,7 +62,7 @@ def typed(x):
 
 
 @given(matrices())
-def test_echelon_and_kernel_match_the_fraction_oracle(m):
+def test_echelon_matches_the_fraction_oracle(m):
     rows, ncols = m
     # echelon: primitive integer rows, positive multiples of the rref rows
     for shape in ((rows, ncols), (rows,)) if rows else ((rows, ncols),):
@@ -80,10 +72,6 @@ def test_echelon_and_kernel_match_the_fraction_oracle(m):
         for row, pc, want_row in zip(red, pivots, want):
             assert all(type(x) is int for x in row) and math.gcd(*row) == 1 and row[pc] > 0
             assert [Fraction(x, row[pc]) for x in row] == list(want_row)
-    # kernel: primitive integer vectors, positive multiples of the nullspace basis
-    for (fc, v), want in zip(kernel(rows, ncols), z.fraction_nullspace(rows, ncols), strict=True):
-        assert all(type(x) is int for x in v) and math.gcd(*v) == 1 and v[fc] > 0
-        assert [Fraction(x, v[fc]) for x in v] == list(want)
 
 
 @given(matrices(), st.data())

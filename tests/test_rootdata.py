@@ -523,17 +523,14 @@ def test_factorial_cover_matches_the_integer_route(name):
 def test_contains_borel():
     rs = root_system(z.sl3)
     pos = [r.vector for r in rs.positive]
-    found, witness = contains_borel(z.sl3, pos, True)
-    assert found and witness == (0, ())
+    assert contains_borel(z.sl3, pos) == (0, (), M.identity(2))
     neg = [tuple(-x for x in v) for v in pos]
-    found, witness = contains_borel(z.sl3, neg, True)
-    assert found
-    idx, word = witness
+    idx, word, m = contains_borel(z.sl3, neg)
     assert len(word) == 3  # the longest element of A2
-    found, _ = contains_borel(z.sl3, pos[:2], True)
-    assert not found
-    found, _ = contains_borel(z.sl3, pos, False)
-    assert not found
+    # the walk's matrix is the product of the word's simple reflections, and it sends pos to neg
+    s = [simple_reflection(z.sl3, i) for i in word]
+    assert m == s[0] @ s[1] @ s[2] and {m.apply(v) for v in pos} == set(neg)
+    assert contains_borel(z.sl3, pos[:2]) is None
 
 
 def test_contains_borel_counts_roots_before_walking(monkeypatch):
@@ -544,11 +541,11 @@ def test_contains_borel_counts_roots_before_walking(monkeypatch):
     # the normalizer of the torus of E6 has no roots: the walk would visit all 51840 elements
     normalizer = z.SubgroupDescriptor("normalizer", M.identity(6),
                                       component_generators=_simple_reflections(z.e6), translations=(False,) * 6)
-    assert contains_borel(z.e6, normalizer.root_vectors(z.e6), True) == (False, None)
+    assert contains_borel(z.e6, normalizer.root_vectors(z.e6)) is None
     pos = [r.vector for r in root_system(z.e6).positive]
-    assert contains_borel(z.e6, pos[1:] + pos[1:], True) == (False, None)  # repeats count once
+    assert contains_borel(z.e6, pos[1:] + pos[1:]) is None  # repeats count once
     with pytest.raises(GroupTooLarge, match="51840 exceeds cap 1000"):  # the cap is still refused first
-        contains_borel(z.e6, (), True, cap=1000)
+        contains_borel(z.e6, (), cap=1000)
 
 
 def test_cartan_matrix():
