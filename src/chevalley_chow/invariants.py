@@ -21,7 +21,7 @@ from operator import add
 
 from ._record import Record
 from .errors import DegreeTooLarge
-from .lattice import CACHE_SIZE, IntMatrix, integer_kernel
+from .lattice import CACHE_SIZE, IntMatrix, _column_transform
 from .qlinalg import SpanBuilder
 
 Poly = dict[tuple[int, ...], Fraction]
@@ -140,11 +140,15 @@ def linear_poly(vec) -> Poly:
 
 
 def coeff_vector(a: Poly, rank: int, d: int) -> tuple[Fraction, ...]:
+    """Coordinates of ``a`` over :func:`sym_basis` ``(rank, d)``; ValueError
+    naming a key that is not a degree-d monomial in ``rank`` variables."""
     basis = sym_basis(rank, d)
     lookup = {m: i for i, m in enumerate(basis)}
     vec = [0] * len(basis)
     for m, c in a.items():
-        vec[lookup[m]] = c
+        if (i := lookup.get(m)) is None:
+            raise ValueError(f"{m!r} is not a degree-{d} monomial in {rank} variables")
+        vec[i] = c
     return tuple(vec)
 
 
@@ -154,16 +158,19 @@ def substitute(matrix: IntMatrix, a: Poly) -> Poly:
     This is the action induced on Sym(X) by the column action on X, so
     ``substitute(g, substitute(h, f)) == substitute(g @ h, f)``.  Along a
     lattice surjection q: X(T) -> X(T_H) it restricts polynomials to T_H.
+    A key of another length than ``matrix.ncols`` raises ValueError naming it.
 
     >>> q = IntMatrix(((1, 1),))
     >>> substitute(q, {(1, 1): Fraction(1)})  # x*y with (a,b) -> a+b
     {(2,): Fraction(1, 1)}
     """
-    n = matrix.nrows
+    n, ncols = matrix.nrows, matrix.ncols
     images = [{tuple(int(j == i) for j in range(n)): c for i, c in enumerate(matrix.column(k)) if c}
-              for k in range(matrix.ncols)]
+              for k in range(ncols)]
     out: Poly = {}
     for m, c in a.items():
+        if len(m) != ncols:
+            raise ValueError(f"{m!r} is not a monomial in {ncols} variables")
         term: Poly = {(0,) * n: c}
         for i, e in enumerate(m):
             for _ in range(e):
@@ -202,7 +209,7 @@ def exact_divide_linear(a: Poly, linear: Poly) -> Poly:
 
 def invariant_slice(rank: int, generators, d: int) -> list[Poly]:
     """The Hermite basis of the integral degree-d invariants of the group
-    the generators span, from :func:`lattice.integer_kernel`.
+    the generators span, by the kernel routine of :func:`lattice.integer_kernel`.
 
     They are the polynomials of V = Sym^d that every generator s fixes, the
     kernel of the stacked rho_d(s) - 1, read off the generators alone at a
@@ -240,12 +247,14 @@ def invariant_slice(rank: int, generators, d: int) -> list[Poly]:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _invariant_slice(rank: int, gens: tuple[IntMatrix, ...], d: int) -> tuple[Poly, ...]:
+    """Memoized here, so the kernel skips the lattice cache, where an entry
+    keyed by the whole stack could never hit and would evict a shared one."""
     basis = sym_basis(rank, d)
     n = len(basis)
     # images[k][j]: coordinates of rho_d(gens[k]) applied to monomial j
     images = _power_images(rank, gens, d)
     rows = tuple(tuple([img[j][t] - (j == t) for j in range(n)]) for img in images for t in range(n))
-    fixed = integer_kernel(IntMatrix._from_int_rows(rows, n))
+    fixed = _column_transform.__wrapped__(IntMatrix._from_int_rows(rows, n))[1]
     return tuple({m: Fraction(c) for m, c in zip(basis, v) if c} for v in fixed.rows)
 
 
@@ -359,13 +368,15 @@ class TruncatedQuotient(Record):
 def free_quotient(rank: int, ambient_degrees, ideal_degrees, max_degree: int) -> TruncatedQuotient:
     """Polynomial ring on generators of degrees e_j mod a regular sequence of degrees d_i:
     ``ambient_dims`` of prod_j 1/(1 - t^{e_j}), ``dims`` of that times prod_i (1 - t^{d_i}).
-    A negative ``max_degree`` raises ValueError.
+    A negative ``max_degree``, or a degree e_j or d_i below 1, raises ValueError.
 
     >>> free_quotient(1, (1,), (2,), 3).dims  # Q[t]/(t^2), as truncated_quotient finds
     (1, 1, 0, 0)
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
+    if min((*ambient_degrees, *ideal_degrees), default=1) < 1:
+        raise ValueError(f"degrees must be positive, got {tuple(ambient_degrees)} and {tuple(ideal_degrees)}")
     ambient = [1] + [0] * max_degree
     for e in ambient_degrees:
         for k in range(e, max_degree + 1):

@@ -1,18 +1,19 @@
-"""Small exact linear algebra over Q: integral elimination, rational results.
+"""Small exact linear algebra over Q: one integral elimination, rational results.
 
-Vectors are tuples, matrices are sequences of rows of ints or Fractions.  Each
-row is scaled to a primitive integer vector and eliminated fraction-free, as
-``p*row - f*pivot_row`` divided by its gcd (Bareiss, *Math. Comp.* 22, 1968), so
-only the results of :func:`qsolve` are Fractions.  Pivoting picks the first
-nonzero entry.
+Vectors are tuples, matrices are sequences of rows of ints or Fractions.  The
+one elimination is :class:`SpanBuilder`'s: each row is scaled to a primitive
+integer vector and reduced fraction-free against the rows kept so far, as
+``p*row - f*pivot_row`` divided by its gcd (Bareiss, *Math. Comp.* 22, 1968);
+the pivot of a row is its first nonzero entry.  :func:`qsolve` reads its
+solution off such a basis of the augmented rows, so only its results are
+Fractions.  The one elimination over Z is :func:`lattice.hermite_row_basis`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-QVec = tuple[Fraction, ...]
+from operator import mul
 
 
 def _content_free(ints: list[int]) -> list[int]:
@@ -27,46 +28,24 @@ def _primitive(vec) -> list[int]:
     return _content_free([x.numerator * (den // x.denominator) for x in vec])
 
 
-def echelon(rows, ncols: int | None = None) -> tuple[list[list[int]], list[int]]:
-    """Integral reduced row echelon form: (nonzero rows, pivot columns), the
-    rows primitive, each with a positive pivot entry and zeros at the other
-    pivot columns; a row divided by its pivot entry is the matching row of
-    the reduced row echelon form over Q.
-
-    >>> echelon([(1, 2, 3), (2, 4, 6), (0, 2, 4)])
-    ([[1, 0, -1], [0, 1, 2]], [0, 1])
-    """
-    work = [_primitive(r) for r in rows]
-    if ncols is None:
-        ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pr is None:
-            continue
-        prow = work[pr] if work[pr][c] > 0 else [-x for x in work[pr]]
-        work[pr], work[r] = work[r], prow
-        for i, row in enumerate(work):
-            if i != r and (f := row[c]):
-                work[i] = _content_free([prow[c] * x - f * y for x, y in zip(row, prow)])
-        pivots.append(c)
-        if len(pivots) == len(work):
-            break
-    return work[:len(pivots)], pivots
-
-
-def qsolve(rows, b) -> QVec | None:
-    """One solution of ``M x = b`` over Q, or None when inconsistent."""
+def qsolve(rows, b) -> tuple[Fraction, ...] | None:
+    """One solution of ``M x = b`` over Q, or None when inconsistent: the
+    augmented rows go into a :class:`SpanBuilder`, solved from its last pivot
+    up with every free unknown 0.  All echelon forms of a row space share
+    their pivots, so this is the reduced echelon form's answer, in Fractions."""
     rows, b = [list(r) for r in rows], list(b)
     if len(rows) != len(b):
         raise ValueError("rhs length mismatch")
     ncols = len(rows[0]) if rows else 0
-    red, pivots = echelon([row + [rhs] for row, rhs in zip(rows, b)], ncols + 1)
-    if ncols in pivots:
+    span = SpanBuilder(ncols + 1)
+    for row, rhs in zip(rows, b):
+        span.add(row + [rhs])
+    if ncols in span.pivots:
         return None
-    sol = {pc: Fraction(row[ncols], row[pc]) for row, pc in zip(red, pivots)}
-    return tuple(sol.get(c, Fraction(0)) for c in range(ncols))
+    sol = [Fraction(0)] * ncols
+    for row, pc in zip(reversed(span.rows), reversed(span.pivots)):  # row is 0 left of pc
+        sol[pc] = Fraction(row[ncols] - sum(map(mul, row[pc + 1:ncols], sol[pc + 1:])), row[pc])
+    return tuple(sol)
 
 
 class SpanBuilder:

@@ -203,21 +203,21 @@ def coinvariant_ideal_generators(rd: RootDatum, max_degree: int, cap: int = DEFA
     """W-invariants of degrees 1..max_degree generating the coinvariant ideal up to that degree.
 
     They are the minimal generators :func:`_coinvariant_reducer` keeps (GL2
-    up to degree 20: 2, not 120), read off it up to the degree where all
-    ``rank`` are found and returned as fresh dicts; their degrees and ideal
-    are fixed, the choice follows the slice bases.  A Weyl group past
-    ``cap`` is refused up front from the order formula of its Cartan type
-    (:class:`GroupTooLarge`); the slices are the fixed spaces of the simple
-    reflections (:func:`invariant_slice`), so W is never enumerated here.
+    up to degree 20: 2, not 120), returned as fresh dicts; their degrees and
+    ideal are fixed, the choice follows the slice bases.  The basic
+    invariants have the degrees of W's Cartan type, so all ``rank`` are
+    found by the top one: one reducer call, at the lesser of ``max_degree``
+    and that degree.  A Weyl group past ``cap`` is refused up front from the
+    order formula of its Cartan type (:class:`GroupTooLarge`); the slices
+    are the fixed spaces of the simple reflections (:func:`invariant_slice`),
+    so W is never enumerated here.
     """
-    if rd.nsimple and max_degree > 0:
-        _weyl_order(rd, cap)
-    gens: tuple[Poly, ...] = ()
-    for e in range(1, max_degree + 1):
-        gens = _coinvariant_reducer(rd, e)
-        if len(gens) == rd.rank:
-            break
-    return [dict(g) for g in gens]
+    degree = 0
+    if max_degree > 0:
+        if rd.nsimple:
+            _weyl_order(rd, cap)
+        degree = min(max_degree, max(validate_root_datum(rd).degrees, default=0))
+    return [dict(g) for g in _coinvariant_reducer(rd, degree)]
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -218,12 +218,10 @@ borel_sl3 = SubgroupDescriptor("borel", IntMatrix.identity(2),
                                ant_contains_gantaff=True)
 
 
-def fraction_rref(rows, ncols=None):
-    """Oracle for ``qlinalg.echelon``: Gauss-Jordan elimination on Fractions,
-    each pivot row scaled to a leading 1 (an ``echelon`` row over its pivot)."""
+def fraction_rref(rows, ncols):
+    """Gauss-Jordan elimination on Fractions, each pivot row scaled to a
+    leading 1: (the reduced row echelon form, its pivot columns)."""
     work = [[Fraction(x) for x in r] for r in rows]
-    if ncols is None:
-        ncols = len(work[0]) if work else 0
     pivots = []
     r = 0
     for c in range(ncols):

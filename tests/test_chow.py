@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 import helpers as z
-from chevalley_chow import chow, cli, descriptors, invariants, lattice, rootdata, schubert
+from chevalley_chow import chow, cli, descriptors, formats, invariants, lattice, rootdata, schubert
 from chevalley_chow.chow import (
     GradedPresentation,
     chow_presentation,
@@ -203,6 +203,30 @@ def test_homogeneous_chow_trivial_subgroup():
     assert h.concrete_factor.dims == (1, 0, 0) and h.j_rank == 1
     h = homogeneous_rational_chow(z.semiab, z.full_t, 2)
     assert h.concrete_factor.dims == (1, 0, 0) and h.j_rank == 0
+
+
+def test_chow_of_g_is_hchow_of_the_trivial_subgroup(any_group):
+    # consistency table, "H = 1 for Chow": G/1 = G, so both routes give one
+    # concrete factor and one j_rank (their ambient_dims differ by design)
+    trivial = SubgroupDescriptor("trivial", IntMatrix((), any_group.rd.rank))
+    for d in range(5):
+        want, got = rational_chow(any_group, d), homogeneous_rational_chow(any_group, trivial, d)
+        assert (got.concrete_factor.dims, got.j_rank) == (want.concrete_factor.dims, want.j_rank), d
+
+
+def test_hchow_degree_1_is_the_rank_of_the_x_part():
+    # consistency table, "Degree 1": dim A^1(G/H)_Q is the rank of X(H)/r_H X(G_aff)
+    pairs = [(doc.group, hd) for doc in map(formats.parse_descriptor, map(z.fixture_bytes, z.FIXTURE_NAMES))
+             for _, hd in doc.subgroups]
+    checked = 0
+    for gd, hd in pairs:
+        try:
+            dims = homogeneous_rational_chow(gd, hd, 1).concrete_factor.dims
+        except ModeUnsupported:  # H contains G_ant
+            continue
+        assert homogeneous_picard(gd, hd).x_part.rank == dims[1], (gd.name, hd.name)
+        checked += 1
+    assert (len(pairs), checked) == (19, 17)
 
 
 def _component_subgroup(name, *generators):

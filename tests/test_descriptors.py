@@ -145,6 +145,28 @@ def test_descended_coroot():
     assert z.full_aff.symmetric_root_indices() == (0,)
     assert descended_coroot(z.product_sl2, z.full_aff, 0) == (1,)
     assert descended_coroot(z.product_sl3, z.borel_sl3, 1) == (1, 0)
+    # q = 2 on X(T) = Z: the coroot 1 of SL2 is no integral pullback along q
+    doubled = SubgroupDescriptor("doubled", M(((2,),)), ((0, 1), (0, -1)))
+    with pytest.raises(ValueError, match="coroot 0 does not descend along q"):
+        descended_coroot(z.product_sl2, doubled, 0)
+
+
+def test_q_of_the_wrong_width_stops_validation_at_its_shape():
+    report = validate_subgroup(z.product_sl2, SubgroupDescriptor("wide", M.identity(2)))
+    assert [(c.name, c.passed) for c in report.checks] == [("q-shape", False)]
+    assert report.checks[0].detail == "q has 2 columns but X(T) has rank 1"
+
+
+def test_unvalidated_component_group_moving_x_h0_is_refused():
+    # the rotation s_1 s_2 of A3 moves the X(H0) of levi(0,); validate_subgroup
+    # reports it, and subgroup_characters called without it refuses it
+    a3 = z.affine_group("A3", z.SWEEP["A3-sc"])
+    levi = dict(z.full_rank_subgroups(a3.rd))["levi(0,)"]
+    rot = simple_reflection(a3.rd, 1) @ simple_reflection(a3.rd, 2)
+    moved = SubgroupDescriptor("moved", levi.q_matrix, levi.roots, component_generators=(rot,), translations=(False,))
+    assert descriptors._connected_character_lattice(a3, moved).nrows > 0
+    with pytest.raises(ValueError, match=r"component group does not stabilize X\(H0\)"):
+        subgroup_characters(a3, moved)
 
 
 def test_restriction_maps():

@@ -142,6 +142,39 @@ def test_coinvariant_ideal_refuses_cap_without_enumerating(monkeypatch):
     assert len(coinvariant_ideal_generators(z.f4, 2)) == 1
 
 
+def test_coinvariant_generators_make_one_reducer_call(monkeypatch):
+    # the basic invariants have W's degrees, so the top one is the last
+    # degree asked for; a request of degree 0 or less reads no Cartan type
+    cases = ((z.sl3, 5, 3), (z.sl3, 2, 2), (z.gl2, 20, 2), (z.g2, 4, 4), (z.g2, 9, 6), (z.torus2, 3, 1),
+             (z.sl3, 0, 0), (z.sl3, -2, 0))
+    for rd, _, degree in cases:
+        schubert._coinvariant_reducer(rd, degree)  # warm, so a call does not recurse
+    calls = []
+    reducer = schubert._coinvariant_reducer
+    monkeypatch.setattr(schubert, "_coinvariant_reducer", lambda rd, d: calls.append(d) or reducer(rd, d))
+    for rd, max_degree, degree in cases:
+        calls.clear()
+        if max_degree <= 0:
+            with monkeypatch.context() as m:
+                m.setattr(schubert, "validate_root_datum", None)
+                assert coinvariant_ideal_generators(rd, max_degree) == []
+        else:
+            assert coinvariant_ideal_generators(rd, max_degree) == [dict(g) for g in reducer(rd, degree)]
+        assert calls == [degree], (rd, max_degree)
+
+
+def test_slices_leave_no_column_transform_entry():
+    # _invariant_slice memoizes the slice itself, so a kernel entry keyed by
+    # the whole stack could never hit, and would evict a lattice entry
+    z.clear_package_caches()
+    refl = tuple(simple_reflection(z.d4, i) for i in range(4))
+    for _ in range(2):
+        for d in range(7):
+            invariant_slice(4, refl, d)
+    assert invariants._invariant_slice.cache_info()[:2] == (7, 7)  # hits, misses
+    assert lattice._column_transform.cache_info().currsize == 0
+
+
 def test_invariant_slice_returns_fresh_polynomials():
     refl = tuple(simple_reflection(z.sl3, i) for i in range(2))
     first = invariant_slice(2, refl, 3)
@@ -316,6 +349,25 @@ def test_truncated_quotient_refuses_a_negative_degree(monkeypatch):
     for top in (-1, -5):
         with pytest.raises(ValueError, match="nonnegative"):
             truncated_quotient(1, [linear_poly((1,))], top)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: coeff_vector({(2, 0): 1}, 2, 1), "(2, 0) is not a degree-1 monomial in 2 variables"),
+    (lambda: coeff_vector({(1, 0): 1, (1,): 1}, 2, 1), "(1,) is not a degree-1 monomial in 2 variables"),
+    (lambda: ideal_slice(2, [{(2, -1): 1}], 2), "(3, -1) is not a degree-2 monomial in 2 variables"),
+    (lambda: quotient_basis(2, [{(2, -1): 1}], 2), "(3, -1) is not a degree-2 monomial in 2 variables"),
+    (lambda: substitute(IntMatrix(((1, 0),)), {(1,): 1}), "(1,) is not a monomial in 2 variables"),
+    (lambda: substitute(IntMatrix.identity(2), {(1, 0): 1, (0, 0, 1): 1}), "(0, 0, 1) is not a monomial in 2 variables"),
+    (lambda: free_quotient(1, (0,), (2,), 3), "degrees must be positive, got (0,) and (2,)"),
+    (lambda: free_quotient(2, (1, 1), (2, -1), 3), "degrees must be positive, got (1, 1) and (2, -1)"),
+], ids=["coeff_vector-degree", "coeff_vector-length", "ideal_slice", "quotient_basis", "substitute-short",
+        "substitute-long", "free_quotient-ambient", "free_quotient-ideal"])
+def test_malformed_polynomials_and_degrees_are_refused(call, message):
+    # each once raised a bare KeyError or IndexError, or answered: the first
+    # substitute as the identity, free_quotient(1, (0,), (2,), 3) dims (2, 0, -2, 0)
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("top", [-1, -5])

@@ -6,15 +6,8 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import helpers as z
-from chevalley_chow.qlinalg import SpanBuilder, echelon, qsolve
-
-
-def test_echelon_and_rank():
-    rows, pivots = echelon([(1, 2, 3), (2, 4, 6), (1, 0, 1)])
-    assert pivots == [0, 1]
-    assert rows == [[1, 0, 1], [0, 1, 1]]
-    assert len(echelon([], 3)[0]) == 0
-    assert len(echelon([(0, 0)], 2)[0]) == 0
+from chevalley_chow import qlinalg
+from chevalley_chow.qlinalg import SpanBuilder, qsolve
 
 
 def test_qsolve():
@@ -22,6 +15,21 @@ def test_qsolve():
     assert sol == (Fraction(1, 2), Fraction(1, 2))
     assert qsolve([(1, 1)], (3,)) is not None
     assert qsolve([(1, 0), (1, 0)], (0, 1)) is None
+
+
+def test_qsolve_solves_through_the_span_builder(monkeypatch):
+    # one elimination over Q: the augmented rows go into a SpanBuilder
+    assert not hasattr(qlinalg, "echelon")
+    added = []
+    add = SpanBuilder.add
+
+    def spy(self, vec):
+        added.append(list(vec))
+        return add(self, vec)
+
+    monkeypatch.setattr(SpanBuilder, "add", spy)
+    assert qsolve([(1, 2, 3), (2, 4, 6), (0, 2, 4)], (1, 2, 2)) == (-1, 1, 0)
+    assert added == [[1, 2, 3, 1], [2, 4, 6, 2], [0, 2, 4, 2]]
 
 
 def test_span_builder():
@@ -59,19 +67,6 @@ def typed(x):
     if isinstance(x, (list, tuple)):
         return type(x).__name__, [typed(y) for y in x]
     return type(x).__name__, x
-
-
-@given(matrices())
-def test_echelon_matches_the_fraction_oracle(m):
-    rows, ncols = m
-    # echelon: primitive integer rows, positive multiples of the rref rows
-    for shape in ((rows, ncols), (rows,)) if rows else ((rows, ncols),):
-        red, pivots = echelon(*shape)
-        want, want_pivots = z.fraction_rref(*shape)
-        assert pivots == want_pivots and len(red) == len(want)
-        for row, pc, want_row in zip(red, pivots, want):
-            assert all(type(x) is int for x in row) and math.gcd(*row) == 1 and row[pc] > 0
-            assert [Fraction(x, row[pc]) for x in row] == list(want_row)
 
 
 @given(matrices(), st.data())

@@ -533,6 +533,18 @@ def test_contains_borel():
     assert contains_borel(z.sl3, pos[:2]) is None
 
 
+def test_contains_borel_walks_all_of_w_before_answering_none(monkeypatch):
+    # {alpha_1, alpha_2, -alpha_1 - alpha_2} has as many roots as the positive
+    # system, but no Weyl element carries the positive system into it
+    a1, a2 = z.sl3.simple_roots.rows
+    subset = (a1, a2, tuple(-x - y for x, y in zip(a1, a2)))
+    walked = []
+    matrices = rootdata._weyl_matrices
+    monkeypatch.setattr(rootdata, "_weyl_matrices", lambda rd, cap: (walked.append(p) or p for p in matrices(rd, cap)))
+    assert contains_borel(z.sl3, subset) is None
+    assert len(walked) == 6
+
+
 def test_contains_borel_counts_roots_before_walking(monkeypatch):
     def no_walk(*args):
         raise AssertionError("fewer roots than the positive system need no Weyl element")
@@ -554,10 +566,10 @@ def test_cartan_matrix():
 
 
 def test_cartan_validation_needs_no_rational_elimination(monkeypatch):
-    def no_echelon(*args, **kwargs):
+    def no_elimination(*args, **kwargs):
         raise AssertionError("simple roots ranked over Fractions")
 
-    monkeypatch.setattr(qlinalg, "echelon", no_echelon)
+    monkeypatch.setattr(qlinalg.SpanBuilder, "_reduce", no_elimination)
     for rd, name in ((z.sl2, "A1"), (z.sl3, "A2"), (z.sl4, "A3"), (z.a4, "A4"), (z.a5, "A5"),
                      (z.sp4, "B2"), (z.c3, "C3"), (z.d4, "D4"), (z.g2, "G2"), (z.f4, "F4")):
         assert validate_root_datum(rd).describe() == name
