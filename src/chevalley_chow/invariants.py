@@ -294,10 +294,11 @@ def ideal_slice(rank: int, generators, d: int, group=()) -> SpanBuilder:
     """Degree-d piece of the ideal the generators span inside the invariants
     of ``group`` (all of Sym(Q^rank) for the empty tuple).
 
-    Generators must be homogeneous of positive degree.  The slice is the span
-    of g * a over generators g and :func:`invariant_slice` basis elements a
-    of complementary degree, each product eliminated once into the returned
-    :class:`SpanBuilder` (coordinates in :func:`sym_basis` order).
+    Generators must be homogeneous of positive degree; a key that is no
+    monomial raises ValueError naming it, before any product.  The slice is
+    the span of g * a over generators g and :func:`invariant_slice` basis
+    elements a of complementary degree, each product eliminated once into
+    the returned :class:`SpanBuilder` (coordinates in :func:`sym_basis` order).
 
     >>> t2 = {(2,): Fraction(1)}
     >>> ideal_slice(1, [t2], 3).rows
@@ -307,6 +308,8 @@ def ideal_slice(rank: int, generators, d: int, group=()) -> SpanBuilder:
     >>> ideal_slice(1, [t2], 3, [IntMatrix(((-1,),))]).dim  # t^2 * t is no invariant of t -> -t
     0
     """
+    for g in generators:
+        check_monomials(g, rank)
     builder = SpanBuilder(len(sym_basis(rank, d)))
     for g in generators:
         e = poly_degree(g)
@@ -402,8 +405,6 @@ def truncated_quotient(rank: int, generators: list[Poly], max_degree: int, group
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
-    for p in generators:
-        check_monomials(p, rank)
     dims = tuple(len(quotient_basis(rank, generators, d, group)) for d in range(max_degree + 1))
     ambient_dims = tuple(len(invariant_slice(rank, group, d)) for d in range(max_degree + 1))
     return TruncatedQuotient(rank, max_degree, dims, ambient_dims)

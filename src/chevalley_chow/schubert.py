@@ -8,14 +8,17 @@ any two classes through their BGG representatives in the coinvariant algebra
 
 Both read one Bruhat-cover table per root datum (:func:`_covers`): for each
 w, the w s_beta one step longer, found by their points in the orbit of
-2rho^vee (``WeylGroup.index``).  A divisor product sums one row.
-The Schubert coordinates of the degree-d monomials are built from degree
-d - 1 by one Chevalley step each (:func:`_coordinate_map`): an integer
-matrix, with no coinvariant ideal and no elimination.  A product scatters
-the products of the terms of two BGG representatives, kept once as integer
-tuples (:func:`_representative_table`), into one integer vector through a
-table of monomial positions (:func:`_product_positions`), and applies that
-matrix.  The ideal serves G/H alone
+2rho^vee (``WeylGroup.index``).  A divisor product sums one row
+(:func:`_chevalley_sum`).  So does a product whose shorter class has length
+1, its BGG representative being a linear form; one whose shorter class has
+length 0 is the other class.  The Schubert coordinates of the degree-d monomials
+are built from degree d - 1 by one Chevalley step each
+(:func:`_coordinate_map`): an integer matrix, with no coinvariant ideal and
+no elimination.  A product of two longer classes scatters the products of
+the terms of their BGG representatives, kept once as integer tuples
+(:func:`_representative_table`), into one integer vector through a table of
+monomial positions (:func:`_product_positions`), and applies that matrix.
+The ideal serves G/H alone
 (:func:`coinvariant_ideal_generators`); the tests reduce modulo it as an oracle.
 Each public function refuses |W| past its ``cap`` first, by the order
 formula; the cached builders take no cap, so one entry serves every cap.
@@ -122,11 +125,14 @@ def chevalley_multiply(rd: RootDatum, lam, w_index: int, cap: int = DEFAULT_CAP)
         raise ValueError(f"Weyl index {w_index} is outside [0, {len(w)})")
     lam = tuple(map(int, lam))
     length = w.lengths[w_index]
-    terms: dict[int, Fraction] = {}
-    for idx, coroot in _covers(rd, length)[w_index - bisect_left(w.lengths, length)]:
-        if c := sum(map(mul, lam, coroot)):
-            terms[idx] = Fraction(c)
-    return SchubertExpansion(length + 1, terms)
+    row = _covers(rd, length)[w_index - bisect_left(w.lengths, length)]
+    return SchubertExpansion(length + 1, {idx: Fraction(c) for idx, c in _chevalley_sum(lam, row)})
+
+
+def _chevalley_sum(lam, row) -> list[tuple[int, int]]:
+    """The pairs (index of w s_beta, <lam, beta^vee>) with a nonzero pairing,
+    over one row of :func:`_covers`, in its order: lam times sigma_w."""
+    return [(idx, c) for idx, coroot in row if (c := sum(map(mul, lam, coroot)))]
 
 
 #: one BGG representative: the positions of its monomials in
@@ -135,15 +141,18 @@ Packed = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @lru_cache(maxsize=DATUM_CACHE_SIZE)
-def _representative_table(rd: RootDatum, /) -> tuple[tuple[Packed, ...], int, tuple[int, ...], list]:
-    """``(reps, scale, lengths, maps)``: the BGG representatives P_w in
-    Sym X(T)_Q, one per Weyl element, each held once as a pair of int
+def _representative_table(rd: RootDatum, /) -> tuple[tuple[Packed, ...], int, tuple[int, ...], list, list]:
+    """``(reps, scale, lengths, maps, covers)``: the BGG representatives P_w
+    in Sym X(T)_Q, one per Weyl element, each held once as a pair of int
     tuples (:data:`Packed`), ascending positions in ``sym_basis(rank,
     length(w))`` and the coefficients times ``scale``, the lcm of all their
     denominators; ``WeylGroup.lengths``, so that a product reads W off this
-    one entry; and ``maps``, by degree, the :func:`_coordinate_map` entry
-    the products of that degree read, stored by the first of them, so that
-    a warm product probes no second cache keyed by the root datum.
+    one entry; ``maps``, by degree, the :func:`_coordinate_map` entry the
+    products of that degree read; and ``covers``, by length, the
+    :func:`_covers` entry the divisor products read.  Each of the last two
+    is stored by the first product that reads it, so that a warm product
+    probes no second cache keyed by the root datum.  A representative of
+    length 1 is a linear form, its positions the variables it has.
 
     P_{w0} is the product of the positive roots over |W|; going down,
     P_v = divided_difference_i(P_{v s_i}) for the least i ascending v.  The
@@ -151,7 +160,7 @@ def _representative_table(rd: RootDatum, /) -> tuple[tuple[Packed, ...], int, tu
 
     >>> from .lattice import IntMatrix
     >>> a2 = RootDatum(2, IntMatrix(((2, -1), (-1, 2))), IntMatrix.identity(2))
-    >>> reps, scale, lengths, maps = _representative_table(a2)
+    >>> reps, scale, lengths, maps, covers = _representative_table(a2)
     >>> scale, reps[1], reps[3]  # x0, and (-x0^2 + x0 x1 + 2 x1^2) / 3, times 6
     (6, ((0,), (6,)), ((0, 1, 2), (-2, 2, 4)))
     """
@@ -179,7 +188,7 @@ def _representative_table(rd: RootDatum, /) -> tuple[tuple[Packed, ...], int, tu
         tuple(zip(*sorted((position[length][m], c.numerator * (scale // c.denominator)) for m, c in p.items())))
         for p, length in zip(reps, w.lengths)
     )
-    return packed, scale, w.lengths, [None] * (top_degree + 1)
+    return packed, scale, w.lengths, [None] * (top_degree + 1), [None] * (top_degree + 1)
 
 
 def schubert_representatives(rd: RootDatum, max_degree: int | None = None, cap: int = DEFAULT_CAP) -> dict[int, Poly]:
@@ -190,7 +199,7 @@ def schubert_representatives(rd: RootDatum, max_degree: int | None = None, cap: 
     table on each call, so a caller that mutates them changes no later product.
     """
     _weyl_order(rd, cap)
-    reps, scale, lengths, _ = _representative_table(rd)
+    reps, scale, lengths, _, _ = _representative_table(rd)
     out = {}
     for i, (positions, coeffs) in enumerate(reps):
         if max_degree is None or lengths[i] <= max_degree:
@@ -328,46 +337,66 @@ def _product_positions(rank: int, a: int, b: int, /) -> tuple[tuple[int, ...], .
 
 
 def schubert_product(rd: RootDatum, w1: int, w2: int, cap: int = DEFAULT_CAP) -> SchubertExpansion:
-    """sigma_{w1} * sigma_{w2} by coinvariant multiplication.
+    """sigma_{w1} * sigma_{w2}: by the Chevalley rule when the shorter class
+    has length at most 1, else by coinvariant multiplication.
 
-    Every product of a term of P_{w1} and a term of P_{w2}, integer
-    coefficients over one scale (:func:`_representative_table`), is added
-    into one integer vector at the position :func:`_product_positions`
-    gives its monomial; each row of :func:`_coordinate_map` dotted with that
-    vector is a coordinate.  The structure constants must come out
-    nonnegative integers; anything else raises
-    :class:`NonIntegralStructureConstant` (it would mean a bug, not bad
-    input).  An index that is not an integer in [0, |W|), or a bool, raises ValueError.
-    |W| past ``cap`` is refused first by the order formula
-    (:class:`GroupTooLarge`).
+    With u the shorter class and v the other: for length(u) = 0, P_u = 1 and
+    the product is sigma_v.  For length(u) = 1, P_u is a linear form lam
+    over the table's scale (:func:`_representative_table`), and the product
+    is the sum of <lam, beta^vee> sigma_{v s_beta} over the covers of v
+    (:func:`_covers`), divided by the scale.  Otherwise every product of a
+    term of P_u and a term of P_v, integer coefficients over one scale, is
+    added into one integer vector at the position
+    :func:`_product_positions` gives its monomial; each row of
+    :func:`_coordinate_map` dotted with that vector is a coordinate.  The
+    structure constants must come out nonnegative integers; anything else
+    raises :class:`NonIntegralStructureConstant` (it would mean a bug, not
+    bad input).  Terms come in ascending index order.  An index that is not
+    an integer in [0, |W|), or a bool, raises ValueError.  |W| past ``cap``
+    is refused first by the order formula (:class:`GroupTooLarge`).
 
     >>> from .lattice import IntMatrix
     >>> a1 = RootDatum(1, IntMatrix(((2,),)), IntMatrix(((1,),)))
     >>> schubert_product(a1, 1, 1).terms
     {}
+    >>> sl3 = RootDatum(2, IntMatrix(((2, -1), (-1, 2))), IntMatrix.identity(2))
+    >>> schubert_product(sl3, 1, 2).terms  # sigma_s0 sigma_s1 = sigma_s0s1 + sigma_s1s0
+    {3: Fraction(1, 1), 4: Fraction(1, 1)}
     """
     _weyl_order(rd, cap)
-    reps, scale, lengths, maps = _representative_table(rd)
+    reps, scale, lengths, maps, covers = _representative_table(rd)
     if not (type(w1) is int and type(w2) is int and 0 <= w1 < len(lengths) and 0 <= w2 < len(lengths)):
         raise ValueError(f"Weyl indices ({w1!r}, {w2!r}) are not both integers in [0, {len(lengths)})")
-    d = lengths[w1] + lengths[w2]
+    short, long = (w1, w2) if lengths[w1] <= lengths[w2] else (w2, w1)
+    length = lengths[long]
+    d = lengths[short] + length
     if d > lengths[-1]:
         return SchubertExpansion(d, {})
-    if (cmap := maps[d]) is None:
-        cmap = maps[d] = _coordinate_map(rd, d)
-    indices, rows = cmap
-    short, long = (w1, w2) if lengths[w1] <= lengths[w2] else (w2, w1)
-    (left, lcoeffs), (right, rcoeffs) = reps[short], reps[long]
-    where = _product_positions(rd.rank, lengths[short], lengths[long])
-    vec = [0] * len(rows[0])
-    for i, c in zip(left, lcoeffs):
-        row = where[i]
-        for j, e in zip(right, rcoeffs):
-            vec[row[j]] += c * e
-    den = scale * scale
+    if d == length:  # P_e = 1
+        return SchubertExpansion(d, {long: Fraction(1)})
+    if d == length + 1:
+        if (rows := covers[length]) is None:
+            rows = covers[length] = _covers(rd, length)
+        lam = [0] * rd.rank
+        for k, c in zip(*reps[short]):
+            lam[k] = c
+        totals = sorted(_chevalley_sum(lam, rows[long - bisect_left(lengths, length)]))
+        den = scale
+    else:
+        if (cmap := maps[d]) is None:
+            cmap = maps[d] = _coordinate_map(rd, d)
+        indices, rows = cmap
+        (left, lcoeffs), (right, rcoeffs) = reps[short], reps[long]
+        where = _product_positions(rd.rank, lengths[short], length)
+        vec = [0] * len(rows[0])
+        for i, c in zip(left, lcoeffs):
+            row = where[i]
+            for j, e in zip(right, rcoeffs):
+                vec[row[j]] += c * e
+        totals = zip(indices, [sum(map(mul, row, vec)) for row in rows])
+        den = scale * scale
     terms: dict[int, Fraction] = {}
-    for idx, row in zip(indices, rows):
-        total = sum(map(mul, row, vec))
+    for idx, total in totals:
         c, rem = divmod(total, den)
         if rem or c < 0:
             raise NonIntegralStructureConstant(

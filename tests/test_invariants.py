@@ -354,17 +354,21 @@ def test_truncated_quotient_refuses_a_negative_degree(monkeypatch):
 @pytest.mark.parametrize("call, message", [
     (lambda: coeff_vector({(2, 0): 1}, 2, 1), "(2, 0) is not a degree-1 monomial in 2 variables"),
     (lambda: coeff_vector({(1, 0): 1, (1,): 1}, 2, 1), "(1,) is not a degree-1 monomial in 2 variables"),
-    (lambda: ideal_slice(2, [{(2, -1): 1}], 2), "(3, -1) is not a degree-2 monomial in 2 variables"),
-    (lambda: quotient_basis(2, [{(2, -1): 1}], 2), "(3, -1) is not a degree-2 monomial in 2 variables"),
+    (lambda: ideal_slice(2, [{(2, -1): 1}], 2), "(2, -1) is not a monomial in 2 variables"),
+    (lambda: quotient_basis(2, [{(2, -1): 1}], 2), "(2, -1) is not a monomial in 2 variables"),
+    (lambda: ideal_slice(2, [{(1, 0): 1}, {"x": 1}], 2), "'x' is not a monomial in 2 variables"),
+    (lambda: quotient_basis(2, [{(1, 0): 1}, {"x": 1}], 2), "'x' is not a monomial in 2 variables"),
     (lambda: substitute(IntMatrix(((1, 0),)), {(1,): 1}), "(1,) is not a monomial in 2 variables"),
     (lambda: substitute(IntMatrix.identity(2), {(1, 0): 1, (0, 0, 1): 1}), "(0, 0, 1) is not a monomial in 2 variables"),
     (lambda: free_quotient(1, (0,), (2,), 3), "degrees must be positive, got (0,) and (2,)"),
     (lambda: free_quotient(2, (1, 1), (2, -1), 3), "degrees must be positive, got (1, 1) and (2, -1)"),
-], ids=["coeff_vector-degree", "coeff_vector-length", "ideal_slice", "quotient_basis", "substitute-short",
-        "substitute-long", "free_quotient-ambient", "free_quotient-ideal"])
+], ids=["coeff_vector-degree", "coeff_vector-length", "ideal_slice", "quotient_basis", "ideal_slice-str",
+        "quotient_basis-str", "substitute-short", "substitute-long", "free_quotient-ambient", "free_quotient-ideal"])
 def test_malformed_polynomials_and_degrees_are_refused(call, message):
-    # each once raised a bare KeyError or IndexError, or answered: the first
-    # substitute as the identity, free_quotient(1, (0,), (2,), 3) dims (2, 0, -2, 0)
+    # each once raised a bare KeyError, IndexError or TypeError, or answered:
+    # the first substitute as the identity, free_quotient(1, (0,), (2,), 3)
+    # dims (2, 0, -2, 0); ideal_slice named the product key (3, -1), not the
+    # generator's, and a str key raised a bare TypeError from its degree
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message

@@ -312,14 +312,21 @@ def test_cold_calls_need_no_ideal_and_no_elimination(monkeypatch):
     monkeypatch.setattr(qlinalg.SpanBuilder, "_reduce", refuse)
     # data no other test asks for, so that every table is built here
     product_rd, expand_rd = z.transvected(z.sl4, 2, 1), z.transvected(z.g2, 1, 0)
+    lengths = weyl_group(product_rd).lengths
+    u, v = lengths.index(2), lengths.index(2) + 1
+    assert (lengths[1], lengths[4], lengths[v]) == (1, 2, 2)
     misses = schubert._coordinate_map.cache_info().misses
-    product = schubert_product(product_rd, 1, 4)
+    product = schubert_product(product_rd, 1, 4)  # the Chevalley rule: no map
+    assert schubert._coordinate_map.cache_info().misses - misses == 0
+    long_product = schubert_product(product_rd, u, v)
+    assert schubert._coordinate_map.cache_info().misses - misses == 4  # degrees 1..4
     x = linear_poly((1, 2))
     cube = poly_mul(x, poly_mul(x, x))
     expansion = expand_in_schubert_basis(expand_rd, cube, 3)
-    assert schubert._coordinate_map.cache_info().misses - misses == 6  # degrees 1..3 of each
+    assert schubert._coordinate_map.cache_info().misses - misses == 7  # and degrees 1..3 of the other
     monkeypatch.undo()
     assert typed_terms(product) == typed_terms(z.schubert_product_by_reduction(product_rd, 1, 4))
+    assert typed_terms(long_product) == typed_terms(z.schubert_product_by_reduction(product_rd, u, v))
     assert typed_terms(expansion) == typed_terms(z.expand_by_reduction(expand_rd, cube, 3))
 
 
@@ -443,13 +450,28 @@ def test_integer_products_match_the_fraction_route(name):
 
 
 SCHUBERT_WARM_DATA = (z.sl3, z.sl4, z.a4, z.sp4, z.g2, z.c3)
+# transvected in a way no other test asks for, so that their first products are cold
+COLD_DIVISOR_DATA = (z.transvected(z.sl3, 1, 0), z.transvected(z.sl4, 0, 2), z.transvected(z.sp4, 1, 0),
+                     z.transvected(z.g2, 0, 1), z.transvected(z.c3, 2, 0))
 
 
 def test_warm_calls_make_no_matrix_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a product with a factor of length <= 1 read a coordinate map")
+
     calls = []
-    for rd in SCHUBERT_WARM_DATA:
+    for rd in (*COLD_DIVISOR_DATA, *SCHUBERT_WARM_DATA):
         w = weyl_group(rd)
-        pairs = [(u, v) for u in range(len(w)) for v in range(len(w)) if w.lengths[u] + w.lengths[v] <= 3]
+        # cold, then warm: a unit or divisor product reads no coordinate map
+        # and no monomial positions
+        divisor_pairs = [(u, v) for u in range(len(w)) for v in range(len(w)) if min(w.lengths[u], w.lengths[v]) <= 1]
+        monkeypatch.setattr(schubert, "_coordinate_map", refuse)
+        monkeypatch.setattr(schubert, "_product_positions", refuse)
+        cold = [schubert_product(rd, u, v) for u, v in divisor_pairs]
+        assert [schubert_product(rd, u, v) for u, v in divisor_pairs] == cold
+        monkeypatch.undo()
+        # up to degree 4, so that the pairs of length 2 take the coinvariant route
+        pairs = [(u, v) for u in range(len(w)) for v in range(len(w)) if w.lengths[u] + w.lengths[v] <= 4]
         lam = tuple(range(1, rd.rank + 1))
         for u, v in pairs:  # cold: builds the tables, the maps and the orbit
             schubert_product(rd, u, v)
@@ -461,7 +483,106 @@ def test_warm_calls_make_no_matrix_product(monkeypatch):
         for k in range(len(w)):
             chevalley_multiply(rd, lam, k)
         monkeypatch.undo()
-        reps, scale, _, _ = schubert._representative_table(rd)  # what the products read
+        reps, scale, _, _, _ = schubert._representative_table(rd)  # what the products read
         assert type(scale) is int
         assert all(type(x) is int for positions, coeffs in reps for x in positions + coeffs)
     assert calls == []
+
+
+def test_each_product_takes_the_route_of_its_shorter_factor(monkeypatch):
+    rd = z.c3
+    lengths = weyl_group(rd).lengths
+    calls = []
+    for name in ("_chevalley_sum", "_coordinate_map", "_product_positions"):
+        monkeypatch.setattr(schubert, name, lambda *args, _name=name, _f=getattr(schubert, name):
+                            calls.append(_name) or _f(*args))
+    rng = random.Random(37)
+    for _ in range(300):
+        u, v = rng.randrange(len(lengths)), rng.randrange(len(lengths))
+        short, d = min(lengths[u], lengths[v]), lengths[u] + lengths[v]
+        calls.clear()
+        schubert_product(rd, u, v)
+        if d > lengths[-1] or short == 0:
+            assert calls == [], (u, v)
+        elif short == 1:
+            assert calls == ["_chevalley_sum"], (u, v)
+        else:
+            assert "_product_positions" in calls and "_chevalley_sum" not in calls, (u, v)
+
+
+# every pair with a factor of length <= 1, up to the top degree
+DIVISOR_PRODUCT_DATA = {
+    "A2": z.sl3, "B2": z.sp4, "G2": z.g2, "A3": z.sl4, "C3": z.c3, "SL2": z.sl2, "PGL2": z.pgl2, "GL2": z.gl2,
+    "A2-transvected": z.transvected(z.sl3, 0, 1),
+    **{f"fixture-{name}": parse_descriptor(z.fixture_bytes(name)).group.rd for name in z.FIXTURE_NAMES},
+}
+
+
+@pytest.mark.parametrize("name", DIVISOR_PRODUCT_DATA)
+def test_unit_and_divisor_products_match_the_fraction_route(name):
+    rd = DIVISOR_PRODUCT_DATA[name]
+    lengths = weyl_group(rd).lengths
+    for u in (i for i, length in enumerate(lengths) if length <= 1):
+        for v in range(len(lengths)):
+            want = typed_terms(z.product_by_fractions(rd, u, v))
+            assert typed_terms(schubert_product(rd, u, v)) == want, (u, v)
+            assert typed_terms(schubert_product(rd, v, u)) == want, (v, u)
+
+
+# D4 as SO(8) on the basis e_1..e_4: its simple reflections permute the
+# variables up to sign, so its BGG table builds in a tenth of the time of the
+# simply connected datum's (Cartan basis)
+SO8_ROOTS = ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 1, 1))
+SO8 = RootDatum(4, IntMatrix(SO8_ROOTS), IntMatrix(SO8_ROOTS))
+
+
+def test_divisor_products_match_the_fraction_route_on_a_d4_sample():
+    rd = SO8
+    assert rootdata.validate_root_datum(rd).describe() == "D4"
+    lengths = weyl_group(rd).lengths
+    rng = random.Random(4)
+    short = [i for i, length in enumerate(lengths) if length <= 1]
+    for _ in range(40):
+        u, v = rng.choice(short), rng.randrange(len(lengths))
+        assert typed_terms(schubert_product(rd, u, v)) == typed_terms(z.product_by_fractions(rd, u, v)), (u, v)
+
+
+def _times(rd, expansion, c):
+    """The linear expansion of the product of ``expansion`` and sigma_c."""
+    out = {}
+    for x, k in expansion.terms.items():
+        for y, m in schubert_product(rd, x, c).terms.items():
+            out[y] = out.get(y, 0) + k * m
+    return {y: m for y, m in sorted(out.items()) if m}
+
+
+@pytest.mark.parametrize("name", ["A3", "C3", "G2"])
+def test_divisor_products_associate_with_coinvariant_products(name):
+    # (sigma_a sigma_b) sigma_c starts on the Chevalley rule, sigma_a (sigma_b
+    # sigma_c) on the coinvariant route, with length(a) = 1 < 2 <= length(b), length(c)
+    rd = DIVISOR_PRODUCT_DATA[name]
+    lengths = weyl_group(rd).lengths
+    rng = random.Random(7)
+    divisors = [i for i, length in enumerate(lengths) if length == 1]
+    longer = [i for i, length in enumerate(lengths) if 2 <= length <= (lengths[-1] - 1) // 2]
+    nonzero = 0
+    for _ in range(25):
+        a, b, c = rng.choice(divisors), rng.choice(longer), rng.choice(longer)
+        left = _times(rd, schubert_product(rd, a, b), c)
+        right = _times(rd, schubert_product(rd, b, c), a)
+        assert left == right, (a, b, c)
+        nonzero += bool(left)
+    assert nonzero
+
+
+def test_a_corrupted_entry_is_refused_by_the_divisor_route(monkeypatch):
+    rd = z.sl3
+    reps, scale, lengths, maps, covers = schubert._representative_table(rd)
+    assert (lengths[1], lengths[2]) == (1, 1)
+    for factor, coefficient in ((2, "1/2"), (-1, "-1")):
+        corrupted = (reps, factor * scale, lengths, maps, covers)
+        monkeypatch.setattr(schubert, "_representative_table", lambda rd, entry=corrupted: entry)
+        with pytest.raises(NonIntegralStructureConstant,
+                           match=rf"^sigma_1 \* sigma_2 has coefficient {coefficient} at class 3$"):
+            schubert_product(rd, 1, 2)
+        assert schubert_product(rd, 0, 3).terms == {3: 1}  # P_e = 1: no arithmetic
